@@ -6,8 +6,8 @@ Measures the two throughput numbers the campaign engine lives on:
 * **injections/s** — end-to-end injection throughput, cold (every run from
   power-on) versus warm-started from the snapshot provider
   (:mod:`repro.bugs.snapshot`) versus differential (warm start plus
-  activation forecasting and convergence-terminated suffixes,
-  :mod:`repro.bugs.differential`), with the one-time provider
+  convergence-terminated suffixes, :mod:`repro.bugs.differential`), with
+  the one-time provider
   construction cost reported separately.
 
 Every invocation appends one entry to ``BENCH_core.json`` at the output
@@ -89,8 +89,8 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "measure the differential executor (forecast + convergence-"
-            "terminated suffixes) alongside cold/warm; same flag as "
+            "measure the differential executor (convergence-terminated "
+            "suffixes) alongside cold/warm; same flag as "
             "repro campaign (--no-differential to skip those passes) [on]"
         ),
     )
@@ -164,7 +164,7 @@ def bench_benchmark(
 ) -> Dict[str, object]:
     """Benchmark one workload: golden speed + cold vs warm injections.
 
-    With ``differential`` the forecast-and-converge executor is measured
+    With ``differential`` the convergence-terminating executor is measured
     as a third pass (and asserted bit-identical to cold). With a
     ``profile`` accumulator, the fastest measured pass is replayed once
     more under per-stage wall-time attribution; the replay is asserted

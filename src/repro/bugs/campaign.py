@@ -67,9 +67,8 @@ class InjectionResult:
     warm_start_cycles_skipped: int = field(default=0, compare=False)
     #: Differential-execution measurement metadata (compare-excluded like
     #: the wall clock): None = the suffix was simulated to completion;
-    #: 0 = the golden delta trace proved the bug never activates, so
-    #: nothing was simulated at all; c > 0 = the variant re-converged with
-    #: the golden trajectory at cycle c and was classified there.
+    #: c = the variant re-converged with the golden trajectory at snapshot
+    #: cycle c and was classified there.
     early_terminated_cycle: Optional[int] = field(default=None, compare=False)
 
     @property
@@ -139,93 +138,88 @@ def run_injection(
 
     With ``differential=True`` and a differential provider
     (``SnapshotProvider(..., differential=True)``), the *suffix* is pruned
-    too: the golden delta trace forecasts the exact activation cycle (a
-    never-activating spec is classified with zero simulation), the restore
-    point moves up to just before that forecast, and the run terminates the
-    moment the variant provably re-converges with the golden trajectory
-    (see :mod:`repro.bugs.differential`). Classification is bit-identical
-    either way; the differential flag is purely a throughput knob, recorded
-    in ``early_terminated_cycle``. Providers without a delta trace (or
-    whose golden run was not detector-silent) silently fall back to the
-    full-suffix path.
+    too: the run is simulated in chunks up to each snapshot cycle and
+    terminates the moment the variant provably re-converges with the
+    golden trajectory (see :mod:`repro.bugs.differential`). Classification
+    is bit-identical either way; the differential flag is purely a
+    throughput knob, recorded in ``early_terminated_cycle``. Providers
+    without a delta trace (or whose golden run was not detector-silent)
+    silently fall back to the full-suffix path.
 
     ``deadline`` (absolute ``time.monotonic()``) is the harness wall-clock
     budget; on expiry :class:`~repro.core.errors.DeadlineExceeded`
     propagates to the execution layer — it is *not* a simulated outcome
     and is never classified as one.
     """
-    if differential and snapshots is not None:
-        delta = snapshots.delta
-        if delta is not None and delta.clean:
-            return _run_injection_differential(
-                program, golden, spec, config, snapshots, deadline
-            )
     started = time.perf_counter_ns()
+    delta = snapshots.delta if differential and snapshots is not None else None
+    if delta is not None and not delta.clean:
+        delta = None
     fabric = SignalFabric()
     armed = arm(spec, fabric)
     idld = IDLDChecker()
     bv = BitVectorScheme()
     counter = CounterScheme()
+    detectors = (idld, bv, counter)
     core = OoOCore(
-        program, config=config, observers=[idld, bv, counter], fabric=fabric
+        program, config=config, observers=list(detectors), fabric=fabric
     )
     skipped = 0
     if snapshots is not None:
-        snap = snapshots.nearest(spec.inject_cycle - 1)
+        bound = (
+            spec.inject_cycle if delta is None
+            else delta.first_perturbation(spec)
+        )
+        snap = snapshots.nearest(bound - 1)
         if snap is not None:
-            snapshots.restore_into(snap, core, (idld, bv, counter))
+            snapshots.restore_into(snap, core, detectors)
             skipped = snap.cycle
     budget = timeout_budget(golden)
+    early_cycle: Optional[int] = None
     error: Optional[Exception] = None
     try:
-        core.run_cycles(budget, deadline=deadline)
+        if delta is None:
+            core.run_cycles(budget, deadline=deadline)
+        else:
+            early_cycle = _run_until_converged(
+                snapshots, core, detectors, fabric, budget, deadline
+            )
     except SimulationError as exc:
         error = exc
-    return _classify_completed_run(
-        program, golden, spec, armed, core, (idld, bv, counter),
-        error, skipped, started,
-    )
-
-
-def _classify_completed_run(
-    program: Program,
-    golden: RunResult,
-    spec: BugSpec,
-    armed,
-    core: OoOCore,
-    detectors,
-    error: Optional[Exception],
-    skipped: int,
-    started_ns: int,
-    early_terminated_cycle: Optional[int] = None,
-) -> InjectionResult:
-    """Shared classification tail of the full and differential paths."""
-    idld, bv, counter = detectors
-    result = core.result()
-    result.stats["warm_start_cycles_skipped"] = skipped
-    classification = classify_run(program, golden, result, error)
-    persists: Optional[bool] = None
-    if error is None and result.halted:
-        persists = not core.census_is_clean()
-    eot = end_of_test_check(classification.outcome, result.cycles)
-    wall_ns = time.perf_counter_ns() - started_ns
-    result.stats["sim_wall_ns"] = wall_ns
+    if early_cycle is not None:
+        # State, traces, and detector tracking are back on the golden
+        # trajectory with nothing pending: every remaining cycle replays
+        # the golden run, so the full-suffix result is fully determined.
+        outcome = OutcomeClass.BENIGN
+        manifestation_cycle = None
+        final_cycle = golden.cycles
+        persists: Optional[bool] = delta.golden_persists
+    else:
+        result = core.result()
+        classification = classify_run(program, golden, result, error)
+        outcome = classification.outcome
+        manifestation_cycle = classification.manifestation_cycle
+        final_cycle = result.cycles
+        persists = None
+        if error is None and result.halted:
+            persists = not core.census_is_clean()
+    eot = end_of_test_check(outcome, final_cycle)
     return InjectionResult(
         benchmark=program.name,
         spec=spec,
         activated=armed.fired,
         activation_cycle=armed.fired_cycle,
-        outcome=classification.outcome,
-        manifestation_cycle=classification.manifestation_cycle,
-        final_cycle=result.cycles,
+        outcome=outcome,
+        manifestation_cycle=manifestation_cycle,
+        final_cycle=final_cycle,
         persists=persists,
         idld_cycle=idld.first_detection_cycle,
         bv_cycle=bv.first_detection_cycle,
         counter_cycle=counter.first_detection_cycle,
         eot_detected=eot.detected,
-        sim_wall_ns=wall_ns,
+        sim_wall_ns=time.perf_counter_ns() - started,
         warm_start_cycles_skipped=skipped,
-        early_terminated_cycle=early_terminated_cycle,
+        early_terminated_cycle=early_cycle,
     )
 
 
@@ -236,123 +230,50 @@ def _classify_completed_run(
 _MAX_DEEP_STRIDE = 32
 
 
-def _run_injection_differential(
-    program: Program,
-    golden: RunResult,
-    spec: BugSpec,
-    config: Optional[CoreConfig],
+def _run_until_converged(
     snapshots: "SnapshotProvider",
+    core: OoOCore,
+    detectors,
+    fabric: SignalFabric,
+    budget: int,
     deadline: Optional[float],
-) -> InjectionResult:
-    """Differential-mode injection: forecast, delta-restore, converge.
+) -> Optional[int]:
+    """Run ``core`` to ``budget`` in chunks ending at each snapshot cycle.
 
-    Produces classifications bit-identical to the full-suffix path (the
-    property tests and tests/test_differential_exec.py assert this): every
-    shortcut only replaces simulation whose outcome is already determined
-    by the golden run.
+    Returns the snapshot cycle at which the variant provably re-converged
+    with the golden run (:func:`converged`), or None when it halted or
+    reached ``budget`` first.
     """
-    started = time.perf_counter_ns()
-    delta = snapshots.delta
-    fire = delta.first_perturbation(spec)
-    if fire is None:
-        # The armed one-shot is never exercised: the variant is the golden
-        # run, cycle for cycle. Splice the result from golden facts.
-        eot = end_of_test_check(OutcomeClass.BENIGN, golden.cycles)
-        return InjectionResult(
-            benchmark=program.name,
-            spec=spec,
-            activated=False,
-            activation_cycle=None,
-            outcome=OutcomeClass.BENIGN,
-            manifestation_cycle=None,
-            final_cycle=golden.cycles,
-            persists=delta.golden_persists,
-            idld_cycle=None,
-            bv_cycle=None,
-            counter_cycle=None,
-            eot_detected=eot.detected,
-            sim_wall_ns=time.perf_counter_ns() - started,
-            warm_start_cycles_skipped=golden.cycles,
-            early_terminated_cycle=0,
-        )
-    fabric = SignalFabric()
-    armed = arm(spec, fabric)
-    idld = IDLDChecker()
-    bv = BitVectorScheme()
-    counter = CounterScheme()
-    detectors = (idld, bv, counter)
-    core = OoOCore(
-        program, config=config, observers=[idld, bv, counter], fabric=fabric
-    )
-    # The forecast is the *first* consult of the armed signal at or after
-    # inject_cycle, so every cycle before it is provably golden and the
-    # restore point can move up from inject_cycle - 1 to fire - 1.
-    skipped = 0
-    snap = snapshots.nearest(fire - 1)
-    if snap is not None:
-        snapshots.restore_into(snap, core, detectors)
-        skipped = snap.cycle
-    budget = timeout_budget(golden)
+    fingerprints = snapshots.delta.fingerprints
     candidates = snapshots.candidate_cycles
     pos = bisect_right(candidates, core.cycle)
     skip_deep_until = 0
     stride = 1
-    early_cycle: Optional[int] = None
-    error: Optional[Exception] = None
     clock_origin: Optional[float] = None
-    try:
-        while not core.halted and core.cycle < budget:
-            target = candidates[pos] if pos < len(candidates) else budget
-            if target > budget:
-                target = budget
-            clock_origin = core.run_cycles(
-                target, deadline=deadline, started=clock_origin
-            )
-            if core.halted or core.cycle >= budget:
-                break
-            pos += 1
-            cycle = core.cycle
-            if fabric.any_armed:
-                continue
-            reference = delta.fingerprints.get(cycle)
-            if reference is None or core.fingerprint() != reference:
-                continue
-            if cycle < skip_deep_until:
-                continue
-            if converged(snapshots, core, detectors, fabric, cycle):
-                early_cycle = cycle
-                break
-            skip_deep_until = cycle + stride * snapshots.interval
-            if stride < _MAX_DEEP_STRIDE:
-                stride <<= 1
-    except SimulationError as exc:
-        error = exc
-    if early_cycle is not None:
-        # State, traces, and detector tracking are back on the golden
-        # trajectory with nothing pending: every remaining cycle replays
-        # the golden run, so the full-suffix result is fully determined.
-        eot = end_of_test_check(OutcomeClass.BENIGN, golden.cycles)
-        return InjectionResult(
-            benchmark=program.name,
-            spec=spec,
-            activated=armed.fired,
-            activation_cycle=armed.fired_cycle,
-            outcome=OutcomeClass.BENIGN,
-            manifestation_cycle=None,
-            final_cycle=golden.cycles,
-            persists=delta.golden_persists,
-            idld_cycle=idld.first_detection_cycle,
-            bv_cycle=bv.first_detection_cycle,
-            counter_cycle=counter.first_detection_cycle,
-            eot_detected=eot.detected,
-            sim_wall_ns=time.perf_counter_ns() - started,
-            warm_start_cycles_skipped=skipped,
-            early_terminated_cycle=early_cycle,
+    while not core.halted and core.cycle < budget:
+        target = candidates[pos] if pos < len(candidates) else budget
+        if target > budget:
+            target = budget
+        clock_origin = core.run_cycles(
+            target, deadline=deadline, started=clock_origin
         )
-    return _classify_completed_run(
-        program, golden, spec, armed, core, detectors,
-        error, skipped, started,
-    )
+        if core.halted or core.cycle >= budget:
+            break
+        pos += 1
+        cycle = core.cycle
+        if fabric.any_armed:
+            continue
+        reference = fingerprints.get(cycle)
+        if reference is None or core.fingerprint() != reference:
+            continue
+        if cycle < skip_deep_until:
+            continue
+        if converged(snapshots, core, detectors, fabric, cycle):
+            return cycle
+        skip_deep_until = cycle + stride * snapshots.interval
+        if stride < _MAX_DEEP_STRIDE:
+            stride <<= 1
+    return None
 
 
 @dataclass

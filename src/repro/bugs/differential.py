@@ -1,27 +1,27 @@
 """Differential suffix execution: delta traces + convergence termination.
 
-Warm starting (PR 3) removed the bug-free *prefix* of every injection run;
-the suffix — everything after the fault fires — was still simulated to
-completion even though the overwhelming majority of injections are Benign
-or Masked and spend most of that suffix bit-identical to the golden run.
-This module removes the redundant suffix too, DejaVuzz-style, by running
-the variant *differentially* against the golden run:
+Warm starting (:mod:`repro.bugs.snapshot`) removes the bug-free *prefix*
+of every injection run; the suffix — everything after the fault fires —
+would still be simulated to completion even though the overwhelming
+majority of injections are Benign or Masked and spend most of that suffix
+bit-identical to the golden run. This module removes the redundant suffix
+too, DejaVuzz-style, by running the variant *differentially* against the
+golden run:
 
-1. **Golden delta trace.** The provider's instrumented golden run uses a
-   :class:`RecordingFabric` that logs, per control signal, every cycle the
-   signal was consulted (and every RAT-write data-path traversal). Because
-   a variant is cycle-identical to the golden run until its armed one-shot
-   bug first *fires*, and a suppression/corruption armed at cycle ``c``
-   fires at the signal's first use at or after ``c``, the golden consult
-   log predicts the exact activation cycle of any spec — before simulating
-   a single variant cycle (:meth:`DeltaTrace.first_perturbation`).
+1. **Golden delta trace.** The provider's instrumented golden run keeps
+   every snapshot (not just those in the injection-draw window) and, per
+   snapshot cycle, the golden core's fingerprint, plus the golden
+   persistence probe and whether every detector stayed silent
+   (:class:`DeltaTrace`).
 
-2. **Activation forecasting.** A spec whose signal is never consulted at
-   or after its inject cycle never perturbs the machine at all: the run
-   *is* the golden run, and its result is spliced from golden facts with
-   zero simulation. A spec that does fire at cycle ``F`` restores the
-   nearest snapshot before ``F`` (not before the earlier ``inject_cycle``),
-   skipping the armed-but-inert gap as well.
+2. **Restore.** A differential injection restores the same snapshot a
+   warm one does: the nearest one strictly before its inject cycle
+   (:meth:`DeltaTrace.first_perturbation`). The golden run logs no signal
+   consults to forecast the exact activation cycle from: the first consult
+   of an armed signal comes a median of 0–1 cycles after the inject cycle
+   (at most 50), far inside one snapshot interval, so a forecast would
+   almost never move the restore point, while recording the consults
+   would cost about 40% of every provider build (see EXPERIMENTS.md).
 
 3. **Convergence-terminated suffixes.** After the fault fires, the variant
    is compared against the golden trace at every snapshot cycle: first a
@@ -36,7 +36,8 @@ the variant *differentially* against the golden run:
 Soundness of the convergence predicate (see EXPERIMENTS.md):
 
 * ``fabric.any_armed`` must be False: an unfired bug can still perturb any
-  future cycle, so no early exit while anything is pending.
+  future cycle, so no early exit while anything is pending. A spec whose
+  signal is never consulted again therefore simulates to the end.
 * Core state equality is *structural* over the complete
   :meth:`~repro.core.cpu.OoOCore.save_state` dict (minus ``stats``, which
   holds monotonic counters that do not influence future behavior or the
@@ -58,12 +59,10 @@ this only delays termination and never affects the classification.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Tuple, TYPE_CHECKING
 
-from repro.bugs.models import BugModel, BugSpec
-from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
+from repro.bugs.models import BugSpec
+from repro.core.rrs.signals import SignalFabric
 from repro.idld.bitvector import BitVectorScheme
 from repro.idld.checker import IDLDChecker
 from repro.idld.counter import CounterScheme
@@ -73,48 +72,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cpu import OoOCore
 
 
-class RecordingFabric(SignalFabric):
-    """A signal fabric that additionally logs consultation cycles.
-
-    Used only for the provider's golden run (nothing armed, behavior
-    identical to a plain fabric). Logs are compact ``array('l')`` columns,
-    deduplicated per cycle — the forecast only needs the first consult of a
-    (array, kind) pair in a given cycle, which is exactly the consult that
-    would fire a one-shot suppression.
-    """
-
-    # Every consult must reach the overridden methods below even with
-    # nothing armed: the delta trace IS the consult log. This keeps the
-    # ports' ``fabric.hot`` fast path permanently disabled here.
-    _force_consult = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.hot = True
-        self.consults: Dict[Tuple[ArrayName, SignalKind], array] = {}
-        self.pdst_writes: array = array("l")
-
-    def asserted(self, arr: ArrayName, kind: SignalKind) -> bool:
-        log = self.consults.get((arr, kind))
-        if log is None:
-            log = self.consults[(arr, kind)] = array("l")
-        if not log or log[-1] != self.cycle:
-            log.append(self.cycle)
-        return super().asserted(arr, kind)
-
-    def corrupt_pdst(self, value: int) -> int:
-        log = self.pdst_writes
-        if not log or log[-1] != self.cycle:
-            log.append(self.cycle)
-        return super().corrupt_pdst(value)
-
-
 class DeltaTrace:
     """Golden-run facts the differential mode replays instead of simulating.
 
     Attributes:
-        consults: Per-(array, kind) sorted cycles the signal was consulted.
-        pdst_writes: Sorted cycles the RAT-write data path carried a PdstID.
         fingerprints: Snapshot cycle -> the golden core's fingerprint there.
         golden_persists: The golden run's own persistence probe
             (``not census_is_clean()`` at HALT) — what any run that follows
@@ -125,46 +86,27 @@ class DeltaTrace:
             policy).
     """
 
-    __slots__ = (
-        "consults",
-        "pdst_writes",
-        "fingerprints",
-        "golden_persists",
-        "clean",
-    )
+    __slots__ = ("fingerprints", "golden_persists", "clean")
 
     def __init__(
         self,
-        consults: Dict[Tuple[ArrayName, SignalKind], array],
-        pdst_writes: array,
         fingerprints: Dict[int, tuple],
         golden_persists: bool,
         clean: bool,
     ) -> None:
-        self.consults = consults
-        self.pdst_writes = pdst_writes
         self.fingerprints = fingerprints
         self.golden_persists = golden_persists
         self.clean = clean
 
-    def first_perturbation(self, spec: BugSpec) -> Optional[int]:
-        """The exact cycle ``spec`` would fire, or None if it never does.
+    def first_perturbation(self, spec: BugSpec) -> int:
+        """The earliest cycle ``spec`` can perturb the variant.
 
-        A variant is cycle-identical to the golden run until its one-shot
-        bug fires, so the golden consult log *is* the variant's consult log
-        up to that point: the first golden consult of the spec's signal at
-        or after ``inject_cycle`` is the variant's activation cycle.
+        That is its inject cycle: a suppression or corruption armed for
+        cycle ``c`` can fire during ``c`` itself, so every cycle before it
+        is golden and a run may restore any snapshot taken at or before
+        ``c - 1``.
         """
-        if spec.model is BugModel.PDST_CORRUPTION:
-            log = self.pdst_writes
-        else:
-            log = self.consults.get((spec.array, spec.kind))
-            if log is None:
-                return None
-        pos = bisect_left(log, spec.inject_cycle)
-        if pos >= len(log):
-            return None
-        return log[pos]
+        return spec.inject_cycle
 
 
 #: Per-detector tracking projections, in canonical attach order. Each maps

@@ -29,7 +29,7 @@ import time
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.bugs.differential import DeltaTrace, RecordingFabric
+from repro.bugs.differential import DeltaTrace
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore, RunResult
 from repro.core.errors import DeadlockError
@@ -69,8 +69,8 @@ class SnapshotProvider:
             the detectors are pure observers.
         interval: Capture period in cycles (must be >= 1).
         delta: The golden :class:`~repro.bugs.differential.DeltaTrace`
-            (consult log, per-snapshot fingerprints, persistence) when
-            built with ``differential=True``; None otherwise.
+            (per-snapshot fingerprints, persistence) when built with
+            ``differential=True``; None otherwise.
     """
 
     def __init__(
@@ -88,10 +88,7 @@ class SnapshotProvider:
         self.config = config
         self.differential = differential
         detectors = make_detectors()
-        fabric = RecordingFabric() if differential else None
-        core = OoOCore(
-            program, config=config, observers=list(detectors), fabric=fabric
-        )
+        core = OoOCore(program, config=config, observers=list(detectors))
         snapshots: List[CoreSnapshot] = []
         fingerprints: Dict[int, tuple] = {}
         deadlock = core.config.deadlock_cycles
@@ -122,12 +119,9 @@ class SnapshotProvider:
         self.delta: Optional[DeltaTrace] = None
         if differential:
             # Differential mode needs the whole snapshot timeline: the
-            # forecast restore point and the convergence candidates both
-            # live past the injection-draw window.
+            # convergence candidates live past the injection-draw window.
             self._snapshots = snapshots
             self.delta = DeltaTrace(
-                consults=fabric.consults,
-                pdst_writes=fabric.pdst_writes,
                 fingerprints=fingerprints,
                 golden_persists=not core.census_is_clean(),
                 clean=all(

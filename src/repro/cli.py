@@ -171,10 +171,10 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "differential suffix execution: forecast each injection's "
-            "activation from the golden delta trace, restore just before "
-            "it, and terminate at provable re-convergence with the golden "
-            "run. Bit-identical classifications, large speedup "
+            "differential suffix execution: terminate each injection at "
+            "provable re-convergence with the golden run, checked at every "
+            "snapshot cycle against the golden delta trace. Bit-identical "
+            "classifications, large speedup "
             "(--no-differential to disable; needs --snapshot-interval >= 1, "
             "silently off otherwise) [on]"
         ),

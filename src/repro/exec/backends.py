@@ -124,10 +124,10 @@ class ExecutionContext:
     runner: Optional[TaskRunner] = None
     snapshot_interval: int = 0
     #: Differential suffix execution (requires ``snapshot_interval`` > 0):
-    #: providers are built with golden delta traces and injections forecast
-    #: their activation, restore just before it, and terminate at
-    #: re-convergence (see repro.bugs.differential). Bit-identical results;
-    #: purely a throughput knob, so it never joins task/checkpoint identity.
+    #: providers are built with golden delta traces and injections
+    #: terminate at re-convergence (see repro.bugs.differential).
+    #: Bit-identical results; purely a throughput knob, so it never joins
+    #: task/checkpoint identity.
     differential: bool = False
     task_timeout_s: Optional[float] = None
     shutdown: Optional[GracefulShutdown] = None

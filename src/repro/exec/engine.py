@@ -128,8 +128,8 @@ def run_engine(
             once requested (SIGINT/SIGTERM) the backend stops dispatching,
             drains inflight work under the latch's deadline and the engine
             returns a partial — but checkpointed and resumable — campaign.
-        differential: Differential suffix execution (forecasted activation,
-            delta restore, convergence termination — see
+        differential: Differential suffix execution (convergence
+            termination against the golden delta trace — see
             :mod:`repro.bugs.differential`). Requires
             ``snapshot_interval`` > 0. Like warm starting, a pure
             throughput knob: classifications and checkpoints are

@@ -113,8 +113,8 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         "--differential",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="differential suffix execution per cell (forecasted "
-        "activation, convergence-terminated delta runs); bit-identical "
+        help="differential suffix execution per cell (convergence-"
+        "terminated delta runs); bit-identical "
         "results, needs --snapshot-interval >= 1 and silently falls "
         "back to full suffixes otherwise [on]",
     )

@@ -89,7 +89,7 @@ def _categorize(full, diff, interval):
         or full.bv_cycle is not None
         or full.counter_cycle is not None
     )
-    if detected and diff.early_terminated_cycle not in (None, 0):
+    if detected and diff.early_terminated_cycle is not None:
         return "detected-then-converged"
     return None
 

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.campaign import run_campaign, run_golden, run_injection
 from repro.bugs.models import BugModel, BugSpec, PRIMARY_MODELS
+from repro.bugs.snapshot import SnapshotProvider
 from repro.core.rrs.signals import ArrayName, SignalKind
 
 
@@ -33,17 +34,35 @@ class TestSingleInjection:
         assert record.idld_detected
         assert record.idld_latency is not None and record.idld_latency >= 0
 
-    def test_latency_properties_none_when_undetected(self, suite):
-        golden = run_golden(suite["sha"])
+    @pytest.mark.parametrize("mode", ["cold", "warm", "differential"])
+    def test_latency_properties_none_when_undetected(self, suite, mode):
+        program = suite["sha"]
+        golden = run_golden(program)
         # Arm far past the end of the run: it never fires.
         spec = BugSpec(
             BugModel.LEAKAGE, golden.cycles * 10, array=ArrayName.FL,
             kind=SignalKind.WRITE_ENABLE,
         )
-        record = run_injection(suite["sha"], golden, spec)
+        cold = run_injection(program, golden, spec)
+        if mode == "cold":
+            record = cold
+        else:
+            differential = mode == "differential"
+            provider = SnapshotProvider(
+                program, 250, differential=differential
+            )
+            record = run_injection(
+                program, provider.golden, spec,
+                snapshots=provider, differential=differential,
+            )
+            assert record.warm_start_cycles_skipped > 0
+            # Still armed at HALT, so it can never converge: simulated.
+            assert record.early_terminated_cycle is None
+        assert record == cold
         assert not record.activated
         assert record.idld_latency is None
         assert record.outcome is OutcomeClass.BENIGN
+        assert record.final_cycle == golden.cycles
 
 
 class TestCampaign:

@@ -1,9 +1,9 @@
 """Equivalence tests for differential suffix execution (repro.bugs.differential).
 
-Differential mode buys its speed from two places — activation forecasting
-against the golden delta trace, and convergence-terminated suffixes — and
-both are only admissible because the result is *bit-identical* to the
-full-suffix run of the same spec. These tests pin that at three levels:
+Differential mode buys its speed from convergence-terminated suffixes,
+checked against the golden delta trace, and that is only admissible
+because the result is *bit-identical* to the full-suffix run of the same
+spec. These tests pin that at three levels:
 
 * every suite benchmark x primary bug model at the default design point,
 * the full 24-cell design-point sweep (rename width x free-list
@@ -94,7 +94,7 @@ def test_differential_actually_terminates_early(programs):
             )
             if diff.early_terminated_cycle is not None:
                 early += 1
-    assert early > 0, "no run ever terminated early or skipped via forecast"
+    assert early > 0, "no run ever terminated early"
 
 
 # -- the 24-cell design-point sweep -------------------------------------------

@@ -4,8 +4,8 @@ The soundness contract of :func:`repro.bugs.differential.converged` has two
 halves, and hypothesis probes both from randomized angles:
 
 * **No behavior change** — a differentially-executed run (early-terminated
-  or forecast-skipped) must classify identically to the same spec forced
-  through the full-suffix path.
+  or not) must classify identically to the same spec forced through the
+  full-suffix path.
 * **No false convergence** — a state that can still diverge from the
   golden trajectory must never satisfy the predicate: an armed (unfired)
   injection, or machine state that silently differs from the golden
@@ -76,7 +76,7 @@ def _restored(prog, provider, cycle):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_differential_classifies_like_forced_full_run(model, seed):
-    """Early-terminated or forecast-skipped runs == full-suffix runs."""
+    """Differential runs, early-terminated or not, == full-suffix runs."""
     prog, provider = _env()
     golden = provider.golden
     spec = draw_spec(model, random.Random(seed), golden.cycles, CoreConfig())

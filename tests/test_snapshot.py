@@ -81,6 +81,26 @@ def test_provider_golden_matches_plain_golden(programs):
     assert provider.count > 0
 
 
+def test_differential_provider_matches_plain_over_draw_window(programs):
+    """A differential build runs the same golden and captures the same
+    states; it differs only in fingerprints and in keeping snapshots past
+    the injection-draw window."""
+    prog = programs["dijkstra"]
+    plain = SnapshotProvider(prog, 20)
+    diff = SnapshotProvider(prog, 20, differential=True)
+    assert _canon(diff.golden) == _canon(plain.golden)
+    assert plain.delta is None
+    assert sorted(diff.delta.fingerprints) == diff.candidate_cycles
+    window = max(2, int(plain.golden.cycles * 0.9))
+    in_window = [c for c in diff.candidate_cycles if c <= window - 1]
+    assert in_window == plain.candidate_cycles
+    assert len(in_window) < diff.count
+    for cycle in in_window:
+        a, b = plain.at(cycle), diff.at(cycle)
+        assert b.core_state == a.core_state, cycle
+        assert b.detector_states == a.detector_states, cycle
+
+
 # -- injection-level: warm == cold over the whole suite x primary models ------
 
 
