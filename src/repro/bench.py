@@ -4,18 +4,20 @@ Measures the two throughput numbers the campaign engine lives on:
 
 * **golden cycles/s** — raw simulator speed on each suite benchmark, and
 * **injections/s** — end-to-end injection throughput, cold (every run from
-  power-on) versus warm-started from the snapshot provider
-  (:mod:`repro.bugs.snapshot`) versus differential (warm start plus
+  power-on to the end) versus snapshot-driven (warm start plus
   convergence-terminated suffixes, :mod:`repro.bugs.differential`), with
-  the one-time provider
-  construction cost reported separately.
+  the one-time provider construction cost reported separately.
 
 Every invocation appends one entry to ``BENCH_core.json`` at the output
 path (default: repo root), so the file accumulates a performance
-trajectory across commits rather than overwriting history. The warm and
-cold runs execute identical task lists and the harness asserts their
-results are equal before reporting, so a reported speedup is never bought
-with a behavior change.
+trajectory across commits rather than overwriting history. Both passes
+execute identical task lists and the harness asserts their results are
+equal before reporting, so a reported speedup is never bought with a
+behavior change.
+
+This is the per-benchmark throughput probe. The end-to-end benchmark of
+whole CLI campaigns, with its per-layer trace, is ``perfbench/`` (see
+``perfbench/README.md``).
 
 Example::
 
@@ -44,10 +46,34 @@ from repro.core.cpu import (
 from repro.exec.tasks import execute_task, generate_tasks
 from repro.workloads import WORKLOADS
 
-#: Current on-disk schema of BENCH_core.json.
-SCHEMA_VERSION = 1
+#: Current on-disk schema of BENCH_core.json. Schema 1 timed three
+#: injection passes (cold, warm-only, differential); schema 2 times two
+#: (cold, snapshot-driven), since warm-only mode no longer exists.
+SCHEMA_VERSION = 2
 
-#: Default capture period; small enough that the mean warm restore point
+#: Schema-1 column -> schema-2 column: the differential pass is the
+#: snapshot-driven pass of schema 2.
+_V1_RENAMED = {
+    "diff_wall_s": "wall_s",
+    "diff_inj_per_s": "inj_per_s",
+    "diff_speedup": "speedup",
+    "diff_early_terminated": "early_terminated",
+    "diff_provider_wall_s": "provider_wall_s",
+}
+
+#: Schema-1 columns of the warm-only pass and its (draw-window trimmed)
+#: provider. They have no schema-2 counterpart and are kept, unchanged,
+#: under ``schema1_warm``.
+_V1_WARM = (
+    "warm_wall_s",
+    "warm_inj_per_s",
+    "speedup",
+    "warm_cycles_skipped",
+    "provider_wall_s",
+    "provider_snapshots",
+)
+
+#: Default capture period; small enough that the mean restore point
 #: sits within interval/2 cycles of the injection point.
 DEFAULT_INTERVAL = 25
 
@@ -77,7 +103,7 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         type=int,
         default=DEFAULT_INTERVAL,
         metavar="K",
-        help=f"warm-start snapshot period in cycles [{DEFAULT_INTERVAL}]",
+        help=f"golden snapshot period in cycles [{DEFAULT_INTERVAL}]",
     )
     parser.add_argument(
         "--benchmarks",
@@ -85,21 +111,11 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         help="comma-separated benchmark names, or 'all'",
     )
     parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "measure the differential executor (convergence-terminated "
-            "suffixes) alongside cold/warm; same flag as "
-            "repro campaign (--no-differential to skip those passes) [on]"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
-            "after the timed passes, replay the fastest pass once more "
-            "with per-stage wall-time attribution and append the bucket "
+            "after the timed passes, replay the snapshot-driven pass once "
+            "more with per-stage wall-time attribution and append the bucket "
             "totals as stage_profile (the profiled pass is never part of "
             "the headline timings)"
         ),
@@ -159,17 +175,14 @@ def bench_benchmark(
     seed: int,
     interval: int,
     config: Optional[CoreConfig] = None,
-    differential: bool = True,
     profile: Optional[Dict[str, int]] = None,
 ) -> Dict[str, object]:
-    """Benchmark one workload: golden speed + cold vs warm injections.
+    """Benchmark one workload: golden speed + cold vs snapshot injections.
 
-    With ``differential`` the convergence-terminating executor is measured
-    as a third pass (and asserted bit-identical to cold). With a
-    ``profile`` accumulator, the fastest measured pass is replayed once
-    more under per-stage wall-time attribution; the replay is asserted
-    result-identical to the cold pass and is never part of the timed
-    columns.
+    With a ``profile`` accumulator, the snapshot-driven pass is replayed
+    once more under per-stage wall-time attribution; the replay is
+    asserted result-identical to the cold pass and is never part of the
+    timed columns.
     """
     entry = _time_golden(program, config)
 
@@ -185,80 +198,42 @@ def bench_benchmark(
     cold = [execute_task(t, program, golden, config) for t in tasks]
     cold_wall = time.perf_counter() - started
 
-    started = time.perf_counter()
-    warm = [
-        execute_task(t, program, golden, config, snapshots=provider)
-        for t in tasks
-    ]
-    warm_wall = time.perf_counter() - started
-
-    if cold != warm:  # timing fields are compare=False by design
-        raise AssertionError(
-            f"{name}: warm-started results differ from cold results"
-        )
-
-    diff_provider = None
-    if differential:
-        started = time.perf_counter()
-        diff_provider = SnapshotProvider(
-            program, interval, config=config, differential=True
-        )
-        diff_provider_wall = time.perf_counter() - started
-
-        started = time.perf_counter()
-        diff = [
-            execute_task(
-                t, program, golden, config,
-                snapshots=diff_provider, differential=True,
-            )
+    def snapshot_pass():
+        return [
+            execute_task(t, program, golden, config, snapshots=provider)
             for t in tasks
         ]
-        diff_wall = time.perf_counter() - started
 
-        if cold != diff:
-            raise AssertionError(
-                f"{name}: differential results differ from cold results"
-            )
+    started = time.perf_counter()
+    results = snapshot_pass()
+    wall = time.perf_counter() - started
+
+    if cold != results:  # timing fields are compare=False by design
+        raise AssertionError(
+            f"{name}: snapshot-driven results differ from cold results"
+        )
 
     injections = len(tasks)
     entry["injections"] = injections
     entry["cold_wall_s"] = cold_wall
     entry["cold_inj_per_s"] = injections / cold_wall if cold_wall > 0 else 0.0
-    entry["warm_wall_s"] = warm_wall
-    entry["warm_inj_per_s"] = injections / warm_wall if warm_wall > 0 else 0.0
-    entry["speedup"] = cold_wall / warm_wall if warm_wall > 0 else 0.0
-    entry["warm_cycles_skipped"] = sum(
-        r.warm_start_cycles_skipped for r in warm
+    entry["wall_s"] = wall
+    entry["inj_per_s"] = injections / wall if wall > 0 else 0.0
+    entry["speedup"] = cold_wall / wall if wall > 0 else 0.0
+    entry["cycles_skipped"] = sum(
+        r.warm_start_cycles_skipped for r in results
     )
-    if differential:
-        entry["diff_provider_wall_s"] = diff_provider_wall
-        entry["diff_wall_s"] = diff_wall
-        entry["diff_inj_per_s"] = (
-            injections / diff_wall if diff_wall > 0 else 0.0
-        )
-        entry["diff_speedup"] = (
-            cold_wall / diff_wall if diff_wall > 0 else 0.0
-        )
-        entry["diff_early_terminated"] = sum(
-            1 for r in diff if r.early_terminated_cycle is not None
-        )
+    entry["early_terminated"] = sum(
+        1 for r in results if r.early_terminated_cycle is not None
+    )
     if profile is not None:
-        # Dedicated attribution replay of the fastest measured pass. The
-        # profiled cores pay two perf_counter_ns calls per stage, so this
-        # pass is deliberately outside every timed column; asserting its
-        # results against the cold pass keeps the instrumentation honest.
+        # Dedicated attribution replay. The profiled cores time every
+        # stage call, so this pass is deliberately outside every timed
+        # column; asserting its results against the cold pass keeps the
+        # instrumentation honest.
         accumulator = enable_stage_profiling()
         try:
-            profiled = [
-                execute_task(
-                    t, program, golden, config,
-                    snapshots=(
-                        diff_provider if differential else provider
-                    ),
-                    differential=differential,
-                )
-                for t in tasks
-            ]
+            profiled = snapshot_pass()
         finally:
             stage = dict(accumulator)
             disable_stage_profiling()
@@ -271,19 +246,72 @@ def bench_benchmark(
     return entry
 
 
+def _upgrade_columns(columns: Dict[str, object]) -> Dict[str, object]:
+    """One schema-1 column dict (a benchmark or the aggregate) in schema 2."""
+    out = {
+        key: value
+        for key, value in columns.items()
+        if key not in _V1_WARM and key not in _V1_RENAMED
+    }
+    for old, new in _V1_RENAMED.items():
+        if old in columns:
+            out[new] = columns[old]
+    warm = {key: columns[key] for key in _V1_WARM if key in columns}
+    if warm:
+        out["schema1_warm"] = warm
+    return out
+
+
+def upgrade_entry(entry: Dict[str, object]) -> Dict[str, object]:
+    """A schema-1 trajectory entry in schema-2 shape.
+
+    The differential columns take their schema-2 names, the warm-only
+    columns move under ``schema1_warm``, and the entry is stamped
+    ``migrated_from_schema: 1``. Sweep-cell entries carry no pass
+    columns and only gain the stamp.
+    """
+    out = {k: v for k, v in entry.items() if k != "differential"}
+    if isinstance(entry.get("benchmarks"), dict):
+        out["benchmarks"] = {
+            name: _upgrade_columns(columns)
+            for name, columns in entry["benchmarks"].items()
+        }
+        out["aggregate"] = _upgrade_columns(entry.get("aggregate", {}))
+    out["migrated_from_schema"] = 1
+    return out
+
+
+def read_trajectory(path: str) -> List[Dict[str, object]]:
+    """Every entry of a trajectory file, in schema-2 shape.
+
+    Schema-1 files are upgraded entry by entry (:func:`upgrade_entry`);
+    the file itself is only rewritten by :func:`append_entry`.
+    """
+    with open(path) as handle:
+        data = json.load(handle)
+    schema = data.get("schema")
+    if schema == 1:
+        return [upgrade_entry(entry) for entry in data["entries"]]
+    if schema != SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported schema {schema!r}")
+    return data["entries"]
+
+
 def append_entry(path: str, entry: Dict[str, object]) -> None:
-    """Append one run's entry to the trajectory file, creating it if new."""
-    data = {"schema": SCHEMA_VERSION, "entries": []}
-    if os.path.exists(path):
-        with open(path) as handle:
-            data = json.load(handle)
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: unsupported schema {data.get('schema')!r}"
-            )
-    data["entries"].append(entry)
+    """Append one run's entry to the trajectory file, creating it if new.
+
+    A schema-1 file is rewritten in schema 2 on the way (see
+    :func:`read_trajectory`).
+    """
+    entries = read_trajectory(path) if os.path.exists(path) else []
+    entries.append(entry)
     with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+        json.dump(
+            {"schema": SCHEMA_VERSION, "entries": entries},
+            handle,
+            indent=2,
+            sort_keys=True,
+        )
         handle.write("\n")
 
 
@@ -310,53 +338,37 @@ def main(argv: Optional[List[str]] = None) -> int:
         program = WORKLOADS[name](scale=args.scale)
         per_benchmark[name] = bench_benchmark(
             name, program, args.runs, args.seed, args.snapshot_interval,
-            differential=args.differential, profile=profile,
+            profile=profile,
         )
         b = per_benchmark[name]
-        diff_cols = (
-            f"diff {b['diff_inj_per_s']:6.2f} inj/s | "
-            f"speedup {b['speedup']:.2f}x/{b['diff_speedup']:.2f}x "
-            f"({b['diff_early_terminated']}/{b['injections']} early, "
-            if args.differential
-            else f"speedup {b['speedup']:.2f}x ("
-        )
         print(
             f"{name:>14}: golden {b['golden_cycles_per_s']:>9.0f} cyc/s | "
             f"cold {b['cold_inj_per_s']:6.2f} inj/s | "
-            f"warm {b['warm_inj_per_s']:6.2f} inj/s | "
-            + diff_cols
-            + f"provider {b['provider_wall_s']:.2f}s, "
+            f"snapshot {b['inj_per_s']:6.2f} inj/s | "
+            f"speedup {b['speedup']:.2f}x "
+            f"({b['early_terminated']}/{b['injections']} early, "
+            f"provider {b['provider_wall_s']:.2f}s, "
             f"{b['provider_snapshots']} snaps)",
             file=sys.stderr,
         )
 
     total_inj = sum(b["injections"] for b in per_benchmark.values())
     cold_wall = sum(b["cold_wall_s"] for b in per_benchmark.values())
-    warm_wall = sum(b["warm_wall_s"] for b in per_benchmark.values())
+    wall = sum(b["wall_s"] for b in per_benchmark.values())
     aggregate = {
         "injections": total_inj,
         "cold_wall_s": cold_wall,
         "cold_inj_per_s": total_inj / cold_wall if cold_wall > 0 else 0.0,
-        "warm_wall_s": warm_wall,
-        "warm_inj_per_s": total_inj / warm_wall if warm_wall > 0 else 0.0,
-        "speedup": cold_wall / warm_wall if warm_wall > 0 else 0.0,
+        "wall_s": wall,
+        "inj_per_s": total_inj / wall if wall > 0 else 0.0,
+        "speedup": cold_wall / wall if wall > 0 else 0.0,
     }
-    if args.differential:
-        diff_wall = sum(b["diff_wall_s"] for b in per_benchmark.values())
-        aggregate["diff_wall_s"] = diff_wall
-        aggregate["diff_inj_per_s"] = (
-            total_inj / diff_wall if diff_wall > 0 else 0.0
-        )
-        aggregate["diff_speedup"] = (
-            cold_wall / diff_wall if diff_wall > 0 else 0.0
-        )
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed": args.seed,
         "scale": args.scale,
         "runs_per_model": args.runs,
         "snapshot_interval": args.snapshot_interval,
-        "differential": args.differential,
         "environment": environment_provenance(),
         "benchmarks": per_benchmark,
         "aggregate": aggregate,
@@ -366,18 +378,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         entry["stage_profile"] = {
             "buckets_ns": profile,
             "profiled_cycles": cycles,
-            "pass": "differential" if args.differential else "warm",
         }
     append_entry(args.output, entry)
     print(json.dumps(entry, indent=2, sort_keys=True))
-    tail = (
-        f"warm {aggregate['speedup']:.2f}x, "
-        f"differential {aggregate['diff_speedup']:.2f}x "
-        if args.differential
-        else f"warm {aggregate['speedup']:.2f}x "
-    )
     print(
-        f"aggregate speedup: {tail}"
+        f"aggregate speedup: {aggregate['speedup']:.2f}x "
         f"({total_inj} injections; appended to {args.output})",
         file=sys.stderr,
     )

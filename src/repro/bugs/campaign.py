@@ -45,9 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class InjectionResult:
     """Everything recorded about one bug injection run.
 
-    The two trailing fields are measurement metadata, not simulation
-    outcomes: they are excluded from equality so warm-started and cold runs
-    of the same spec compare equal, which is exactly the property the
+    The three trailing fields are measurement metadata, not simulation
+    outcomes: they are excluded from equality so snapshot-driven and cold
+    runs of the same spec compare equal, which is exactly the property the
     differential tests assert.
     """
 
@@ -65,8 +65,8 @@ class InjectionResult:
     eot_detected: bool
     sim_wall_ns: Optional[int] = field(default=None, compare=False)
     warm_start_cycles_skipped: int = field(default=0, compare=False)
-    #: Differential-execution measurement metadata (compare-excluded like
-    #: the wall clock): None = the suffix was simulated to completion;
+    #: Convergence measurement metadata (compare-excluded like the wall
+    #: clock): None = the suffix was simulated to completion;
     #: c = the variant re-converged with the golden trajectory at snapshot
     #: cycle c and was classified there.
     early_terminated_cycle: Optional[int] = field(default=None, compare=False)
@@ -125,26 +125,23 @@ def run_injection(
     config: Optional[CoreConfig] = None,
     snapshots: Optional["SnapshotProvider"] = None,
     deadline: Optional[float] = None,
-    differential: bool = False,
 ) -> InjectionResult:
     """Execute one buggy run with all detectors attached and classify it.
 
+    Without a provider this is the cold run: simulated from power-on to
+    the timeout budget. It is the oracle every other path is checked
+    against.
+
     With a :class:`~repro.bugs.snapshot.SnapshotProvider`, the bug-free
     prefix is skipped: the nearest snapshot *strictly before*
-    ``spec.inject_cycle`` is restored and only the suffix is simulated.
-    A suppression armed for cycle c can fire during cycle c itself, so the
-    restore point must satisfy ``snapshot.cycle <= inject_cycle - 1``.
-    The result is bit-identical to a cold run (see tests/test_snapshot.py).
-
-    With ``differential=True`` and a differential provider
-    (``SnapshotProvider(..., differential=True)``), the *suffix* is pruned
-    too: the run is simulated in chunks up to each snapshot cycle and
-    terminates the moment the variant provably re-converges with the
-    golden trajectory (see :mod:`repro.bugs.differential`). Classification
-    is bit-identical either way; the differential flag is purely a
-    throughput knob, recorded in ``early_terminated_cycle``. Providers
-    without a delta trace (or whose golden run was not detector-silent)
-    silently fall back to the full-suffix path.
+    ``spec.inject_cycle`` is restored. A suppression armed for cycle c can
+    fire during cycle c itself, so the restore point must satisfy
+    ``snapshot.cycle <= inject_cycle - 1``. The suffix is then simulated
+    in chunks up to each snapshot cycle and terminates the moment the
+    variant provably re-converges with the golden trajectory (see
+    :mod:`repro.bugs.differential`). The result is bit-identical to the
+    cold run; ``warm_start_cycles_skipped`` and ``early_terminated_cycle``
+    record what was skipped.
 
     ``deadline`` (absolute ``time.monotonic()``) is the harness wall-clock
     budget; on expiry :class:`~repro.core.errors.DeadlineExceeded`
@@ -152,9 +149,6 @@ def run_injection(
     and is never classified as one.
     """
     started = time.perf_counter_ns()
-    delta = snapshots.delta if differential and snapshots is not None else None
-    if delta is not None and not delta.clean:
-        delta = None
     fabric = SignalFabric()
     armed = arm(spec, fabric)
     idld = IDLDChecker()
@@ -165,12 +159,10 @@ def run_injection(
         program, config=config, observers=list(detectors), fabric=fabric
     )
     skipped = 0
+    delta = None
     if snapshots is not None:
-        bound = (
-            spec.inject_cycle if delta is None
-            else delta.first_perturbation(spec)
-        )
-        snap = snapshots.nearest(bound - 1)
+        delta = snapshots.delta
+        snap = snapshots.nearest(delta.first_perturbation(spec) - 1)
         if snap is not None:
             snapshots.restore_into(snap, core, detectors)
             skipped = snap.cycle
@@ -178,7 +170,7 @@ def run_injection(
     early_cycle: Optional[int] = None
     error: Optional[Exception] = None
     try:
-        if delta is None:
+        if delta is None or not delta.clean:
             core.run_cycles(budget, deadline=deadline)
         else:
             early_cycle = _run_until_converged(
@@ -422,7 +414,6 @@ def run_campaign(
     config: Optional[CoreConfig] = None,
     max_attempts: int = 6,
     snapshot_interval: int = 0,
-    differential: bool = False,
     batch_size: int = 1,
 ) -> CampaignResult:
     """Run a full injection campaign (serially; see :mod:`repro.exec`).
@@ -439,13 +430,11 @@ def run_campaign(
         config: Core configuration (paper defaults when None).
         max_attempts: Redraws allowed until an injection actually fires
             (an armed signal nobody exercises has no effect); must be >= 1.
-        snapshot_interval: Warm-start snapshot period in cycles; 0 disables
-            warm starting (every injection simulates from power-on). Any
-            value yields bit-identical campaign results — it is purely a
-            throughput knob.
-        differential: Differential suffix execution (requires
-            ``snapshot_interval`` >= 1); bit-identical results, see
-            :mod:`repro.bugs.differential`.
+        snapshot_interval: Golden snapshot period in cycles; 0 runs every
+            injection cold, from power-on to the end. Any value yields
+            bit-identical campaign results — it is purely a throughput
+            knob (warm starts and convergence-terminated suffixes, see
+            :mod:`repro.bugs.differential`).
         batch_size: Dispatch batching of same-(benchmark, window) tasks;
             1 disables. Bit-identical results for any size.
 
@@ -462,6 +451,5 @@ def run_campaign(
         config=config,
         max_attempts=max_attempts,
         snapshot_interval=snapshot_interval,
-        differential=differential,
         batch_size=batch_size,
     )

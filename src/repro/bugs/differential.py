@@ -5,23 +5,22 @@ of every injection run; the suffix — everything after the fault fires —
 would still be simulated to completion even though the overwhelming
 majority of injections are Benign or Masked and spend most of that suffix
 bit-identical to the golden run. This module removes the redundant suffix
-too, DejaVuzz-style, by running the variant *differentially* against the
-golden run:
+too, DejaVuzz-style, by running every snapshot-driven injection
+*differentially* against the golden run:
 
 1. **Golden delta trace.** The provider's instrumented golden run keeps
-   every snapshot (not just those in the injection-draw window) and, per
-   snapshot cycle, the golden core's fingerprint, plus the golden
-   persistence probe and whether every detector stayed silent
-   (:class:`DeltaTrace`).
+   every snapshot and, per snapshot cycle, the golden core's fingerprint,
+   plus the golden persistence probe and whether every detector stayed
+   silent (:class:`DeltaTrace`).
 
-2. **Restore.** A differential injection restores the same snapshot a
-   warm one does: the nearest one strictly before its inject cycle
-   (:meth:`DeltaTrace.first_perturbation`). The golden run logs no signal
-   consults to forecast the exact activation cycle from: the first consult
-   of an armed signal comes a median of 0–1 cycles after the inject cycle
-   (at most 50), far inside one snapshot interval, so a forecast would
-   almost never move the restore point, while recording the consults
-   would cost about 40% of every provider build (see EXPERIMENTS.md).
+2. **Restore.** An injection restores the nearest snapshot strictly
+   before its inject cycle (:meth:`DeltaTrace.first_perturbation`). The
+   golden run logs no signal consults to forecast the exact activation
+   cycle from: the first consult of an armed signal comes a median of 0–1
+   cycles after the inject cycle (at most 50), far inside one snapshot
+   interval, so a forecast would almost never move the restore point,
+   while recording the consults would cost about 40% of every provider
+   build (see EXPERIMENTS.md).
 
 3. **Convergence-terminated suffixes.** After the fault fires, the variant
    is compared against the golden trace at every snapshot cycle: first a
@@ -73,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DeltaTrace:
-    """Golden-run facts the differential mode replays instead of simulating.
+    """Golden-run facts a converged injection replays instead of simulating.
 
     Attributes:
         fingerprints: Snapshot cycle -> the golden core's fingerprint there.
@@ -81,9 +80,8 @@ class DeltaTrace:
             (``not census_is_clean()`` at HALT) — what any run that follows
             the golden trajectory to completion would measure.
         clean: True when the golden run halted with every detector silent;
-            differential shortcuts are only taken for clean goldens (in
-            practice goldens are always clean — this is a guard, not a
-            policy).
+            convergence is only checked for clean goldens (in practice
+            goldens are always clean — this is a guard, not a policy).
     """
 
     __slots__ = ("fingerprints", "golden_persists", "clean")
@@ -134,14 +132,11 @@ def converged(
     complete machine state — core structural state, output/commit trace
     contents, and detector tracking state — equals the golden run's
     snapshot at the same cycle. ``cycle`` must be a snapshot cycle of the
-    (differential) provider; any other cycle is simply not a candidate.
+    provider; any other cycle is simply not a candidate.
     """
     if fabric.any_armed:
         return False
-    delta = provider.delta
-    if delta is None:
-        return False
-    reference = delta.fingerprints.get(cycle)
+    reference = provider.delta.fingerprints.get(cycle)
     if reference is None or core.fingerprint() != reference:
         return False
     snapshot = provider.at(cycle)

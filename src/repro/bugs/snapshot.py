@@ -1,4 +1,4 @@
-"""Warm-start snapshot provider for injection campaigns.
+"""Golden snapshot provider for injection campaigns.
 
 An injection run is a golden run up to the moment the armed bug first
 perturbs the machine: the fabric's suppressions and corruptions are inert
@@ -9,9 +9,11 @@ injection — just to arrive at a different ``inject_cycle``.
 :class:`SnapshotProvider` removes that redundancy. It performs one
 instrumented golden run per (benchmark, config) with the standard detector
 set attached, capturing a cheap :meth:`~repro.core.cpu.OoOCore.save_state`
-snapshot every ``interval`` cycles, and :func:`repro.bugs.campaign.run_injection`
-then restores the nearest snapshot *strictly before* the injection cycle
-and simulates only the suffix.
+snapshot and a fingerprint every ``interval`` cycles, and
+:func:`repro.bugs.campaign.run_injection` then restores the nearest
+snapshot *strictly before* the injection cycle and simulates only the
+suffix, until it re-converges with the golden run
+(:mod:`repro.bugs.differential`).
 
 Correctness hinges on the strictness: a suppression armed for cycle ``c``
 can fire during cycle ``c`` itself (the fabric is consulted with
@@ -32,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.bugs.differential import DeltaTrace
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore, RunResult
-from repro.core.errors import DeadlockError
 from repro.idld.bitvector import BitVectorScheme
 from repro.idld.checker import IDLDChecker
 from repro.idld.counter import CounterScheme
@@ -61,16 +62,16 @@ def make_detectors() -> Tuple[IDLDChecker, BitVectorScheme, CounterScheme]:
 
 
 class SnapshotProvider:
-    """Periodic golden-run snapshots of one (benchmark, config) pair.
+    """Periodic golden-run snapshots and the golden delta trace of one
+    (benchmark, config) pair.
 
     Attributes:
         golden: The bug-free :class:`RunResult` of the instrumented run —
             bit-identical to :func:`repro.bugs.campaign.run_golden` because
             the detectors are pure observers.
         interval: Capture period in cycles (must be >= 1).
-        delta: The golden :class:`~repro.bugs.differential.DeltaTrace`
-            (per-snapshot fingerprints, persistence) when built with
-            ``differential=True``; None otherwise.
+        delta: The golden :class:`~repro.bugs.differential.DeltaTrace`:
+            per-snapshot fingerprints, persistence and detector silence.
     """
 
     def __init__(
@@ -79,34 +80,34 @@ class SnapshotProvider:
         interval: int,
         config: Optional[CoreConfig] = None,
         max_cycles: int = 2_000_000,
-        differential: bool = False,
     ) -> None:
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
         self.program = program
         self.interval = interval
         self.config = config
-        self.differential = differential
         detectors = make_detectors()
         core = OoOCore(program, config=config, observers=list(detectors))
+        # Every snapshot is kept, not only those in the injection-draw
+        # window: the convergence candidates lie past it.
         snapshots: List[CoreSnapshot] = []
         fingerprints: Dict[int, tuple] = {}
-        deadlock = core.config.deadlock_cycles
         started = time.perf_counter_ns()
-        while not core.halted and core.cycle < max_cycles:
-            core.step()
-            if core.cycle - core.last_progress_cycle > deadlock:
-                raise DeadlockError(core.cycle)
-            if core.cycle % interval == 0 and not core.halted:
-                snapshots.append(
-                    CoreSnapshot(
-                        core.cycle,
-                        core.save_state(light_trace=True),
-                        tuple(d.save_state() for d in detectors),
-                    )
+        # The golden run uses the injections' own stepping loop (deadlock
+        # check, quiescence fast-forward), paused at every multiple of
+        # ``interval`` to capture.
+        while True:
+            core.run_cycles(min(core.cycle + interval, max_cycles))
+            if core.halted or core.cycle >= max_cycles:
+                break
+            snapshots.append(
+                CoreSnapshot(
+                    core.cycle,
+                    core.save_state(light_trace=True),
+                    tuple(d.save_state() for d in detectors),
                 )
-                if differential:
-                    fingerprints[core.cycle] = core.fingerprint()
+            )
+            fingerprints[core.cycle] = core.fingerprint()
         self.golden = core.result()
         if not self.golden.halted:
             raise RuntimeError(
@@ -116,27 +117,14 @@ class SnapshotProvider:
         # golden is interchangeable with a plain one.
         self.golden.stats["sim_wall_ns"] = time.perf_counter_ns() - started
         self.golden.stats["warm_start_cycles_skipped"] = 0
-        self.delta: Optional[DeltaTrace] = None
-        if differential:
-            # Differential mode needs the whole snapshot timeline: the
-            # convergence candidates live past the injection-draw window.
-            self._snapshots = snapshots
-            self.delta = DeltaTrace(
-                fingerprints=fingerprints,
-                golden_persists=not core.census_is_clean(),
-                clean=all(
-                    d.first_detection_cycle is None for d in detectors
-                ),
-            )
-        else:
-            # Injection cycles are drawn from [1, max(2, 0.9 * golden
-            # cycles)] (see repro.bugs.injector.draw_spec) and a snapshot
-            # at cycle c only serves injections strictly after c, so
-            # anything captured past the draw window can never be used.
-            window = max(2, int(self.golden.cycles * 0.9))
-            self._snapshots = [s for s in snapshots if s.cycle <= window - 1]
-        self._cycles = [s.cycle for s in self._snapshots]
-        self._by_cycle = {s.cycle: s for s in self._snapshots}
+        self.delta = DeltaTrace(
+            fingerprints=fingerprints,
+            golden_persists=not core.census_is_clean(),
+            clean=all(d.first_detection_cycle is None for d in detectors),
+        )
+        self._snapshots = snapshots
+        self._cycles = [s.cycle for s in snapshots]
+        self._by_cycle = {s.cycle: s for s in snapshots}
 
     @property
     def count(self) -> int:

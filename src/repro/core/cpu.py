@@ -91,10 +91,10 @@ _PROFILE_BUCKETS = (
 def enable_stage_profiling() -> Dict[str, int]:
     """Turn on per-stage wall-time attribution for cores built afterwards.
 
-    Returns the live accumulator dict: ns per pipeline-stage bucket, plus
-    a ``cycles`` count of profiled steps. Profiled cores pay a
-    ``perf_counter_ns`` pair per stage, so this is for the dedicated
-    ``bench --profile`` pass, never the timed passes.
+    Returns the live accumulator dict: exclusive ns per pipeline-stage
+    bucket, plus a ``cycles`` count of profiled steps. Profiled cores pay
+    a ``perf_counter_ns`` pair and a wrapper call per stage call, so this
+    is for the dedicated ``bench --profile`` pass, never the timed passes.
     """
     global STAGE_PROFILE
     STAGE_PROFILE = {bucket: 0 for bucket in _PROFILE_BUCKETS}
@@ -105,6 +105,26 @@ def disable_stage_profiling() -> None:
     """Turn stage profiling back off (cores built afterwards are clean)."""
     global STAGE_PROFILE
     STAGE_PROFILE = None
+
+
+def _timed(fn, profile: Dict[str, int], bucket: str, stack: List[int]):
+    """``fn`` with its wall time, minus that of timed calls nested inside
+    it, added to ``profile[bucket]``. ``stack`` holds the nested time of
+    every timed call in progress."""
+    perf = time.perf_counter_ns
+
+    def timed(*args, **kwargs):
+        stack.append(0)
+        started = perf()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            elapsed = perf() - started
+            profile[bucket] += elapsed - stack.pop()
+            if stack:
+                stack[-1] += elapsed
+
+    return timed
 
 
 @dataclass
@@ -223,11 +243,8 @@ class OoOCore:
                 replays.append(replay)
         self._ff_replay: Tuple = tuple(replays)
         self.fast_forward_enabled = ff_enabled
-        self._profile = STAGE_PROFILE
-        if self._profile is not None:
-            # Bind the instrumented stepper as an instance attribute so the
-            # default hot path keeps zero profiling overhead.
-            self.step = self._step_profiled  # type: ignore[method-assign]
+        if STAGE_PROFILE is not None:
+            self._profile_stages(STAGE_PROFILE)
         # Static per-PC decode tables. Latency, issue-queue occupancy and
         # the zero-idiom test depend only on the instruction, yet rename
         # and issue consulted them for every uop; indexing by PC takes the
@@ -321,6 +338,45 @@ class OoOCore:
             obs.checkpoint_content(0, 0)
             obs.checkpoint_meta(0, 0)
 
+    def _profile_stages(self, profile: Dict[str, int]) -> None:
+        """Attribute wall time to pipeline stages without a second stepper.
+
+        Every stage method :meth:`step` calls, the recovery strategy's
+        step, the per-cycle observer hooks and the fast-forward jump are
+        shadowed on this instance by timing wrappers, so the profiled core
+        runs the very same :meth:`step`; only unprofiled cores keep the
+        plain method calls.
+        """
+        stack: List[int] = []
+        for name, bucket in (
+            ("_commit_stage", "commit"),
+            ("_execute_stage", "execute"),
+            ("_flush_arbitration", "flush"),
+            ("_issue_stage", "issue"),
+            ("_rename_stage", "rename"),
+            ("_fetch_stage", "fetch"),
+            ("_try_fast_forward", "fast_forward"),
+        ):
+            method = getattr(self, name)
+            setattr(self, name, _timed(method, profile, bucket, stack))
+        strategy = self.recovery_strategy
+        strategy.step = _timed(strategy.step, profile, "recovery", stack)
+        self._on_pipeline_empty = [
+            _timed(hook, profile, "observer", stack)
+            for hook in self._on_pipeline_empty
+        ]
+        self._on_cycle_end = [
+            _timed(hook, profile, "observer", stack)
+            for hook in self._on_cycle_end
+        ]
+        step = self.step
+
+        def counted_step() -> None:
+            profile["cycles"] += 1
+            step()
+
+        self.step = counted_step  # type: ignore[method-assign]
+
     # -- main loop ----------------------------------------------------------------
 
     def run(
@@ -398,16 +454,7 @@ class OoOCore:
                 )
                 and not fabric.any_armed
             ):
-                if self._profile is None:
-                    self._try_fast_forward(until_cycle)
-                else:
-                    t0 = time.perf_counter_ns()
-                    try:
-                        self._try_fast_forward(until_cycle)
-                    finally:
-                        self._profile["fast_forward"] += (
-                            time.perf_counter_ns() - t0
-                        )
+                self._try_fast_forward(until_cycle)
         return started
 
     def _try_fast_forward(self, until_cycle: int) -> None:
@@ -579,67 +626,6 @@ class OoOCore:
                 hook(cycle)
         for hook in self._on_cycle_end:
             hook(cycle)
-
-    def _step_profiled(self) -> None:
-        """:meth:`step` with per-stage wall-time attribution.
-
-        Bound over ``step`` as an instance attribute when the core is
-        constructed under :func:`enable_stage_profiling`. Must mirror
-        :meth:`step` exactly apart from the timers.
-        """
-        prof = self._profile
-        perf = time.perf_counter_ns
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        self.fabric.cycle = cycle
-        prof["cycles"] += 1
-        t0 = perf()
-        if self.recovery is not None:
-            self.recovery_strategy.step()
-            self.stats["recovery_cycles"] += 1
-            self.last_progress_cycle = cycle
-            t1 = perf()
-            prof["recovery"] += t1 - t0
-        else:
-            self._commit_stage()
-            t1 = perf()
-            prof["commit"] += t1 - t0
-        if self._min_finish <= cycle:
-            self._execute_stage()
-        t2 = perf()
-        prof["execute"] += t2 - t1
-        if self.pending_flushes:
-            self._flush_arbitration()
-            t3 = perf()
-            prof["flush"] += t3 - t2
-            t2 = t3
-        if self._issue_scan:
-            self._issue_stage()
-        t3 = perf()
-        prof["issue"] += t3 - t2
-        if self.recovery is None and not self.halted:
-            rht = self.rht
-            if (
-                rht._tail - rht._head >= self._rht_emergency
-                and self.rob._tail - self.rob._head <= 0
-            ):
-                self._maybe_emergency_checkpoint()
-            self._rename_stage()
-            t4 = perf()
-            prof["rename"] += t4 - t3
-            self._fetch_stage()
-            t3 = perf()
-            prof["fetch"] += t3 - t4
-        if (
-            self._on_pipeline_empty
-            and self.rob.empty
-            and self.recovery is None
-        ):
-            for hook in self._on_pipeline_empty:
-                hook(cycle)
-        for hook in self._on_cycle_end:
-            hook(cycle)
-        prof["observer"] += perf() - t3
 
     # -- commit -------------------------------------------------------------------
 

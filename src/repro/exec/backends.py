@@ -98,13 +98,14 @@ class ExecutionContext:
     it; when None, tasks follow the classic injection path with per-worker
     golden caching.
 
-    ``snapshot_interval`` > 0 enables warm-start injection: each worker
-    lazily builds one :class:`~repro.bugs.snapshot.SnapshotProvider` per
-    benchmark (an instrumented golden run capturing machine snapshots every
-    that-many cycles) and injections resume from the nearest snapshot
-    instead of power-on. The provider's golden doubles as the cached
-    reference run, so the provider replaces — not adds to — the per-worker
-    golden cost. Results are bit-identical for any interval.
+    ``snapshot_interval`` > 0 enables snapshot-driven injection: each
+    worker lazily builds one :class:`~repro.bugs.snapshot.SnapshotProvider`
+    per benchmark (an instrumented golden run capturing machine snapshots
+    and the golden delta trace every that-many cycles); injections resume
+    from the nearest snapshot instead of power-on and stop once they
+    re-converge with the golden run. The provider's golden doubles as the
+    cached reference run, so the provider replaces — not adds to — the
+    per-worker golden cost. Results are bit-identical for any interval.
 
     ``task_timeout_s`` is the cooperative per-task wall-clock budget: at
     each :meth:`execute` an absolute deadline is computed and threaded into
@@ -123,12 +124,6 @@ class ExecutionContext:
     config: Optional[CoreConfig] = None
     runner: Optional[TaskRunner] = None
     snapshot_interval: int = 0
-    #: Differential suffix execution (requires ``snapshot_interval`` > 0):
-    #: providers are built with golden delta traces and injections
-    #: terminate at re-convergence (see repro.bugs.differential).
-    #: Bit-identical results; purely a throughput knob, so it never joins
-    #: task/checkpoint identity.
-    differential: bool = False
     task_timeout_s: Optional[float] = None
     shutdown: Optional[GracefulShutdown] = None
     _goldens: Dict[str, RunResult] = field(default_factory=dict)
@@ -153,7 +148,7 @@ class ExecutionContext:
         return self._goldens[benchmark]
 
     def snapshots(self, benchmark: str) -> Optional["SnapshotProvider"]:
-        """The (cached) snapshot provider, or None when warm start is off."""
+        """The (cached) snapshot provider, or None when snapshots are off."""
         if self.snapshot_interval <= 0:
             return None
         if benchmark not in self._snapshots:
@@ -163,7 +158,6 @@ class ExecutionContext:
                 self.programs[benchmark],
                 self.snapshot_interval,
                 config=self.config,
-                differential=self.differential,
             )
         return self._snapshots[benchmark]
 
@@ -192,7 +186,6 @@ class ExecutionContext:
                     self.config,
                     snapshots=self.snapshots(task.benchmark),
                     deadline=self._deadline,
-                    differential=self.differential,
                 )
             return execute_task(
                 task,
@@ -201,7 +194,6 @@ class ExecutionContext:
                 self.config,
                 snapshots=self.snapshots(task.benchmark),
                 deadline=self._deadline,
-                differential=self.differential,
             )
         finally:
             self._deadline = None
@@ -300,7 +292,6 @@ def _worker_init(
     runner: Optional[TaskRunner] = None,
     snapshot_interval: int = 0,
     task_timeout_s: Optional[float] = None,
-    differential: bool = False,
 ) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = ExecutionContext(
@@ -309,7 +300,6 @@ def _worker_init(
         runner=runner,
         snapshot_interval=snapshot_interval,
         task_timeout_s=task_timeout_s,
-        differential=differential,
     )
 
 
@@ -373,7 +363,6 @@ class ProcessPoolBackend:
                 context.runner,
                 context.snapshot_interval,
                 timeout,
-                context.differential,
             ),
         )
 

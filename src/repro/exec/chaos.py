@@ -171,7 +171,6 @@ def chaos_runner(task: object, context: ExecutionContext) -> object:
                     context.config,
                     snapshots=context.snapshots(task.benchmark),
                     deadline=context.deadline,
-                    differential=context.differential,
                 )
             )
         return results
@@ -184,7 +183,6 @@ def chaos_runner(task: object, context: ExecutionContext) -> object:
         context.config,
         snapshots=context.snapshots(task.benchmark),
         deadline=context.deadline,
-        differential=context.differential,
     )
 
 
@@ -218,7 +216,7 @@ def _smoke(jobs: int = 2) -> int:
 
     def comparable(result) -> Dict[str, object]:
         # Everything but the throughput bookkeeping: wall-clock measurement
-        # and warm-start/differential accounting vary with *how* a run was
+        # and snapshot/convergence accounting vary with *how* a run was
         # executed; every simulation outcome must not.
         record = result_to_dict(result)
         record.pop("sim_wall_ns")
@@ -306,11 +304,11 @@ _BATCH_CHILD_SIZE = 4
 
 
 def _batch_child(path: str) -> int:
-    """Run a batched differential campaign against ``path`` (see below).
+    """Run a batched snapshot-driven campaign against ``path`` (see below).
 
     ``python -m repro.exec.chaos --batch-child <checkpoint>`` is the
     subprocess half of the mid-batch SIGKILL scenario: a serial campaign
-    with batching and differential execution on, dying by ``os._exit``
+    with batching and golden snapshots on, dying by ``os._exit``
     when the inherited ``REPRO_CHAOS_EXIT`` plan names a batch member.
     Run again with a scrubbed environment it resumes the checkpoint.
     """
@@ -327,7 +325,6 @@ def _batch_child(path: str) -> int:
         checkpoint_path=path,
         resume=os.path.exists(path),
         snapshot_interval=_BATCH_CHILD_INTERVAL,
-        differential=True,
         batch_size=_BATCH_CHILD_SIZE,
         task_runner=chaos_runner,
     )
@@ -339,7 +336,7 @@ def _smoke_midbatch_kill(
 ) -> None:
     """SIGKILL a campaign mid-batch; resume must lose and repeat nothing.
 
-    A ``--batch-child`` subprocess runs a batched differential campaign
+    A ``--batch-child`` subprocess runs a batched snapshot-driven campaign
     and hard-exits while executing the *second* member of a multi-member
     batch — after that batch's first member already simulated, but before
     any of the batch reached the checkpoint (batch outcomes are written

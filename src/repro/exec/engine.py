@@ -91,7 +91,6 @@ def run_engine(
     checkpoint_fsync: bool = False,
     task_runner: Optional[TaskRunner] = None,
     shutdown: Optional[GracefulShutdown] = None,
-    differential: bool = False,
     batch_size: int = 1,
     shard_keys: Optional[Collection[str]] = None,
 ) -> CampaignResult:
@@ -115,10 +114,12 @@ def run_engine(
             tasks *and* its quarantined tasks; the file keeps growing in
             place.
         observers: Progress-event callables (see :mod:`repro.exec.progress`).
-        snapshot_interval: Warm-start snapshot period in cycles; 0 disables
-            warm starting. Purely a throughput knob — results (and
-            checkpoints) are bit-identical for any value, which is why it
-            is deliberately NOT part of the checkpoint manifest identity.
+        snapshot_interval: Golden snapshot period in cycles; 0 runs every
+            injection cold. Snapshots serve both warm starts and
+            convergence-terminated suffixes (:mod:`repro.bugs.differential`).
+            Purely a throughput knob — results (and checkpoints) are
+            bit-identical for any value, which is why it is deliberately
+            NOT part of the checkpoint manifest identity.
         checkpoint_fsync: ``os.fsync`` every checkpoint record (survives
             hard machine kills, not just process kills) at an I/O cost.
         task_runner: Override the per-task execution function (see
@@ -128,12 +129,6 @@ def run_engine(
             once requested (SIGINT/SIGTERM) the backend stops dispatching,
             drains inflight work under the latch's deadline and the engine
             returns a partial — but checkpointed and resumable — campaign.
-        differential: Differential suffix execution (convergence
-            termination against the golden delta trace — see
-            :mod:`repro.bugs.differential`). Requires
-            ``snapshot_interval`` > 0. Like warm starting, a pure
-            throughput knob: classifications and checkpoints are
-            bit-identical either way, so it never joins manifest identity.
         batch_size: Dispatch up to this many pending same-(benchmark,
             inject-window) tasks per backend round trip
             (:class:`~repro.exec.tasks.BatchedInjectionTask`); 1 disables
@@ -156,11 +151,6 @@ def run_engine(
     models = list(models)
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
-    if differential and snapshot_interval <= 0:
-        raise ValueError(
-            "differential execution needs golden snapshots: set "
-            "snapshot_interval >= 1 or disable differential"
-        )
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     tasks = generate_tasks(
@@ -181,7 +171,6 @@ def run_engine(
         config=config,
         runner=task_runner,
         snapshot_interval=snapshot_interval,
-        differential=differential,
         shutdown=shutdown,
     )
     # A shard only ever touches its own benchmarks, so skip the (expensive)

@@ -272,9 +272,6 @@ def work_main(argv: Optional[List[str]] = None) -> int:
                         help="worker processes per shard [1]")
     parser.add_argument("--snapshot-interval", type=int, default=250,
                         metavar="K")
-    parser.add_argument(
-        "--differential", action=argparse.BooleanOptionalAction, default=True
-    )
     parser.add_argument("--batch-size", type=int, default=8, metavar="N")
     parser.add_argument(
         "--poll", type=float, default=None, metavar="S",
@@ -324,7 +321,6 @@ def work_main(argv: Optional[List[str]] = None) -> int:
         workdir=args.workdir,
         jobs=args.jobs,
         snapshot_interval=args.snapshot_interval,
-        differential=args.differential,
         batch_size=args.batch_size,
         heartbeats=args.heartbeats,
         poll_s=args.poll,

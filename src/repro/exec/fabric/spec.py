@@ -22,7 +22,7 @@ class CampaignSpec:
     The spec is the fabric's single source of truth: workers never choose
     campaign parameters themselves, they receive this with every lease, so
     a fleet cannot silently mix seeds, scales or design points. Throughput
-    knobs (jobs, snapshot interval, differential, batching) deliberately do
+    knobs (jobs, snapshot interval, batching) deliberately do
     NOT appear here — they are per-worker choices that cannot change
     results.
     """

@@ -56,7 +56,7 @@ _SEALED_RE = re.compile(r"^sealed-shard-(\d+)-[0-9a-f]+\.jsonl$")
 class FabricWorker:
     """Executes leased shards through the ordinary campaign engine.
 
-    Throughput knobs (jobs, snapshot interval, differential, batch size)
+    Throughput knobs (jobs, snapshot interval, batch size)
     are the worker's own business: any mix across the fleet produces the
     same merged artifact. ``offline_budget_s`` bounds how long the worker
     tolerates total coordinator silence before sealing and exiting
@@ -74,7 +74,6 @@ class FabricWorker:
         workdir: Optional[str] = None,
         jobs: int = 1,
         snapshot_interval: int = 250,
-        differential: bool = True,
         batch_size: int = 8,
         fault_policy: Optional[FaultPolicy] = None,
         heartbeats: bool = True,
@@ -89,7 +88,6 @@ class FabricWorker:
         os.makedirs(self.workdir, exist_ok=True)
         self.jobs = jobs
         self.snapshot_interval = snapshot_interval
-        self.differential = differential
         self.batch_size = batch_size
         self.fault_policy = (
             fault_policy if fault_policy is not None else FaultPolicy()
@@ -314,9 +312,6 @@ class FabricWorker:
                 backend=backend,
                 checkpoint_path=shard_path,
                 snapshot_interval=self.snapshot_interval,
-                differential=(
-                    self.differential and self.snapshot_interval > 0
-                ),
                 batch_size=self.batch_size,
                 shutdown=shard_latch,
                 shard_keys=keys,

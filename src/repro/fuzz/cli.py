@@ -63,16 +63,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "accepted for parity with 'repro campaign'; the fuzz oracle "
-            "has no golden delta trace to run a differential suffix "
-            "against, so this has no effect on fuzzing results [on]"
-        ),
-    )
-    parser.add_argument(
         "--shrink-budget",
         type=int,
         default=250,
@@ -219,7 +209,6 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
                 observers=observers,
                 save_corpus_dir=args.save_corpus,
                 snapshot_interval=args.snapshot_interval,
-                differential=args.differential,
                 checkpoint_fsync=args.checkpoint_fsync,
                 shutdown=shutdown,
             )

@@ -606,7 +606,6 @@ def run_fuzz(
     save_corpus_dir: Optional[str] = None,
     bug: Optional[BugSpec] = None,
     snapshot_interval: int = 0,
-    differential: bool = False,
     checkpoint_fsync: bool = False,
     shutdown: Optional[GracefulShutdown] = None,
 ) -> FuzzSummary:
@@ -634,9 +633,6 @@ def run_fuzz(
             there is no repeated prefix to warm-start and the value has no
             effect on fuzzing throughput or results. It is deliberately
             NOT part of the fuzz manifest identity.
-        differential: Accepted for CLI parity with ``repro campaign``;
-            the fuzz oracle has no golden delta trace to run a
-            differential suffix against, so this has no effect either.
         checkpoint_fsync: ``os.fsync`` every checkpoint record.
         shutdown: A :class:`~repro.exec.durability.GracefulShutdown`
             latch; once requested the backend stops dispatching and the
@@ -675,7 +671,6 @@ def run_fuzz(
         config=campaign.config,
         runner=run_fuzz_task,
         snapshot_interval=snapshot_interval,
-        differential=differential,
         shutdown=shutdown,
     )
     expected_manifest = _fuzz_manifest(

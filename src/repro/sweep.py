@@ -107,16 +107,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         type=int,
         default=250,
         metavar="K",
-        help="warm-start snapshot period in cycles; 0 disables [250]",
-    )
-    parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="differential suffix execution per cell (convergence-"
-        "terminated delta runs); bit-identical "
-        "results, needs --snapshot-interval >= 1 and silently falls "
-        "back to full suffixes otherwise [on]",
+        help="golden snapshot period in cycles (warm starts and "
+        "convergence-terminated suffixes); 0 runs every injection cold "
+        "[250]",
     )
     parser.add_argument(
         "--batch-size",
@@ -328,8 +321,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 resume=resume,
                 snapshot_interval=args.snapshot_interval,
                 checkpoint_fsync=args.checkpoint_fsync,
-                differential=args.differential
-                and args.snapshot_interval > 0,
                 batch_size=args.batch_size,
             )
         except (CheckpointError, OSError) as exc:

@@ -34,7 +34,7 @@ class TestSingleInjection:
         assert record.idld_detected
         assert record.idld_latency is not None and record.idld_latency >= 0
 
-    @pytest.mark.parametrize("mode", ["cold", "warm", "differential"])
+    @pytest.mark.parametrize("mode", ["cold", "snapshots"])
     def test_latency_properties_none_when_undetected(self, suite, mode):
         program = suite["sha"]
         golden = run_golden(program)
@@ -47,13 +47,9 @@ class TestSingleInjection:
         if mode == "cold":
             record = cold
         else:
-            differential = mode == "differential"
-            provider = SnapshotProvider(
-                program, 250, differential=differential
-            )
+            provider = SnapshotProvider(program, 250)
             record = run_injection(
-                program, provider.golden, spec,
-                snapshots=provider, differential=differential,
+                program, provider.golden, spec, snapshots=provider
             )
             assert record.warm_start_cycles_skipped > 0
             # Still armed at HALT, so it can never converge: simulated.

@@ -9,8 +9,8 @@ spec. These tests pin that at three levels:
 * the full 24-cell design-point sweep (rename width x free-list
   discipline x recovery strategy) on one benchmark, asserting outcome
   classification, detector verdicts and latency stats cell by cell,
-* whole engine campaigns: batched ``--jobs N`` differential execution
-  stays bit-identical to ``--jobs 1`` serial and to plain warm-start.
+* whole engine campaigns: batched ``--jobs N`` snapshot-driven execution
+  stays bit-identical to a cold ``--jobs 1`` serial campaign.
 
 ``InjectionResult`` equality covers every simulation-outcome field —
 outcome class, activation/manifestation/final cycles, persistence, the
@@ -62,18 +62,16 @@ def programs():
 
 @pytest.mark.parametrize("name", SUITE)
 def test_differential_equals_full_suffix(name, programs):
-    """run_injection(differential=True) == full-suffix run, all models."""
+    """run_injection(snapshots=provider) == cold run, all models."""
     prog = programs[name]
-    provider = SnapshotProvider(prog, INTERVAL, differential=True)
+    provider = SnapshotProvider(prog, INTERVAL)
     golden = provider.golden
     rng = random.Random(0xD1FF)
     config = CoreConfig()
     for model in PRIMARY_MODELS:
         spec = draw_spec(model, rng, golden.cycles, config)
         full = run_injection(prog, golden, spec)
-        diff = run_injection(
-            prog, golden, spec, snapshots=provider, differential=True
-        )
+        diff = run_injection(prog, golden, spec, snapshots=provider)
         assert diff == full, f"{name}/{model.value} diverged"
         assert full.early_terminated_cycle is None
 
@@ -81,7 +79,7 @@ def test_differential_equals_full_suffix(name, programs):
 def test_differential_actually_terminates_early(programs):
     """The mode must engage, not silently fall back to full suffixes."""
     prog = programs["bitcount"]
-    provider = SnapshotProvider(prog, INTERVAL, differential=True)
+    provider = SnapshotProvider(prog, INTERVAL)
     golden = provider.golden
     rng = random.Random(3)
     config = CoreConfig()
@@ -89,9 +87,7 @@ def test_differential_actually_terminates_early(programs):
     for trial in range(12):
         for model in PRIMARY_MODELS:
             spec = draw_spec(model, rng, golden.cycles, config)
-            diff = run_injection(
-                prog, golden, spec, snapshots=provider, differential=True
-            )
+            diff = run_injection(prog, golden, spec, snapshots=provider)
             if diff.early_terminated_cycle is not None:
                 early += 1
     assert early > 0, "no run ever terminated early"
@@ -114,7 +110,7 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
         recovery_strategy=recovery,
     )
     prog = WORKLOADS["crc32"](scale=0.25)
-    provider = SnapshotProvider(prog, INTERVAL, config=config, differential=True)
+    provider = SnapshotProvider(prog, INTERVAL, config=config)
     golden = provider.golden
     rng = random.Random(width * 1000 + hash((discipline, recovery)) % 997)
     for model in PRIMARY_MODELS:
@@ -126,7 +122,6 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
             spec,
             config=config,
             snapshots=provider,
-            differential=True,
         )
         cell = f"w{width}/{discipline}/{recovery}/{model.value}"
         assert diff.outcome == full.outcome, cell
@@ -154,16 +149,15 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
 
 
 def test_engine_batched_jobs_identical_to_serial(programs):
-    """Differential + batched + pooled campaigns == plain warm campaigns."""
+    """Snapshot-driven + batched + pooled campaigns == cold campaigns."""
     subset = {name: programs[name] for name in ("bitcount", "crc32")}
-    base = run_engine(subset, 2, seed=9, snapshot_interval=INTERVAL)
+    base = run_engine(subset, 2, seed=9)
 
     serial_diff = run_engine(
         subset,
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        differential=True,
         batch_size=1,
     )
     assert serial_diff.results == base.results
@@ -173,7 +167,6 @@ def test_engine_batched_jobs_identical_to_serial(programs):
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        differential=True,
         batch_size=4,
         backend=SerialBackend(),
     )
@@ -184,7 +177,6 @@ def test_engine_batched_jobs_identical_to_serial(programs):
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        differential=True,
         batch_size=4,
         backend=ProcessPoolBackend(jobs=2),
     )

@@ -43,7 +43,7 @@ _ENV = {}
 
 
 def _env():
-    """Shared (program, differential provider) pair, built once.
+    """Shared (program, snapshot provider) pair, built once.
 
     A module-level cache rather than a fixture: hypothesis re-enters the
     test body per example, and the provider (a full instrumented golden
@@ -52,7 +52,7 @@ def _env():
     if not _ENV:
         prog = WORKLOADS["bitcount"](scale=0.3)
         _ENV["prog"] = prog
-        _ENV["provider"] = SnapshotProvider(prog, INTERVAL, differential=True)
+        _ENV["provider"] = SnapshotProvider(prog, INTERVAL)
     return _ENV["prog"], _ENV["provider"]
 
 
@@ -80,9 +80,7 @@ def test_differential_classifies_like_forced_full_run(model, seed):
     prog, provider = _env()
     golden = provider.golden
     spec = draw_spec(model, random.Random(seed), golden.cycles, CoreConfig())
-    diff = run_injection(
-        prog, golden, spec, snapshots=provider, differential=True
-    )
+    diff = run_injection(prog, golden, spec, snapshots=provider)
     full = run_injection(prog, golden, spec)
     # InjectionResult equality spans every simulation-outcome field;
     # early_terminated_cycle is compare-excluded bookkeeping.

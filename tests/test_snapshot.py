@@ -1,7 +1,7 @@
-"""Differential tests for warm-start injection (repro.bugs.snapshot).
+"""Differential tests for snapshot-driven injection (repro.bugs.snapshot).
 
-The whole optimization rests on one property: a warm-started injection run
-is *bit-identical* to the cold run of the same spec. These tests assert it
+The whole optimization rests on one property: a snapshot-driven injection
+run is *bit-identical* to the cold run of the same spec. These tests assert it
 at three levels — raw core save/restore, single injections across every
 suite benchmark and primary bug model, and whole engine campaigns across
 snapshot intervals and worker counts.
@@ -81,24 +81,40 @@ def test_provider_golden_matches_plain_golden(programs):
     assert provider.count > 0
 
 
-def test_differential_provider_matches_plain_over_draw_window(programs):
-    """A differential build runs the same golden and captures the same
-    states; it differs only in fingerprints and in keeping snapshots past
-    the injection-draw window."""
-    prog = programs["dijkstra"]
-    plain = SnapshotProvider(prog, 20)
-    diff = SnapshotProvider(prog, 20, differential=True)
-    assert _canon(diff.golden) == _canon(plain.golden)
-    assert plain.delta is None
-    assert sorted(diff.delta.fingerprints) == diff.candidate_cycles
-    window = max(2, int(plain.golden.cycles * 0.9))
-    in_window = [c for c in diff.candidate_cycles if c <= window - 1]
-    assert in_window == plain.candidate_cycles
-    assert len(in_window) < diff.count
-    for cycle in in_window:
-        a, b = plain.at(cycle), diff.at(cycle)
-        assert b.core_state == a.core_state, cycle
-        assert b.detector_states == a.detector_states, cycle
+def test_provider_matches_lockstep_golden(programs):
+    """The provider drives its golden through run_cycles, fast-forward
+    included; every snapshot, fingerprint and detector state must equal
+    a plain one-step-at-a-time golden captured at the same cycles."""
+    prog = programs["basicmath"]
+    # Long-latency divides open quiescent spans the golden skips (unless
+    # REPRO_FAST_FORWARD=0 turns skipping off).
+    skipping = OoOCore(prog, observers=list(make_detectors()))
+    skipping.run()
+    if skipping.fast_forward_enabled:
+        assert skipping.ff_cycles_skipped > 0
+    interval = 20
+    provider = SnapshotProvider(prog, interval)
+    detectors = make_detectors()
+    core = OoOCore(prog, observers=list(detectors))
+    reference = {}
+    while not core.halted:
+        core.step()
+        if core.cycle % interval == 0 and not core.halted:
+            reference[core.cycle] = (
+                core.save_state(light_trace=True),
+                tuple(d.save_state() for d in detectors),
+                core.fingerprint(),
+            )
+    assert _canon(provider.golden) == _canon(core.result())
+    assert provider.candidate_cycles == sorted(reference)
+    assert sorted(provider.delta.fingerprints) == provider.candidate_cycles
+    for cycle, (core_state, detector_states, fingerprint) in reference.items():
+        snapshot = provider.at(cycle)
+        assert snapshot.core_state == core_state, cycle
+        assert snapshot.detector_states == detector_states, cycle
+        assert provider.delta.fingerprints[cycle] == fingerprint, cycle
+    assert provider.delta.clean
+    assert provider.delta.golden_persists == (not core.census_is_clean())
 
 
 # -- injection-level: warm == cold over the whole suite x primary models ------
