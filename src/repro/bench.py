@@ -37,6 +37,12 @@ import time
 from typing import Dict, List, Optional
 
 from repro.bugs.snapshot import SnapshotProvider
+from repro.cli import (
+    add_seed_arg,
+    add_snapshot_interval_arg,
+    add_workload_args,
+    run_args_error,
+)
 from repro.core.config import CoreConfig
 from repro.core.cpu import (
     OoOCore,
@@ -44,7 +50,7 @@ from repro.core.cpu import (
     enable_stage_profiling,
 )
 from repro.exec.tasks import execute_task, generate_tasks
-from repro.workloads import WORKLOADS
+from repro.workloads import WORKLOADS, parse_benchmarks
 
 #: Current on-disk schema of BENCH_core.json. Schema 1 timed three
 #: injection passes (cold, warm-only, differential); schema 2 times two
@@ -83,33 +89,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         prog="python -m repro.bench",
         description="Benchmark golden-run and injection throughput.",
     )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=8,
-        help="injections per (benchmark, bug model) pair [8]",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload input-size scale factor [1.0]",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="campaign master seed [1]"
-    )
-    parser.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=DEFAULT_INTERVAL,
-        metavar="K",
-        help=f"golden snapshot period in cycles [{DEFAULT_INTERVAL}]",
-    )
-    parser.add_argument(
-        "--benchmarks",
-        default="all",
-        help="comma-separated benchmark names, or 'all'",
-    )
+    add_workload_args(parser, runs=8)
+    add_seed_arg(parser)
+    add_snapshot_interval_arg(parser, default=DEFAULT_INTERVAL)
     parser.add_argument(
         "--profile",
         action="store_true",
@@ -317,20 +299,16 @@ def append_entry(path: str, entry: Dict[str, object]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    if args.snapshot_interval < 1:
-        print(
-            f"--snapshot-interval must be >= 1, got {args.snapshot_interval}",
-            file=sys.stderr,
-        )
+    # The snapshot pass needs snapshots: no cold-only K = 0 here.
+    error = run_args_error(args, min_snapshot_interval=1)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
-    if args.benchmarks == "all":
-        names = list(WORKLOADS)
-    else:
-        names = [n.strip() for n in args.benchmarks.split(",")]
-        unknown = [n for n in names if n not in WORKLOADS]
-        if unknown:
-            print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    try:
+        names = parse_benchmarks(args.benchmarks)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     profile: Optional[Dict[str, int]] = {} if args.profile else None
     per_benchmark: Dict[str, Dict[str, object]] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import (
     coverage_report,
@@ -29,15 +29,124 @@ from repro.analysis.report import (
     latency_report,
 )
 from repro.rtl.report import table_ii_report
-from repro.workloads import WORKLOADS
+from repro.workloads import WORKLOADS, parse_benchmarks
 
 #: Figure ids the reporter understands (``latency`` is the Figures 6/7
 #: detection-latency summary; ``table2`` is the RTL cost model).
 KNOWN_FIGURES = ("3", "4", "5", "8", "9", "10", "latency", "table2")
 
 
+# -- the shared run flags -----------------------------------------------------
+#
+# campaign, sweep, fuzz, bench and work declare the flags they share through
+# the helpers below, check them with run_args_error and act on them here, so
+# one flag means the same thing, with the same checks, in every command.
+
+
+def add_seed_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--seed", type=int, default=1, help="campaign master seed [1]"
+    )
+
+
+def add_jobs_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes; results are identical for any N [1]",
+    )
+
+
+def add_workload_args(
+    parser: argparse.ArgumentParser, runs: int, benchmarks: str = "all"
+) -> None:
+    """``--runs``, ``--scale`` and ``--benchmarks``: what gets injected."""
+    parser.add_argument(
+        "--runs",
+        type=int,
+        default=runs,
+        help=f"injections per (benchmark, bug model) pair [{runs}]",
+    )
+    parser.add_argument(
+        "--scale",
+        type=float,
+        default=1.0,
+        help="workload input-size scale factor [1.0]",
+    )
+    parser.add_argument(
+        "--benchmarks",
+        default=benchmarks,
+        help=f"comma-separated benchmark names, or 'all' [{benchmarks}]",
+    )
+
+
+def add_snapshot_interval_arg(
+    parser: argparse.ArgumentParser, default: int = 250
+) -> None:
+    parser.add_argument(
+        "--snapshot-interval",
+        type=int,
+        default=default,
+        metavar="K",
+        help=(
+            "golden-run snapshot period in cycles: each injection restores "
+            "the nearest snapshot before its inject cycle and stops at "
+            "provable re-convergence with the golden run, checked at every "
+            "snapshot cycle; 0 runs every injection cold, from power-on to "
+            "the end. Purely a throughput knob: results are bit-identical "
+            f"for any K [{default}]"
+        ),
+    )
+
+
+def add_batch_size_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--batch-size",
+        type=int,
+        default=8,
+        metavar="N",
+        help=(
+            "dispatch up to N same-(benchmark, inject-window) injections "
+            "per backend round trip, amortizing dispatch overhead; 1 "
+            "disables batching. Results are bit-identical for any N [8]"
+        ),
+    )
+
+
+def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
+    """``--checkpoint``/``--resume``: the run's sealed JSONL log."""
+    parser.add_argument(
+        "--checkpoint",
+        default=None,
+        metavar="PATH",
+        help="append each completed task to this JSONL checkpoint",
+    )
+    parser.add_argument(
+        "--resume",
+        default=None,
+        metavar="PATH",
+        help=(
+            "resume an interrupted run from this checkpoint, skipping "
+            "completed tasks and appending new ones to the same file"
+        ),
+    )
+
+
+def add_progress_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--progress",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="print live progress (tasks done, throughput, ETA) to stderr "
+        "[auto: on when stderr is a TTY]",
+    )
+
+
 def add_fault_args(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flags shared by ``campaign`` and ``fuzz``."""
+    """The fault-tolerance flags shared by ``campaign``, ``sweep`` and
+    ``fuzz``."""
     group = parser.add_argument_group("fault tolerance")
     group.add_argument(
         "--task-timeout",
@@ -93,6 +202,68 @@ def policy_from_args(args: argparse.Namespace):
     )
 
 
+def run_args_error(
+    args: argparse.Namespace, min_snapshot_interval: int = 0
+) -> Optional[str]:
+    """The message for the first bad value among the shared run flags the
+    parser declared (the fault-tolerance group included), or None.
+
+    Mains print it and return 2 themselves: argparse's own errors raise
+    SystemExit instead. ``repro bench`` always builds snapshots, so it
+    passes ``min_snapshot_interval=1``.
+    """
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        return f"--jobs must be >= 1, got {jobs}"
+    interval = getattr(args, "snapshot_interval", min_snapshot_interval)
+    if interval < min_snapshot_interval:
+        return (
+            f"--snapshot-interval must be >= {min_snapshot_interval}, "
+            f"got {interval}"
+        )
+    batch_size = getattr(args, "batch_size", 1)
+    if batch_size < 1:
+        return f"--batch-size must be >= 1, got {batch_size}"
+    if getattr(args, "checkpoint", None) and getattr(args, "resume", None):
+        return (
+            "--checkpoint and --resume are mutually exclusive "
+            "(--resume keeps appending to the file it loads)"
+        )
+    if hasattr(args, "task_timeout"):
+        try:
+            policy_from_args(args)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def progress_observers(args: argparse.Namespace) -> list:
+    """A live progress printer when ``--progress`` asks for one, or by
+    default when stderr is a terminal."""
+    from repro.exec.progress import ProgressPrinter
+
+    show = args.progress if args.progress is not None else sys.stderr.isatty()
+    return [ProgressPrinter()] if show else []
+
+
+def run_guarded(
+    run: Callable[..., object], *args, **kwargs
+) -> Tuple[object, int]:
+    """``run(*args, **kwargs)`` with the errors a run reports as one stderr
+    line mapped to exit code 2: returns ``(result, 0)`` or ``(None, 2)``
+    on a checkpoint, I/O or fault-tolerance error."""
+    from repro.exec.durability import CheckpointError
+    from repro.exec.resilience import FaultToleranceError
+
+    try:
+        return run(*args, **kwargs), 0
+    except (CheckpointError, OSError) as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+    except FaultToleranceError as exc:
+        print(f"fault tolerance: {exc}", file=sys.stderr)
+    return None, 2
+
+
 def print_shutdown_notice(shutdown, checkpoint_path, subcommand) -> None:
     """One actionable stderr message for a graceful-signal stop: what was
     saved and exactly how to resume (the CLI then exits with
@@ -133,58 +304,11 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         prog="idld-campaign",
         description="Reproduce the IDLD (MICRO 2022) evaluation figures.",
     )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=20,
-        help="injections per (benchmark, bug model) pair [20]",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload input-size scale factor [1.0]",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="campaign master seed [1]"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes; results are identical for any N [1]",
-    )
-    parser.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=250,
-        metavar="K",
-        help=(
-            "golden-run snapshot period in cycles: each injection restores "
-            "the nearest snapshot before its inject cycle and stops at "
-            "provable re-convergence with the golden run, checked at every "
-            "snapshot cycle; 0 runs every injection cold, from power-on to "
-            "the end. Purely a throughput knob: results are bit-identical "
-            "for any K [250]"
-        ),
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "dispatch up to N same-(benchmark, inject-window) injections "
-            "per backend round trip, amortizing dispatch overhead; 1 "
-            "disables batching. Results are bit-identical for any N [8]"
-        ),
-    )
-    parser.add_argument(
-        "--benchmarks",
-        default="all",
-        help="comma-separated benchmark names, or 'all'",
-    )
+    add_workload_args(parser, runs=20)
+    add_seed_arg(parser)
+    add_jobs_arg(parser)
+    add_snapshot_interval_arg(parser)
+    add_batch_size_arg(parser)
     parser.add_argument(
         "--figures",
         default="3,4,5,8,9,10,table2",
@@ -193,21 +317,7 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
             + ",".join(KNOWN_FIGURES)
         ),
     )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="append each completed injection to this JSONL checkpoint",
-    )
-    parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help=(
-            "resume an interrupted campaign from this checkpoint, skipping "
-            "completed injections and appending new ones to the same file"
-        ),
-    )
+    add_checkpoint_args(parser)
     parser.add_argument(
         "--from-checkpoint",
         default=None,
@@ -215,13 +325,7 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         dest="from_checkpoint",
         help="skip execution: report/export straight from a checkpoint file",
     )
-    parser.add_argument(
-        "--progress",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="print live progress (tasks done, inj/s, ETA) to stderr "
-        "[auto: on when stderr is a TTY]",
-    )
+    add_progress_arg(parser)
     parser.add_argument(
         "--export-csv",
         default=None,
@@ -276,27 +380,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.snapshot_interval < 0:
-        print(
-            f"--snapshot-interval must be >= 0, got {args.snapshot_interval}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.batch_size < 1:
-        print(
-            f"--batch-size must be >= 1, got {args.batch_size}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint and args.resume:
-        print(
-            "--checkpoint and --resume are mutually exclusive "
-            "(--resume keeps appending to the file it loads)",
-            file=sys.stderr,
-        )
+    error = run_args_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
 
     if "table2" in figures:
@@ -332,62 +418,37 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not campaign_figures and not exporting:
         return 0
 
-    if args.benchmarks == "all":
-        names = list(WORKLOADS)
-    else:
-        names = [n.strip() for n in args.benchmarks.split(",")]
-        unknown = [n for n in names if n not in WORKLOADS]
-        if unknown:
-            print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    try:
+        names = parse_benchmarks(args.benchmarks)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     programs: Dict[str, object] = {
         name: WORKLOADS[name](scale=args.scale) for name in names
     }
 
-    from repro.exec.backends import ProcessPoolBackend, SerialBackend
-    from repro.exec.checkpoint import CheckpointError
+    from repro.exec.backends import make_backend
     from repro.exec.durability import SHUTDOWN_EXIT_CODE, GracefulShutdown
     from repro.exec.engine import run_engine
-    from repro.exec.progress import ProgressPrinter
-    from repro.exec.resilience import FaultToleranceError
-
-    try:
-        policy = policy_from_args(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    backend = (
-        ProcessPoolBackend(args.jobs, policy=policy)
-        if args.jobs > 1
-        else SerialBackend(policy=policy)
-    )
-    show_progress = (
-        args.progress if args.progress is not None else sys.stderr.isatty()
-    )
-    observers = [ProgressPrinter()] if show_progress else []
 
     started = time.time()
-    try:
-        with GracefulShutdown() as shutdown:
-            campaign = run_engine(
-                programs,
-                runs_per_model=args.runs,
-                seed=args.seed,
-                backend=backend,
-                checkpoint_path=args.resume or args.checkpoint,
-                resume=args.resume is not None,
-                observers=observers,
-                snapshot_interval=args.snapshot_interval,
-                checkpoint_fsync=args.checkpoint_fsync,
-                shutdown=shutdown,
-                batch_size=args.batch_size,
-            )
-    except (CheckpointError, OSError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
-    except FaultToleranceError as exc:
-        print(f"fault tolerance: {exc}", file=sys.stderr)
-        return 2
+    with GracefulShutdown() as shutdown:
+        campaign, code = run_guarded(
+            run_engine,
+            programs,
+            runs_per_model=args.runs,
+            seed=args.seed,
+            backend=make_backend(args.jobs, policy_from_args(args)),
+            checkpoint_path=args.resume or args.checkpoint,
+            resume=args.resume is not None,
+            observers=progress_observers(args),
+            snapshot_interval=args.snapshot_interval,
+            checkpoint_fsync=args.checkpoint_fsync,
+            shutdown=shutdown,
+            batch_size=args.batch_size,
+        )
+    if code:
+        return code
     if shutdown.requested:
         print_shutdown_notice(
             shutdown, args.resume or args.checkpoint, "campaign"

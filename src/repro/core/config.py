@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.isa.instructions import NUM_LOGICAL_REGS, Opcode
 
@@ -95,21 +94,6 @@ class CoreConfig:
     #: first), or "checkpoint-free" (drain older work, then unwind --
     #: recovery without the CKPT restore path).
     recovery_strategy: str = "checkpoint"
-    #: Array-accelerated hot stages (bitmask wakeup scoreboard, min-finish
-    #: execute gating). Pure throughput knob with bit-identical observable
-    #: behavior, so it is **excluded** from :meth:`to_dict` and therefore
-    #: from the design-point :meth:`digest` -- two runs differing only in
-    #: ``accel`` are the same design point. None defers to the
-    #: ``REPRO_ACCEL`` environment variable (default on); True/False pin it.
-    accel: Optional[bool] = None
-
-    def accel_enabled(self) -> bool:
-        """Resolve the accelerator toggle: explicit field wins, else the
-        ``REPRO_ACCEL`` environment variable, else on."""
-        if self.accel is not None:
-            return self.accel
-        env = os.environ.get("REPRO_ACCEL", "").strip().lower()
-        return env not in ("0", "off", "false", "python")
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -206,10 +190,7 @@ class CoreConfig:
         """
         data = {}
         for spec in fields(self):
-            # ``accel`` is a host-side throughput toggle, not part of the
-            # simulated design; keeping it out of the canonical dict keeps
-            # checkpoint manifests and digests stable across hosts.
-            if spec.name in ("latencies", "accel"):
+            if spec.name == "latencies":
                 continue
             data[spec.name] = getattr(self, spec.name)
         data["latencies"] = {

@@ -21,7 +21,6 @@ detectors consume (:mod:`repro.core.rrs.ports`).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -219,17 +218,12 @@ class OoOCore:
         self.recovery_strategy = make_recovery_strategy(
             cfg.recovery_strategy, self
         )
-        # Array-accelerated hot stages (flat bitmask wakeup scoreboard).
-        # Resolved once: the toggle is a host-side throughput knob with
-        # bit-identical observable behavior (see CoreConfig.accel).
-        self._accel = cfg.accel_enabled()
         # Quiescence-aware fast-forward: legal only when every attached
         # per-cycle listener is bulk-replayable under the protocol in
         # ports.py. One unproven listener disables skipping for this core
         # entirely (the conservative fallback is exactly today's per-cycle
         # behavior, so an unknown observer can never change an outcome).
-        env = os.environ.get("REPRO_FAST_FORWARD", "").strip().lower()
-        ff_enabled = env not in ("0", "off", "false")
+        ff_enabled = True
         replays: List = []
         for obs in self.observers:
             if overrides_hook(obs, "pipeline_empty") or overrides_hook(
@@ -522,16 +516,13 @@ class OoOCore:
         # them with zero side effects.
         stalled_loads = 0
         prf = self.prf
-        ready_mask = prf.ready_mask
+        is_ready = prf.is_ready
         for uop in self._issue_scan:
-            if self._accel:
-                source_blocked = uop.src_mask & ~ready_mask
-            else:
-                source_blocked = False
-                for pdst in uop.src_pdsts:
-                    if not prf.is_ready(pdst):
-                        source_blocked = True
-                        break
+            source_blocked = False
+            for pdst in uop.src_pdsts:
+                if not is_ready(pdst):
+                    source_blocked = True
+                    break
             if source_blocked:
                 continue
             inst = uop.inst
@@ -706,12 +697,10 @@ class OoOCore:
         inst = uop.inst
         pdst = uop.pdst
         if pdst is not None:
-            # Writeback inlined (prf.write is three statements and this is
-            # the hottest producer path); keeps list + mask in lockstep.
+            # Writeback inlined: this is the hottest producer path.
             prf = self.prf
             prf._values[pdst] = uop.result
             prf._ready[pdst] = True
-            prf.ready_mask |= 1 << pdst
             waiters = self._wakeups.pop(pdst, None)
             if waiters is not None:
                 for waiter in waiters:
@@ -810,13 +799,10 @@ class OoOCore:
         changed = False
         # The issue attempt is inlined (formerly _try_issue): it runs once
         # per actionable uop per cycle, and nothing inside the loop writes
-        # the PRF, so the ready mask and every port below are loop
-        # invariants.
+        # the PRF, so every port below is a loop invariant.
         prf = self.prf
         prf_read = prf.read
         is_ready = prf.is_ready
-        ready_mask = prf.ready_mask
-        accel = self._accel
         wakeups = self._wakeups
         store_queue = self.store_queue
         memory_read = self.memory.read
@@ -835,16 +821,13 @@ class OoOCore:
                 keep.extend(scan[i:])
                 break
             inst = uop.inst
-            # Flat-scoreboard wakeup check: all sources ready iff no bit of
-            # src_mask is missing from the PRF ready mask. On a miss, park
-            # on the first not-ready source in operand order -- identical
-            # wait_pdst choice to the scalar walk the fallback runs.
+            # Wakeup check: park on the first not-ready source in operand
+            # order.
             wait = None
-            if not accel or uop.src_mask & ~ready_mask:
-                for pdst in uop.src_pdsts:
-                    if not is_ready(pdst):
-                        wait = pdst
-                        break
+            for pdst in uop.src_pdsts:
+                if not is_ready(pdst):
+                    wait = pdst
+                    break
             if wait is not None:
                 # Source-blocked: parked in the wakeup scoreboard.
                 uop.wait_pdst = wait
@@ -1034,12 +1017,7 @@ class OoOCore:
                 uop.state = done
                 uop.done_cycle = cycle
             else:
-                srcs = [rat_read(s) for s in sources_of[pc]]
-                uop.src_pdsts = srcs
-                mask = 0
-                for src in srcs:
-                    mask |= 1 << src
-                uop.src_mask = mask
+                uop.src_pdsts = [rat_read(s) for s in sources_of[pc]]
                 if inst.writes_register:
                     rd = inst.rd
                     pdst = free_pop()

@@ -14,16 +14,7 @@ from typing import List
 
 
 class PhysicalRegisterFile:
-    """Values + ready bits for every physical register.
-
-    Alongside the per-register ready list (the canonical representation
-    that ``save_state`` serializes), the file maintains ``ready_mask``, a
-    flat scoreboard: one Python integer with bit ``p`` set iff register
-    ``p`` is ready. The issue stage's accelerated path tests all of a
-    uop's sources with a single ``src_mask & ~ready_mask`` instead of a
-    per-source ``is_ready`` loop; both representations are updated by the
-    same two mutators, so they can never disagree.
-    """
+    """Values + ready bits for every physical register."""
 
     def __init__(self, num_regs: int) -> None:
         if num_regs < 1:
@@ -31,8 +22,6 @@ class PhysicalRegisterFile:
         self.num_regs = num_regs
         self._values: List[int] = [0] * num_regs
         self._ready: List[bool] = [True] * num_regs
-        #: Flat readiness scoreboard: bit ``p`` == ``self._ready[p]``.
-        self.ready_mask: int = (1 << num_regs) - 1
         # Both ports are bare array indexes with no side effects, so bind
         # them straight to the list's C-level getitem. Every mutator below
         # edits the lists in place (never rebinds them), which keeps these
@@ -44,18 +33,15 @@ class PhysicalRegisterFile:
         """Power-on: all registers hold zero and are ready."""
         self._values[:] = [0] * self.num_regs
         self._ready[:] = [True] * self.num_regs
-        self.ready_mask = (1 << self.num_regs) - 1
 
     def mark_pending(self, pdst: int) -> None:
         """A newly-allocated destination awaits its producer."""
         self._ready[pdst] = False
-        self.ready_mask &= ~(1 << pdst)
 
     def write(self, pdst: int, value: int) -> None:
         """Producer writeback: store the value and wake consumers."""
         self._values[pdst] = value
         self._ready[pdst] = True
-        self.ready_mask |= 1 << pdst
 
     # ``read`` and ``is_ready`` are instance attributes bound in __init__
     # (direct list getitem); the defs here document the port signatures and
@@ -78,8 +64,3 @@ class PhysicalRegisterFile:
         # Slice-assign keeps the list identities stable for the bound ports.
         self._values[:] = values
         self._ready[:] = ready
-        mask = 0
-        for pdst, bit in enumerate(ready):
-            if bit:
-                mask |= 1 << pdst
-        self.ready_mask = mask

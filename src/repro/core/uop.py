@@ -63,7 +63,6 @@ class Uop:
         "fetch_cycle",
         "done_cycle",
         "wait_pdst",
-        "src_mask",
     )
 
     def __init__(
@@ -109,11 +108,6 @@ class Uop:
         # and re-blocks, which is behavior-identical (a source-blocked issue
         # attempt has no side effects).
         self.wait_pdst: Optional[int] = None
-        # OR of ``1 << p`` over src_pdsts: readiness of all sources is one
-        # AND against the PRF's flat ready scoreboard instead of a per-pdst
-        # loop. Derived from src_pdsts (set at rename / from_state), so it
-        # too stays out of save_state().
-        self.src_mask = 0
 
     @property
     def live(self) -> bool:
@@ -150,10 +144,6 @@ class Uop:
         uop.predicted_target = data[3]
         uop.pred_state = data[4]
         uop.src_pdsts = list(data[5])
-        mask = 0
-        for pdst in uop.src_pdsts:
-            mask |= 1 << pdst
-        uop.src_mask = mask
         uop.pdst = data[6]
         uop.evicted_pdst = data[7]
         uop.state = data[8]

@@ -14,11 +14,13 @@ deadlines, bounded retries, structured quarantine
 (:class:`~repro.exec.resilience.TaskFailure`), worker-crash recovery with
 pool respawn, and graceful degradation to serial execution.
 
-Artifact integrity lives in :mod:`repro.exec.durability`: CRC-sealed
-checkpoint records (format v2) with streaming scan/repair primitives
-behind the ``repro checkpoint`` CLI, single-writer lockfiles
-(:class:`~repro.exec.durability.CheckpointLock`), atomic exports and the
-SIGINT/SIGTERM :class:`~repro.exec.durability.GracefulShutdown` latch.
+Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
+(:class:`~repro.exec.durability.SealedLog`: CRC-sealed records, format v2,
+under a single-writer :class:`~repro.exec.durability.CheckpointLock`) that
+campaign and fuzz checkpoints share, with its strict loader, merge rule
+and the streaming scan/repair primitives behind the ``repro checkpoint``
+CLI, plus atomic exports and the SIGINT/SIGTERM
+:class:`~repro.exec.durability.GracefulShutdown` latch.
 
 Distribution lives in :mod:`repro.exec.fabric`: a shard-leasing
 coordinator (``repro serve``/``submit``/``status``/``fetch``) with
@@ -32,7 +34,6 @@ from repro.exec.backends import Backend, ProcessPoolBackend, SerialBackend
 from repro.exec.checkpoint import (
     CheckpointError,
     CheckpointWriter,
-    load_checkpoint,
     load_checkpoint_full,
 )
 from repro.exec.durability import (
@@ -94,7 +95,6 @@ __all__ = [
     "derive_seed",
     "execute_task",
     "generate_tasks",
-    "load_checkpoint",
     "load_checkpoint_full",
     "run_engine",
     "scan_checkpoint",

@@ -665,3 +665,11 @@ class ProcessPoolBackend:
             return None
         time.sleep(policy.backoff_s(consecutive_breakages))
         return self._spawn(context)
+
+
+def make_backend(jobs: int, policy: Optional[FaultPolicy] = None) -> Backend:
+    """A pool of ``jobs`` worker processes, or in-process serial execution
+    for one job (results are identical either way)."""
+    if jobs > 1:
+        return ProcessPoolBackend(jobs, policy=policy)
+    return SerialBackend(policy=policy)

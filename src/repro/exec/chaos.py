@@ -25,7 +25,7 @@ Behaviors (each variable holds comma-separated task keys):
 - ``REPRO_CHAOS_HANG``: sleep for ``REPRO_CHAOS_HANG_S`` seconds (default
   3600) — a non-cooperative hang only the parent watchdog can clear.
 - ``REPRO_CHAOS_TORN_APPEND`` (honored by
-  :class:`~repro.exec.checkpoint.CheckpointWriter` itself, one task key):
+  :class:`~repro.exec.durability.SealedLog` itself, one task key):
   emit half of that task's checkpoint line and hard-exit — a deterministic
   SIGKILL-mid-append that leaves a torn tail *and* a stale writer lock.
 

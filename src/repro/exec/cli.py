@@ -9,11 +9,9 @@ Subcommands over the JSONL checkpoint files both engines write:
   (atomically), emitting a dropped-record report so the EXPERIMENTS.md
   exclusion rules can be applied before any figure is trusted.
 * ``merge -o OUT SHARD...`` — combine shard checkpoints of the *same*
-  campaign (identical manifest identity) into one: a result anywhere
-  outranks a failure for its key, and duplicate records of one role are
-  resolved content-deterministically
-  (:func:`~repro.exec.durability.canonical_winner`), so the merged file
-  is byte-identical for any argument order.
+  campaign (identical manifest identity) into one under
+  :func:`~repro.exec.durability.merge_shard`, so the merged file is
+  byte-identical for any argument order.
 
 Exit codes: 0 ok, 1 damage found (verify), 2 unusable input / bad usage.
 """
@@ -26,9 +24,9 @@ from typing import Dict, List, Optional
 
 from repro.exec.durability import (
     ScanReport,
-    canonical_winner,
     fold_checkpoint,
     manifest_identity,
+    merge_shard,
     scan_checkpoint,
     write_sealed_checkpoint,
 )
@@ -259,25 +257,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        # A result anywhere outranks a failure for its key; duplicate
-        # records of one role resolve content-deterministically, so the
-        # merged output is byte-identical for any argument order (shard
-        # copies of one key differ only in wall-clock metadata).
-        for key, record in shard_done.items():
-            done[key] = (
-                canonical_winner(done[key], record)
-                if key in done
-                else record
-            )
-            failures.pop(key, None)
-        for key, record in shard_failures.items():
-            if key in done:
-                continue
-            failures[key] = (
-                canonical_winner(failures[key], record)
-                if key in failures
-                else record
-            )
+        merge_shard(done, failures, shard_done, shard_failures)
     records = [r for r in done.values()] + [r for r in failures.values()]
     write_sealed_checkpoint(args.output, base_manifest, records)
     print(
@@ -322,7 +302,8 @@ def checkpoint_main(argv: Optional[List[str]] = None) -> int:
     repair.set_defaults(func=_cmd_repair)
     merge = sub.add_parser(
         "merge",
-        help="combine shard checkpoints of one campaign (later record wins)",
+        help="combine shard checkpoints of one campaign (a result outranks "
+        "a failure)",
     )
     merge.add_argument(
         "-o",

@@ -9,11 +9,15 @@ here, dependency-free so every layer can use it without cycles:
   its canonical JSON payload) and the manifest an ``identity`` content
   hash, so bit rot and hand edits are detected at read time, with line
   numbers, instead of silently skewing figure statistics.
+* **One sealed log** — :class:`SealedLog` writes campaign and fuzz
+  checkpoints alike (manifest first, sealed lines, lock, flush/fsync);
+  the engines keep only their record codecs.
 * **Streaming scan** — :func:`scan_checkpoint` classifies every line of a
   checkpoint (intact / torn tail / interior corruption) in O(1) memory;
-  :func:`iter_sealed_records` is the strict loader iterator built on the
-  same walk (tolerates exactly a torn final line, raises on anything
-  else).
+  :func:`fold_checkpoint` also deduplicates, and :func:`load_sealed_log`
+  is the strict loader built on it (tolerates exactly a torn final line,
+  raises on anything else). :func:`merge_shard` is the cross-file merge
+  rule.
 * **Torn-tail truncation** — :func:`truncate_torn_tail` drops a partial
   final line without reading the whole file into memory.
 * **Atomic writes** — :func:`atomic_write_text` writes via a temp file in
@@ -40,7 +44,7 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Exit code of a CLI run stopped by a graceful SIGINT/SIGTERM drain —
 #: EX_TEMPFAIL: the run is incomplete but resumable, not failed.
@@ -228,6 +232,40 @@ def canonical_winner(
     return a if canonical_payload(a) <= canonical_payload(b) else b
 
 
+def merge_shard(
+    done: Dict[object, Dict[str, object]],
+    failures: Dict[object, Dict[str, object]],
+    shard_done: Dict[object, Dict[str, object]],
+    shard_failures: Dict[object, Dict[str, object]],
+) -> Tuple[int, int]:
+    """Fold one file's deduplicated records (:func:`fold_checkpoint`) into
+    ``done``/``failures`` in place; returns how many result and failure
+    keys were new.
+
+    A result anywhere outranks a failure for its key, and two records of
+    one role resolve by :func:`canonical_winner`, so merging shards gives
+    the same records for any arrival order. (Within one file,
+    :func:`fold_checkpoint` lets the later record win instead.)
+    """
+    new_done = new_failed = 0
+    for key, record in shard_done.items():
+        if key in done:
+            done[key] = canonical_winner(done[key], record)
+        else:
+            done[key] = record
+            new_done += 1
+        failures.pop(key, None)
+    for key, record in shard_failures.items():
+        if key in done:
+            continue
+        if key in failures:
+            failures[key] = canonical_winner(failures[key], record)
+        else:
+            failures[key] = record
+            new_failed += 1
+    return new_done, new_failed
+
+
 def scan_checkpoint(
     path: str,
     decode: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -250,9 +288,9 @@ def fold_checkpoint(
     ScanReport, Dict[object, Dict[str, object]], Dict[object, Dict[str, object]]
 ]:
     """Scan *and* dedup: ``(report, done, failures)`` with later-record-wins
-    semantics matching the strict loaders (a result record supersedes a
-    failure record for the same key; a later record for a key replaces an
-    earlier one). Damaged lines land in the report, never raise.
+    semantics (a result record supersedes a failure record for the same
+    key; a later record for a key replaces an earlier one). Damaged lines
+    land in the report, never raise.
 
     With ``keep_records=False`` the dicts map each key to ``None`` instead
     of the record, so a pure integrity scan of a multi-GB file stays O(keys)
@@ -289,24 +327,33 @@ def fold_checkpoint(
     return report, done, failures
 
 
-def iter_sealed_records(path: str) -> Iterator[Tuple[int, Dict[str, object]]]:
-    """Strict streaming reader: yield ``(lineno, record)`` for every line.
+def load_sealed_log(
+    path: str,
+) -> Tuple[
+    Dict[str, object],
+    Dict[object, Dict[str, object]],
+    Dict[object, Dict[str, object]],
+]:
+    """Strict load: ``(manifest, done, failures)`` as raw records,
+    deduplicated by :func:`fold_checkpoint`; the engines decode them.
 
     Tolerates (and drops) exactly an unparsable *final* line — the
     signature of a killed writer — and raises :class:`CheckpointError`
-    with the line number for any interior damage or CRC mismatch.
+    naming the line of the first interior issue (CRC mismatch, damaged
+    JSON, unexpected record type), or when the file is empty or holds no
+    complete record.
     """
-    yielded = False
-    for lineno, is_last, line in _walk_lines(path):
-        record, reason = _check_line(line, manifest_seen=yielded, decode=None)
-        if reason is not None:
-            if is_last and reason == "unparsable JSON":
-                return  # torn tail from an interrupted run
-            raise CheckpointError(f"{path}:{lineno}: corrupt record ({reason})")
-        yielded = True
-        yield lineno, record
-    if not yielded:
+    if os.path.getsize(path) == 0:
+        raise CheckpointError(f"{path}: empty checkpoint file")
+    report, done, failures = fold_checkpoint(path)
+    if report.interior_issues:
+        issue = report.interior_issues[0]
+        raise CheckpointError(
+            f"{path}:{issue.lineno}: corrupt record ({issue.reason})"
+        )
+    if report.manifest is None:
         raise CheckpointError(f"{path}: no complete records")
+    return report.manifest, done, failures
 
 
 # -- torn-tail truncation -----------------------------------------------------
@@ -516,6 +563,76 @@ class CheckpointLock:
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
+
+
+# -- the sealed log -----------------------------------------------------------
+
+
+class SealedLog:
+    """The append-only, CRC-sealed JSONL log behind every checkpoint.
+
+    A fresh log truncates ``path`` and writes ``manifest`` first; a resumed
+    log drops a torn final line left by a kill and appends after the
+    manifest already on disk. Every record is sealed, written as one
+    sorted-key JSON line and flushed, so a process kill loses at most the
+    line being written; ``fsync=True`` also ``os.fsync``'s every record,
+    surviving hard machine kills at a per-record I/O cost. The
+    :class:`CheckpointLock` is held until :meth:`close` and its heartbeat
+    refreshes on every append, so a concurrent second writer raises
+    :class:`CheckpointLockedError` instead of interleaving lines.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        manifest: Dict[str, object],
+        resume: bool = False,
+        fsync: bool = False,
+    ) -> None:
+        self.path = path
+        self.fsync = fsync
+        self._handle: Optional[IO[str]] = None
+        self._lock = CheckpointLock(path).acquire()
+        try:
+            if resume:
+                truncate_torn_tail(path)
+                self._handle = open(path, "a")
+            else:
+                self._handle = open(path, "w")
+                self.append(manifest)
+        except BaseException:
+            self.close()
+            raise
+
+    def append(self, record: Dict[str, object]) -> None:
+        """Seal, write and flush one record."""
+        line = json.dumps(seal_record(record), sort_keys=True) + "\n"
+        torn_key = os.environ.get(ENV_TORN_APPEND)
+        if torn_key and record.get("key") == torn_key:
+            # Chaos hook: a deterministic SIGKILL-mid-append — half the
+            # line reaches the file, no newline, and the process dies with
+            # the lock still on disk. Production runs never set this.
+            self._handle.write(line[: len(line) // 2])
+            self._handle.flush()
+            os._exit(TORN_APPEND_EXIT_STATUS)
+        self._handle.write(line)
+        self._handle.flush()
+        if self.fsync:
+            os.fsync(self._handle.fileno())
+        self._lock.heartbeat()
+
+    def close(self) -> None:
+        """Close the file and release the lock; a second call is a no-op."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        self._lock.release()
+
+    def __enter__(self) -> "SealedLog":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # -- graceful shutdown --------------------------------------------------------

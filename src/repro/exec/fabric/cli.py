@@ -70,6 +70,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     """``repro serve`` — run the campaign coordinator."""
     import argparse
 
+    from repro.cli import add_progress_arg, progress_observers
+
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve the distributed campaign coordinator.",
@@ -95,18 +97,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         help="distinct failing workers before a shard is poison [3]",
     )
     _add_secret_arg(parser)
-    parser.add_argument(
-        "--progress",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="print aggregate progress per merged shard "
-        "[auto: on when stderr is a TTY]",
-    )
+    add_progress_arg(parser)
     args = parser.parse_args(argv)
-    from repro.exec.progress import ProgressPrinter
-
     secret = _resolve_secret(args)
-    show = args.progress if args.progress is not None else sys.stderr.isatty()
     try:
         coordinator = FabricCoordinator(
             args.state_dir,
@@ -114,7 +107,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 lease_ttl_s=args.lease_ttl,
                 quarantine_after=args.quarantine_after,
             ),
-            observers=[ProgressPrinter()] if show else [],
+            observers=progress_observers(args),
         )
     except (CheckpointError, ValueError) as exc:
         print(f"cannot start coordinator: {exc}", file=sys.stderr)
@@ -174,17 +167,13 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     )
     _add_secret_arg(parser)
     args = parser.parse_args(argv)
-    from repro.workloads import WORKLOADS
+    from repro.workloads import parse_benchmarks
 
     secret = _resolve_secret(args)
-    names = (
-        list(WORKLOADS)
-        if args.benchmarks == "all"
-        else [n.strip() for n in args.benchmarks.split(",")]
-    )
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
+    try:
+        names = parse_benchmarks(args.benchmarks)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     try:
         spec = CampaignSpec(
@@ -254,9 +243,14 @@ def fetch_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def work_main(argv: Optional[List[str]] = None) -> int:
-    """``repro work`` — run a fabric worker against a coordinator."""
+def _parse_work_args(argv: Optional[List[str]]):
     import argparse
+
+    from repro.cli import (
+        add_batch_size_arg,
+        add_jobs_arg,
+        add_snapshot_interval_arg,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro work",
@@ -268,11 +262,9 @@ def work_main(argv: Optional[List[str]] = None) -> int:
         help="where per-lease shard checkpoints (and sealed partials "
         "from offline exits) are staged [cwd]",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes per shard [1]")
-    parser.add_argument("--snapshot-interval", type=int, default=250,
-                        metavar="K")
-    parser.add_argument("--batch-size", type=int, default=8, metavar="N")
+    add_jobs_arg(parser)
+    add_snapshot_interval_arg(parser)
+    add_batch_size_arg(parser)
     parser.add_argument(
         "--poll", type=float, default=None, metavar="S",
         help="idle retry period [coordinator's hint]",
@@ -300,9 +292,17 @@ def work_main(argv: Optional[List[str]] = None) -> int:
         help="--no-heartbeats simulates a network partition (chaos only): "
         "the worker executes and uploads but never renews its lease",
     )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    return parser.parse_args(argv)
+
+
+def work_main(argv: Optional[List[str]] = None) -> int:
+    """``repro work`` — run a fabric worker against a coordinator."""
+    from repro.cli import run_args_error
+
+    args = _parse_work_args(argv)
+    error = run_args_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     if args.call_deadline <= 0:
         print(

@@ -14,9 +14,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.exec.durability import (
     CheckpointError,
     atomic_write_text,
-    canonical_winner,
     fold_checkpoint,
     manifest_identity,
+    merge_shard,
     write_sealed_checkpoint,
 )
 from repro.exec.fabric.spec import CampaignSpec
@@ -415,17 +415,10 @@ class FabricCoordinator:
         done: Dict[object, Dict[str, object]],
         failures: Dict[object, Dict[str, object]],
     ) -> int:
-        """Fold one shard's records into the canonical store.
-
-        Deterministic regardless of upload arrival order: a result always
-        outranks any failure record for its key, and duplicate records of
-        one role resolve content-deterministically
-        (:func:`~repro.exec.durability.canonical_winner`) — safe because
-        result records for a key are classification-identical by
-        construction (only wall-clock metadata can differ, and exports
-        never carry it), and it makes the merged artifact byte-identical
-        whatever order the fleet's uploads landed in.
-        """
+        """Fold one shard's records into the canonical store under
+        :func:`~repro.exec.durability.merge_shard`, so the merged artifact
+        is byte-identical whatever order the fleet's uploads landed in.
+        Returns how many keys were new."""
         if self._manifest is None:
             self._manifest = dict(manifest)
         # Each shard's manifest summarizes only the goldens it ran; the
@@ -441,28 +434,16 @@ class FabricCoordinator:
             for name in self.spec.benchmarks
             if name in goldens
         }
-        new = 0
-        for key, record in done.items():
-            if key not in self._key_index:
-                continue  # foreign key: identity matched, so never happens
-            if key not in self._done:
-                self._done[key] = record
-                new += 1
-                self._executed_since_start += 1
-            else:
-                self._done[key] = canonical_winner(self._done[key], record)
-            self._failures.pop(key, None)
-        for key, record in failures.items():
-            if key not in self._key_index or key in self._done:
-                continue
-            if key not in self._failures:
-                self._failures[key] = record
-                new += 1
-            else:
-                self._failures[key] = canonical_winner(
-                    self._failures[key], record
-                )
-        return new
+        # Foreign keys cannot pass the identity check; drop them anyway.
+        known = self._key_index
+        new_done, new_failed = merge_shard(
+            self._done,
+            self._failures,
+            {key: r for key, r in done.items() if key in known},
+            {key: r for key, r in failures.items() if key in known},
+        )
+        self._executed_since_start += new_done
+        return new_done + new_failed
 
     def _handled_keys(self) -> Set[str]:
         return set(self._done) | set(self._failures)

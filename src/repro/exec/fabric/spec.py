@@ -98,11 +98,9 @@ class CampaignSpec:
         return CoreConfig.from_dict(self.design_point)
 
     def programs(self) -> Dict[str, object]:
-        from repro.workloads import WORKLOADS
+        from repro.workloads import WORKLOADS, parse_benchmarks
 
-        unknown = [n for n in self.benchmarks if n not in WORKLOADS]
-        if unknown:
-            raise ValueError(f"unknown benchmarks: {', '.join(unknown)}")
+        parse_benchmarks(",".join(self.benchmarks))  # rejects unknown names
         return {
             name: WORKLOADS[name](scale=self.scale) for name in self.benchmarks
         }

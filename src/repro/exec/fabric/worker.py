@@ -243,7 +243,7 @@ class FabricWorker:
     def _run_lease(
         self, lease: Dict[str, object], shutdown: GracefulShutdown
     ) -> None:
-        from repro.exec.backends import ProcessPoolBackend, SerialBackend
+        from repro.exec.backends import make_backend
         from repro.exec.engine import run_engine
 
         spec = CampaignSpec.from_dict(lease["spec"])
@@ -296,12 +296,6 @@ class FabricWorker:
         )
         keep_shard_file = False
         try:
-            policy = self.fault_policy
-            backend = (
-                ProcessPoolBackend(self.jobs, policy=policy)
-                if self.jobs > 1
-                else SerialBackend(policy=policy)
-            )
             run_engine(
                 self._programs(spec),
                 spec.runs_per_model,
@@ -309,7 +303,7 @@ class FabricWorker:
                 seed=spec.seed,
                 config=spec.core_config(),
                 max_attempts=spec.max_attempts,
-                backend=backend,
+                backend=make_backend(self.jobs, self.fault_policy),
                 checkpoint_path=shard_path,
                 snapshot_interval=self.snapshot_interval,
                 batch_size=self.batch_size,

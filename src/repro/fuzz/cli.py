@@ -20,6 +20,14 @@ from typing import List, Optional
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
+    from repro.cli import (
+        add_checkpoint_args,
+        add_fault_args,
+        add_jobs_arg,
+        add_progress_arg,
+        add_seed_arg,
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description=(
@@ -28,39 +36,20 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
             "IDLD/BV/Counter detectors."
         ),
     )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="campaign master seed [1]"
-    )
+    add_seed_arg(parser)
     parser.add_argument(
         "--budget",
         type=int,
         default=500,
         help="total oracle evaluations to schedule [500]",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes; results are identical for any N [1]",
-    )
+    add_jobs_arg(parser)
     parser.add_argument(
         "--batch",
         type=int,
         default=32,
         help="generation size (corpus-update barrier); part of the "
         "campaign identity [32]",
-    )
-    parser.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "accepted for parity with 'repro campaign'; the fuzz oracle "
-            "runs each generated program once, so warm-start snapshots "
-            "never apply and this has no effect [0]"
-        ),
     )
     parser.add_argument(
         "--shrink-budget",
@@ -83,25 +72,8 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         help="write the final corpus (interesting passing inputs) as "
         "artifacts into this directory",
     )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="append each completed evaluation to this JSONL checkpoint",
-    )
-    parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help="resume an interrupted campaign from this checkpoint, "
-        "replaying recorded evaluations instead of re-simulating them",
-    )
-    parser.add_argument(
-        "--progress",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="print live progress to stderr [auto: on when stderr is a TTY]",
-    )
+    add_checkpoint_args(parser)
+    add_progress_arg(parser)
     parser.add_argument(
         "--replay",
         nargs="+",
@@ -110,8 +82,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         help="skip fuzzing: replay these repro artifacts and verify each "
         "recorded verdict still reproduces",
     )
-    from repro.cli import add_fault_args
-
     add_fault_args(parser)
     return parser.parse_args(argv)
 
@@ -149,8 +119,17 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     if args.replay is not None:
         return _replay(args.replay)
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    from repro.cli import (
+        policy_from_args,
+        print_shutdown_notice,
+        progress_observers,
+        run_args_error,
+        run_guarded,
+    )
+
+    error = run_args_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     if args.budget < 1:
         print(f"--budget must be >= 1, got {args.budget}", file=sys.stderr)
@@ -158,66 +137,29 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     if args.batch < 1:
         print(f"--batch must be >= 1, got {args.batch}", file=sys.stderr)
         return 2
-    if args.snapshot_interval < 0:
-        print(
-            f"--snapshot-interval must be >= 0, got {args.snapshot_interval}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint and args.resume:
-        print(
-            "--checkpoint and --resume are mutually exclusive "
-            "(--resume keeps appending to the file it loads)",
-            file=sys.stderr,
-        )
-        return 2
 
-    from repro.cli import policy_from_args, print_shutdown_notice
-    from repro.exec.backends import ProcessPoolBackend, SerialBackend
-    from repro.exec.checkpoint import CheckpointError
+    from repro.exec.backends import make_backend
     from repro.exec.durability import SHUTDOWN_EXIT_CODE, GracefulShutdown
-    from repro.exec.progress import ProgressPrinter
-    from repro.exec.resilience import FaultToleranceError
     from repro.fuzz.engine import run_fuzz
 
-    try:
-        policy = policy_from_args(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    backend = (
-        ProcessPoolBackend(args.jobs, policy=policy)
-        if args.jobs > 1
-        else SerialBackend(policy=policy)
-    )
-    show_progress = (
-        args.progress if args.progress is not None else sys.stderr.isatty()
-    )
-    observers = [ProgressPrinter()] if show_progress else []
-
-    try:
-        with GracefulShutdown() as shutdown:
-            summary = run_fuzz(
-                seed=args.seed,
-                budget=args.budget,
-                backend=backend,
-                batch=args.batch,
-                shrink_budget=args.shrink_budget,
-                artifacts_dir=args.artifacts,
-                checkpoint_path=args.resume or args.checkpoint,
-                resume=args.resume is not None,
-                observers=observers,
-                save_corpus_dir=args.save_corpus,
-                snapshot_interval=args.snapshot_interval,
-                checkpoint_fsync=args.checkpoint_fsync,
-                shutdown=shutdown,
-            )
-    except (CheckpointError, OSError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
-    except FaultToleranceError as exc:
-        print(f"fault tolerance: {exc}", file=sys.stderr)
-        return 2
+    with GracefulShutdown() as shutdown:
+        summary, code = run_guarded(
+            run_fuzz,
+            seed=args.seed,
+            budget=args.budget,
+            backend=make_backend(args.jobs, policy_from_args(args)),
+            batch=args.batch,
+            shrink_budget=args.shrink_budget,
+            artifacts_dir=args.artifacts,
+            checkpoint_path=args.resume or args.checkpoint,
+            resume=args.resume is not None,
+            observers=progress_observers(args),
+            save_corpus_dir=args.save_corpus,
+            checkpoint_fsync=args.checkpoint_fsync,
+            shutdown=shutdown,
+        )
+    if code:
+        return code
     if shutdown.requested:
         print_shutdown_notice(shutdown, args.resume or args.checkpoint, "fuzz")
         return SHUTDOWN_EXIT_CODE

@@ -11,10 +11,12 @@ Execution model — generations with a deterministic barrier:
   wall-clock only: results are collected per batch and folded into the
   coverage map / corpus **in canonical index order**, making the whole
   campaign bit-identical for any worker count.
-* Completed evaluations append to a JSONL checkpoint (same torn-tail
-  tolerant format family as campaign checkpoints); ``--resume`` replays
-  recorded results through the driver instead of re-simulating them,
-  which reconstructs the exact corpus/coverage state deterministically.
+* Completed evaluations append to the same sealed log as campaign
+  checkpoints (:class:`~repro.exec.durability.SealedLog`: CRC-sealed
+  lines, single-writer lock, torn-tail tolerant); only the record codec
+  below is fuzz-specific. ``--resume`` replays recorded results through
+  the driver instead of re-simulating them, which reconstructs the exact
+  corpus/coverage state deterministically.
 
 Any oracle failure is deduplicated by (failure tuple, coverage signature),
 minimized by the greedy shrinker, and written out as a self-contained
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,17 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bugs.models import BugSpec
 from repro.core.config import CoreConfig
 from repro.exec.backends import Backend, ExecutionContext, SerialBackend
-from repro.exec.checkpoint import (
-    CheckpointError,
-    _truncate_torn_tail,
-    spec_to_dict,
-)
+from repro.exec.checkpoint import spec_to_dict
 from repro.exec.durability import (
-    CheckpointLock,
+    CheckpointError,
     GracefulShutdown,
-    iter_sealed_records,
+    SealedLog,
+    load_sealed_log,
     manifest_identity,
-    seal_record,
 )
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure
@@ -273,68 +270,6 @@ def _result_from_record(record: Dict[str, object]) -> FuzzResult:
     )
 
 
-class _FuzzCheckpoint:
-    """Append-only JSONL log of completed evaluations.
-
-    Every record is flushed (a process kill loses at most the line being
-    written); ``fsync=True`` additionally survives hard machine kills at a
-    per-record I/O cost — same policy as the campaign CheckpointWriter.
-    Records are CRC-sealed and a sidecar single-writer lock (PID +
-    heartbeat) is held for the writer's lifetime, exactly as for campaign
-    checkpoints.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        manifest: Dict[str, object],
-        resume: bool,
-        fsync: bool = False,
-        lock: bool = True,
-    ):
-        self.path = path
-        self.fsync = fsync
-        self._lock = CheckpointLock(path).acquire() if lock else None
-        try:
-            if resume:
-                _truncate_torn_tail(path)
-                self._handle = open(path, "a")
-            else:
-                self._handle = open(path, "w")
-                self._append(manifest)
-        except BaseException:
-            if self._lock is not None:
-                self._lock.release()
-            raise
-
-    def write(self, result: FuzzResult) -> None:
-        self._append(_result_to_record(result))
-
-    def write_failure(self, index: int, failure: TaskFailure) -> None:
-        """Record one quarantined evaluation so a resume skips it."""
-        self._append(
-            {
-                "type": "eval-failure",
-                "index": index,
-                "failure": failure.to_record(),
-            }
-        )
-
-    def _append(self, record: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(seal_record(record), sort_keys=True) + "\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        if self._lock is not None:
-            self._lock.heartbeat()
-
-    def close(self) -> None:
-        self._handle.close()
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
-
-
 def _fuzz_manifest(
     seed: int,
     batch: int,
@@ -360,18 +295,6 @@ def _fuzz_manifest(
     return record
 
 
-def load_fuzz_checkpoint(
-    path: str,
-) -> Tuple[Dict[str, object], Dict[int, FuzzResult]]:
-    """Load manifest + recorded results, tolerating a torn final line.
-
-    Quarantined ``eval-failure`` records are tolerated but dropped; use
-    :func:`load_fuzz_checkpoint_full` to get them too.
-    """
-    manifest, done, _ = load_fuzz_checkpoint_full(path)
-    return manifest, done
-
-
 def load_fuzz_checkpoint_full(
     path: str,
 ) -> Tuple[
@@ -379,46 +302,28 @@ def load_fuzz_checkpoint_full(
 ]:
     """Load manifest, recorded results and quarantined evaluations.
 
-    A later ``eval`` record for an index supersedes its ``eval-failure``
-    record (a retry eventually succeeded). Streams the file line by line,
-    verifying CRCs where present (v2) and reporting interior corruption
-    with line numbers; a torn final line is tolerated."""
-    if os.path.getsize(path) == 0:
-        raise CheckpointError(f"{path}: empty fuzz checkpoint file")
-    manifest: Optional[Dict[str, object]] = None
-    done: Dict[int, FuzzResult] = {}
-    failures: Dict[int, TaskFailure] = {}
-    for lineno, record in iter_sealed_records(path):
-        if manifest is None:
-            if record.get("type") != "fuzz-manifest":
-                raise CheckpointError(
-                    f"{path}: not a fuzz checkpoint "
-                    f"(got {record.get('type')!r})"
-                )
-            if record.get("version") not in FUZZ_SUPPORTED_VERSIONS:
-                raise CheckpointError(
-                    f"{path}: unsupported fuzz checkpoint version "
-                    f"{record.get('version')!r}"
-                )
-            manifest = record
-            continue
-        kind = record.get("type")
-        if kind == "eval":
-            result = _result_from_record(record)
-            done[result.index] = result
-            failures.pop(result.index, None)
-        elif kind == "eval-failure":
-            index = record["index"]
-            if index in done:
-                continue  # a completed eval outranks any failure record
-            failures[index] = TaskFailure.from_record(record["failure"])
-        else:
-            raise CheckpointError(
-                f"{path}:{lineno}: unexpected record type {kind!r}"
-            )
-    if manifest is None:
-        raise CheckpointError(f"{path}: no complete records")
-    return manifest, done, failures
+    Integrity checks and deduplication are
+    :func:`~repro.exec.durability.load_sealed_log`'s (a later ``eval``
+    record for an index supersedes its ``eval-failure`` record: a retry
+    eventually succeeded)."""
+    manifest, done, failures = load_sealed_log(path)
+    if manifest.get("type") != "fuzz-manifest":
+        raise CheckpointError(
+            f"{path}: not a fuzz checkpoint (got {manifest.get('type')!r})"
+        )
+    if manifest.get("version") not in FUZZ_SUPPORTED_VERSIONS:
+        raise CheckpointError(
+            f"{path}: unsupported fuzz checkpoint version "
+            f"{manifest.get('version')!r}"
+        )
+    return (
+        manifest,
+        {index: _result_from_record(record) for index, record in done.items()},
+        {
+            index: TaskFailure.from_record(record["failure"])
+            for index, record in failures.items()
+        },
+    )
 
 
 def _verify_fuzz_manifest(
@@ -605,7 +510,6 @@ def run_fuzz(
     observers: Sequence[ProgressObserver] = (),
     save_corpus_dir: Optional[str] = None,
     bug: Optional[BugSpec] = None,
-    snapshot_interval: int = 0,
     checkpoint_fsync: bool = False,
     shutdown: Optional[GracefulShutdown] = None,
 ) -> FuzzSummary:
@@ -628,11 +532,6 @@ def run_fuzz(
         save_corpus_dir: If set, dump the final corpus as artifacts.
         bug: Optional armed BugSpec applied to every evaluation — exercises
             the oracle/shrinker/artifact loop against a known-bad core.
-        snapshot_interval: Accepted for CLI parity with ``repro campaign``;
-            the fuzz oracle runs each generated program exactly once, so
-            there is no repeated prefix to warm-start and the value has no
-            effect on fuzzing throughput or results. It is deliberately
-            NOT part of the fuzz manifest identity.
         checkpoint_fsync: ``os.fsync`` every checkpoint record.
         shutdown: A :class:`~repro.exec.durability.GracefulShutdown`
             latch; once requested the backend stops dispatching and the
@@ -670,7 +569,6 @@ def run_fuzz(
         programs={},
         config=campaign.config,
         runner=run_fuzz_task,
-        snapshot_interval=snapshot_interval,
         shutdown=shutdown,
     )
     expected_manifest = _fuzz_manifest(
@@ -686,9 +584,9 @@ def run_fuzz(
         _verify_fuzz_manifest(manifest, expected_manifest, checkpoint_path)
         quarantined.update(restored_failures)
 
-    writer: Optional[_FuzzCheckpoint] = None
+    log: Optional[SealedLog] = None
     if checkpoint_path is not None:
-        writer = _FuzzCheckpoint(
+        log = SealedLog(
             checkpoint_path,
             expected_manifest,
             resume=resume,
@@ -739,12 +637,16 @@ def run_fuzz(
             for task, outcome in backend.run(pending, context):
                 if isinstance(outcome, TaskFailure):
                     quarantined[task.index] = outcome
-                    if writer is not None:
-                        writer.write_failure(task.index, outcome)
+                    record = {
+                        "type": "eval-failure",
+                        "index": task.index,
+                        "failure": outcome.to_record(),
+                    }
                 else:
                     results[task.index] = outcome
-                    if writer is not None:
-                        writer.write(outcome)
+                    record = _result_to_record(outcome)
+                if log is not None:
+                    log.append(record)
                 executed += 1
                 emit()
             interrupted = shutdown is not None and shutdown.requested
@@ -767,8 +669,8 @@ def run_fuzz(
             if interrupted:
                 break
     finally:
-        if writer is not None:
-            writer.close()
+        if log is not None:
+            log.close()
 
     if save_corpus_dir is not None:
         campaign.save_corpus(save_corpus_dir)

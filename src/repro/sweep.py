@@ -33,7 +33,18 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench import append_entry
-from repro.cli import add_fault_args, policy_from_args, print_quarantine
+from repro.cli import (
+    add_batch_size_arg,
+    add_fault_args,
+    add_jobs_arg,
+    add_seed_arg,
+    add_snapshot_interval_arg,
+    add_workload_args,
+    policy_from_args,
+    print_quarantine,
+    run_args_error,
+    run_guarded,
+)
 from repro.core.config import (
     FREE_LIST_DISCIPLINES,
     RECOVERY_STRATEGIES,
@@ -41,7 +52,7 @@ from repro.core.config import (
 )
 from repro.rtl.report import format_table_ii
 from repro.rtl.rrs_design import evaluate_width
-from repro.workloads import WORKLOADS
+from repro.workloads import WORKLOADS, parse_benchmarks
 
 
 def _parse_csv(text: str, known: Tuple[str, ...], flag: str) -> List[str]:
@@ -80,51 +91,11 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         default=",".join(RECOVERY_STRATEGIES),
         help=f"recovery strategies [{','.join(RECOVERY_STRATEGIES)}]",
     )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=4,
-        help="injections per (benchmark, bug model) pair, per cell [4]",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload input-size scale factor [1.0]",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="campaign master seed [1]"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per cell; results identical for any N [1]",
-    )
-    parser.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=250,
-        metavar="K",
-        help="golden snapshot period in cycles (warm starts and "
-        "convergence-terminated suffixes); 0 runs every injection cold "
-        "[250]",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        metavar="N",
-        dest="batch_size",
-        help="tasks dispatched per backend round trip, grouped by "
-        "(benchmark, inject window); 1 disables batching [8]",
-    )
-    parser.add_argument(
-        "--benchmarks",
-        default="crc32,qsort",
-        help="comma-separated benchmark names, or 'all' [crc32,qsort]",
-    )
+    add_workload_args(parser, runs=4, benchmarks="crc32,qsort")
+    add_seed_arg(parser)
+    add_jobs_arg(parser)
+    add_snapshot_interval_arg(parser)
+    add_batch_size_arg(parser)
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -241,37 +212,24 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         print(f"--widths must be positive integers, got {args.widths!r}",
               file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.batch_size < 1:
-        print(f"--batch-size must be >= 1, got {args.batch_size}",
-              file=sys.stderr)
+    error = run_args_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.benchmarks == "all":
-        names = list(WORKLOADS)
-    else:
-        names = [n.strip() for n in args.benchmarks.split(",")]
-        unknown = [n for n in names if n not in WORKLOADS]
-        if unknown:
-            print(f"unknown benchmarks: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
+    try:
+        names = parse_benchmarks(args.benchmarks)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     programs = {name: WORKLOADS[name](scale=args.scale) for name in names}
 
-    from repro.exec.backends import ProcessPoolBackend, SerialBackend
-    from repro.exec.checkpoint import CheckpointError
+    from repro.exec.backends import make_backend
     from repro.exec.engine import run_engine
-    from repro.exec.resilience import FaultToleranceError
 
-    try:
-        policy = policy_from_args(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    policy = policy_from_args(args)
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
 
@@ -297,38 +255,30 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 args.checkpoint_dir, width, discipline, recovery
             )
             resume = args.resume and os.path.exists(checkpoint_path)
-        # Each cell gets a fresh backend: worker processes cache per-config
-        # golden runs, and a pool must never serve two design points.
-        backend = (
-            ProcessPoolBackend(args.jobs, policy=policy)
-            if args.jobs > 1
-            else SerialBackend(policy=policy)
-        )
         print(
             f"[{number}/{len(cells)}] width={width} discipline={discipline} "
             f"recovery={recovery} (design point {config.digest()})",
             file=sys.stderr,
         )
         started = time.time()
-        try:
-            campaign = run_engine(
-                programs,
-                runs_per_model=args.runs,
-                seed=args.seed,
-                config=config,
-                backend=backend,
-                checkpoint_path=checkpoint_path,
-                resume=resume,
-                snapshot_interval=args.snapshot_interval,
-                checkpoint_fsync=args.checkpoint_fsync,
-                batch_size=args.batch_size,
-            )
-        except (CheckpointError, OSError) as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return 2
-        except FaultToleranceError as exc:
-            print(f"fault tolerance: {exc}", file=sys.stderr)
-            return 2
+        campaign, code = run_guarded(
+            run_engine,
+            programs,
+            runs_per_model=args.runs,
+            seed=args.seed,
+            config=config,
+            # Each cell gets a fresh backend: worker processes cache
+            # per-config golden runs, and a pool must never serve two
+            # design points.
+            backend=make_backend(args.jobs, policy),
+            checkpoint_path=checkpoint_path,
+            resume=resume,
+            snapshot_interval=args.snapshot_interval,
+            checkpoint_fsync=args.checkpoint_fsync,
+            batch_size=args.batch_size,
+        )
+        if code:
+            return code
         wall_s = time.time() - started
         row = _cell_row(width, discipline, recovery, campaign, wall_s)
         row["design_point_digest"] = config.digest()

@@ -10,7 +10,7 @@ Each module exposes ``build(scale, seed) -> Program`` and a pure-Python
 ``expected(scale, seed)`` model used by the validation tests.
 """
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from repro.isa.program import Program
 from repro.workloads import (
@@ -61,4 +61,22 @@ def build_suite(scale: float = 1.0, seed: int = 7) -> Dict[str, Program]:
     return {name: build(scale=scale, seed=seed) for name, build in WORKLOADS.items()}
 
 
-__all__ = ["EXPECTED", "WORKLOADS", "build_suite", "random_program"]
+def parse_benchmarks(text: str) -> List[str]:
+    """Benchmark names from a comma-separated list, or every one for
+    ``all``; raises ValueError naming the unknown ones."""
+    if text == "all":
+        return list(WORKLOADS)
+    names = [name.strip() for name in text.split(",")]
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise ValueError(f"unknown benchmarks: {', '.join(unknown)}")
+    return names
+
+
+__all__ = [
+    "EXPECTED",
+    "WORKLOADS",
+    "build_suite",
+    "parse_benchmarks",
+    "random_program",
+]

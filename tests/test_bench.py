@@ -145,13 +145,11 @@ def test_profiled_core_runs_the_same_step():
         disable_stage_profiling()
     assert profiled == plain
     assert profile["cycles"] == profiled.cycles - core.ff_cycles_skipped
+    assert core.ff_cycles_skipped > 0
     buckets = [
         "fetch", "rename", "issue", "execute", "commit", "flush",
-        "recovery", "observer",
+        "recovery", "observer", "fast_forward",
     ]
-    if core.fast_forward_enabled:  # off under REPRO_FAST_FORWARD=0
-        assert core.ff_cycles_skipped > 0
-        buckets.append("fast_forward")
     for bucket in buckets:
         assert profile[bucket] > 0, bucket
     # Cores built once profiling is off keep the plain methods.

@@ -5,7 +5,9 @@ The checker mindset applied to our own persistence layer: every scenario
 damages (or contends for) a real checkpoint produced by a real small
 campaign and asserts the durability contract — corruption is reported with
 line numbers, repair + resume reproduces the uninterrupted run bit for
-bit, v1 files keep resuming, and a second writer never interleaves.
+bit, v1 files keep resuming, and a second writer never interleaves. The
+contract of the sealed log itself is checked on a campaign checkpoint and
+on a fuzz checkpoint alike, since both engines write through it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 
@@ -24,7 +28,6 @@ from repro.bugs.models import PRIMARY_MODELS
 from repro.exec.backends import SerialBackend
 from repro.exec.checkpoint import (
     CheckpointError,
-    CheckpointWriter,
     load_checkpoint_full,
     manifest_for,
     result_to_dict,
@@ -35,19 +38,22 @@ from repro.exec.durability import (
     CheckpointLockedError,
     GracefulShutdown,
     SHUTDOWN_EXIT_CODE,
+    SealedLog,
     atomic_write_text,
     crc_of,
     lock_path_for,
     scan_checkpoint,
     seal_record,
-    truncate_torn_tail,
 )
 from repro.exec.engine import run_engine
 from repro.exec.tasks import generate_tasks
+from repro.fuzz.engine import load_fuzz_checkpoint_full, run_fuzz
 from repro.workloads import WORKLOADS
 
 RUNS = 2  # 2 runs x 3 models x 1 benchmark = 6 tasks
 SEED = 7
+FUZZ_BUDGET = 8
+FUZZ_BATCH = 4
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,52 @@ def checkpointed(tiny_suite, tmp_path_factory):
         checkpoint_path=str(path),
     )
     return str(path), campaign
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpointed(tmp_path_factory):
+    """One finished fuzz campaign's checkpoint (read-only, like
+    ``checkpointed``)."""
+    path = tmp_path_factory.mktemp("durability") / "fuzz.jsonl"
+    run_fuzz(
+        seed=SEED, budget=FUZZ_BUDGET, batch=FUZZ_BATCH,
+        checkpoint_path=str(path),
+    )
+    return str(path)
+
+
+@dataclass
+class Log:
+    """A finished sealed log plus how its engine loads and resumes it."""
+
+    path: str
+    records: int  # data records, manifest excluded
+    load: Callable[[str], tuple]
+    resume: Callable[[str], object]
+
+
+@pytest.fixture(params=["campaign", "fuzz"])
+def sealed(request, tiny_suite):
+    if request.param == "campaign":
+        path, campaign = request.getfixturevalue("checkpointed")
+        return Log(
+            path,
+            len(campaign.results),
+            load_checkpoint_full,
+            lambda p: run_engine(
+                tiny_suite, RUNS, seed=SEED, backend=SerialBackend(),
+                checkpoint_path=p, resume=True,
+            ),
+        )
+    return Log(
+        request.getfixturevalue("fuzz_checkpointed"),
+        FUZZ_BUDGET,
+        load_fuzz_checkpoint_full,
+        lambda p: run_fuzz(
+            seed=SEED, budget=FUZZ_BUDGET, batch=FUZZ_BATCH,
+            checkpoint_path=p, resume=True,
+        ),
+    )
 
 
 def _comparable(result):
@@ -128,19 +180,18 @@ def _downgrade_to_v1(path: str) -> None:
         record = json.loads(line)
         record.pop("crc", None)
         record.pop("identity", None)
-        if record.get("type") == "manifest":
+        if record.get("type").endswith("manifest"):
             record["version"] = 1
         lines.append(json.dumps(record, sort_keys=True))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def test_v1_checkpoint_still_loads(checkpointed, tmp_path):
-    path, campaign = checkpointed
-    v1 = _copy(path, tmp_path / "v1.jsonl")
+def test_v1_checkpoint_still_loads(sealed, tmp_path):
+    v1 = _copy(sealed.path, tmp_path / "v1.jsonl")
     _downgrade_to_v1(v1)
-    manifest, done, failures = load_checkpoint_full(v1)
-    assert len(done) == len(campaign.results) and not failures
+    manifest, done, failures = sealed.load(v1)
+    assert len(done) == sealed.records and not failures
     report = scan_checkpoint(v1)
     assert report.clean and report.sealed == 0
 
@@ -175,17 +226,16 @@ def test_v1_checkpoint_resumes_under_the_v2_writer(
 # -- corruption detection ------------------------------------------------------
 
 
-def test_interior_corruption_raises_with_line_number(checkpointed, tmp_path):
-    path, _ = checkpointed
-    bad = _copy(path, tmp_path / "bad.jsonl")
+def test_interior_corruption_raises_with_line_number(sealed, tmp_path):
+    bad = _copy(sealed.path, tmp_path / "bad.jsonl")
     lines = _lines(bad)
     record = json.loads(lines[2])  # line 3: an interior result record
-    record["result"]["outcome"] = "tampered"  # CRC now stale
+    record["index"] += 1000  # CRC now stale
     lines[2] = json.dumps(record, sort_keys=True)
     with open(bad, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=r":3: .*CRC mismatch"):
-        load_checkpoint_full(bad)
+        sealed.load(bad)
     report = scan_checkpoint(bad)
     assert not report.torn_tail
     assert [(i.lineno, i.reason) for i in report.issues] == [
@@ -194,35 +244,33 @@ def test_interior_corruption_raises_with_line_number(checkpointed, tmp_path):
 
 
 def test_unparsable_interior_line_raises_but_torn_tail_is_tolerated(
-    checkpointed, tmp_path
+    sealed, tmp_path
 ):
-    path, campaign = checkpointed
-    torn = _copy(path, tmp_path / "torn.jsonl")
+    torn = _copy(sealed.path, tmp_path / "torn.jsonl")
     with open(torn, "a") as handle:
         handle.write('{"type": "result", "ind')  # killed mid-append
-    _, done, _ = load_checkpoint_full(torn)
-    assert len(done) == len(campaign.results)
+    _, done, _ = sealed.load(torn)
+    assert len(done) == sealed.records
     report = scan_checkpoint(torn)
     assert report.torn_tail and not report.interior_issues
 
-    interior = _copy(path, tmp_path / "interior.jsonl")
+    interior = _copy(sealed.path, tmp_path / "interior.jsonl")
     lines = _lines(interior)
     lines[3] = lines[3][: len(lines[3]) // 2]
     with open(interior, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=r":4: "):
-        load_checkpoint_full(interior)
+        sealed.load(interior)
 
 
-def test_truncate_torn_tail_drops_only_the_partial_line(checkpointed, tmp_path):
-    path, _ = checkpointed
-    torn = _copy(path, tmp_path / "trunc.jsonl")
+def test_truncate_torn_tail_drops_only_the_partial_line(sealed, tmp_path):
+    torn = _copy(sealed.path, tmp_path / "trunc.jsonl")
     intact = _lines(torn)
     with open(torn, "a") as handle:
         handle.write('{"half')
-    truncate_torn_tail(torn)
+    sealed.resume(torn)  # finished run: the resume appends nothing
     assert _lines(torn) == intact
-    truncate_torn_tail(torn)  # idempotent on a clean file
+    sealed.resume(torn)  # idempotent on a clean file
     assert _lines(torn) == intact
 
 
@@ -336,15 +384,14 @@ def test_merge_refuses_mismatched_manifests(checkpointed, tmp_path, capsys):
 # -- single-writer locking -----------------------------------------------------
 
 
-def test_second_writer_is_refused(checkpointed, tiny_suite, tmp_path):
-    path, _ = checkpointed
-    mine = _copy(path, tmp_path / "locked.jsonl")
-    manifest, _, _ = load_checkpoint_full(mine)
-    with CheckpointWriter(mine, manifest, resume=True):
+def test_second_writer_is_refused(sealed, tmp_path):
+    mine = _copy(sealed.path, tmp_path / "locked.jsonl")
+    with SealedLog(mine, {}, resume=True):
         with pytest.raises(CheckpointLockedError, match="another run"):
-            CheckpointWriter(mine, manifest, resume=True)
+            sealed.resume(mine)
     # Released on close: a new writer may take the file.
-    CheckpointWriter(mine, manifest, resume=True).close()
+    sealed.resume(mine)
+    assert not os.path.exists(lock_path_for(mine))
 
 
 def test_stale_lock_of_a_dead_process_is_taken_over(tmp_path):

@@ -23,7 +23,7 @@ from repro.core.rrs.signals import ArrayName, SignalKind
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.checkpoint import (
     CheckpointError,
-    load_checkpoint,
+    load_checkpoint_full,
     result_from_dict,
     result_to_dict,
 )
@@ -166,7 +166,7 @@ class TestCheckpoint:
         lines[2] = lines[2][: len(lines[2]) // 2]
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
-            load_checkpoint(path)
+            load_checkpoint_full(path)
 
 
 class TestResume:

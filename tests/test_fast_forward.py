@@ -7,10 +7,6 @@ throughput knob: every test here asserts that a fast-forwarding core is
 snapshots, identical detector states, identical exceptions (including the
 `DeadlockError` cycle), across random programs, injected-bug aftermaths,
 and the whole width x free-list-discipline x recovery-strategy matrix.
-
-The accelerated hot stages (`CoreConfig.accel`) get the same treatment:
-accel on vs off must produce identical snapshots, and the toggle must be
-invisible to the design-point digest.
 """
 
 import hashlib
@@ -73,10 +69,9 @@ def _run_one(program, config, enable_ff, budget, bug=None):
         fabric.arm_suppression(array, kind, at_cycle)
     detectors = [IDLDChecker(), BitVectorScheme(), CounterScheme()]
     core = OoOCore(program, config=config, observers=detectors, fabric=fabric)
-    # Pin the engine regardless of the ambient REPRO_FAST_FORWARD env (the
-    # CI off-leg): the stock detectors are bulk-replayable, so the replay
-    # tuple is built either way and the pair compare below must exercise
-    # fast-forward vs lockstep in both legs.
+    # Pin the engine: the stock detectors are bulk-replayable, so the
+    # replay tuple is built either way and the pair compare below
+    # exercises fast-forward vs lockstep.
     core.fast_forward_enabled = enable_ff
     error = None
     try:
@@ -218,43 +213,10 @@ def test_listener_without_fast_forward_forces_lockstep():
 
 def test_detectors_satisfy_bulk_replay_protocol():
     """The stock detector zoo implements ``fast_forward`` so it never
-    disables the engine (REPRO_FAST_FORWARD env permitting)."""
-    import os
-
+    disables the engine."""
     program = random_program(1, blocks=2, block_len=4, max_loop_iters=3)
     core = OoOCore(
         program,
         observers=[IDLDChecker(), BitVectorScheme(), CounterScheme()],
     )
-    env = os.environ.get("REPRO_FAST_FORWARD", "").strip().lower()
-    expected = env not in ("0", "off", "false")
-    assert core.fast_forward_enabled is expected
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    cell=st.sampled_from(CELLS),
-)
-@SLOW
-def test_accel_on_off_snapshots_identical(seed, cell):
-    """The array-accelerated hot stages vs the pure-python fallback:
-    same program, same cell, bit-identical full snapshots."""
-    program = random_program(seed, blocks=3, block_len=5, max_loop_iters=5)
-    snapshots = []
-    for accel in (True, False):
-        config = _cell_config(*cell, accel=accel)
-        core, detectors, err = _run_one(program, config, True, 200_000)
-        assert err is None
-        assert core.halted
-        snapshots.append(_state_digest(core, detectors))
-    assert snapshots[0] == snapshots[1]
-
-
-def test_accel_excluded_from_design_point_digest():
-    """``accel`` is a throughput knob, not a design point: pinning it on
-    or off must not perturb the config digest or its dict export."""
-    on = CoreConfig(accel=True)
-    off = CoreConfig(accel=False)
-    default = CoreConfig()
-    assert on.digest() == off.digest() == default.digest()
-    assert "accel" not in on.to_dict()
+    assert core.fast_forward_enabled is True

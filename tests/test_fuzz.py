@@ -38,7 +38,7 @@ from repro.fuzz.coverage import CoverageMap, log_bucket
 from repro.fuzz.engine import (
     FuzzCampaign,
     derive_fuzz_seed,
-    load_fuzz_checkpoint,
+    load_fuzz_checkpoint_full,
     run_fuzz,
 )
 from repro.fuzz.genome import (
@@ -299,7 +299,7 @@ class TestFuzzEngine:
         assert resumed.restored == 7
         assert resumed.coverage.counts == full.coverage.counts
         # The resumed file is complete: a second resume re-simulates nothing.
-        _, done = load_fuzz_checkpoint(part_path)
+        _, done, _ = load_fuzz_checkpoint_full(part_path)
         assert len(done) == 20
 
     def test_resume_rejects_mismatched_campaign(self, tmp_path):

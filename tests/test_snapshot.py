@@ -86,12 +86,10 @@ def test_provider_matches_lockstep_golden(programs):
     included; every snapshot, fingerprint and detector state must equal
     a plain one-step-at-a-time golden captured at the same cycles."""
     prog = programs["basicmath"]
-    # Long-latency divides open quiescent spans the golden skips (unless
-    # REPRO_FAST_FORWARD=0 turns skipping off).
+    # Long-latency divides open quiescent spans the golden skips.
     skipping = OoOCore(prog, observers=list(make_detectors()))
     skipping.run()
-    if skipping.fast_forward_enabled:
-        assert skipping.ff_cycles_skipped > 0
+    assert skipping.ff_cycles_skipped > 0
     interval = 20
     provider = SnapshotProvider(prog, interval)
     detectors = make_detectors()

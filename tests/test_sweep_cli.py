@@ -86,6 +86,14 @@ class TestSweepCli:
         assert sweep_main(["--benchmarks", "nonesuch"]) == 2
         capsys.readouterr()
 
+    def test_negative_snapshot_interval_rejected(self, capsys):
+        """Checked at the CLI edge, as ``repro campaign`` does, instead of
+        quietly running every cell cold."""
+        args = SMALL + ["--no-bench", "--snapshot-interval", "-1"]
+        assert sweep_main(args) == 2
+        err = capsys.readouterr().err
+        assert "--snapshot-interval must be >= 0, got -1" in err
+
     def test_cell_checkpoint_path_naming(self):
         assert cell_checkpoint_path("d", 4, "stack", "rob-walk") == (
             os.path.join("d", "sweep-w4-stack-rob-walk.jsonl")
