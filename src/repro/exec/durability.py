@@ -208,10 +208,14 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
     return identity_hash(fields)
 
 
-#: Record types the loaders understand, by role. ``done``-style records
-#: supersede failure records for the same key (a retry that succeeded).
-RESULT_TYPES = ("result", "eval")
-FAILURE_TYPES = ("failure", "eval-failure")
+#: Data record types by manifest type, as ``(result, failure)``. A result
+#: supersedes a failure for the same key (a retry that succeeded). Each
+#: engine decodes only its own family, so a CRC-valid record of the other
+#: family is damage, not data.
+RECORD_TYPES = {
+    "manifest": ("result", "failure"),
+    "fuzz-manifest": ("eval", "eval-failure"),
+}
 
 
 def record_key(record: Dict[str, object]) -> object:
@@ -290,7 +294,8 @@ def fold_checkpoint(
     """Scan *and* dedup: ``(report, done, failures)`` with later-record-wins
     semantics (a result record supersedes a failure record for the same
     key; a later record for a key replaces an earlier one). Damaged lines
-    land in the report, never raise.
+    land in the report, never raise; so does any record outside the
+    manifest's family (:data:`RECORD_TYPES`).
 
     With ``keep_records=False`` the dicts map each key to ``None`` instead
     of the record, so a pure integrity scan of a multi-GB file stays O(keys)
@@ -299,11 +304,12 @@ def fold_checkpoint(
     report = ScanReport(path=path)
     done: Dict[object, Dict[str, object]] = {}
     failures: Dict[object, Dict[str, object]] = {}
+    family: Tuple[str, ...] = ()
     for lineno, is_last, line in _walk_lines(path):
         record, reason = _check_line(line, report.manifest is not None, decode)
         if reason is None and report.manifest is not None:
-            kind = record.get("type")
-            if kind not in RESULT_TYPES and kind not in FAILURE_TYPES:
+            kind = record["type"]
+            if kind not in family:
                 record, reason = None, f"unexpected record type {kind!r}"
         if reason is not None:
             torn = is_last and reason == "unparsable JSON"
@@ -311,13 +317,14 @@ def fold_checkpoint(
             continue
         if report.manifest is None:
             report.manifest = record
+            family = RECORD_TYPES.get(record["type"], ())
         else:
             report.records += 1
             kind = record["type"]
             report.by_type[kind] = report.by_type.get(kind, 0) + 1
             key = record_key(record)
             kept = record if keep_records else None
-            if kind in RESULT_TYPES:
+            if kind == family[0]:
                 done[key] = kept
                 failures.pop(key, None)
             elif key not in done:

@@ -123,8 +123,9 @@ def run_engine(
         checkpoint_fsync: ``os.fsync`` every checkpoint record (survives
             hard machine kills, not just process kills) at an I/O cost.
         task_runner: Override the per-task execution function (see
-            :data:`~repro.exec.backends.TaskRunner`); used by the chaos
-            harness to wrap the injection path with fault injection.
+            :data:`~repro.exec.backends.TaskRunner`); the chaos hooks
+            (:mod:`repro.exec.chaos`) use it to wrap the injection path
+            with fault injection.
         shutdown: A :class:`~repro.exec.durability.GracefulShutdown` latch;
             once requested (SIGINT/SIGTERM) the backend stops dispatching,
             drains inflight work under the latch's deadline and the engine

@@ -285,13 +285,6 @@ def _parse_work_args(argv: Optional[List[str]]):
         "seals partial work to the workdir and exits 75; 0 retries "
         "forever [300]",
     )
-    parser.add_argument(
-        "--heartbeats",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="--no-heartbeats simulates a network partition (chaos only): "
-        "the worker executes and uploads but never renews its lease",
-    )
     return parser.parse_args(argv)
 
 
@@ -322,7 +315,6 @@ def work_main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         snapshot_interval=args.snapshot_interval,
         batch_size=args.batch_size,
-        heartbeats=args.heartbeats,
         poll_s=args.poll,
         offline_budget_s=args.offline_budget if args.offline_budget > 0
         else None,

@@ -76,7 +76,6 @@ class FabricWorker:
         snapshot_interval: int = 250,
         batch_size: int = 8,
         fault_policy: Optional[FaultPolicy] = None,
-        heartbeats: bool = True,
         poll_s: Optional[float] = None,
         offline_budget_s: Optional[float] = 300.0,
         clock: Callable[[], float] = time.monotonic,
@@ -92,10 +91,6 @@ class FabricWorker:
         self.fault_policy = (
             fault_policy if fault_policy is not None else FaultPolicy()
         )
-        # Chaos knob: a worker that never heartbeats simulates a network
-        # partition (heartbeat blackhole) while still executing and
-        # uploading — the lease-expiry + overlapping-merge path.
-        self.heartbeats = heartbeats
         self.poll_s = poll_s
         self.offline_budget_s = offline_budget_s
         self.clock = clock
@@ -272,8 +267,6 @@ class FabricWorker:
                     # Offline past budget: stop computing against a lease
                     # nobody is renewing; drain and let run() seal.
                     shard_latch.request()
-                    continue
-                if not self.heartbeats:
                     continue
                 try:
                     alive = self.transport.heartbeat(

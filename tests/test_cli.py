@@ -143,7 +143,7 @@ def test_run_flag_defaults_are_pinned():
     assert vars(_parse_work_args(["--coordinator", "http://c"])) == dict(
         coordinator="http://c", workdir=None, jobs=1, snapshot_interval=250,
         batch_size=8, poll=None, worker_id=None, secret_file=None,
-        call_deadline=60.0, offline_budget=300.0, heartbeats=True,
+        call_deadline=60.0, offline_budget=300.0,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -101,6 +102,7 @@ class Log:
     records: int  # data records, manifest excluded
     load: Callable[[str], tuple]
     resume: Callable[[str], object]
+    other: str  # a finished log of the other engine
 
 
 @pytest.fixture(params=["campaign", "fuzz"])
@@ -115,6 +117,7 @@ def sealed(request, tiny_suite):
                 tiny_suite, RUNS, seed=SEED, backend=SerialBackend(),
                 checkpoint_path=p, resume=True,
             ),
+            request.getfixturevalue("fuzz_checkpointed"),
         )
     return Log(
         request.getfixturevalue("fuzz_checkpointed"),
@@ -124,6 +127,7 @@ def sealed(request, tiny_suite):
             seed=SEED, budget=FUZZ_BUDGET, batch=FUZZ_BATCH,
             checkpoint_path=p, resume=True,
         ),
+        request.getfixturevalue("checkpointed")[0],
     )
 
 
@@ -226,21 +230,33 @@ def test_v1_checkpoint_resumes_under_the_v2_writer(
 # -- corruption detection ------------------------------------------------------
 
 
-def test_interior_corruption_raises_with_line_number(sealed, tmp_path):
+def _stale_crc(line: str, other: str) -> tuple:
+    record = json.loads(line)
+    record["index"] += 1000  # CRC now stale
+    return json.dumps(record, sort_keys=True), "CRC mismatch"
+
+
+def _other_family(line: str, other: str) -> tuple:
+    """A CRC-valid record of the other engine, which this one can't decode."""
+    foreign = _lines(other)[1]
+    return foreign, f"unexpected record type {json.loads(foreign)['type']!r}"
+
+
+@pytest.mark.parametrize(
+    "damage", [_stale_crc, _other_family], ids=["stale-crc", "other-family"]
+)
+def test_interior_corruption_raises_with_line_number(sealed, damage, tmp_path):
     bad = _copy(sealed.path, tmp_path / "bad.jsonl")
     lines = _lines(bad)
-    record = json.loads(lines[2])  # line 3: an interior result record
-    record["index"] += 1000  # CRC now stale
-    lines[2] = json.dumps(record, sort_keys=True)
+    # line 3: an interior data record
+    lines[2], reason = damage(lines[2], sealed.other)
     with open(bad, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointError, match=r":3: .*CRC mismatch"):
+    with pytest.raises(CheckpointError, match=rf":3: .*{re.escape(reason)}"):
         sealed.load(bad)
     report = scan_checkpoint(bad)
     assert not report.torn_tail
-    assert [(i.lineno, i.reason) for i in report.issues] == [
-        (3, "CRC mismatch")
-    ]
+    assert [(i.lineno, i.reason) for i in report.issues] == [(3, reason)]
 
 
 def test_unparsable_interior_line_raises_but_torn_tail_is_tolerated(

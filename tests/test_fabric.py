@@ -559,22 +559,25 @@ def test_submit_is_idempotent_but_refuses_a_different_campaign(tmp_path):
 # -- HTTP transport ------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "secret", [None, b"a-shared-fabric-secret"], ids=["open", "authenticated"]
+)
 def test_http_transport_round_trip_drives_a_full_campaign(
-    tmp_path, serial_checkpoint
+    tmp_path, serial_checkpoint, secret
 ):
-    from repro.analysis.export import campaign_from_checkpoint, to_csv
+    from repro.analysis.export import campaign_from_checkpoint, to_csv, to_json
 
     _, campaign = serial_checkpoint
     coordinator = FabricCoordinator(
         str(tmp_path / "state"),
         policy=FabricPolicy(lease_ttl_s=30.0, poll_s=0.01),
     )
-    server = make_http_server(coordinator)
+    server = make_http_server(coordinator, secret=secret)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}"
-        transport = HttpTransport(url, timeout_s=10.0)
+        transport = HttpTransport(url, timeout_s=10.0, secret=secret)
         transport.submit(SPEC.to_dict())
         worker = FabricWorker(
             transport, worker_id="w-http", workdir=str(tmp_path),
@@ -589,7 +592,9 @@ def test_http_transport_round_trip_drives_a_full_campaign(
         with open(fetched, "wb") as handle:
             handle.write(transport.fetch())
         assert checkpoint_main(["verify", fetched]) == 0
-        assert to_csv(campaign_from_checkpoint(fetched)) == to_csv(campaign)
+        merged = campaign_from_checkpoint(fetched)
+        assert to_csv(merged) == to_csv(campaign)
+        assert to_json(merged) == to_json(campaign)
     finally:
         server.shutdown()
         thread.join(timeout=5.0)

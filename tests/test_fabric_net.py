@@ -1,17 +1,19 @@
 """Network robustness of the fabric: fault injection, taxonomy, retries.
 
-Unit-level counterpart of ``python -m repro.exec.chaos --net``: the seeded
-:class:`~repro.exec.fabric.FaultyTransport` schedule machinery, the
-transport error taxonomy (transient :class:`TransportError` vs definitive
-:class:`FabricRejected`), :class:`RetryingTransport` deadlines, the
-hardened HTTP server (bounded bodies, malformed input → 4xx one-liners,
-never a traceback), idempotent lease re-requests, autoscaling hints, and
-the worker's offline circuit breaker with sealed-partial recovery.
+Covers the seeded :class:`~repro.exec.fabric.FaultyTransport` schedule
+machinery, the transport error taxonomy (transient :class:`TransportError`
+vs definitive :class:`FabricRejected`), :class:`RetryingTransport`
+deadlines, the hardened HTTP server (bounded bodies, malformed input → 4xx
+one-liners, never a traceback), idempotent lease re-requests, autoscaling
+hints, and the worker's offline circuit breaker with sealed-partial
+recovery. Whole campaigns under the four network fault mixes run in
+``tests/test_chaos.py``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -45,6 +47,7 @@ from tests.test_fabric import (  # noqa: F401  (fixtures)
     FakeClock,
     make_coordinator,
     programs,
+    serial_checkpoint,
     shard_uploads,
 )
 
@@ -488,11 +491,16 @@ def _partition_after_first_request():
     ))
 
 
-def test_worker_breaker_seals_partial_and_resumes(tmp_path, programs):
+def test_worker_breaker_seals_partial_and_resumes(
+    tmp_path, programs, serial_checkpoint
+):
     """The acceptance scenario at unit scale: a permanent partition trips
     the breaker (exit 75, work sealed to the workdir, nothing charged to
     the coordinator it couldn't reach), and a restarted worker on the
-    same workdir recovers the seal and finishes the campaign."""
+    same workdir recovers the seal, deletes it and finishes the campaign
+    with exports identical to the serial run."""
+    from repro.analysis.export import campaign_from_checkpoint, to_csv, to_json
+
     coordinator = FabricCoordinator(str(tmp_path / "state"))
     coordinator.submit(SPEC.to_dict())
     clock = FakeClock()
@@ -525,6 +533,11 @@ def test_worker_breaker_seals_partial_and_resumes(tmp_path, programs):
     status = coordinator.status()
     assert status["state"] == "done"
     assert status["done_tasks"] == status["total_tasks"]
+    assert not any(os.path.exists(path) for path in worker.sealed_paths)
+    merged = campaign_from_checkpoint(coordinator.artifact_path)
+    _, serial = serial_checkpoint
+    assert to_csv(merged) == to_csv(serial)
+    assert to_json(merged) == to_json(serial)
 
 
 def test_worker_without_budget_keeps_retrying(tmp_path):

@@ -1,10 +1,11 @@
 """Chaos scenarios for the fault-tolerant execution layer.
 
 Each test injects a real fault (worker kill, deterministic raiser, hung
-task) into a real small campaign via :mod:`repro.exec.chaos` and asserts
-the recovery contract: the campaign completes, exactly the sabotaged tasks
-are quarantined with the right failure kind, every surviving result is
-bit-identical to a clean run, and a resume skips quarantined tasks.
+task) into a real small campaign through the :mod:`repro.exec.chaos`
+hooks and asserts the recovery contract: the campaign completes, exactly
+the sabotaged tasks are quarantined with the right failure kind, every
+surviving result is bit-identical to a clean run, and a resume skips
+quarantined tasks.
 """
 
 from __future__ import annotations
