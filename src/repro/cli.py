@@ -8,14 +8,15 @@ figure/table reports. Examples::
     idld-campaign --runs 100 --jobs 4           # parallel, same results
     idld-campaign --figures 3,9 --benchmarks sha,qsort
     idld-campaign --figures table2              # RTL cost model only
-    idld-campaign --runs 3000 --jobs 8 --checkpoint run.jsonl
-    idld-campaign --runs 3000 --jobs 8 --resume run.jsonl   # pick up a kill
+    idld-campaign --runs 1000 --jobs 8 --checkpoint run.jsonl
+    idld-campaign --runs 1000 --jobs 8 --resume run.jsonl   # pick up a kill
     idld-campaign --from-checkpoint run.jsonl --figures 3   # report only
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -35,10 +36,14 @@ from repro.workloads import WORKLOADS, parse_benchmarks
 #: detection-latency summary; ``table2`` is the RTL cost model).
 KNOWN_FIGURES = ("3", "4", "5", "8", "9", "10", "latency", "table2")
 
+#: Output-file flags, by dest: each command writes them only after its run,
+#: so their directories are checked before the run starts.
+OUTPUT_DESTS = ("export_csv", "export_json", "bench_output", "output")
+
 
 # -- the shared run flags -----------------------------------------------------
 #
-# campaign, sweep, fuzz, bench and work declare the flags they share through
+# campaign, sweep, fuzz and bench declare the flags they share through
 # the helpers below, check them with run_args_error and act on them here, so
 # one flag means the same thing, with the same checks, in every command.
 
@@ -206,12 +211,16 @@ def run_args_error(
     args: argparse.Namespace, min_snapshot_interval: int = 0
 ) -> Optional[str]:
     """The message for the first bad value among the shared run flags the
-    parser declared (the fault-tolerance group included), or None.
+    parser declared (the fault-tolerance group and the output files
+    included), or None.
 
     Mains print it and return 2 themselves: argparse's own errors raise
     SystemExit instead. ``repro bench`` always builds snapshots, so it
     passes ``min_snapshot_interval=1``.
     """
+    runs = getattr(args, "runs", 0)
+    if runs < 0:
+        return f"--runs must be >= 0, got {runs}"
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         return f"--jobs must be >= 1, got {jobs}"
@@ -234,6 +243,14 @@ def run_args_error(
             policy_from_args(args)
         except ValueError as exc:
             return str(exc)
+    for dest in OUTPUT_DESTS:
+        path = getattr(args, dest, None)
+        if not path or (dest == "bench_output" and args.no_bench):
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            flag = "--" + dest.replace("_", "-")
+            return f"{flag}: directory {directory} does not exist"
     return None
 
 
@@ -479,18 +496,14 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     matrix of width x free-list discipline x recovery strategy), ``fuzz``
     (coverage-guided differential fuzzing), ``checkpoint``
     (inspect/verify/repair/merge the JSONL artifacts the engines write),
-    ``bench`` (the performance trajectory harness; shares the
-    ``--snapshot-interval`` knob with ``campaign``) and
-    the distributed campaign fabric (:mod:`repro.exec.fabric`): ``serve``
-    (the shard-leasing coordinator), ``submit``/``status``/``fetch`` (post
-    a campaign, watch it, download the merged artifact) and ``work`` (a
-    worker executing leased shards).
+    and ``bench`` (the performance trajectory harness; shares the
+    ``--snapshot-interval`` knob with ``campaign``).
     Also reachable without installation as ``python -m repro``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     usage = (
-        "usage: repro {campaign,sweep,fuzz,checkpoint,bench,serve,submit,"
-        "status,fetch,work} [options]  (-h for help)"
+        "usage: repro {campaign,sweep,fuzz,checkpoint,bench} [options]  "
+        "(-h for help)"
     )
     if not argv or argv[0] in ("-h", "--help"):
         print(usage)
@@ -514,16 +527,6 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
         from repro.bench import main as bench_main
 
         return bench_main(rest)
-    if command in ("serve", "submit", "status", "fetch", "work"):
-        from repro.exec import fabric
-
-        return {
-            "serve": fabric.serve_main,
-            "submit": fabric.submit_main,
-            "status": fabric.status_main,
-            "fetch": fabric.fetch_main,
-            "work": fabric.work_main,
-        }[command](rest)
     print(f"unknown subcommand {command!r}\n{usage}", file=sys.stderr)
     return 2
 

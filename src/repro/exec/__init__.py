@@ -21,13 +21,6 @@ campaign and fuzz checkpoints share, with its strict loader, merge rule
 and the streaming scan/repair primitives behind the ``repro checkpoint``
 CLI, plus atomic exports and the SIGINT/SIGTERM
 :class:`~repro.exec.durability.GracefulShutdown` latch.
-
-Distribution lives in :mod:`repro.exec.fabric`: a shard-leasing
-coordinator (``repro serve``/``submit``/``status``/``fetch``) with
-heartbeat-based lease expiry, jittered reassignment backoff, poison-shard
-quarantine and continuous merge, plus the worker runtime (``repro work``)
-that executes leased shards through :func:`run_engine` with graceful
-drain and CRC-verified uploads.
 """
 
 from repro.exec.backends import Backend, ProcessPoolBackend, SerialBackend
@@ -46,14 +39,6 @@ from repro.exec.durability import (
     truncate_torn_tail,
 )
 from repro.exec.engine import run_engine
-from repro.exec.fabric import (
-    CampaignSpec,
-    FabricCoordinator,
-    FabricPolicy,
-    FabricWorker,
-    HttpTransport,
-    LocalTransport,
-)
 from repro.exec.progress import ProgressEvent, ProgressPrinter
 from repro.exec.resilience import (
     FaultPolicy,
@@ -70,20 +55,14 @@ from repro.exec.tasks import (
 
 __all__ = [
     "Backend",
-    "CampaignSpec",
     "CheckpointError",
     "CheckpointLock",
     "CheckpointLockedError",
     "CheckpointWriter",
-    "FabricCoordinator",
-    "FabricPolicy",
-    "FabricWorker",
     "FaultPolicy",
     "FaultToleranceError",
     "GracefulShutdown",
-    "HttpTransport",
     "InjectionTask",
-    "LocalTransport",
     "ProcessPoolBackend",
     "ProgressEvent",
     "ProgressPrinter",

@@ -32,8 +32,7 @@ Behaviors (each variable holds comma-separated task keys):
 
 The scenarios that drive these hooks are tier-1 tests:
 ``tests/test_resilience.py`` (worker kill, poison, hang, degradation,
-no-op resume) and ``tests/test_chaos.py`` (torn append, mid-batch kill,
-fleet kills, network fault mixes).
+no-op resume) and ``tests/test_chaos.py`` (torn append, mid-batch kill).
 """
 
 from __future__ import annotations

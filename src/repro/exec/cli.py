@@ -89,6 +89,18 @@ def _print_issues(report: ScanReport, verb: str = "corrupt") -> None:
         print(f"{report.path}:{issue.lineno}: {tag}: {issue.reason}")
 
 
+def _write(
+    path: str, manifest: Dict[str, object], records: List[Dict[str, object]]
+) -> bool:
+    """Write a fresh checkpoint; an unwritable path is one stderr line."""
+    try:
+        write_sealed_checkpoint(path, manifest, records)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _type_summary(report: ScanReport) -> str:
     if not report.by_type:
         return "no data records"
@@ -203,7 +215,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         print(f"{args.path}: manifest unusable: {problem}", file=sys.stderr)
         return 2
     records = [r for r in done.values()] + [r for r in failures.values()]
-    write_sealed_checkpoint(out, report.manifest, records)
+    if not _write(out, report.manifest, records):
+        return 2
     _print_issues(report, verb="dropped")
     print(
         f"{out}: salvaged {len(done)} result(s) + {len(failures)} "
@@ -259,7 +272,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             return 2
         merge_shard(done, failures, shard_done, shard_failures)
     records = [r for r in done.values()] + [r for r in failures.values()]
-    write_sealed_checkpoint(args.output, base_manifest, records)
+    if not _write(args.output, base_manifest, records):
+        return 2
     print(
         f"{args.output}: merged {len(args.paths)} shard(s) into "
         f"{len(done)} result(s) + {len(failures)} quarantine record(s)"

@@ -96,16 +96,6 @@ def record_crc_ok(record: Dict[str, object]) -> bool:
     return crc is None or crc == crc_of(record)
 
 
-def identity_hash(fields: Dict[str, object]) -> str:
-    """Content hash of a manifest's campaign-identity fields.
-
-    Survives reserialization (repair, merge) that a raw-bytes CRC would
-    not, so it pins *which campaign* a file belongs to, not which bytes.
-    """
-    payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
-
-
 # -- streaming scan / strict iteration ----------------------------------------
 
 
@@ -199,13 +189,19 @@ _NON_IDENTITY_FIELDS = ("crc", "identity", "version", "type", "goldens")
 
 
 def manifest_identity(manifest: Dict[str, object]) -> str:
-    """The expected ``identity`` hash for a manifest record."""
+    """The expected ``identity`` hash for a manifest record: a content hash
+    of its campaign-identity fields.
+
+    Survives reserialization (repair, merge) that a raw-bytes CRC would
+    not, so it pins *which campaign* a file belongs to, not which bytes.
+    """
     fields = {
         key: value
         for key, value in manifest.items()
         if key not in _NON_IDENTITY_FIELDS
     }
-    return identity_hash(fields)
+    payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
 #: Data record types by manifest type, as ``(result, failure)``. A result
@@ -232,7 +228,7 @@ def canonical_winner(
     canonical payload wins. Result records for one key are
     classification-identical by construction — only wall-clock metadata
     can differ — so any *stable* rule is correct; a content-based one
-    makes shard merges independent of upload/argument arrival order."""
+    makes shard merges independent of argument order."""
     return a if canonical_payload(a) <= canonical_payload(b) else b
 
 
@@ -241,33 +237,26 @@ def merge_shard(
     failures: Dict[object, Dict[str, object]],
     shard_done: Dict[object, Dict[str, object]],
     shard_failures: Dict[object, Dict[str, object]],
-) -> Tuple[int, int]:
+) -> None:
     """Fold one file's deduplicated records (:func:`fold_checkpoint`) into
-    ``done``/``failures`` in place; returns how many result and failure
-    keys were new.
+    ``done``/``failures`` in place.
 
     A result anywhere outranks a failure for its key, and two records of
     one role resolve by :func:`canonical_winner`, so merging shards gives
     the same records for any arrival order. (Within one file,
     :func:`fold_checkpoint` lets the later record win instead.)
     """
-    new_done = new_failed = 0
     for key, record in shard_done.items():
         if key in done:
-            done[key] = canonical_winner(done[key], record)
-        else:
-            done[key] = record
-            new_done += 1
+            record = canonical_winner(done[key], record)
+        done[key] = record
         failures.pop(key, None)
     for key, record in shard_failures.items():
         if key in done:
             continue
         if key in failures:
-            failures[key] = canonical_winner(failures[key], record)
-        else:
-            failures[key] = record
-            new_failed += 1
-    return new_done, new_failed
+            record = canonical_winner(failures[key], record)
+        failures[key] = record
 
 
 def scan_checkpoint(
@@ -424,7 +413,7 @@ def write_sealed_checkpoint(
     """Write a fresh checkpoint atomically: manifest first, data records in
     canonical task order, everything (re-)sealed with a CRC and the
     manifest's identity hash recomputed. Shared by ``repro checkpoint
-    repair``/``merge`` and the fabric coordinator's continuous merge."""
+    repair`` and ``merge``."""
     manifest = dict(manifest)
     manifest["identity"] = manifest_identity(manifest)
     lines = [json.dumps(seal_record(manifest), sort_keys=True)]
@@ -521,12 +510,12 @@ class CheckpointLock:
         host = owner.get("host")
         # PID liveness is only meaningful on the host that recorded the
         # lock: once checkpoints travel between machines (shard files on a
-        # shared filesystem, a fabric worker picking up another host's
-        # shard), the same PID number may belong to a live but unrelated
-        # process here — or the owner may be perfectly alive over there.
-        # So the dead-PID fast path requires an explicit, matching hostname
-        # in the sidecar; locks from other hosts (or legacy locks that
-        # never recorded one) can only age out via the heartbeat.
+        # shared filesystem), the same PID number may belong to a live but
+        # unrelated process here — or the owner may be perfectly alive
+        # over there. So the dead-PID fast path requires an explicit,
+        # matching hostname in the sidecar; locks from other hosts (or
+        # legacy locks that never recorded one) can only age out via the
+        # heartbeat.
         same_host = isinstance(host, str) and host == socket.gethostname()
         dead = same_host and isinstance(pid, int) and not _pid_alive(pid)
         if dead or age > self.stale_after_s:

@@ -19,7 +19,7 @@ skips them instead of re-crashing — and carries them on
 from __future__ import annotations
 
 import time
-from typing import Collection, Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.bugs.campaign import CampaignResult, InjectionResult
 from repro.bugs.models import BugModel, PRIMARY_MODELS
@@ -92,7 +92,6 @@ def run_engine(
     task_runner: Optional[TaskRunner] = None,
     shutdown: Optional[GracefulShutdown] = None,
     batch_size: int = 1,
-    shard_keys: Optional[Collection[str]] = None,
 ) -> CampaignResult:
     """Run a full injection campaign through the task engine.
 
@@ -135,14 +134,6 @@ def run_engine(
             (:class:`~repro.exec.tasks.BatchedInjectionTask`); 1 disables
             batching. Checkpoint records stay per-task, so resume
             granularity and results are independent of the batch size.
-        shard_keys: Restrict execution to the tasks with these keys — one
-            *shard* of the campaign, as handed out by the fabric
-            coordinator (:mod:`repro.exec.fabric`). Task identity (index,
-            derived seed) is untouched, and the checkpoint manifest still
-            describes the whole campaign, so shard checkpoints of one
-            campaign share a manifest identity and ``repro checkpoint
-            merge`` (and the coordinator) can recombine them. Unknown keys
-            raise ``ValueError``. None (the default) runs every task.
 
     Returns:
         The populated :class:`CampaignResult`, with completed results in
@@ -158,14 +149,6 @@ def run_engine(
         list(programs), runs_per_model, models, seed, max_attempts,
         config=config,
     )
-    if shard_keys is not None:
-        wanted = set(shard_keys)
-        unknown = wanted - {task.key for task in tasks}
-        if unknown:
-            raise ValueError(
-                f"shard keys not in this campaign: {sorted(unknown)[:5]}"
-            )
-        tasks = [task for task in tasks if task.key in wanted]
     backend = backend if backend is not None else SerialBackend()
     context = ExecutionContext(
         programs=programs,
@@ -174,15 +157,7 @@ def run_engine(
         snapshot_interval=snapshot_interval,
         shutdown=shutdown,
     )
-    # A shard only ever touches its own benchmarks, so skip the (expensive)
-    # golden runs of the others; the manifest's benchmark list — and hence
-    # the merge identity — still spans the whole campaign either way.
-    golden_names = (
-        list(programs)
-        if shard_keys is None
-        else sorted({task.benchmark for task in tasks})
-    )
-    goldens = {name: context.golden(name) for name in golden_names}
+    goldens = {name: context.golden(name) for name in programs}
 
     completed: Dict[int, InjectionResult] = {}
     failed: Dict[int, TaskFailureRecord] = {}

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math as _math
 import random as _random
-import time as _time
 import traceback as _traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 #: Maximum characters of traceback preserved in a failure record.
 TRACEBACK_LIMIT = 2000
@@ -262,43 +261,6 @@ def crash_failure(attempts: int, detail: str = "") -> TaskFailure:
     if detail:
         message += f" ({detail})"
     return TaskFailure(kind="worker-crash", attempts=attempts, message=message)
-
-
-class CircuitBreaker:
-    """A wall-clock outage budget around an unreliable dependency.
-
-    Callers report each successful contact with :meth:`success`; the
-    breaker :attr:`tripped` once the time since the last success exceeds
-    ``budget_s``. Unlike a consecutive-failure counter, a time budget is
-    indifferent to retry cadence: a worker hammering a dead coordinator
-    every 200ms and one backing off to 5s both trip at the same wall-clock
-    moment, which is what an operator reasons about ("give up after two
-    minutes offline"). ``clock`` is injectable for tests.
-    """
-
-    def __init__(
-        self,
-        budget_s: float,
-        clock: Callable[[], float] = _time.monotonic,
-    ) -> None:
-        if budget_s <= 0:
-            raise ValueError(f"budget_s must be > 0, got {budget_s}")
-        self.budget_s = budget_s
-        self.clock = clock
-        self._last_success = clock()
-
-    def success(self) -> None:
-        """Record a successful contact, resetting the outage clock."""
-        self._last_success = self.clock()
-
-    @property
-    def outage_s(self) -> float:
-        """Seconds since the last successful contact."""
-        return max(0.0, self.clock() - self._last_success)
-
-    @property
-    def tripped(self) -> bool:
-        return self.outage_s > self.budget_s
 
 
 @dataclass

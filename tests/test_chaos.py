@@ -1,4 +1,4 @@
-"""Chaos scenarios that kill real processes or drive a seeded fault schedule.
+"""Chaos scenarios that kill real processes mid-write.
 
 Each scenario sabotages a real small campaign and asserts the one contract
 every failure path shares: the surviving artifact verifies clean and
@@ -9,33 +9,23 @@ exports byte-identically to a clean serial (``--jobs 1``) run.
   writer's lock is taken over, and the resume completes the campaign.
 - **Mid-batch kill:** a batched, snapshot-driven campaign process dies
   inside a batch; the resume records every task exactly once.
-- **Fleet:** a ``repro serve`` coordinator and ``repro work`` processes
-  survive a worker SIGKILL (lease expiry) and a coordinator
-  SIGKILL/restart on the same port and state directory.
-- **Network mixes:** a worker behind a seeded ``FaultyTransport`` finishes
-  the campaign under each of four fault mixes without charging a shard.
 
 Pool worker kills, hangs and no-op resumes live in
-``tests/test_resilience.py``; heartbeat loss in ``tests/test_fabric.py``;
-auth in ``tests/test_fabric_auth.py``; the offline breaker in
-``tests/test_fabric_net.py``.
+``tests/test_resilience.py``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from collections import Counter
 
 import pytest
 
 from repro.analysis.export import campaign_from_checkpoint, to_csv, to_json
 from repro.bugs.models import PRIMARY_MODELS
-from repro.cli import repro_main
 from repro.exec.backends import ExecutionContext, SerialBackend
 from repro.exec.chaos import (
     ALL_ENV_VARS,
@@ -52,18 +42,6 @@ from repro.exec.durability import (
     scan_checkpoint,
 )
 from repro.exec.engine import run_engine
-from repro.exec.fabric import (
-    CampaignSpec,
-    FabricCoordinator,
-    FabricPolicy,
-    FabricWorker,
-    FaultRule,
-    FaultSchedule,
-    FaultyTransport,
-    HttpTransport,
-    LocalTransport,
-    TransportError,
-)
 from repro.exec.tasks import (
     BatchedInjectionTask,
     generate_tasks,
@@ -73,9 +51,8 @@ from repro.workloads import WORKLOADS
 
 BENCHMARK = "bitcount"
 SCALE = 0.25
-RUNS = 6  # 6 runs x 3 models x 1 benchmark = 18 tasks -> 9 shards of 2
+RUNS = 6  # 6 runs x 3 models x 1 benchmark = 18 tasks
 SEED = 1
-SHARD = 2
 SNAPSHOT_INTERVAL = 100
 BATCH_SIZE = 4
 
@@ -263,194 +240,3 @@ def test_mid_batch_kill_resumes_every_task_exactly_once(
     assert Counter(_result_keys(path)) == Counter(task.key for task in tasks)
     _assert_matches_reference(path, reference)
 
-
-# -- the fleet: real coordinator and worker processes --------------------------
-
-
-def _wait_for(predicate, deadline_s, what):
-    """Poll ``predicate`` until it returns something truthy; transport
-    errors (a coordinator that is down or restarting) count as not yet."""
-    deadline = time.monotonic() + deadline_s
-    while time.monotonic() < deadline:
-        try:
-            value = predicate()
-        except TransportError:
-            value = None
-        if value:
-            return value
-        time.sleep(0.2)
-    raise AssertionError(f"timed out after {deadline_s:.0f}s waiting for {what}")
-
-
-def _read_url(path):
-    try:
-        with open(path) as handle:
-            return json.load(handle)["url"]
-    except (OSError, ValueError):
-        return None  # not written yet
-
-
-def test_fleet_survives_worker_and_coordinator_kills(
-    reference, clean_env, tmp_path
-):
-    """One worker is SIGKILLed while it holds a lease: the coordinator
-    must expire the lease and keep the campaign running. The coordinator
-    is then SIGKILLed mid-campaign and restarted on the same port and
-    state directory; it must keep every merged task, and the surviving
-    workers must finish with a fetched artifact identical to ``--jobs 1``."""
-    state_dir = str(tmp_path / "state")
-    procs = []
-
-    def spawn(name, *args):
-        with open(tmp_path / f"{name}.log", "ab") as log:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", *args],
-                env=clean_env, stdout=log, stderr=subprocess.STDOUT,
-            )
-        procs.append(proc)
-        return proc
-
-    def serve(port):
-        return spawn(
-            "serve", "serve", "--state-dir", state_dir,
-            "--host", "127.0.0.1", "--port", str(port),
-            "--lease-ttl", "2", "--no-progress",
-        )
-
-    def work(name):
-        return spawn(
-            name, "work", "--coordinator", url,
-            "--workdir", str(tmp_path / name), "--poll", "0.2",
-            "--snapshot-interval", str(SNAPSHOT_INTERVAL),
-        )
-
-    def killed(proc):
-        proc.kill()
-        return proc.wait(timeout=30) == -signal.SIGKILL
-
-    try:
-        coordinator = serve(0)  # the OS picks a free port
-        url = _wait_for(
-            lambda: _read_url(os.path.join(state_dir, "coordinator.json")),
-            30, "the coordinator to publish its URL",
-        )
-        transport = HttpTransport(url, timeout_s=10.0)
-        assert repro_main([
-            "submit", "--coordinator", url, "--runs", str(RUNS),
-            "--benchmarks", BENCHMARK, "--seed", str(SEED),
-            "--scale", str(SCALE), "--shard-size", str(SHARD),
-        ]) == 0
-        total = transport.status()["total_tasks"]
-
-        victim = work("w1")
-        _wait_for(
-            lambda: transport.status()["shards"]["leased"] > 0,
-            30, "the victim worker to lease a shard",
-        )
-        assert killed(victim)
-        _wait_for(
-            lambda: transport.status()["shards"]["leased"] == 0,
-            30, "the dead worker's lease to expire",
-        )
-        assert transport.status()["state"] == "running"
-
-        workers = [work("w2"), work("w3")]
-        _wait_for(
-            lambda: transport.status()["done_tasks"] >= SHARD,
-            60, "a shard to merge before the coordinator dies",
-        )
-        merged = transport.status()["done_tasks"]
-        assert killed(coordinator)
-        serve(int(url.rsplit(":", 1)[1]))
-        restarted = _wait_for(
-            transport.status, 30, "the restarted coordinator"
-        )
-        assert restarted["done_tasks"] >= merged, "the restart lost work"
-
-        def finished():
-            status = transport.status()
-            return status if status["state"] == "done" else None
-
-        final = _wait_for(finished, 180, "the fleet to finish the campaign")
-        assert final["done_tasks"] == total
-        assert not final["quarantined_shards"], final
-        for worker in workers:
-            assert worker.wait(timeout=30) == 0
-
-        artifact = str(tmp_path / "fetched.jsonl")
-        assert repro_main(["fetch", "--coordinator", url, "-o", artifact]) == 0
-        _assert_matches_reference(artifact, reference)
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-
-
-# -- network fault mixes -------------------------------------------------------
-
-NET_MIXES = {
-    "latency+drop": FaultSchedule(seed=101, rules=(
-        FaultRule(kind="latency", p=0.3, latency_s=0.01),
-        FaultRule(kind="drop", p=0.25),
-    )),
-    # Asymmetric outage windows per endpoint, then everything heals: calls
-    # inside a window never reach the coordinator.
-    "partition+heal": FaultSchedule(seed=102, rules=(
-        FaultRule(kind="partition", endpoint="request",
-                  first_call=2, last_call=4),
-        FaultRule(kind="partition", endpoint="upload",
-                  first_call=1, last_call=3),
-        FaultRule(kind="partition", endpoint="heartbeat",
-                  first_call=1, last_call=5),
-    )),
-    "garbage+duplicate": FaultSchedule(seed=103, rules=(
-        FaultRule(kind="garbage", p=0.2),
-        FaultRule(kind="duplicate", p=0.3),
-    )),
-    # Responses destroyed after the request was applied: every retry
-    # re-applies something that already happened.
-    "truncate+blackhole": FaultSchedule(seed=104, rules=(
-        FaultRule(kind="truncate", endpoint="upload", p=0.25),
-        FaultRule(kind="blackhole-response", endpoint="request", p=0.2),
-        FaultRule(kind="blackhole-response", endpoint="release", p=0.5),
-    )),
-}
-
-
-@pytest.mark.parametrize("mix", sorted(NET_MIXES))
-def test_network_fault_mix_finishes_without_charging_a_shard(
-    mix, reference, tmp_path
-):
-    """A worker behind a seeded fault schedule must finish the campaign;
-    the schedule must have injected something, no shard may be charged
-    (the worker neither died nor hung), and the merged artifact must be
-    identical to ``--jobs 1``."""
-    schedule = NET_MIXES[mix]
-    coordinator = FabricCoordinator(
-        str(tmp_path / "state"),
-        policy=FabricPolicy(reassign_backoff_max_s=0.0),
-    )
-    coordinator.submit(CampaignSpec(
-        benchmarks=(BENCHMARK,), runs_per_model=RUNS, seed=SEED,
-        scale=SCALE, shard_size=SHARD,
-    ).to_dict())
-    faulty = FaultyTransport(
-        LocalTransport(coordinator),
-        schedule,
-        sleep=lambda s: time.sleep(min(s, 0.01)),  # test-speed latency
-    )
-    worker = FabricWorker(
-        faulty,
-        worker_id=f"net-{schedule.seed}",
-        workdir=str(tmp_path / "work"),
-        snapshot_interval=SNAPSHOT_INTERVAL,
-        poll_s=0.05,
-        sleep=lambda s: time.sleep(min(s, 0.02)),  # test-speed backoff
-    )
-    assert worker.run() == 0
-    assert faulty.injected, f"{mix} injected no fault"
-    charged = [shard.index for shard in coordinator.shards
-               if shard.failed_workers]
-    assert not charged, f"{mix} charged shards {charged}"
-    _assert_matches_reference(coordinator.artifact_path, reference)

@@ -1,6 +1,6 @@
 """Tests for the idld-campaign CLI and the run flags it shares."""
 
-import time
+import os
 
 import pytest
 
@@ -69,9 +69,27 @@ def test_from_checkpoint_missing_file_clean_error(capsys):
     assert "cannot load checkpoint" in capsys.readouterr().err
 
 
-def test_invalid_jobs_rejected(capsys):
-    assert main(["--jobs", "0", "--figures", "3"]) == 2
-    assert "--jobs" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--jobs", "0"),
+        ("--batch-size", "0"),
+        ("--snapshot-interval", "-1"),
+        ("--runs", "-1"),
+        ("--export-csv", "missing/out.csv"),
+        ("--export-json", "missing/out.json"),
+    ],
+)
+def test_invalid_jobs_rejected(flag, value, tmp_path, monkeypatch, capsys):
+    """A bad run flag, or an output file in a directory that does not
+    exist, stops ``repro campaign`` with one stderr line before anything
+    runs, instead of losing a finished run to a traceback."""
+    monkeypatch.chdir(tmp_path)  # where no ``missing`` directory exists
+    argv = ["--runs", "1", "--benchmarks", "sha", "--figures", "3"]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(flag) and captured.err.count("\n") == 1
 
 
 def test_parallel_campaign_with_checkpoint(tmp_path, capsys):
@@ -106,12 +124,11 @@ FAULT_DEFAULTS = {
 
 
 def test_run_flag_defaults_are_pinned():
-    """campaign, sweep, fuzz, bench and work declare their shared flags
-    through one set of helpers; a helper change must not move any
-    command's parsed defaults."""
+    """campaign, sweep, fuzz and bench declare their shared flags through
+    one set of helpers; a helper change must not move any command's parsed
+    defaults."""
     from repro.bench import _parse_args as bench_args
     from repro.cli import _parse_args as campaign_args
-    from repro.exec.fabric.cli import _parse_work_args
     from repro.fuzz.cli import _parse_args as fuzz_args
     from repro.sweep import _parse_args as sweep_args
 
@@ -140,30 +157,207 @@ def test_run_flag_defaults_are_pinned():
         runs=8, scale=1.0, benchmarks="all", seed=1, snapshot_interval=25,
         profile=False, output="BENCH_core.json",
     )
-    assert vars(_parse_work_args(["--coordinator", "http://c"])) == dict(
-        coordinator="http://c", workdir=None, jobs=1, snapshot_interval=250,
-        batch_size=8, poll=None, worker_id=None, secret_file=None,
-        call_deadline=60.0, offline_budget=300.0,
+
+
+# Each command's run flags on either side of their bounds: the accepted
+# value passes run_args_error, and the refused value stops the command
+# with one stderr line and nothing on stdout, before any simulation.
+# Output paths are relative to a working directory that holds no
+# ``missing`` directory.
+
+
+def _command(name):
+    """``(parse_args, main, min_snapshot_interval)`` of one command."""
+    if name == "campaign":
+        from repro.cli import _parse_args
+
+        return _parse_args, main, 0
+    if name == "sweep":
+        from repro.sweep import _parse_args, sweep_main
+
+        return _parse_args, sweep_main, 0
+    if name == "fuzz":
+        from repro.fuzz.cli import _parse_args, fuzz_main
+
+        return _parse_args, fuzz_main, 0
+    from repro.bench import _parse_args, main as bench_main
+
+    return _parse_args, bench_main, 1  # bench always builds snapshots
+
+
+RUN_FLAG_BOUNDS = [
+    # (command, flag, refused, accepted)
+    ("campaign", "--runs", "-1", "0"),
+    ("campaign", "--jobs", "0", "1"),
+    ("campaign", "--snapshot-interval", "-1", "0"),
+    ("campaign", "--batch-size", "0", "1"),
+    ("campaign", "--max-task-retries", "-1", "0"),
+    ("campaign", "--task-timeout", "0", "0.5"),
+    ("campaign", "--export-csv", "missing/out.csv", "out.csv"),
+    ("campaign", "--export-json", "missing/out.json", "out.json"),
+    ("sweep", "--runs", "-1", "0"),
+    ("sweep", "--jobs", "0", "1"),
+    ("sweep", "--snapshot-interval", "-1", "0"),
+    ("sweep", "--batch-size", "0", "1"),
+    ("sweep", "--max-task-retries", "-1", "0"),
+    ("sweep", "--task-timeout", "0", "0.5"),
+    ("sweep", "--bench-output", "missing/bench.json", "bench.json"),
+    ("fuzz", "--jobs", "0", "1"),
+    ("fuzz", "--max-task-retries", "-1", "0"),
+    ("fuzz", "--task-timeout", "0", "0.5"),
+    ("bench", "--runs", "-1", "0"),
+    ("bench", "--snapshot-interval", "0", "1"),
+    ("bench", "--output", "missing/bench.json", "bench.json"),
+]
+
+
+@pytest.mark.parametrize("command, flag, refused, accepted", RUN_FLAG_BOUNDS)
+def test_run_flag_bound_accepts_the_legal_side(
+    command, flag, refused, accepted, tmp_path, monkeypatch
+):
+    from repro.cli import run_args_error
+
+    monkeypatch.chdir(tmp_path)
+    parse, _, min_interval = _command(command)
+    assert run_args_error(parse([flag, accepted]), min_interval) is None
+    assert run_args_error(parse([flag, refused]), min_interval) is not None
+
+
+def test_no_bench_skips_the_bench_output_directory_check(tmp_path):
+    """``--no-bench`` never writes ``--bench-output``, so its directory
+    need not exist."""
+    from repro.cli import run_args_error
+    from repro.sweep import _parse_args
+
+    missing = str(tmp_path / "missing" / "bench.json")
+    assert run_args_error(_parse_args(["--bench-output", missing])) is not None
+    args = _parse_args(["--no-bench", "--bench-output", missing])
+    assert run_args_error(args) is None
+
+
+#: The refusals no other test runs: campaign's other flags are in
+#: test_invalid_jobs_rejected above, and sweep's --runs,
+#: --snapshot-interval and --bench-output in tests/test_sweep_cli.py.
+REFUSED_RUN_FLAGS = [
+    ("campaign", ["--max-task-retries", "-1"]),
+    ("campaign", ["--task-timeout", "0"]),
+    ("sweep", ["--jobs", "0"]),
+    ("sweep", ["--batch-size", "0"]),
+    ("sweep", ["--max-task-retries", "-1"]),
+    ("sweep", ["--task-timeout", "0"]),
+    ("fuzz", ["--jobs", "0"]),
+    ("fuzz", ["--max-task-retries", "-1"]),
+    ("fuzz", ["--task-timeout", "0"]),
+    ("fuzz", ["--budget", "0"]),
+    ("fuzz", ["--batch", "0"]),
+    ("fuzz", ["--checkpoint", "a.jsonl", "--resume", "b.jsonl"]),
+    ("bench", ["--runs", "-1"]),
+    ("bench", ["--snapshot-interval", "0"]),
+    ("bench", ["--output", "missing/bench.json"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    REFUSED_RUN_FLAGS,
+    ids=["-".join([command] + argv) for command, argv in REFUSED_RUN_FLAGS],
+)
+def test_bad_run_flag_stops_the_command_before_any_work(
+    command, argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    _, command_main, _ = _command(command)
+    assert command_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert os.listdir(tmp_path) == []  # no checkpoint, bench file or export
+
+
+# -- the repro umbrella command -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "retired", ["serve", "submit", "status", "fetch", "work"]
+)
+def test_retired_fabric_subcommands_are_unknown(retired, capsys):
+    """The campaign fabric is gone; its subcommands are plain typos now."""
+    from repro.cli import repro_main
+
+    assert repro_main([retired, "--help"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"unknown subcommand {retired!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [([], 2), (["-h"], 0), (["--help"], 0)],
+    ids=["no-arguments", "-h", "--help"],
+)
+def test_repro_usage_lists_the_live_subcommands(argv, code, capsys):
+    from repro.cli import repro_main
+
+    assert repro_main(argv) == code
+    assert capsys.readouterr().out == (
+        "usage: repro {campaign,sweep,fuzz,checkpoint,bench} [options]  "
+        "(-h for help)\n"
     )
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--batch-size", "0"), ("--snapshot-interval", "-1"), ("--jobs", "0")],
+    "subcommand, prog",
+    [
+        ("campaign", "idld-campaign"),
+        ("sweep", "repro sweep"),
+        ("fuzz", "repro fuzz"),
+        ("checkpoint", "repro checkpoint"),
+        ("bench", "python -m repro.bench"),
+    ],
 )
-def test_work_rejects_bad_run_flags_before_any_rpc(
-    flag, value, tmp_path, capsys
-):
-    """A bad value must stop ``repro work`` at the CLI edge, not reach
-    every leased shard. Nothing listens on the coordinator port, so a
-    worker that got past the check would spend its offline budget."""
-    from repro.exec.fabric.cli import work_main
+def test_repro_dispatches_each_subcommand(subcommand, prog, capsys):
+    from repro.cli import repro_main
 
-    started = time.monotonic()
-    code = work_main([
-        "--coordinator", "http://127.0.0.1:1", "--workdir", str(tmp_path),
-        "--call-deadline", "1", "--offline-budget", "1", flag, value,
-    ])
-    assert code == 2
-    assert time.monotonic() - started < 5
-    assert f"{flag} must be >=" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main([subcommand, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {prog} ")
+
+
+# -- run_guarded --------------------------------------------------------------
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "exc, prefix",
+    [
+        ("checkpoint", "checkpoint error: "),
+        ("os", "checkpoint error: "),
+        ("fault", "fault tolerance: "),
+    ],
+)
+def test_run_guarded_maps_run_errors_to_exit_2(exc, prefix, capsys):
+    from repro.cli import run_guarded
+    from repro.exec.durability import CheckpointError
+    from repro.exec.resilience import FaultToleranceError
+
+    error = {
+        "checkpoint": CheckpointError("run.jsonl:3: corrupt record"),
+        "os": FileNotFoundError(2, "No such file or directory"),
+        "fault": FaultToleranceError("task quarantined under --strict"),
+    }[exc]
+    assert run_guarded(_raise, error) == (None, 2)
+    err = capsys.readouterr().err
+    assert err == f"{prefix}{error}\n"
+
+
+def test_run_guarded_passes_results_and_other_errors_through(capsys):
+    from repro.cli import run_guarded
+
+    assert run_guarded(lambda a, b=0: a + b, 2, b=3) == (5, 0)
+    with pytest.raises(ValueError, match="a bug"):
+        run_guarded(_raise, ValueError("a bug"))
+    assert capsys.readouterr().err == ""

@@ -12,6 +12,7 @@ on a fuzz checkpoint alike, since both engines write through it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -41,8 +42,11 @@ from repro.exec.durability import (
     SHUTDOWN_EXIT_CODE,
     SealedLog,
     atomic_write_text,
+    canonical_winner,
     crc_of,
+    fold_checkpoint,
     lock_path_for,
+    merge_shard,
     scan_checkpoint,
     seal_record,
 )
@@ -320,6 +324,21 @@ def test_verify_exit_codes(checkpointed, tmp_path, capsys):
     assert checkpoint_main(["verify", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("command", ["merge", "repair"])
+def test_unwritable_output_exits_2(command, checkpointed, tmp_path, capsys):
+    """An output path in a directory that does not exist is unusable
+    input: one stderr line and exit 2, not a traceback."""
+    path, _ = checkpointed
+    out = str(tmp_path / "missing" / "out.jsonl")
+    argv = {
+        "merge": ["merge", "-o", out, path],
+        "repair": ["repair", path, "-o", out],
+    }[command]
+    assert checkpoint_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_inspect_reports_counts(checkpointed, capsys):
     path, campaign = checkpointed
     assert checkpoint_main(["inspect", path]) == 0
@@ -397,6 +416,282 @@ def test_merge_refuses_mismatched_manifests(checkpointed, tmp_path, capsys):
     assert "different campaigns" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def overlapping_shards(checkpointed, tiny_suite, tmp_path_factory):
+    """Two shards of one campaign, cut from two independent runs of it, that
+    overlap on two keys. The manifests are byte-equal; the two copies of an
+    overlapping record differ in their wall-clock ``sim_wall_ns`` only."""
+    path, _ = checkpointed
+    rerun = str(tmp_path_factory.mktemp("durability") / "rerun.jsonl")
+    run_engine(
+        tiny_suite, RUNS, seed=SEED, backend=SerialBackend(),
+        checkpoint_path=rerun,
+    )
+    first, second = _lines(path), _lines(rerun)
+    assert first[0] == second[0]
+    return [first[0]] + first[1:5], [second[0]] + second[3:]
+
+
+def _keys(lines):
+    return {json.loads(line)["key"] for line in lines[1:]}
+
+
+def _write_lines(path, lines) -> str:
+    path = str(path)
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
+
+
+def test_cli_merge_overlap_is_argument_order_independent(
+    overlapping_shards, tmp_path
+):
+    """``repro checkpoint merge`` with overlapping shards: the two copies
+    of an overlapping key differ, so only a content-based choice between
+    them (``canonical_winner``) makes either argument order produce
+    byte-identical output."""
+    first, second = overlapping_shards
+    overlap = _keys(first) & _keys(second)
+    assert len(overlap) == 2
+    assert not set(first[1:]) & set(second[1:]), "the copies must differ"
+    shard_a = _write_lines(tmp_path / "a.jsonl", first)
+    shard_b = _write_lines(tmp_path / "b.jsonl", second)
+
+    outputs = []
+    for name, order in (
+        ("ab.jsonl", [shard_a, shard_b]),
+        ("ba.jsonl", [shard_b, shard_a]),
+    ):
+        out = str(tmp_path / name)
+        assert checkpoint_main(["merge", "-o", out] + order) == 0
+        assert checkpoint_main(["verify", out]) == 0
+        with open(out, "rb") as handle:
+            outputs.append(handle.read())
+    assert outputs[0] == outputs[1]
+    _, done, failures = fold_checkpoint(str(tmp_path / "ab.jsonl"))
+    assert len(done) == len(_keys(first) | _keys(second)) and not failures
+
+
+def test_cli_merge_result_beats_failure_in_both_orders(
+    overlapping_shards, tmp_path
+):
+    first, second = overlapping_shards
+    victim = sorted(_keys(first) & _keys(second))[0]
+    # Shard A records a quarantine for the overlap key; shard B completed
+    # it. Whichever order the shards are merged, the result must win.
+    doctored = [first[0]]
+    for line in first[1:]:
+        record = json.loads(line)
+        if record["key"] == victim:
+            record = {
+                "type": "failure",
+                "index": record["index"],
+                "key": victim,
+                "benchmark": "bitcount",
+                "failure": {
+                    "kind": "exception",
+                    "attempts": 3,
+                    "message": "flaky host",
+                    "traceback": "",
+                },
+            }
+            line = json.dumps(seal_record(record), sort_keys=True)
+        doctored.append(line)
+    shard_a = _write_lines(tmp_path / "failed.jsonl", doctored)
+    shard_b = _write_lines(tmp_path / "completed.jsonl", second)
+    for name, order in (
+        ("fr.jsonl", [shard_a, shard_b]),
+        ("rf.jsonl", [shard_b, shard_a]),
+    ):
+        out = str(tmp_path / name)
+        assert checkpoint_main(["merge", "-o", out] + order) == 0
+        _, done, failures = fold_checkpoint(out)
+        assert victim in done and victim not in failures, (
+            f"argument order {order} let a failure shadow a result"
+        )
+
+
+def test_merged_overlap_reports_like_the_uninterrupted_run(
+    checkpointed, overlapping_shards, tmp_path
+):
+    """Whichever copy of an overlapping record the merge keeps, the
+    campaign it reports is the uninterrupted run's, row for row."""
+    from repro.analysis.export import campaign_from_checkpoint, to_csv
+
+    _, campaign = checkpointed
+    first, second = overlapping_shards
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main([
+        "merge", "-o", merged,
+        _write_lines(tmp_path / "a.jsonl", first),
+        _write_lines(tmp_path / "b.jsonl", second),
+    ]) == 0
+    assert to_csv(campaign_from_checkpoint(merged)) == to_csv(campaign)
+
+
+def test_merge_is_idempotent_on_its_own_output(overlapping_shards, tmp_path):
+    """Merging the result again, alone or with a shard already in it, adds
+    nothing: the bytes stay the same."""
+    first, second = overlapping_shards
+    shard_a = _write_lines(tmp_path / "a.jsonl", first)
+    shard_b = _write_lines(tmp_path / "b.jsonl", second)
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main(["merge", "-o", merged, shard_a, shard_b]) == 0
+    with open(merged, "rb") as handle:
+        expected = handle.read()
+    for name, inputs in (
+        ("alone.jsonl", [merged]),
+        ("again.jsonl", [merged, shard_a]),
+        ("late.jsonl", [shard_b, merged]),
+    ):
+        out = str(tmp_path / name)
+        assert checkpoint_main(["merge", "-o", out] + inputs) == 0
+        with open(out, "rb") as handle:
+            assert handle.read() == expected, name
+
+
+def test_merge_refuses_a_shard_with_interior_damage(
+    checkpointed, tmp_path, capsys
+):
+    path, _ = checkpointed
+    bad = _copy(path, tmp_path / "bad.jsonl")
+    lines = _lines(bad)
+    lines[3] = lines[3][:-10] + '"corrupt"}'
+    _write_lines(bad, lines)
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main(["merge", "-o", merged, path, bad]) == 2
+    captured = capsys.readouterr()
+    assert f"{bad}:4: corrupt" in captured.out
+    assert f"repro checkpoint repair {bad}" in captured.err
+    assert not os.path.exists(merged)
+
+
+def test_merge_drops_a_torn_shard_tail(checkpointed, tmp_path, capsys):
+    """A shard whose writer was killed mid-append merges the way a resume
+    loads it: the partial last line goes, every complete record stays."""
+    path, campaign = checkpointed
+    torn = _copy(path, tmp_path / "torn.jsonl")
+    with open(torn, "a") as handle:
+        handle.write('{"half')
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main(["merge", "-o", merged, torn]) == 0
+    assert f"{torn}:8: torn tail" in capsys.readouterr().out
+    assert checkpoint_main(["verify", merged]) == 0
+    _, done, failures = fold_checkpoint(merged)
+    assert len(done) == len(campaign.results) and not failures
+
+
+def test_merge_fuzz_shards_matches_full_checkpoint(
+    fuzz_checkpointed, tmp_path
+):
+    """Fuzz records merge by ``index`` as campaign records do by ``key``."""
+    lines = _lines(fuzz_checkpointed)
+    cut = len(lines) // 2 + 1
+    shard_a = _write_lines(tmp_path / "a.jsonl", lines[:cut])
+    # Overlaps shard_a on the record at line ``cut``.
+    shard_b = _write_lines(tmp_path / "b.jsonl", [lines[0]] + lines[cut - 1:])
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main(["merge", "-o", merged, shard_b, shard_a]) == 0
+    assert checkpoint_main(["verify", merged]) == 0
+    _, done, failures = fold_checkpoint(merged)
+    _, full_done, full_failures = fold_checkpoint(fuzz_checkpointed)
+    assert done == full_done and failures == full_failures
+    _, results, quarantined = load_fuzz_checkpoint_full(merged)
+    assert len(results) == FUZZ_BUDGET and not quarantined
+
+
+@pytest.mark.parametrize("command", ["inspect", "repair", "merge"])
+def test_missing_input_exits_2(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    argv = {
+        "inspect": ["inspect", missing],
+        "repair": ["repair", missing],
+        "merge": ["merge", "-o", str(tmp_path / "out.jsonl"), missing],
+    }[command]
+    assert checkpoint_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {missing}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_checkpoint_without_a_subcommand_prints_help_and_exits_2(capsys):
+    assert checkpoint_main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: repro checkpoint")
+
+
+# -- the merge rule ------------------------------------------------------------
+
+
+def _record(kind, key, note):
+    return {"type": kind, "key": key, "index": int(key[1:]), "note": note}
+
+
+#: ``(done, failures)`` per shard: k1 is a result in one shard and a failure
+#: in another, k2 a result in two, k3 a failure in two and a result in one,
+#: k4 a failure in two.
+MERGE_SHARDS = (
+    (
+        {
+            "k1": _record("result", "k1", "a"),
+            "k2": _record("result", "k2", "a"),
+        },
+        {"k3": _record("failure", "k3", "a")},
+    ),
+    (
+        {"k2": _record("result", "k2", "b")},
+        {
+            "k1": _record("failure", "k1", "b"),
+            "k3": _record("failure", "k3", "b"),
+            "k4": _record("failure", "k4", "b"),
+        },
+    ),
+    (
+        {"k3": _record("result", "k3", "c")},
+        {"k4": _record("failure", "k4", "c")},
+    ),
+)
+
+
+def _merge_all(shards, done=None, failures=None):
+    done = {} if done is None else done
+    failures = {} if failures is None else failures
+    for shard_done, shard_failures in shards:
+        merge_shard(done, failures, shard_done, shard_failures)
+    return done, failures
+
+
+@pytest.mark.parametrize(
+    "order",
+    list(itertools.permutations(range(3))),
+    ids=lambda order: "-".join(map(str, order)),
+)
+def test_merge_shard_is_arrival_order_independent(order):
+    done, failures = _merge_all(MERGE_SHARDS[i] for i in order)
+    assert done == {
+        "k1": _record("result", "k1", "a"),  # a result outranks a failure
+        "k2": _record("result", "k2", "a"),  # the smaller canonical payload
+        "k3": _record("result", "k3", "c"),
+    }
+    assert failures == {"k4": _record("failure", "k4", "b")}
+
+
+def test_merge_shard_is_idempotent():
+    """Merging a shard that is already in (a retried or late copy) changes
+    nothing, whatever was merged after it."""
+    done, failures = _merge_all(MERGE_SHARDS)
+    expected = (dict(done), dict(failures))
+    for shard in MERGE_SHARDS:
+        assert _merge_all([shard], done, failures) == expected
+
+
+def test_canonical_winner_is_symmetric_and_ignores_the_crc():
+    a = seal_record(_record("result", "k1", "a"))
+    b = seal_record(_record("result", "k1", "b"))
+    assert canonical_winner(a, b) is a and canonical_winner(b, a) is a
+    # The CRC would sort first; it is not part of the compared payload.
+    assert canonical_winner(dict(b, crc=0), a) is a
+
+
 # -- single-writer locking -----------------------------------------------------
 
 
@@ -458,8 +753,8 @@ def test_cross_host_lock_is_refused_even_when_the_pid_is_dead_here(tmp_path):
 
 
 def test_same_pid_as_ours_on_another_host_is_refused(tmp_path):
-    """A fabric worker on host B may reuse host A's PID number; holding
-    that PID ourselves proves nothing about the remote owner."""
+    """A run on host B may reuse host A's PID number; holding that PID
+    ourselves proves nothing about the remote owner."""
     path = str(tmp_path / "ck.jsonl")
     _plant_lock(path, {"pid": os.getpid(), "host": "another-host"})
     with pytest.raises(CheckpointLockedError, match="another-host"):

@@ -435,8 +435,6 @@ def test_checkpoint_fsync_mode(tiny_suite, tiny_tasks, tmp_path):
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.resilience import CircuitBreaker
-
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -501,30 +499,3 @@ def test_backoff_nonpositive_inputs_yield_zero():
     assert backoff_with_jitter(3, 1.0, 0.0) == 0.0
     assert backoff_with_jitter(3, -1.0, 5.0) == 0.0
 
-
-# -- circuit breaker -----------------------------------------------------------
-
-
-def test_circuit_breaker_trips_on_outage_not_cadence():
-    """The breaker measures wall-clock silence, not failure counts: any
-    number of failures inside the budget leaves it closed, and one
-    quiet second past the budget trips it regardless of retry cadence."""
-    now = [0.0]
-    breaker = CircuitBreaker(budget_s=10.0, clock=lambda: now[0])
-    assert not breaker.tripped and breaker.outage_s == 0.0
-    now[0] = 10.0  # exactly at budget: not yet tripped
-    assert not breaker.tripped
-    now[0] = 10.001
-    assert breaker.tripped
-    breaker.success()
-    assert not breaker.tripped and breaker.outage_s == 0.0
-    now[0] = 15.0
-    assert breaker.outage_s == pytest.approx(4.999)
-    assert not breaker.tripped
-
-
-def test_circuit_breaker_rejects_nonpositive_budget():
-    with pytest.raises(ValueError):
-        CircuitBreaker(budget_s=0.0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(budget_s=-1.0)

@@ -78,12 +78,15 @@ class TestSweepCli:
         pooled_out = capsys.readouterr().out
         assert serial_out == pooled_out
 
-    def test_bad_axis_values_rejected(self, capsys):
+    def test_bad_axis_values_rejected(self, tmp_path, capsys):
         assert sweep_main(["--disciplines", "lifo"]) == 2
         assert sweep_main(["--recoveries", "warp"]) == 2
         assert sweep_main(["--widths", "0"]) == 2
         assert sweep_main(["--resume"]) == 2  # no --checkpoint-dir
         assert sweep_main(["--benchmarks", "nonesuch"]) == 2
+        assert sweep_main(["--runs", "-1"]) == 2
+        missing = str(tmp_path / "missing" / "bench.json")
+        assert sweep_main(SMALL + ["--bench-output", missing]) == 2
         capsys.readouterr()
 
     def test_negative_snapshot_interval_rejected(self, capsys):
