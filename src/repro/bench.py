@@ -52,32 +52,12 @@ from repro.core.cpu import (
 from repro.exec.tasks import execute_task, generate_tasks
 from repro.workloads import WORKLOADS, parse_benchmarks
 
-#: Current on-disk schema of BENCH_core.json. Schema 1 timed three
-#: injection passes (cold, warm-only, differential); schema 2 times two
-#: (cold, snapshot-driven), since warm-only mode no longer exists.
+#: On-disk schema of BENCH_core.json, the only one read: two timed
+#: injection passes per entry (cold, snapshot-driven). Entries carried
+#: over from schema 1 (three passes, with warm-only) are stamped
+#: ``migrated_from_schema: 1`` and keep their warm columns under
+#: ``schema1_warm``.
 SCHEMA_VERSION = 2
-
-#: Schema-1 column -> schema-2 column: the differential pass is the
-#: snapshot-driven pass of schema 2.
-_V1_RENAMED = {
-    "diff_wall_s": "wall_s",
-    "diff_inj_per_s": "inj_per_s",
-    "diff_speedup": "speedup",
-    "diff_early_terminated": "early_terminated",
-    "diff_provider_wall_s": "provider_wall_s",
-}
-
-#: Schema-1 columns of the warm-only pass and its (draw-window trimmed)
-#: provider. They have no schema-2 counterpart and are kept, unchanged,
-#: under ``schema1_warm``.
-_V1_WARM = (
-    "warm_wall_s",
-    "warm_inj_per_s",
-    "speedup",
-    "warm_cycles_skipped",
-    "provider_wall_s",
-    "provider_snapshots",
-)
 
 #: Default capture period; small enough that the mean restore point
 #: sits within interval/2 cycles of the injection point.
@@ -228,63 +208,19 @@ def bench_benchmark(
     return entry
 
 
-def _upgrade_columns(columns: Dict[str, object]) -> Dict[str, object]:
-    """One schema-1 column dict (a benchmark or the aggregate) in schema 2."""
-    out = {
-        key: value
-        for key, value in columns.items()
-        if key not in _V1_WARM and key not in _V1_RENAMED
-    }
-    for old, new in _V1_RENAMED.items():
-        if old in columns:
-            out[new] = columns[old]
-    warm = {key: columns[key] for key in _V1_WARM if key in columns}
-    if warm:
-        out["schema1_warm"] = warm
-    return out
-
-
-def upgrade_entry(entry: Dict[str, object]) -> Dict[str, object]:
-    """A schema-1 trajectory entry in schema-2 shape.
-
-    The differential columns take their schema-2 names, the warm-only
-    columns move under ``schema1_warm``, and the entry is stamped
-    ``migrated_from_schema: 1``. Sweep-cell entries carry no pass
-    columns and only gain the stamp.
-    """
-    out = {k: v for k, v in entry.items() if k != "differential"}
-    if isinstance(entry.get("benchmarks"), dict):
-        out["benchmarks"] = {
-            name: _upgrade_columns(columns)
-            for name, columns in entry["benchmarks"].items()
-        }
-        out["aggregate"] = _upgrade_columns(entry.get("aggregate", {}))
-    out["migrated_from_schema"] = 1
-    return out
-
-
 def read_trajectory(path: str) -> List[Dict[str, object]]:
-    """Every entry of a trajectory file, in schema-2 shape.
-
-    Schema-1 files are upgraded entry by entry (:func:`upgrade_entry`);
-    the file itself is only rewritten by :func:`append_entry`.
-    """
+    """Every entry of a trajectory file; any schema but
+    :data:`SCHEMA_VERSION` is refused."""
     with open(path) as handle:
         data = json.load(handle)
     schema = data.get("schema")
-    if schema == 1:
-        return [upgrade_entry(entry) for entry in data["entries"]]
     if schema != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema {schema!r}")
     return data["entries"]
 
 
 def append_entry(path: str, entry: Dict[str, object]) -> None:
-    """Append one run's entry to the trajectory file, creating it if new.
-
-    A schema-1 file is rewritten in schema 2 on the way (see
-    :func:`read_trajectory`).
-    """
+    """Append one run's entry to the trajectory file, creating it if new."""
     entries = read_trajectory(path) if os.path.exists(path) else []
     entries.append(entry)
     with open(path, "w") as handle:

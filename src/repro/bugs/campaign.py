@@ -414,7 +414,6 @@ def run_campaign(
     config: Optional[CoreConfig] = None,
     max_attempts: int = 6,
     snapshot_interval: int = 0,
-    batch_size: int = 1,
 ) -> CampaignResult:
     """Run a full injection campaign (serially; see :mod:`repro.exec`).
 
@@ -435,8 +434,6 @@ def run_campaign(
             bit-identical campaign results — it is purely a throughput
             knob (warm starts and convergence-terminated suffixes, see
             :mod:`repro.bugs.differential`).
-        batch_size: Dispatch batching of same-(benchmark, window) tasks;
-            1 disables. Bit-identical results for any size.
 
     Returns:
         The populated :class:`CampaignResult`.
@@ -451,5 +448,4 @@ def run_campaign(
         config=config,
         max_attempts=max_attempts,
         snapshot_interval=snapshot_interval,
-        batch_size=batch_size,
     )

@@ -106,20 +106,6 @@ def add_snapshot_interval_arg(
     )
 
 
-def add_batch_size_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "dispatch up to N same-(benchmark, inject-window) injections "
-            "per backend round trip, amortizing dispatch overhead; 1 "
-            "disables batching. Results are bit-identical for any N [8]"
-        ),
-    )
-
-
 def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     """``--checkpoint``/``--resume``: the run's sealed JSONL log."""
     parser.add_argument(
@@ -194,9 +180,10 @@ def add_fault_args(parser: argparse.ArgumentParser) -> None:
 
 
 def policy_from_args(args: argparse.Namespace):
-    """Build the FaultPolicy the CLI runs under (resilience is on by
-    default here; the library default ``policy=None`` keeps the legacy
-    fail-fast behavior). Raises ValueError on bad knob values."""
+    """The FaultPolicy the CLI runs under, built from the fault-tolerance
+    flags. By default it retries, then quarantines; a library run that
+    names no policy uses ``resilience.FAIL_FAST`` instead. Raises
+    ValueError on bad knob values."""
     from repro.exec.resilience import FaultPolicy
 
     return FaultPolicy(
@@ -230,9 +217,6 @@ def run_args_error(
             f"--snapshot-interval must be >= {min_snapshot_interval}, "
             f"got {interval}"
         )
-    batch_size = getattr(args, "batch_size", 1)
-    if batch_size < 1:
-        return f"--batch-size must be >= 1, got {batch_size}"
     if getattr(args, "checkpoint", None) and getattr(args, "resume", None):
         return (
             "--checkpoint and --resume are mutually exclusive "
@@ -325,7 +309,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     add_seed_arg(parser)
     add_jobs_arg(parser)
     add_snapshot_interval_arg(parser)
-    add_batch_size_arg(parser)
     parser.add_argument(
         "--figures",
         default="3,4,5,8,9,10,table2",
@@ -462,7 +445,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             snapshot_interval=args.snapshot_interval,
             checkpoint_fsync=args.checkpoint_fsync,
             shutdown=shutdown,
-            batch_size=args.batch_size,
         )
     if code:
         return code

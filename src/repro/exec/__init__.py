@@ -8,11 +8,13 @@ change results. Pluggable backends (:class:`~repro.exec.backends.SerialBackend`,
 aggregates results in canonical task order, checkpoints them incrementally
 to an append-only JSONL file, and emits progress events.
 
-Fault tolerance lives in :mod:`repro.exec.resilience`: construct a backend
-with a :class:`~repro.exec.resilience.FaultPolicy` and tasks get wall-clock
+Fault tolerance lives in :mod:`repro.exec.resilience`: every backend runs
+its tasks under a :class:`~repro.exec.resilience.FaultPolicy` — wall-clock
 deadlines, bounded retries, structured quarantine
 (:class:`~repro.exec.resilience.TaskFailure`), worker-crash recovery with
-pool respawn, and graceful degradation to serial execution.
+pool respawn, and graceful degradation to serial execution. A backend
+built without one uses :data:`~repro.exec.resilience.FAIL_FAST`, which
+raises at the first failing task.
 
 Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
 (:class:`~repro.exec.durability.SealedLog`: CRC-sealed records, format v2,

@@ -11,18 +11,20 @@ worker once (at pool start), and each worker lazily computes and caches the
 golden run per benchmark, so a campaign of N injections over B benchmarks
 costs at most B golden runs per worker regardless of N.
 
-Fault tolerance: constructed with a :class:`~repro.exec.resilience.FaultPolicy`,
-both backends survive misbehaving tasks instead of aborting the campaign.
-A task that raises, exceeds its wall-clock budget, or kills its worker
-process is retried (fresh pool slot each attempt) and finally *quarantined*:
-yielded as a :class:`~repro.exec.resilience.TaskFailure` in place of a
-result. The pool backend additionally recovers from
-``BrokenProcessPool``/lost futures by respawning the pool with exponential
-backoff, re-running the tasks that were in flight **one at a time** (so the
-next crash identifies the poison task exactly), and — after repeated pool
-breakage with no progress — degrading to in-process serial execution for
-the remaining tasks. Without a policy (``policy=None``) the legacy
-fail-fast behavior is preserved: the first error propagates.
+Fault tolerance: each backend has one run loop, always under a
+:class:`~repro.exec.resilience.FaultPolicy`. A task that raises, exceeds
+its wall-clock budget, or kills its worker process is retried (fresh pool
+slot each attempt) and finally *quarantined*: yielded as a
+:class:`~repro.exec.resilience.TaskFailure` in place of a result, or, in
+``strict`` mode, raised as a
+:class:`~repro.exec.resilience.FaultToleranceError`. The pool backend
+additionally recovers from ``BrokenProcessPool``/lost futures by respawning
+the pool with exponential backoff, re-running the tasks that were in flight
+**one at a time** (so the next crash identifies the poison task exactly),
+and — after repeated pool breakage with no progress — degrading to
+in-process serial execution for the remaining tasks. A backend built
+without a policy runs under :data:`~repro.exec.resilience.FAIL_FAST`: no
+retries, and the first failing task raises.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from typing import (
 from repro.bugs.campaign import InjectionResult, run_golden
 from repro.exec.durability import GracefulShutdown
 from repro.exec.resilience import (
+    FAIL_FAST,
     AttemptTracker,
     FaultPolicy,
     FaultToleranceError,
@@ -66,12 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bugs.snapshot import SnapshotProvider
 from repro.core.config import CoreConfig
 from repro.core.cpu import RunResult
-from repro.exec.tasks import (
-    BatchedInjectionTask,
-    InjectionTask,
-    execute_batch,
-    execute_task,
-)
+from repro.exec.tasks import InjectionTask, execute_task
 from repro.isa.program import Program
 
 #: A pluggable task runner: ``runner(task, context) -> result``. Must be a
@@ -79,8 +77,8 @@ from repro.isa.program import Program
 #: reference. ``None`` selects the built-in injection-task path.
 TaskRunner = Callable[[object, "ExecutionContext"], object]
 
-#: What a policy-enabled backend yields per task: the result, or the
-#: structured account of why the task was given up on.
+#: What a backend yields per task: the result, or the structured account
+#: of why the task was given up on.
 TaskOutcome = Union[InjectionResult, TaskFailure]
 
 try:  # pragma: no cover - 3.8+ always has Protocol
@@ -162,15 +160,9 @@ class ExecutionContext:
         return self._snapshots[benchmark]
 
     def execute(self, task: object) -> object:
-        """Run one task through ``runner`` or the injection default.
-
-        A :class:`~repro.exec.tasks.BatchedInjectionTask` is one unit of
-        dispatch here — its wall-clock budget scales with the member count
-        and the outcome is the per-member result list.
-        """
-        members = len(task.members) if isinstance(task, BatchedInjectionTask) else 1
+        """Run one task through ``runner`` or the injection default."""
         self._deadline = (
-            time.monotonic() + self.task_timeout_s * members
+            time.monotonic() + self.task_timeout_s
             if self.task_timeout_s is not None
             else None
         )
@@ -178,15 +170,6 @@ class ExecutionContext:
             if self.runner is not None:
                 return self.runner(task, self)
             golden = self.golden(task.benchmark)
-            if isinstance(task, BatchedInjectionTask):
-                return execute_batch(
-                    task,
-                    self.programs[task.benchmark],
-                    golden,
-                    self.config,
-                    snapshots=self.snapshots(task.benchmark),
-                    deadline=self._deadline,
-                )
             return execute_task(
                 task,
                 self.programs[task.benchmark],
@@ -250,32 +233,26 @@ def run_task_with_retries(
 class SerialBackend:
     """In-process execution, one task at a time, in task order.
 
-    With a :class:`FaultPolicy`, task exceptions and cooperative deadline
-    expiries are retried then quarantined instead of aborting the run.
-    (A task that kills the process outright cannot be survived in-process;
-    that protection needs :class:`ProcessPoolBackend`.)
+    Task exceptions and cooperative deadline expiries are retried, then
+    quarantined or (``strict``) raised, as the policy says. A task that
+    kills the process outright cannot be survived in-process; that
+    protection needs :class:`ProcessPoolBackend`.
     """
 
-    def __init__(self, policy: Optional[FaultPolicy] = None) -> None:
+    def __init__(self, policy: FaultPolicy = FAIL_FAST) -> None:
         self.policy = policy
 
     def run(
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
-        if self.policy is not None:
-            context.task_timeout_s = self.policy.task_timeout_s
-            tracker = AttemptTracker(self.policy)
-            for task in tasks:
-                if _shutdown_requested(context):
-                    return
-                yield task, run_task_with_retries(
-                    task, context, self.policy, tracker
-                )
-            return
+        context.task_timeout_s = self.policy.task_timeout_s
+        tracker = AttemptTracker(self.policy)
         for task in tasks:
             if _shutdown_requested(context):
                 return
-            yield task, context.execute(task)
+            yield task, run_task_with_retries(
+                task, context, self.policy, tracker
+            )
 
 
 # -- process-pool worker state ------------------------------------------------
@@ -322,38 +299,28 @@ class ProcessPoolBackend:
     """Parallel execution on a pool of worker processes.
 
     Tasks and results are plain picklable dataclasses; results are yielded
-    in completion order. ``max_inflight`` bounds how many tasks are queued
-    on the pool at once so paper-scale campaigns (tens of thousands of
-    tasks) do not hold every pending future in memory.
+    in completion order. At most ``jobs * 8`` tasks are queued on the pool
+    at once, so paper-scale campaigns (tens of thousands of tasks) do not
+    hold every pending future in memory.
 
-    With a :class:`FaultPolicy` the backend is fault-tolerant — see the
-    module docstring for the recovery model (retry + quarantine, watchdog,
-    pool respawn with crash attribution by probing, serial degradation).
+    See the module docstring for the recovery model the policy drives
+    (retry + quarantine, watchdog, pool respawn with crash attribution by
+    probing, serial degradation).
     """
 
     #: Poll period of the parent-side watchdog loop (seconds).
     WATCHDOG_TICK_S = 0.2
 
-    def __init__(
-        self,
-        jobs: int,
-        max_inflight: Optional[int] = None,
-        policy: Optional[FaultPolicy] = None,
-    ) -> None:
+    def __init__(self, jobs: int, policy: FaultPolicy = FAIL_FAST) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
         self.jobs = jobs
-        self.max_inflight = max_inflight if max_inflight is not None else jobs * 8
+        self.max_inflight = jobs * 8
         self.policy = policy
 
     # -- pool lifecycle -------------------------------------------------------
 
     def _spawn(self, context: ExecutionContext) -> ProcessPoolExecutor:
-        timeout = self.policy.task_timeout_s if self.policy else None
         return ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_worker_init,
@@ -362,7 +329,7 @@ class ProcessPoolBackend:
                 context.config,
                 context.runner,
                 context.snapshot_interval,
-                timeout,
+                self.policy.task_timeout_s,
             ),
         )
 
@@ -380,53 +347,12 @@ class ProcessPoolBackend:
         except Exception:  # pragma: no cover - broken executor internals
             pass
 
-    # -- entry points ---------------------------------------------------------
+    # -- the run loop ---------------------------------------------------------
 
     def run(
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
-        if self.policy is not None:
-            return self._run_resilient(tasks, context, self.policy)
-        return self._run_fast(tasks, context)
-
-    def _run_fast(
-        self, tasks: Sequence[InjectionTask], context: ExecutionContext
-    ) -> Iterator[Tuple[InjectionTask, InjectionResult]]:
-        """Legacy fail-fast path: any worker error propagates immediately."""
-        pending = list(tasks)
-        with self._spawn(context) as pool:
-            inflight = {}
-            cursor = 0
-            while cursor < len(pending) or inflight:
-                if _shutdown_requested(context):
-                    # Stop dispatching; collect what finishes within the
-                    # drain deadline, abandon the rest (resume re-runs them).
-                    done, _ = wait(
-                        inflight, timeout=context.shutdown.drain_remaining()
-                    )
-                    for future in done:
-                        task = inflight.pop(future)
-                        if future.exception() is None:
-                            yield task, future.result()
-                    self._kill_pool(pool)
-                    return
-                while cursor < len(pending) and len(inflight) < self.max_inflight:
-                    task = pending[cursor]
-                    inflight[pool.submit(_worker_execute, task)] = task
-                    cursor += 1
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = inflight.pop(future)
-                    yield task, future.result()
-
-    # -- the resilient path ----------------------------------------------------
-
-    def _run_resilient(
-        self,
-        tasks: Sequence[InjectionTask],
-        context: ExecutionContext,
-        policy: FaultPolicy,
-    ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
+        policy = self.policy
         context.task_timeout_s = policy.task_timeout_s
         tracker = AttemptTracker(policy)
         queue: Deque[object] = deque(tasks)
@@ -667,7 +593,7 @@ class ProcessPoolBackend:
         return self._spawn(context)
 
 
-def make_backend(jobs: int, policy: Optional[FaultPolicy] = None) -> Backend:
+def make_backend(jobs: int, policy: FaultPolicy = FAIL_FAST) -> Backend:
     """A pool of ``jobs`` worker processes, or in-process serial execution
     for one job (results are identical either way)."""
     if jobs > 1:

@@ -32,7 +32,8 @@ Behaviors (each variable holds comma-separated task keys):
 
 The scenarios that drive these hooks are tier-1 tests:
 ``tests/test_resilience.py`` (worker kill, poison, hang, degradation,
-no-op resume) and ``tests/test_chaos.py`` (torn append, mid-batch kill).
+no-op resume, fail-fast) and ``tests/test_chaos.py`` (torn append,
+mid-run kill).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Dict, Iterable, Optional, Set
 
 from repro.exec.backends import ExecutionContext
 from repro.exec.durability import ENV_TORN_APPEND
-from repro.exec.tasks import BatchedInjectionTask, execute_task
+from repro.exec.tasks import execute_task
 
 ENV_EXIT = "REPRO_CHAOS_EXIT"
 ENV_EXIT_IN_WORKER = "REPRO_CHAOS_EXIT_IN_WORKER"
@@ -117,30 +118,8 @@ def _maybe_sabotage(key: str) -> None:
 
 
 def chaos_runner(task: object, context: ExecutionContext) -> object:
-    """The sabotage-aware task runner (see module docstring).
-
-    A :class:`~repro.exec.tasks.BatchedInjectionTask` is executed member
-    by member, with the sabotage check before *each* member — so a plan
-    keyed on a later member kills (or poisons) the process genuinely
-    mid-batch, after earlier members already produced results that the
-    engine must then discard with the rest of the batch.
-    """
-    if isinstance(task, BatchedInjectionTask):
-        golden = context.golden(task.benchmark)
-        results = []
-        for member in task.members:
-            _maybe_sabotage(member.key)
-            results.append(
-                execute_task(
-                    member,
-                    context.programs[task.benchmark],
-                    golden,
-                    context.config,
-                    snapshots=context.snapshots(task.benchmark),
-                    deadline=context.deadline,
-                )
-            )
-        return results
+    """The sabotage-aware task runner (see module docstring): the normal
+    injection path, after the sabotage check for ``task``'s key."""
     _maybe_sabotage(task.key)
     golden = context.golden(task.benchmark)
     return execute_task(

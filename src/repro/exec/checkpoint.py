@@ -9,12 +9,12 @@ carry the canonical task index, so a campaign rebuilt from a checkpoint is
 re-sorted into task order and is identical to an uninterrupted run; a
 resume skips quarantined tasks instead of re-crashing on them.
 
-Format v2 (this writer): every record additionally carries a ``crc``
+Format v2, the only one read: every record additionally carries a ``crc``
 (CRC32 of its canonical JSON payload) and the manifest an ``identity``
 content hash of the campaign-identity fields, so interior corruption is
 detected at read time with line numbers (``repro checkpoint verify`` /
-``repair`` operate on exactly this). v1 files (no CRCs) are still loaded
-and resumed; their records simply go unchecksummed.
+``repair`` operate on exactly this). A record without a CRC is damage,
+and a manifest without an identity is refused.
 
 Writing, locking, torn-tail handling and the strict load are
 :class:`~repro.exec.durability.SealedLog` and
@@ -47,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Checkpoint format version this writer produces.
 FORMAT_VERSION = 2
 
-#: Versions the loaders accept (v1: pre-CRC files, still resumable).
-SUPPORTED_VERSIONS = (1, 2)
+#: Versions the loaders accept.
+SUPPORTED_VERSIONS = (2,)
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,10 @@ class Manifest:
             raise CheckpointError(
                 f"unsupported checkpoint version {record.get('version')!r}"
             )
-        identity = record.get("identity")
-        if identity is not None and identity != manifest_identity(record):
+        if record.get("identity") != manifest_identity(record):
             raise CheckpointError(
-                "manifest identity hash mismatch (manifest edited or "
-                "corrupted)"
+                "manifest identity hash missing or mismatched (manifest "
+                "edited or corrupted)"
             )
         return cls(
             seed=record["seed"],
@@ -179,8 +178,8 @@ def result_from_dict(data: Dict[str, object]) -> InjectionResult:
         bv_cycle=data["bv_cycle"],
         counter_cycle=data["counter_cycle"],
         eot_detected=data["eot_detected"],
-        # Measurement metadata added after v1 checkpoints shipped; absent
-        # keys (old files) default rather than fail so resume keeps working.
+        # Measurement metadata that early v2 checkpoints may lack; absent
+        # keys default rather than fail so those files keep resuming.
         sim_wall_ns=data.get("sim_wall_ns"),
         warm_start_cycles_skipped=data.get("warm_start_cycles_skipped", 0),
         early_terminated_cycle=data.get("early_terminated_cycle"),

@@ -37,9 +37,9 @@ from repro.exec.durability import (
 
 def _decode_record(record: Dict[str, object]) -> None:
     """Raise when an intact-JSON, intact-CRC record is structurally wrong
-    (the only corruption class v1 files can reveal). Record types are
-    disjoint between the campaign and fuzz families, so one decoder serves
-    both file kinds."""
+    (damage sealed in by a faulty writer or a re-sealed hand edit). Record
+    types are disjoint between the campaign and fuzz families, so one
+    decoder serves both file kinds."""
     from repro.exec.resilience import TaskFailure
 
     kind = record.get("type")

@@ -90,12 +90,6 @@ def seal_record(record: Dict[str, object]) -> Dict[str, object]:
     return sealed
 
 
-def record_crc_ok(record: Dict[str, object]) -> bool:
-    """True when the record has no CRC (format v1) or the CRC matches."""
-    crc = record.get("crc")
-    return crc is None or crc == crc_of(record)
-
-
 # -- streaming scan / strict iteration ----------------------------------------
 
 
@@ -104,7 +98,7 @@ class LineIssue:
     """One damaged checkpoint line."""
 
     lineno: int  # 1-based
-    reason: str  # human-readable, e.g. "unparsable JSON", "CRC mismatch"
+    reason: str  # human-readable, e.g. "unparsable JSON", "CRC missing"
     torn_tail: bool  # damage confined to a partial final line
 
 
@@ -116,7 +110,7 @@ class ScanReport:
     manifest: Optional[Dict[str, object]] = None
     records: int = 0  # intact data records (manifest excluded)
     by_type: Dict[str, int] = field(default_factory=dict)
-    sealed: int = 0  # intact records that carried a (matching) CRC
+    sealed: int = 0  # intact records, manifest included: each is CRC-sealed
     issues: List[LineIssue] = field(default_factory=list)
 
     @property
@@ -159,17 +153,18 @@ def _check_line(
         return None, "unparsable JSON"
     if not isinstance(record, dict):
         return None, "record is not a JSON object"
-    if not record_crc_ok(record):
+    if "crc" not in record:
+        return None, "CRC missing"
+    if record["crc"] != crc_of(record):
         return None, "CRC mismatch"
     kind = record.get("type")
     if not manifest_seen:
         if not isinstance(kind, str) or not kind.endswith("manifest"):
             return None, f"expected a manifest record, got type {kind!r}"
-        identity = record.get("identity")
-        if identity is not None:
-            expected = manifest_identity(record)
-            if identity != expected:
-                return None, "manifest identity hash mismatch"
+        if "identity" not in record:
+            return None, "manifest identity missing"
+        if record["identity"] != manifest_identity(record):
+            return None, "manifest identity hash mismatch"
         return record, None
     if not isinstance(kind, str):
         return None, f"record has no type (got {kind!r})"
@@ -182,8 +177,8 @@ def _check_line(
 
 
 #: Manifest fields that never join the identity hash: the hash itself, the
-#: per-line CRC, the format version (a v1 file repaired into v2 is still
-#: the same campaign), and golden summaries (derived data, re-verified by
+#: per-line CRC, the format version (a format change alone does not make
+#: another campaign), and golden summaries (derived data, re-verified by
 #: the engine against live golden runs on resume).
 _NON_IDENTITY_FIELDS = ("crc", "identity", "version", "type", "goldens")
 
@@ -267,7 +262,8 @@ def scan_checkpoint(
 
     ``decode`` (optional) is handed each intact non-manifest record and
     should raise if the record's *structure* is wrong even though its JSON
-    and CRC are fine — the only corruption class v1 files can reveal.
+    and CRC are fine — damage that was sealed in, by a faulty writer or a
+    hand edit that recomputed the CRC.
     """
     report, _, _ = fold_checkpoint(path, decode, keep_records=False)
     return report
@@ -318,8 +314,7 @@ def fold_checkpoint(
                 failures.pop(key, None)
             elif key not in done:
                 failures[key] = kept
-        if "crc" in record:
-            report.sealed += 1
+        report.sealed += 1
     return report, done, failures
 
 
@@ -335,9 +330,9 @@ def load_sealed_log(
 
     Tolerates (and drops) exactly an unparsable *final* line — the
     signature of a killed writer — and raises :class:`CheckpointError`
-    naming the line of the first interior issue (CRC mismatch, damaged
-    JSON, unexpected record type), or when the file is empty or holds no
-    complete record.
+    naming the line of the first interior issue (CRC missing or stale,
+    damaged JSON, unexpected record type), or when the file is empty or
+    holds no complete record.
     """
     if os.path.getsize(path) == 0:
         raise CheckpointError(f"{path}: empty checkpoint file")

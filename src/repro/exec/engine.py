@@ -8,12 +8,16 @@ finally assembles a :class:`~repro.bugs.campaign.CampaignResult` in task
 order — making the campaign independent of backend, worker count, and
 interruptions.
 
-Fault tolerance: a policy-enabled backend yields a structured
+Fault tolerance: every backend runs under a
+:class:`~repro.exec.resilience.FaultPolicy` and yields a structured
 :class:`~repro.exec.resilience.TaskFailure` for any task it had to
 quarantine (exception / timeout / worker-crash after retries). The engine
 records those as ``failure`` checkpoint records — so a later ``--resume``
 skips them instead of re-crashing — and carries them on
-``CampaignResult.failures``, excluded from the figure aggregations.
+``CampaignResult.failures``, excluded from the figure aggregations. The
+default backend runs under :data:`~repro.exec.resilience.FAIL_FAST`, so a
+library campaign stops at its first failing task with a
+:class:`~repro.exec.resilience.FaultToleranceError`.
 """
 
 from __future__ import annotations
@@ -39,36 +43,31 @@ from repro.exec.checkpoint import (
 from repro.exec.durability import GracefulShutdown
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
-from repro.exec.tasks import (
-    BatchedInjectionTask,
-    generate_tasks,
-    group_into_batches,
-)
+from repro.exec.tasks import generate_tasks
 from repro.isa.program import Program
 
 
 def _verify_manifest(
     manifest, seed, runs_per_model, models, benchmarks, path, config=None
 ):
+    # A default-config campaign writes no design point, so on both sides
+    # an absent one reads as the default geometry.
+    default = CoreConfig().to_dict()
     expected = {
         "seed": seed,
         "runs_per_model": runs_per_model,
         "models": [m.value for m in models],
         "benchmarks": list(benchmarks),
-        "design_point": None if config is None else config.to_dict(),
+        "design_point": default if config is None else config.to_dict(),
     }
     actual = {
         "seed": manifest.seed,
         "runs_per_model": manifest.runs_per_model,
         "models": manifest.models,
         "benchmarks": manifest.benchmarks,
-        "design_point": manifest.design_point,
+        "design_point": manifest.design_point or default,
     }
     for key in expected:
-        if key == "design_point" and actual[key] is None:
-            # Files written before design points existed (or by a
-            # default-config campaign) carry no record; nothing to check.
-            continue
         if expected[key] != actual[key]:
             raise CheckpointError(
                 f"{path}: checkpoint {key}={actual[key]!r} does not match "
@@ -91,7 +90,6 @@ def run_engine(
     checkpoint_fsync: bool = False,
     task_runner: Optional[TaskRunner] = None,
     shutdown: Optional[GracefulShutdown] = None,
-    batch_size: int = 1,
 ) -> CampaignResult:
     """Run a full injection campaign through the task engine.
 
@@ -105,9 +103,12 @@ def run_engine(
         max_attempts: Redraws allowed until an injection activates; must be
             >= 1.
         backend: Execution backend (:class:`SerialBackend` when None).
-            Construct it with a :class:`~repro.exec.resilience.FaultPolicy`
-            for fault-tolerant execution (retry + quarantine, watchdog,
-            pool respawn, serial degradation).
+            Its :class:`~repro.exec.resilience.FaultPolicy` decides how
+            failing tasks are handled (retry + quarantine, watchdog, pool
+            respawn, serial degradation); the default,
+            :data:`~repro.exec.resilience.FAIL_FAST`, raises
+            :class:`~repro.exec.resilience.FaultToleranceError` at the
+            first failing task.
         checkpoint_path: Append each completed result to this JSONL file.
         resume: Load ``checkpoint_path`` first and skip its completed
             tasks *and* its quarantined tasks; the file keeps growing in
@@ -129,11 +130,6 @@ def run_engine(
             once requested (SIGINT/SIGTERM) the backend stops dispatching,
             drains inflight work under the latch's deadline and the engine
             returns a partial — but checkpointed and resumable — campaign.
-        batch_size: Dispatch up to this many pending same-(benchmark,
-            inject-window) tasks per backend round trip
-            (:class:`~repro.exec.tasks.BatchedInjectionTask`); 1 disables
-            batching. Checkpoint records stay per-task, so resume
-            granularity and results are independent of the batch size.
 
     Returns:
         The populated :class:`CampaignResult`, with completed results in
@@ -143,8 +139,6 @@ def run_engine(
     models = list(models)
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     tasks = generate_tasks(
         list(programs), runs_per_model, models, seed, max_attempts,
         config=config,
@@ -230,39 +224,23 @@ def run_engine(
             for task in tasks
             if task.index not in completed and task.index not in failed
         ]
-        work: Sequence = pending
-        if batch_size > 1:
-            work = group_into_batches(
-                pending, goldens, config, snapshot_interval, batch_size
-            )
-        for unit, outcome in backend.run(work, context):
-            if isinstance(unit, BatchedInjectionTask):
-                members = unit.members
-                results = outcome if not isinstance(outcome, TaskFailure) else None
+        for task, outcome in backend.run(pending, context):
+            if isinstance(outcome, TaskFailure):
+                failed[task.index] = TaskFailureRecord(
+                    key=task.key,
+                    index=task.index,
+                    benchmark=task.benchmark,
+                    failure=outcome,
+                )
+                if writer is not None:
+                    writer.write_failure(task, outcome)
             else:
-                members = (unit,)
-                results = None if isinstance(outcome, TaskFailure) else [outcome]
-            if results is None:
-                # A quarantined batch quarantines every member: the batch is
-                # the retry unit, and a per-member record keeps resume and
-                # reporting at task granularity.
-                for member in members:
-                    failed[member.index] = TaskFailureRecord(
-                        key=member.key,
-                        index=member.index,
-                        benchmark=member.benchmark,
-                        failure=outcome,
-                    )
-                    if writer is not None:
-                        writer.write_failure(member, outcome)
-            else:
-                for member, result in zip(members, results):
-                    completed[member.index] = result
-                    if writer is not None:
-                        writer.write_result(member, result)
-            executed += len(members)
-            bench_done[unit.benchmark] += len(members)
-            emit(unit.benchmark)
+                completed[task.index] = outcome
+                if writer is not None:
+                    writer.write_result(task, outcome)
+            executed += 1
+            bench_done[task.benchmark] += 1
+            emit(task.benchmark)
     finally:
         if writer is not None:
             writer.close()

@@ -18,7 +18,9 @@ A task is retried up to ``max_task_retries`` times; after that it is
 *quarantined*: recorded as a :class:`TaskFailure` in the checkpoint (so
 ``--resume`` skips it instead of re-crashing on it) and excluded from
 figure aggregation. ``strict`` turns quarantine and serial fallback into
-hard failures for runs where partial results are unacceptable.
+hard failures for runs where partial results are unacceptable;
+:data:`FAIL_FAST` (no retries, strict) is the policy a backend runs under
+when none is given.
 
 This module deliberately imports nothing from the rest of the package so
 every layer (core, bugs, exec, fuzz) can depend on it without cycles.
@@ -172,6 +174,13 @@ class FaultPolicy:
             jitter=self.backoff_jitter,
             rng=rng,
         )
+
+
+#: The library default: no retries, and the first failing task raises
+#: :class:`FaultToleranceError` naming the task, the failure kind and the
+#: original ``Type: message``. The CLIs build their own policy from the
+#: fault-tolerance flags.
+FAIL_FAST = FaultPolicy(max_task_retries=0, strict=True)
 
 
 @dataclass(frozen=True)

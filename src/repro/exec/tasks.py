@@ -12,16 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-    Union,
-)
+from typing import Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.bugs.models import BugModel, PRIMARY_MODELS
 
@@ -163,125 +154,3 @@ def execute_task(
             break
     assert result is not None  # max_attempts >= 1 is enforced at generation
     return result
-
-
-@dataclass(frozen=True)
-class BatchedInjectionTask:
-    """A group of same-benchmark tasks executed back-to-back in one dispatch.
-
-    Batching amortizes the per-task execution overhead — pool dispatch,
-    future bookkeeping, checkpoint round-trips of the parent loop — across
-    every member while leaving the members' *results* untouched: a batch is
-    executed by running each member exactly as :func:`execute_task` would,
-    against the same shared provider, so campaign outputs are bit-identical
-    for any batch size (including 1, i.e. batching off).
-
-    Members share a (benchmark, inject-window) group key — their first-draw
-    inject cycles land in the same snapshot-interval window — so the warm
-    restores of a batch walk the same region of the golden timeline and the
-    provider's snapshots/delta stay hot in cache between members.
-
-    The batch is the unit of dispatch, retry and quarantine; the engine
-    fans results (or a failure) back out to the per-member checkpoint
-    records, so resume works at task granularity and a re-run never
-    re-executes completed members.
-    """
-
-    members: Tuple[InjectionTask, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("a batch needs at least one member task")
-        benchmarks = {t.benchmark for t in self.members}
-        if len(benchmarks) != 1:
-            raise ValueError(
-                f"batch members must share one benchmark, got {benchmarks}"
-            )
-
-    @property
-    def index(self) -> int:
-        """Dispatch-ordering position: the first member's campaign index."""
-        return self.members[0].index
-
-    @property
-    def benchmark(self) -> str:
-        return self.members[0].benchmark
-
-    @property
-    def key(self) -> str:
-        """Stable identity for retry/quarantine tracking (checkpoint records
-        stay per-member, so this key never lands in artifacts)."""
-        return f"batch/{self.members[0].key}*{len(self.members)}"
-
-
-def execute_batch(
-    batch: BatchedInjectionTask,
-    program: "Program",
-    golden: "RunResult",
-    config: Optional["CoreConfig"] = None,
-    snapshots: Optional["SnapshotProvider"] = None,
-    deadline: Optional[float] = None,
-) -> List["InjectionResult"]:
-    """Execute every member of a batch, in member order.
-
-    One result per member, each bit-identical to an unbatched
-    :func:`execute_task` of that member. ``deadline`` covers the whole
-    batch (the execution layer scales the per-task budget by the member
-    count before computing it).
-    """
-    return [
-        execute_task(
-            task, program, golden, config,
-            snapshots=snapshots, deadline=deadline,
-        )
-        for task in batch.members
-    ]
-
-
-def group_into_batches(
-    tasks: Sequence[InjectionTask],
-    goldens: "Dict[str, RunResult]",
-    config: Optional["CoreConfig"],
-    snapshot_interval: int,
-    batch_size: int,
-) -> List[Union[InjectionTask, BatchedInjectionTask]]:
-    """Group pending tasks into dispatch batches by (benchmark, window).
-
-    The group key is the snapshot-interval window of each task's *first*
-    spec draw (replayed here from the task's derived seed — cheap, and the
-    worker redraws identically), so one warm restore region serves a whole
-    batch. Groups are chunked to at most ``batch_size`` members, singleton
-    chunks stay plain :class:`InjectionTask`, and the batch list is ordered
-    by first-member campaign index. Purely a dispatch-shape transform:
-    the member set, member order inside a group, and every result are
-    independent of ``batch_size``.
-    """
-    import random
-
-    from repro.bugs.injector import draw_spec
-    from repro.core.config import CoreConfig
-
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if batch_size == 1:
-        return list(tasks)
-    cfg = config or CoreConfig()
-    window = snapshot_interval if snapshot_interval > 0 else 0
-    groups: "Dict[tuple, List[InjectionTask]]" = {}
-    for task in tasks:
-        golden_cycles = goldens[task.benchmark].cycles
-        spec = draw_spec(
-            task.model, random.Random(task.derived_seed), golden_cycles, cfg
-        )
-        bucket = spec.inject_cycle // window if window else 0
-        groups.setdefault((task.benchmark, bucket), []).append(task)
-    out: List[Union[InjectionTask, BatchedInjectionTask]] = []
-    for members in groups.values():
-        for start in range(0, len(members), batch_size):
-            chunk = members[start:start + batch_size]
-            if len(chunk) == 1:
-                out.append(chunk[0])
-            else:
-                out.append(BatchedInjectionTask(members=tuple(chunk)))
-    out.sort(key=lambda unit: unit.index)
-    return out

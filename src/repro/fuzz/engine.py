@@ -70,8 +70,8 @@ FUZZ_SEED_NAMESPACE = "idld-fuzz-v1"
 #: records + manifest identity hash, same scheme as campaign checkpoints).
 FUZZ_CHECKPOINT_VERSION = 2
 
-#: Versions the loader accepts (v1: pre-CRC files, still resumable).
-FUZZ_SUPPORTED_VERSIONS = (1, 2)
+#: Versions the loader accepts.
+FUZZ_SUPPORTED_VERSIONS = (2,)
 
 
 def derive_fuzz_seed(master_seed: int, index: int) -> int:
@@ -544,13 +544,15 @@ def run_fuzz(
     Returns:
         The :class:`FuzzSummary` (coverage map, corpus, findings).
 
-    Fault tolerance: with a policy-enabled backend, an evaluation the
-    execution layer gives up on (exception / timeout / worker crash after
-    retries) lands in ``FuzzSummary.task_failures`` instead of aborting
-    the campaign, is checkpointed as an ``eval-failure`` record (so a
-    resume skips it), and contributes nothing to coverage/corpus — the
-    downstream schedule evolves exactly as if the run had produced no
-    novelty, which keeps resume and fresh runs consistent with each other.
+    Fault tolerance: under a quarantining policy (the fuzz CLI's default),
+    an evaluation the execution layer gives up on (exception / timeout /
+    worker crash after retries) lands in ``FuzzSummary.task_failures``
+    instead of aborting the campaign, is checkpointed as an
+    ``eval-failure`` record (so a resume skips it), and contributes nothing
+    to coverage/corpus — the downstream schedule evolves exactly as if the
+    run had produced no novelty, which keeps resume and fresh runs
+    consistent with each other. The default backend runs under
+    :data:`~repro.exec.resilience.FAIL_FAST` and raises instead.
     """
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench import append_entry
 from repro.cli import (
-    add_batch_size_arg,
     add_fault_args,
     add_jobs_arg,
     add_seed_arg,
@@ -95,7 +94,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     add_seed_arg(parser)
     add_jobs_arg(parser)
     add_snapshot_interval_arg(parser)
-    add_batch_size_arg(parser)
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -275,7 +273,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
             resume=resume,
             snapshot_interval=args.snapshot_interval,
             checkpoint_fsync=args.checkpoint_fsync,
-            batch_size=args.batch_size,
         )
         if code:
             return code

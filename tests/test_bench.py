@@ -1,8 +1,7 @@
 """Tests for the throughput harness (repro.bench) and the stage profiler.
 
-* ``BENCH_core.json`` schema 2 still reads schema-1 trajectories: their
-  differential columns take the schema-2 names and the warm-only columns
-  survive under ``schema1_warm``.
+* ``BENCH_core.json`` is read in schema 2 only; any other schema is
+  refused.
 * A profiled core runs the very same ``step()`` as an unprofiled one, so
   its results are identical and only the attribution differs.
 """
@@ -11,7 +10,7 @@ import json
 
 import pytest
 
-from repro.bench import append_entry, main, read_trajectory, upgrade_entry
+from repro.bench import append_entry, main, read_trajectory
 from repro.bugs.snapshot import make_detectors
 from repro.core.cpu import (
     OoOCore,
@@ -20,99 +19,15 @@ from repro.core.cpu import (
 )
 from repro.workloads import WORKLOADS
 
-_V1_COLUMNS = {
-    "golden_cycles": 575,
-    "injections": 24,
-    "cold_wall_s": 1.2,
-    "cold_inj_per_s": 20.0,
-    "provider_wall_s": 0.1,
-    "provider_snapshots": 20,
-    "warm_wall_s": 0.8,
-    "warm_inj_per_s": 30.0,
-    "speedup": 1.5,
-    "warm_cycles_skipped": 9000,
-    "diff_provider_wall_s": 0.11,
-    "diff_wall_s": 0.6,
-    "diff_inj_per_s": 40.0,
-    "diff_speedup": 2.0,
-    "diff_early_terminated": 7,
-}
-
-V1_ENTRY = {
-    "timestamp": "2026-08-08T18:51:14Z",
-    "differential": True,
-    "benchmarks": {"sha": dict(_V1_COLUMNS)},
-    "aggregate": {
-        "injections": 24,
-        "cold_wall_s": 1.2,
-        "cold_inj_per_s": 20.0,
-        "warm_wall_s": 0.8,
-        "warm_inj_per_s": 30.0,
-        "speedup": 1.5,
-        "diff_wall_s": 0.6,
-        "diff_inj_per_s": 40.0,
-        "diff_speedup": 2.0,
-    },
-}
-
-SWEEP_ENTRY = {
-    "timestamp": "2026-08-09T10:00:00Z",
-    "kind": "sweep-cell",
-    "benchmarks": ["crc32"],
-    "cell": {"width": 4, "wall_s": 1.0},
-}
-
-
-def test_schema1_entry_reads_in_schema2_shape():
-    entry = upgrade_entry(V1_ENTRY)
-    sha = entry["benchmarks"]["sha"]
-    assert sha == {
-        "golden_cycles": 575,
-        "injections": 24,
-        "cold_wall_s": 1.2,
-        "cold_inj_per_s": 20.0,
-        "provider_wall_s": 0.11,
-        "wall_s": 0.6,
-        "inj_per_s": 40.0,
-        "speedup": 2.0,
-        "early_terminated": 7,
-        "schema1_warm": {
-            "warm_wall_s": 0.8,
-            "warm_inj_per_s": 30.0,
-            "speedup": 1.5,
-            "warm_cycles_skipped": 9000,
-            "provider_wall_s": 0.1,
-            "provider_snapshots": 20,
-        },
-    }
-    assert entry["aggregate"]["inj_per_s"] == 40.0
-    assert entry["aggregate"]["schema1_warm"]["speedup"] == 1.5
-    assert "differential" not in entry
-    assert entry["migrated_from_schema"] == 1
-
-
-def test_append_rewrites_schema1_file_as_schema2(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(
-        json.dumps({"schema": 1, "entries": [V1_ENTRY, SWEEP_ENTRY]})
-    )
-    assert read_trajectory(str(path))[0] == upgrade_entry(V1_ENTRY)
-    append_entry(str(path), {"timestamp": "now"})
-    data = json.loads(path.read_text())
-    assert data["schema"] == 2
-    assert data["entries"] == [
-        upgrade_entry(V1_ENTRY),
-        dict(SWEEP_ENTRY, migrated_from_schema=1),
-        {"timestamp": "now"},
-    ]
-    assert read_trajectory(str(path)) == data["entries"]
-
 
 def test_unknown_schema_is_refused(tmp_path):
     path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"schema": 99, "entries": []}))
-    with pytest.raises(ValueError, match="unsupported schema 99"):
-        append_entry(str(path), {"timestamp": "now"})
+    for schema in (1, 99):
+        path.write_text(json.dumps({"schema": schema, "entries": []}))
+        with pytest.raises(ValueError, match=f"unsupported schema {schema}"):
+            append_entry(str(path), {"timestamp": "now"})
+        with pytest.raises(ValueError, match=f"unsupported schema {schema}"):
+            read_trajectory(str(path))
 
 
 def test_bench_smoke_appends_schema2_entry(tmp_path):

@@ -7,8 +7,9 @@ exports byte-identically to a clean serial (``--jobs 1``) run.
 - **Torn append:** ``repro campaign`` dies halfway through writing a
   checkpoint record; verify flags it, repair salvages the rest, the dead
   writer's lock is taken over, and the resume completes the campaign.
-- **Mid-batch kill:** a batched, snapshot-driven campaign process dies
-  inside a batch; the resume records every task exactly once.
+- **Mid-run kill:** a serial, snapshot-driven campaign process dies in
+  the middle of its task list; the resume records every task exactly
+  once.
 
 Pool worker kills, hangs and no-op resumes live in
 ``tests/test_resilience.py``.
@@ -26,7 +27,7 @@ import pytest
 
 from repro.analysis.export import campaign_from_checkpoint, to_csv, to_json
 from repro.bugs.models import PRIMARY_MODELS
-from repro.exec.backends import ExecutionContext, SerialBackend
+from repro.exec.backends import SerialBackend
 from repro.exec.chaos import (
     ALL_ENV_VARS,
     ENV_EXIT,
@@ -42,11 +43,7 @@ from repro.exec.durability import (
     scan_checkpoint,
 )
 from repro.exec.engine import run_engine
-from repro.exec.tasks import (
-    BatchedInjectionTask,
-    generate_tasks,
-    group_into_batches,
-)
+from repro.exec.tasks import generate_tasks
 from repro.workloads import WORKLOADS
 
 BENCHMARK = "bitcount"
@@ -54,9 +51,8 @@ SCALE = 0.25
 RUNS = 6  # 6 runs x 3 models x 1 benchmark = 18 tasks
 SEED = 1
 SNAPSHOT_INTERVAL = 100
-BATCH_SIZE = 4
 
-#: The repository root: the mid-batch child imports this module from it.
+#: The repository root: the mid-run child imports this module from it.
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -162,12 +158,12 @@ def test_torn_append_is_flagged_repaired_and_resumed(
     _assert_matches_reference(repaired, reference)
 
 
-# -- mid-batch kill ------------------------------------------------------------
+# -- mid-run kill --------------------------------------------------------------
 
 
-def batched_campaign(path: str) -> None:
-    """The mid-batch child: a serial, batched, snapshot-driven campaign on
-    ``path`` (resumed when it exists) that obeys the inherited chaos plan."""
+def snapshot_campaign(path: str) -> None:
+    """The mid-run child: a serial, snapshot-driven campaign on ``path``
+    (resumed when it exists) that obeys the inherited chaos plan."""
     run_engine(
         _programs(),
         RUNS,
@@ -176,17 +172,16 @@ def batched_campaign(path: str) -> None:
         checkpoint_path=path,
         resume=os.path.exists(path),
         snapshot_interval=SNAPSHOT_INTERVAL,
-        batch_size=BATCH_SIZE,
         task_runner=chaos_runner,
     )
 
 
-def _run_batched_child(path, env):
+def _run_child(path, env):
     return subprocess.run(
         [
             sys.executable, "-c",
-            "import sys; from tests.test_chaos import batched_campaign; "
-            "batched_campaign(sys.argv[1])",
+            "import sys; from tests.test_chaos import snapshot_campaign; "
+            "snapshot_campaign(sys.argv[1])",
             path,
         ],
         cwd=ROOT,
@@ -206,37 +201,22 @@ def _result_keys(path):
         ]
 
 
-def test_mid_batch_kill_resumes_every_task_exactly_once(
+def test_mid_run_kill_resumes_every_task_exactly_once(
     programs, tasks, reference, clean_env, tmp_path
 ):
-    """The child dies on the second member of a multi-member batch that is
-    not the first dispatched, so earlier batches are checkpointed and the
-    killed batch's first member has simulated but not been written. The
+    """The child dies as it starts a task in the middle of the list, so
+    the tasks before it are checkpointed and the rest never ran. The
     resume must lose and repeat nothing."""
-    context = ExecutionContext(programs=programs, config=None)
-    goldens = {name: context.golden(name) for name in programs}
-    batches = group_into_batches(
-        tasks, goldens, None, SNAPSHOT_INTERVAL, BATCH_SIZE
-    )
-    target = next(
-        unit
-        for unit in batches[1:]
-        if isinstance(unit, BatchedInjectionTask) and len(unit.members) >= 2
-    )
-    path = str(tmp_path / "midbatch.jsonl")
+    target = tasks[len(tasks) // 2]
+    path = str(tmp_path / "midrun.jsonl")
 
-    killed = _run_batched_child(
-        path, dict(clean_env, **{ENV_EXIT: target.members[1].key})
-    )
+    killed = _run_child(path, dict(clean_env, **{ENV_EXIT: target.key}))
     assert killed.returncode == EXIT_STATUS, killed.stderr
     before = _result_keys(path)
-    assert 0 < len(before) < len(tasks)
-    assert not {member.key for member in target.members} & set(before), (
-        "no member of the killed batch may reach the checkpoint"
-    )
+    assert before == [task.key for task in tasks[: target.index]]
+    assert target.key not in before, "the killed task may not be recorded"
 
-    resumed = _run_batched_child(path, clean_env)
+    resumed = _run_child(path, clean_env)
     assert resumed.returncode == 0, resumed.stderr
     assert Counter(_result_keys(path)) == Counter(task.key for task in tasks)
     _assert_matches_reference(path, reference)
-

@@ -73,7 +73,6 @@ def test_from_checkpoint_missing_file_clean_error(capsys):
     "flag, value",
     [
         ("--jobs", "0"),
-        ("--batch-size", "0"),
         ("--snapshot-interval", "-1"),
         ("--runs", "-1"),
         ("--export-csv", "missing/out.csv"),
@@ -90,6 +89,18 @@ def test_invalid_jobs_rejected(flag, value, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(flag) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
+def test_batch_size_is_an_unrecognized_argument(command, capsys):
+    """Every backend dispatches one injection at a time, so there is no
+    dispatch batch to size."""
+    from repro.cli import repro_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        repro_main([command, "--batch-size", "8"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --batch-size 8" in capsys.readouterr().err
 
 
 def test_parallel_campaign_with_checkpoint(tmp_path, capsys):
@@ -135,7 +146,7 @@ def test_run_flag_defaults_are_pinned():
     assert vars(campaign_args([])) == dict(
         FAULT_DEFAULTS,
         runs=20, scale=1.0, benchmarks="all", seed=1, jobs=1,
-        snapshot_interval=250, batch_size=8, figures="3,4,5,8,9,10,table2",
+        snapshot_interval=250, figures="3,4,5,8,9,10,table2",
         checkpoint=None, resume=None, from_checkpoint=None, progress=None,
         export_csv=None, export_json=None,
     )
@@ -144,7 +155,7 @@ def test_run_flag_defaults_are_pinned():
         widths="1,2,4,8", disciplines="fifo,stack",
         recoveries="checkpoint,rob-walk,checkpoint-free",
         runs=4, scale=1.0, benchmarks="crc32,qsort", seed=1, jobs=1,
-        snapshot_interval=250, batch_size=8, checkpoint_dir=None,
+        snapshot_interval=250, checkpoint_dir=None,
         resume=False, bench_output="BENCH_core.json", no_bench=False,
     )
     assert vars(fuzz_args([])) == dict(
@@ -190,7 +201,6 @@ RUN_FLAG_BOUNDS = [
     ("campaign", "--runs", "-1", "0"),
     ("campaign", "--jobs", "0", "1"),
     ("campaign", "--snapshot-interval", "-1", "0"),
-    ("campaign", "--batch-size", "0", "1"),
     ("campaign", "--max-task-retries", "-1", "0"),
     ("campaign", "--task-timeout", "0", "0.5"),
     ("campaign", "--export-csv", "missing/out.csv", "out.csv"),
@@ -198,7 +208,6 @@ RUN_FLAG_BOUNDS = [
     ("sweep", "--runs", "-1", "0"),
     ("sweep", "--jobs", "0", "1"),
     ("sweep", "--snapshot-interval", "-1", "0"),
-    ("sweep", "--batch-size", "0", "1"),
     ("sweep", "--max-task-retries", "-1", "0"),
     ("sweep", "--task-timeout", "0", "0.5"),
     ("sweep", "--bench-output", "missing/bench.json", "bench.json"),
@@ -242,7 +251,6 @@ REFUSED_RUN_FLAGS = [
     ("campaign", ["--max-task-retries", "-1"]),
     ("campaign", ["--task-timeout", "0"]),
     ("sweep", ["--jobs", "0"]),
-    ("sweep", ["--batch-size", "0"]),
     ("sweep", ["--max-task-retries", "-1"]),
     ("sweep", ["--task-timeout", "0"]),
     ("fuzz", ["--jobs", "0"]),

@@ -9,8 +9,8 @@ spec. These tests pin that at three levels:
 * the full 24-cell design-point sweep (rename width x free-list
   discipline x recovery strategy) on one benchmark, asserting outcome
   classification, detector verdicts and latency stats cell by cell,
-* whole engine campaigns: batched ``--jobs N`` snapshot-driven execution
-  stays bit-identical to a cold ``--jobs 1`` serial campaign.
+* whole engine campaigns: snapshot-driven execution, serial and on a
+  worker pool, stays bit-identical to a cold ``--jobs 1`` campaign.
 
 ``InjectionResult`` equality covers every simulation-outcome field —
 outcome class, activation/manifestation/final cycles, persistence, the
@@ -145,39 +145,28 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
         assert diff == full, cell  # belt and braces: every compared field
 
 
-# -- engine level: batching and worker count ----------------------------------
+# -- engine level: backend and worker count -----------------------------------
 
 
-def test_engine_batched_jobs_identical_to_serial(programs):
-    """Snapshot-driven + batched + pooled campaigns == cold campaigns."""
+def test_engine_snapshot_jobs_identical_to_cold(programs):
+    """Snapshot-driven serial and pooled campaigns == cold campaigns."""
     subset = {name: programs[name] for name in ("bitcount", "crc32")}
     base = run_engine(subset, 2, seed=9)
 
-    serial_diff = run_engine(
+    serial = run_engine(
         subset,
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        batch_size=1,
-    )
-    assert serial_diff.results == base.results
-
-    batched_serial = run_engine(
-        subset,
-        2,
-        seed=9,
-        snapshot_interval=INTERVAL,
-        batch_size=4,
         backend=SerialBackend(),
     )
-    assert batched_serial.results == base.results
+    assert serial.results == base.results
 
-    batched_pooled = run_engine(
+    pooled = run_engine(
         subset,
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        batch_size=4,
         backend=ProcessPoolBackend(jobs=2),
     )
-    assert batched_pooled.results == base.results
+    assert pooled.results == base.results

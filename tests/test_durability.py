@@ -3,9 +3,10 @@ single-writer locking and graceful shutdown.
 
 The checker mindset applied to our own persistence layer: every scenario
 damages (or contends for) a real checkpoint produced by a real small
-campaign and asserts the durability contract — corruption is reported with
-line numbers, repair + resume reproduces the uninterrupted run bit for
-bit, v1 files keep resuming, and a second writer never interleaves. The
+campaign and asserts the durability contract — corruption (an unsealed
+record included) is reported with line numbers, repair + resume
+reproduces the uninterrupted run bit for bit, and a second writer never
+interleaves. The
 contract of the sealed log itself is checked on a campaign checkpoint and
 on a fuzz checkpoint alike, since both engines write through it.
 """
@@ -178,59 +179,6 @@ def test_scan_is_clean_on_an_untouched_checkpoint(checkpointed):
     assert report.sealed == report.records + 1  # + the manifest
 
 
-# -- v1 backward compatibility -------------------------------------------------
-
-
-def _downgrade_to_v1(path: str) -> None:
-    """Rewrite a v2 checkpoint as the v1 format: no CRCs, no identity."""
-    lines = []
-    for line in _lines(path):
-        record = json.loads(line)
-        record.pop("crc", None)
-        record.pop("identity", None)
-        if record.get("type").endswith("manifest"):
-            record["version"] = 1
-        lines.append(json.dumps(record, sort_keys=True))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def test_v1_checkpoint_still_loads(sealed, tmp_path):
-    v1 = _copy(sealed.path, tmp_path / "v1.jsonl")
-    _downgrade_to_v1(v1)
-    manifest, done, failures = sealed.load(v1)
-    assert len(done) == sealed.records and not failures
-    report = scan_checkpoint(v1)
-    assert report.clean and report.sealed == 0
-
-
-def test_v1_checkpoint_resumes_under_the_v2_writer(
-    checkpointed, tiny_suite, tiny_tasks, tmp_path
-):
-    path, campaign = checkpointed
-    v1 = _copy(path, tmp_path / "v1partial.jsonl")
-    _downgrade_to_v1(v1)
-    head = _lines(v1)[:3]  # keep manifest + first 2 records only
-    with open(v1, "w") as handle:
-        handle.write("\n".join(head) + "\n")
-    resumed = run_engine(
-        tiny_suite,
-        RUNS,
-        seed=SEED,
-        backend=SerialBackend(),
-        checkpoint_path=v1,
-        resume=True,
-    )
-    assert [_comparable(r) for r in resumed.results] == [
-        _comparable(r) for r in campaign.results
-    ]
-    # The grown file mixes unsealed v1 lines with sealed v2 appends and
-    # must still load and scan clean.
-    _, done, _ = load_checkpoint_full(v1)
-    assert len(done) == len(tiny_tasks)
-    assert scan_checkpoint(v1).clean
-
-
 # -- corruption detection ------------------------------------------------------
 
 
@@ -240,6 +188,15 @@ def _stale_crc(line: str, other: str) -> tuple:
     return json.dumps(record, sort_keys=True), "CRC mismatch"
 
 
+def _unsealed(line: str, other: str) -> tuple:
+    """A record without its CRC, edited: what a pre-CRC writer or a hand
+    edit leaves behind."""
+    record = json.loads(line)
+    del record["crc"]
+    record["index"] += 1000
+    return json.dumps(record, sort_keys=True), "CRC missing"
+
+
 def _other_family(line: str, other: str) -> tuple:
     """A CRC-valid record of the other engine, which this one can't decode."""
     foreign = _lines(other)[1]
@@ -247,7 +204,9 @@ def _other_family(line: str, other: str) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "damage", [_stale_crc, _other_family], ids=["stale-crc", "other-family"]
+    "damage",
+    [_stale_crc, _unsealed, _other_family],
+    ids=["stale-crc", "unsealed", "other-family"],
 )
 def test_interior_corruption_raises_with_line_number(sealed, damage, tmp_path):
     bad = _copy(sealed.path, tmp_path / "bad.jsonl")

@@ -153,6 +153,44 @@ def test_strict_mode_raises_instead_of_quarantining(
         )
 
 
+# -- a backend built without a policy fails fast ------------------------------
+
+
+@pytest.mark.parametrize(
+    "backend", [SerialBackend, lambda: ProcessPoolBackend(2)],
+    ids=["serial", "pool"],
+)
+def test_fail_fast_raises_naming_task_and_error(
+    backend, tiny_suite, tiny_tasks, monkeypatch
+):
+    """FAIL_FAST: no retry, and the first failing task stops the run with
+    its key, its failure kind and the original ``Type: message``."""
+    poison_key = tiny_tasks[3].key
+    _set_env(monkeypatch, raise_keys=[poison_key])
+    with pytest.raises(FaultToleranceError) as excinfo:
+        run_engine(
+            tiny_suite, RUNS, seed=SEED, backend=backend(),
+            task_runner=chaos_runner,
+        )
+    message = str(excinfo.value)
+    assert f"task {poison_key} failed after 1 attempt(s)" in message
+    assert "[exception]: ChaosError: chaos: deterministic failure" in message
+
+
+def test_fail_fast_pool_names_a_worker_crash(
+    tiny_suite, tiny_tasks, monkeypatch
+):
+    kill_key = tiny_tasks[1].key
+    _set_env(monkeypatch, exit_keys=[kill_key])
+    with pytest.raises(FaultToleranceError) as excinfo:
+        run_engine(
+            tiny_suite, RUNS, seed=SEED, backend=ProcessPoolBackend(2),
+            task_runner=chaos_runner,
+        )
+    assert f"task {kill_key} failed" in str(excinfo.value)
+    assert "[worker-crash]" in str(excinfo.value)
+
+
 # -- a hung task is killed by the parent watchdog -----------------------------
 
 
@@ -352,12 +390,10 @@ def test_fuzz_quarantine_and_resume(monkeypatch, tmp_path):
 # -- satellites ---------------------------------------------------------------
 
 
-def test_max_inflight_validation():
-    with pytest.raises(ValueError):
-        ProcessPoolBackend(2, max_inflight=0)
+def test_pool_jobs_validation():
     with pytest.raises(ValueError):
         ProcessPoolBackend(0)
-    ProcessPoolBackend(2, max_inflight=1)  # the minimum is fine
+    ProcessPoolBackend(1)  # the minimum is fine
 
 
 def test_fault_policy_validation():

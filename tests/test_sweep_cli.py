@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.core.config import paper_rrs_config
+from repro.core.config import CoreConfig, paper_rrs_config
 from repro.exec.checkpoint import CheckpointError, manifest_for, Manifest
 from repro.exec.cli import checkpoint_main
 from repro.exec.durability import manifest_identity
@@ -97,6 +97,32 @@ class TestSweepCli:
         err = capsys.readouterr().err
         assert "--snapshot-interval must be >= 0, got -1" in err
 
+    def test_resume_refuses_a_default_config_checkpoint(
+        self, tmp_path, capsys
+    ):
+        """A ``repro campaign`` checkpoint carries no design point; planted
+        as a width-1 cell's file, it must not resume into that cell."""
+        from repro.cli import main as campaign_main
+
+        cells = tmp_path / "cells"
+        cells.mkdir()
+        planted = cell_checkpoint_path(str(cells), 1, "fifo", "checkpoint")
+        assert campaign_main([
+            "--runs", "1", "--scale", "0.25", "--benchmarks", "crc32",
+            "--checkpoint", planted, "--figures", "3", "--no-progress",
+        ]) == 0
+        capsys.readouterr()
+        code = sweep_main([
+            "--widths", "1", "--disciplines", "fifo",
+            "--recoveries", "checkpoint", "--runs", "1", "--scale", "0.25",
+            "--benchmarks", "crc32", "--checkpoint-dir", str(cells),
+            "--resume", "--no-bench",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        named = [line for line in err.splitlines() if "design_point" in line]
+        assert len(named) == 1, err
+
     def test_cell_checkpoint_path_naming(self):
         assert cell_checkpoint_path("d", 4, "stack", "rob-walk") == (
             os.path.join("d", "sweep-w4-stack-rob-walk.jsonl")
@@ -178,6 +204,22 @@ class TestDesignPointRefusals:
         )
         resumed = run_engine(
             programs, runs_per_model=1, seed=9, config=config,
+            checkpoint_path=path, resume=True,
+        )
+        assert resumed.results == first.results
+
+    def test_resume_reads_absent_design_point_as_default(
+        self, tmp_path, programs
+    ):
+        """A file stamped with the default geometry resumes under a
+        ``config=None`` run: both mean ``CoreConfig()``."""
+        path = str(tmp_path / "cell.jsonl")
+        first = run_engine(
+            programs, runs_per_model=1, seed=9, config=CoreConfig(),
+            checkpoint_path=path,
+        )
+        resumed = run_engine(
+            programs, runs_per_model=1, seed=9,
             checkpoint_path=path, resume=True,
         )
         assert resumed.results == first.results
