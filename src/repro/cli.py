@@ -164,13 +164,6 @@ def add_fault_args(parser: argparse.ArgumentParser) -> None:
         "recording it and continuing",
     )
     group.add_argument(
-        "--no-fallback-serial",
-        action="store_false",
-        dest="fallback_serial",
-        help="fail hard when the worker pool keeps breaking instead of "
-        "degrading to in-process serial execution",
-    )
-    group.add_argument(
         "--checkpoint-fsync",
         action="store_true",
         dest="checkpoint_fsync",
@@ -190,7 +183,6 @@ def policy_from_args(args: argparse.Namespace):
         task_timeout_s=args.task_timeout,
         max_task_retries=args.max_task_retries,
         strict=args.strict,
-        fallback_serial=args.fallback_serial,
     )
 
 

@@ -10,11 +10,12 @@ to an append-only JSONL file, and emits progress events.
 
 Fault tolerance lives in :mod:`repro.exec.resilience`: every backend runs
 its tasks under a :class:`~repro.exec.resilience.FaultPolicy` — wall-clock
-deadlines, bounded retries, structured quarantine
-(:class:`~repro.exec.resilience.TaskFailure`), worker-crash recovery with
-pool respawn, and graceful degradation to serial execution. A backend
-built without one uses :data:`~repro.exec.resilience.FAIL_FAST`, which
-raises at the first failing task.
+deadlines, bounded retries and structured quarantine
+(:class:`~repro.exec.resilience.TaskFailure`). A pool worker holds one
+task at a time, so a worker that dies costs exactly one attempt of its own
+task, and only that worker is replaced. A backend built without a policy
+uses :data:`~repro.exec.resilience.FAIL_FAST`, which raises at the first
+failing task.
 
 Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
 (:class:`~repro.exec.durability.SealedLog`: CRC-sealed records, format v2,

@@ -6,39 +6,33 @@ backend, in completion order for the process pool. Because every task
 carries its own derived seed, the pair stream is order-independent: the
 engine re-sorts by task index, so all backends produce identical campaigns.
 
-``ProcessPoolBackend`` ships the program table and core config to each
-worker once (at pool start), and each worker lazily computes and caches the
-golden run per benchmark, so a campaign of N injections over B benchmarks
-costs at most B golden runs per worker regardless of N.
+``ProcessPoolBackend`` runs ``jobs`` worker processes. Each owns one pipe
+to the parent and holds at most one task at a time. A worker receives the
+program table and core config once, when it starts, and lazily computes
+and caches the golden run per benchmark, so a campaign of N injections
+over B benchmarks costs at most B golden runs per worker regardless of N.
 
 Fault tolerance: each backend has one run loop, always under a
 :class:`~repro.exec.resilience.FaultPolicy`. A task that raises, exceeds
-its wall-clock budget, or kills its worker process is retried (fresh pool
-slot each attempt) and finally *quarantined*: yielded as a
-:class:`~repro.exec.resilience.TaskFailure` in place of a result, or, in
-``strict`` mode, raised as a
-:class:`~repro.exec.resilience.FaultToleranceError`. The pool backend
-additionally recovers from ``BrokenProcessPool``/lost futures by respawning
-the pool with exponential backoff, re-running the tasks that were in flight
-**one at a time** (so the next crash identifies the poison task exactly),
-and — after repeated pool breakage with no progress — degrading to
-in-process serial execution for the remaining tasks. A backend built
-without a policy runs under :data:`~repro.exec.resilience.FAIL_FAST`: no
-retries, and the first failing task raises.
+its wall-clock budget, or kills its worker process is retried and finally
+*quarantined*: yielded as a :class:`~repro.exec.resilience.TaskFailure` in
+place of a result, or, in ``strict`` mode, raised as a
+:class:`~repro.exec.resilience.FaultToleranceError`. Since a pool worker
+holds one task, a worker that dies, or that the watchdog kills, costs
+exactly one attempt of the task it held; only that worker is replaced and
+no other task is touched. A backend built without a policy runs under
+:data:`~repro.exec.resilience.FAIL_FAST`: no retries, and the first
+failing task raises.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection, wait
 from typing import (
     Callable,
     Deque,
@@ -46,6 +40,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     TYPE_CHECKING,
@@ -80,11 +75,6 @@ TaskRunner = Callable[[object, "ExecutionContext"], object]
 #: What a backend yields per task: the result, or the structured account
 #: of why the task was given up on.
 TaskOutcome = Union[InjectionResult, TaskFailure]
-
-try:  # pragma: no cover - 3.8+ always has Protocol
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
 
 
 @dataclass
@@ -195,39 +185,17 @@ class Backend(Protocol):
         ...  # pragma: no cover
 
 
-def run_task_with_retries(
-    task: object,
-    context: ExecutionContext,
-    policy: FaultPolicy,
-    tracker: AttemptTracker,
-) -> TaskOutcome:
-    """In-process policy enforcement: retry, then quarantine (or raise).
-
-    Shared by :class:`SerialBackend` and the pool backend's degraded mode.
-    Honors attempts already charged against the task (e.g. worker-crash
-    attempts from before a degradation), so an exhausted task is
-    quarantined without being re-run in-process.
-    """
-    last_failure: Optional[TaskFailure] = None
-    while not tracker.exhausted(task.key):
-        tracker.record_attempt(task.key)
-        try:
-            return context.execute(task)
-        except Exception as exc:
-            last_failure = failure_from_exception(
-                exc, tracker.attempts(task.key)
-            )
-    if last_failure is None:
-        # Exhausted before any in-process attempt: every charge came from
-        # worker crashes in the (now abandoned) pool phase.
-        last_failure = crash_failure(tracker.attempts(task.key))
+def _give_up(
+    task: object, failure: TaskFailure, policy: FaultPolicy
+) -> TaskFailure:
+    """The quarantine record of a task out of attempts, or, in ``strict``
+    mode, the :class:`FaultToleranceError` naming it."""
     if policy.strict:
         raise FaultToleranceError(
-            f"task {task.key} failed after "
-            f"{last_failure.attempts} attempt(s) "
-            f"[{last_failure.kind}]: {last_failure.message}"
+            f"task {task.key} failed after {failure.attempts} attempt(s) "
+            f"[{failure.kind}]: {failure.message}"
         )
-    return last_failure
+    return failure
 
 
 class SerialBackend:
@@ -250,347 +218,226 @@ class SerialBackend:
         for task in tasks:
             if _shutdown_requested(context):
                 return
-            yield task, run_task_with_retries(
-                task, context, self.policy, tracker
-            )
+            yield task, self._run_one(task, context, tracker)
+
+    def _run_one(
+        self, task: object, context: ExecutionContext, tracker: AttemptTracker
+    ) -> TaskOutcome:
+        while True:
+            attempts = tracker.record_attempt(task.key)
+            try:
+                return context.execute(task)
+            except Exception as exc:
+                if tracker.exhausted(task.key):
+                    failure = failure_from_exception(exc, attempts)
+                    return _give_up(task, failure, self.policy)
 
 
-# -- process-pool worker state ------------------------------------------------
-#
-# Populated once per worker by the pool initializer; the golden cache fills
-# lazily as the worker sees each benchmark for the first time.
-
-_WORKER_CONTEXT: Optional[ExecutionContext] = None
+# -- process-pool workers -----------------------------------------------------
 
 
-def _worker_init(
+def _worker_main(
+    conn: Connection,
     programs: Dict[str, Program],
     config: Optional[CoreConfig],
-    runner: Optional[TaskRunner] = None,
-    snapshot_interval: int = 0,
-    task_timeout_s: Optional[float] = None,
+    runner: Optional[TaskRunner],
+    snapshot_interval: int,
+    task_timeout_s: Optional[float],
 ) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ExecutionContext(
+    """A pool worker: run each task the parent sends, reply on ``conn``.
+
+    A Ctrl-C reaches the whole process group, workers included; they
+    ignore it, so the parent's :class:`GracefulShutdown` latch alone
+    decides what it means. SIGTERM gets its default action back (a forked
+    worker inherits the parent's handlers), so a worker can always be
+    stopped. A task's exception goes back as a :class:`TaskFailure`; the
+    parent charges the attempt.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    context = ExecutionContext(
         programs=programs,
         config=config,
         runner=runner,
         snapshot_interval=snapshot_interval,
         task_timeout_s=task_timeout_s,
     )
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        try:
+            outcome = context.execute(task)
+        except Exception as exc:
+            outcome = failure_from_exception(exc, attempts=0)
+        conn.send(outcome)
 
 
-def _worker_execute(task: object) -> object:
-    assert _WORKER_CONTEXT is not None
-    return _WORKER_CONTEXT.execute(task)
+#: Parent-side verdicts on a busy worker that did not reply: it died, or it
+#: outlived the watchdog deadline.
+_LOST = object()
+_HUNG = object()
 
 
-@dataclass
-class _Inflight:
-    """Parent-side bookkeeping for one submitted task."""
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the task it
+    holds (None while idle)."""
 
-    task: object
-    submitted: float
-    exec_started: Optional[float] = None  # first observed Future.running()
-    probe: bool = False  # re-run alone after a crash (exact attribution)
+    def __init__(self, args: tuple) -> None:
+        self.conn, child_end = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main, args=(child_end,) + args, daemon=True
+        )
+        self.process.start()
+        child_end.close()  # so the worker's death reads as EOF here
+        self.task: Optional[object] = None
+        self.started = 0.0
+
+    def take(self, queue: Deque[object]) -> None:
+        """Hand the worker the next queued task, if any."""
+        self.task = queue.popleft() if queue else None
+        if self.task is None:
+            return
+        self.started = time.monotonic()
+        try:
+            self.conn.send(self.task)
+        except OSError:
+            pass  # already dead: the next wait reports the loss
+
+    def receive(self) -> object:
+        """The worker's reply, or :data:`_LOST` when it died without one."""
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        return _LOST
+
+    def stop(self) -> Optional[int]:
+        """Kill the worker (if it still runs), reap it and return its exit
+        code."""
+        self.process.kill()
+        self.process.join()
+        code = self.process.exitcode
+        self.process.close()
+        self.conn.close()
+        return code
 
 
 class ProcessPoolBackend:
-    """Parallel execution on a pool of worker processes.
+    """Parallel execution on ``jobs`` worker processes, one task each.
 
-    Tasks and results are plain picklable dataclasses; results are yielded
-    in completion order. At most ``jobs * 8`` tasks are queued on the pool
-    at once, so paper-scale campaigns (tens of thousands of tasks) do not
-    hold every pending future in memory.
-
-    See the module docstring for the recovery model the policy drives
-    (retry + quarantine, watchdog, pool respawn with crash attribution by
-    probing, serial degradation).
+    The parent waits on every busy worker's pipe and process sentinel at
+    once. A replying worker gets its next task before the reply is yielded
+    to the engine, so workers never idle while the engine writes the
+    checkpoint. A worker that dies, or that the watchdog kills after
+    ``policy.hang_timeout_s``, is charged one attempt against the task it
+    held and replaced; the other workers and their tasks are untouched.
+    Results are yielded in completion order; tasks and results are plain
+    picklable dataclasses.
     """
-
-    #: Poll period of the parent-side watchdog loop (seconds).
-    WATCHDOG_TICK_S = 0.2
 
     def __init__(self, jobs: int, policy: FaultPolicy = FAIL_FAST) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.max_inflight = jobs * 8
         self.policy = policy
-
-    # -- pool lifecycle -------------------------------------------------------
-
-    def _spawn(self, context: ExecutionContext) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_worker_init,
-            initargs=(
-                context.programs,
-                context.config,
-                context.runner,
-                context.snapshot_interval,
-                self.policy.task_timeout_s,
-            ),
-        )
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Forcibly stop a pool (hung or broken workers won't exit politely)."""
-        # _processes is None once the executor has begun shutting down.
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already-dead process
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - broken executor internals
-            pass
-
-    # -- the run loop ---------------------------------------------------------
 
     def run(
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
         policy = self.policy
-        context.task_timeout_s = policy.task_timeout_s
+        hang = policy.hang_timeout_s
         tracker = AttemptTracker(policy)
         queue: Deque[object] = deque(tasks)
-        suspects: Deque[object] = deque()  # re-run alone, oldest first
-        inflight: Dict[object, _Inflight] = {}  # future -> bookkeeping
-        consecutive_breakages = 0
-        probe_active = False
-        degraded = False
-        pool: Optional[ProcessPoolExecutor] = None
-
-        def quarantine_or_requeue(
-            task: object, failure: TaskFailure, requeue_to: Deque[object],
-            front: bool = False,
-        ) -> Optional[Tuple[object, TaskFailure]]:
-            """After a charged attempt: retry, or emit the quarantine pair."""
-            if not tracker.exhausted(task.key):
-                if front:
-                    requeue_to.appendleft(task)
-                else:
-                    requeue_to.append(task)
-                return None
-            if policy.strict:
-                raise FaultToleranceError(
-                    f"task {task.key} failed after {failure.attempts} "
-                    f"attempt(s) [{failure.kind}]: {failure.message}"
-                )
-            return task, failure
-
+        args = (
+            context.programs,
+            context.config,
+            context.runner,
+            context.snapshot_interval,
+            policy.task_timeout_s,
+        )
+        workers: List[_Worker] = []
         try:
-            pool = self._spawn(context)
-            while queue or suspects or inflight:
-                if degraded:
-                    break
-                if _shutdown_requested(context):
-                    # Stop dispatching; collect whatever completes within
-                    # the drain deadline (without charging or quarantining
-                    # anything mid-shutdown), abandon the rest — the
-                    # flushed checkpoint makes them resumable.
-                    done, _ = wait(
-                        inflight, timeout=context.shutdown.drain_remaining()
-                    )
-                    for future in done:
-                        entry = inflight.pop(future)
-                        try:
-                            outcome = future.result()
-                        except Exception:
-                            continue
-                        yield entry.task, outcome
+            for _ in range(min(self.jobs, len(queue))):
+                workers.append(_Worker(args))
+            for worker in workers:
+                worker.take(queue)
+            while True:
+                busy = [w for w in workers if w.task is not None]
+                if not busy:
                     return
-
-                # -- submit ------------------------------------------------
-                # Probe mode: after a crash, the tasks that were in flight
-                # re-run strictly one at a time so the next crash names its
-                # culprit. Normal mode: keep up to max_inflight queued.
-                broken_on_submit = False
-                if probe_active:
-                    pass  # the single probe is already in flight
-                elif suspects:
-                    task = suspects.popleft()
-                    try:
-                        future = pool.submit(_worker_execute, task)
-                    except BrokenProcessPool:
-                        suspects.appendleft(task)
-                        broken_on_submit = True
-                    else:
-                        inflight[future] = _Inflight(
-                            task, time.monotonic(), probe=True
+                if not _shutdown_requested(context):
+                    timeout = None
+                    if hang is not None:
+                        oldest = min(w.started for w in busy)
+                        timeout = max(0.0, oldest + hang - time.monotonic())
+                    ready = set(
+                        wait(
+                            [w.conn for w in busy]
+                            + [w.process.sentinel for w in busy],
+                            timeout=timeout,
                         )
-                        probe_active = True
-                else:
-                    while queue and len(inflight) < self.max_inflight:
-                        task = queue.popleft()
-                        try:
-                            future = pool.submit(_worker_execute, task)
-                        except BrokenProcessPool:
-                            queue.appendleft(task)
-                            broken_on_submit = True
-                            break
-                        inflight[future] = _Inflight(task, time.monotonic())
-
-                if broken_on_submit:
-                    consecutive_breakages += 1
-                    for entry in inflight.values():
-                        suspects.append(entry.task)
-                    inflight.clear()
-                    probe_active = False
-                    pool = self._respawn_or_degrade(
-                        pool, context, policy, consecutive_breakages
                     )
-                    if pool is None:
-                        degraded = True
-                    continue
-                if not inflight:
-                    continue
-
-                # -- wait + watchdog ---------------------------------------
-                tick = (
-                    self.WATCHDOG_TICK_S
-                    if policy.hang_timeout_s is not None
-                    else None
-                )
-                done, _ = wait(
-                    inflight, timeout=tick, return_when=FIRST_COMPLETED
-                )
+                if _shutdown_requested(context):
+                    yield from _drain(busy, context.shutdown)
+                    return
                 now = time.monotonic()
-                for future, entry in inflight.items():
-                    if entry.exec_started is None and future.running():
-                        entry.exec_started = now
-
-                # -- collect completions -----------------------------------
-                pool_broke = False
-                for future in done:
-                    entry = inflight.pop(future)
-                    task = entry.task
-                    try:
-                        outcome = future.result()
-                    except (BrokenProcessPool, CancelledError):
-                        if entry.probe:
-                            # Attributed: this exact task killed its worker.
-                            attempts = tracker.record_attempt(task.key)
-                            pair = quarantine_or_requeue(
-                                task, crash_failure(attempts), suspects,
-                                front=True,
-                            )
-                            if pair is not None:
-                                yield pair
+                for slot, worker in enumerate(workers):
+                    task = worker.task
+                    if task is None:
+                        continue
+                    if worker.conn in ready or worker.process.sentinel in ready:
+                        outcome = worker.receive()
+                    elif hang is not None and now - worker.started >= hang:
+                        outcome = _HUNG
+                    else:
+                        continue
+                    if outcome is _LOST or outcome is _HUNG:
+                        replacement = _Worker(args)
+                        code = worker.stop()
+                        workers[slot] = worker = replacement
+                        attempts = tracker.record_attempt(task.key)
+                        outcome = (
+                            timeout_failure(attempts, hang)
+                            if outcome is _HUNG
+                            else crash_failure(attempts, f"exit code {code}")
+                        )
+                    elif isinstance(outcome, TaskFailure):
+                        outcome = replace(
+                            outcome, attempts=tracker.record_attempt(task.key)
+                        )
+                    if isinstance(outcome, TaskFailure):
+                        if tracker.exhausted(task.key):
+                            outcome = _give_up(task, outcome, policy)
                         else:
-                            suspects.append(task)
-                        pool_broke = True
-                    except Exception as exc:
-                        # Worker-side exception (pickled and re-raised):
-                        # DeadlineExceeded -> timeout, everything else ->
-                        # exception. The worker survives; retry in place.
-                        attempts = tracker.record_attempt(task.key)
-                        pair = quarantine_or_requeue(
-                            task,
-                            failure_from_exception(exc, attempts),
-                            queue,
-                        )
-                        if pair is not None:
-                            yield pair
-                    else:
-                        consecutive_breakages = 0
+                            queue.appendleft(task)  # retried at once
+                            outcome = None
+                    worker.take(queue)
+                    if outcome is not None:
                         yield task, outcome
-                    if entry.probe:
-                        probe_active = False
-
-                if pool_broke:
-                    consecutive_breakages += 1
-                    for entry in inflight.values():
-                        suspects.append(entry.task)
-                    inflight.clear()
-                    probe_active = False
-                    if queue or suspects:
-                        pool = self._respawn_or_degrade(
-                            pool, context, policy, consecutive_breakages
-                        )
-                        if pool is None:
-                            degraded = True
-                    continue
-
-                # -- parent-side watchdog ----------------------------------
-                hang = policy.hang_timeout_s
-                if hang is None or not inflight:
-                    continue
-                hung = [
-                    (future, entry)
-                    for future, entry in inflight.items()
-                    if entry.exec_started is not None
-                    and now - entry.exec_started > hang
-                ]
-                if not hung:
-                    continue
-                # A deliberate kill, fully attributed: charge the hung
-                # tasks, requeue the innocent bystanders uncharged, and
-                # replace the pool (a hung worker never comes back).
-                hung_futures = {future for future, _ in hung}
-                for future, entry in list(inflight.items()):
-                    task = entry.task
-                    if future in hung_futures:
-                        attempts = tracker.record_attempt(task.key)
-                        pair = quarantine_or_requeue(
-                            task, timeout_failure(attempts, hang), queue
-                        )
-                        if pair is not None:
-                            yield pair
-                    else:
-                        queue.appendleft(task)
-                inflight.clear()
-                probe_active = False
-                self._kill_pool(pool)
-                pool = self._spawn(context)
-
-            if degraded:
-                remaining: List[object] = []
-                for entry in inflight.values():
-                    remaining.append(entry.task)
-                inflight.clear()
-                remaining.extend(suspects)
-                remaining.extend(queue)
-                suspects.clear()
-                queue.clear()
-                for task in remaining:
-                    if _shutdown_requested(context):
-                        return
-                    yield task, run_task_with_retries(
-                        task, context, policy, tracker
-                    )
         finally:
-            if pool is not None:
-                self._kill_pool(pool)
+            for worker in workers:
+                worker.stop()
 
-    def _respawn_or_degrade(
-        self,
-        pool: ProcessPoolExecutor,
-        context: ExecutionContext,
-        policy: FaultPolicy,
-        consecutive_breakages: int,
-    ) -> Optional[ProcessPoolExecutor]:
-        """Replace a broken pool, or return None to degrade to serial.
 
-        Degradation (or, in strict / no-fallback mode, a hard
-        :class:`FaultToleranceError`) triggers only after
-        ``max_pool_respawns`` *consecutive* breakages with not a single
-        completed task in between — a lone poison task completes innocents
-        between its crashes and so never trips this.
-        """
-        self._kill_pool(pool)
-        if consecutive_breakages > policy.max_pool_respawns:
-            if policy.strict or not policy.fallback_serial:
-                raise FaultToleranceError(
-                    f"process pool broke {consecutive_breakages} times "
-                    "in a row without completing a task; giving up "
-                    "(strict/no-fallback mode)"
-                )
-            return None
-        time.sleep(policy.backoff_s(consecutive_breakages))
-        return self._spawn(context)
+def _drain(
+    busy: List[_Worker], shutdown: GracefulShutdown
+) -> Iterator[Tuple[object, object]]:
+    """After a shutdown request: yield what the busy workers finish within
+    the drain deadline, charging and quarantining nothing, and abandon the
+    rest (the flushed checkpoint makes it resumable)."""
+    pending = {worker.conn: worker for worker in busy}
+    while pending:
+        ready = wait(list(pending), timeout=shutdown.drain_remaining())
+        if not ready:
+            return
+        for conn in ready:
+            worker = pending.pop(conn)
+            outcome = worker.receive()
+            if outcome is not _LOST and not isinstance(outcome, TaskFailure):
+                yield worker.task, outcome
 
 
 def make_backend(jobs: int, policy: FaultPolicy = FAIL_FAST) -> Backend:

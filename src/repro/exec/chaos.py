@@ -2,9 +2,8 @@
 
 The paper's campaigns inject bugs into the simulated core; these hooks
 inject faults into the *execution layer* that runs those campaigns, so the
-recovery machinery (retry, quarantine, watchdog, pool respawn, serial
-degradation, torn-tail repair) is exercised against real misbehavior
-instead of mocks.
+recovery machinery (retry, quarantine, watchdog, worker replacement,
+torn-tail repair) is exercised against real misbehavior instead of mocks.
 
 :func:`chaos_runner` is a drop-in :data:`~repro.exec.backends.TaskRunner`
 that executes the normal injection path, except for tasks whose keys appear
@@ -18,9 +17,6 @@ Behaviors (each variable holds comma-separated task keys):
 
 - ``REPRO_CHAOS_EXIT``: ``os._exit`` immediately — an unconditional hard
   worker crash (kills the current process, whoever it is).
-- ``REPRO_CHAOS_EXIT_IN_WORKER``: ``os._exit`` only inside a pool worker
-  process; in the parent the task runs normally. This makes degradation to
-  serial testable — the pool keeps dying, the in-process fallback finishes.
 - ``REPRO_CHAOS_RAISE``: raise :class:`ChaosError` (a deterministic
   "poison" task that fails every attempt).
 - ``REPRO_CHAOS_HANG``: sleep for ``REPRO_CHAOS_HANG_S`` seconds (default
@@ -31,14 +27,13 @@ Behaviors (each variable holds comma-separated task keys):
   SIGKILL-mid-append that leaves a torn tail *and* a stale writer lock.
 
 The scenarios that drive these hooks are tier-1 tests:
-``tests/test_resilience.py`` (worker kill, poison, hang, degradation,
-no-op resume, fail-fast) and ``tests/test_chaos.py`` (torn append,
-mid-run kill).
+``tests/test_resilience.py`` (worker kill, poison, hang, a pool whose
+every task kills its worker, no-op resume, fail-fast) and
+``tests/test_chaos.py`` (torn append, mid-run kill).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from typing import Dict, Iterable, Optional, Set
@@ -48,7 +43,6 @@ from repro.exec.durability import ENV_TORN_APPEND
 from repro.exec.tasks import execute_task
 
 ENV_EXIT = "REPRO_CHAOS_EXIT"
-ENV_EXIT_IN_WORKER = "REPRO_CHAOS_EXIT_IN_WORKER"
 ENV_RAISE = "REPRO_CHAOS_RAISE"
 ENV_HANG = "REPRO_CHAOS_HANG"
 ENV_HANG_S = "REPRO_CHAOS_HANG_S"
@@ -56,7 +50,6 @@ ENV_HANG_S = "REPRO_CHAOS_HANG_S"
 #: All plan-carrying variables, for scrubbing between scenarios.
 ALL_ENV_VARS = (
     ENV_EXIT,
-    ENV_EXIT_IN_WORKER,
     ENV_RAISE,
     ENV_HANG,
     ENV_HANG_S,
@@ -73,7 +66,6 @@ class ChaosError(RuntimeError):
 
 def chaos_env(
     exit_keys: Iterable[str] = (),
-    exit_in_worker_keys: Iterable[str] = (),
     raise_keys: Iterable[str] = (),
     hang_keys: Iterable[str] = (),
     hang_s: Optional[float] = None,
@@ -86,8 +78,6 @@ def chaos_env(
     env: Dict[str, str] = {}
     if exit_keys:
         env[ENV_EXIT] = ",".join(exit_keys)
-    if exit_in_worker_keys:
-        env[ENV_EXIT_IN_WORKER] = ",".join(exit_in_worker_keys)
     if raise_keys:
         env[ENV_RAISE] = ",".join(raise_keys)
     if hang_keys:
@@ -102,14 +92,8 @@ def _keys(name: str) -> Set[str]:
     return {key for key in raw.split(",") if key}
 
 
-def _in_pool_worker() -> bool:
-    return multiprocessing.parent_process() is not None
-
-
 def _maybe_sabotage(key: str) -> None:
     if key in _keys(ENV_EXIT):
-        os._exit(EXIT_STATUS)
-    if key in _keys(ENV_EXIT_IN_WORKER) and _in_pool_worker():
         os._exit(EXIT_STATUS)
     if key in _keys(ENV_RAISE):
         raise ChaosError(f"chaos: deterministic failure for task {key}")

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 from repro.exec.durability import (
     ScanReport,
     fold_checkpoint,
+    golden_mismatch,
     manifest_identity,
     merge_shard,
     scan_checkpoint,
@@ -260,13 +261,23 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             _print_issues(report)  # dropped, like a resume would
         if base_manifest is None:
             base_manifest, base_path = report.manifest, path
-        elif manifest_identity(report.manifest) != manifest_identity(
+        if manifest_identity(report.manifest) != manifest_identity(
             base_manifest
         ):
             print(
                 f"{path}: manifest identity differs from {base_path}; these "
                 "shards belong to different campaigns and must not be "
                 "merged",
+                file=sys.stderr,
+            )
+            return 2
+        mismatch = golden_mismatch(
+            base_manifest.get("goldens", {}), report.manifest.get("goldens", {})
+        )
+        if mismatch is not None:
+            print(
+                f"{path}: golden run of {mismatch} differs from {base_path}; "
+                "these shards ran different programs and must not be merged",
                 file=sys.stderr,
             )
             return 2

@@ -178,8 +178,8 @@ def _check_line(
 
 #: Manifest fields that never join the identity hash: the hash itself, the
 #: per-line CRC, the format version (a format change alone does not make
-#: another campaign), and golden summaries (derived data, re-verified by
-#: the engine against live golden runs on resume).
+#: another campaign), and golden summaries (derived data: resume and merge
+#: compare them with :func:`golden_mismatch` instead).
 _NON_IDENTITY_FIELDS = ("crc", "identity", "version", "type", "goldens")
 
 
@@ -197,6 +197,18 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
     }
     payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def golden_mismatch(
+    recorded: Dict[str, object], other: Dict[str, object]
+) -> Optional[str]:
+    """The first benchmark (by name) whose golden summary differs between
+    two ``goldens`` maps, or None: a resume or merge across it would mix
+    results of different programs, such as builds at another scale."""
+    for name in sorted(set(recorded) | set(other)):
+        if recorded.get(name) != other.get(name):
+            return name
+    return None
 
 
 #: Data record types by manifest type, as ``(result, failure)``. A result

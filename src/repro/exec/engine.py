@@ -37,10 +37,11 @@ from repro.exec.backends import (
 from repro.exec.checkpoint import (
     CheckpointError,
     CheckpointWriter,
+    GoldenSummary,
     load_checkpoint_full,
     manifest_for,
 )
-from repro.exec.durability import GracefulShutdown
+from repro.exec.durability import GracefulShutdown, golden_mismatch
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
 from repro.exec.tasks import generate_tasks
@@ -48,7 +49,7 @@ from repro.isa.program import Program
 
 
 def _verify_manifest(
-    manifest, seed, runs_per_model, models, benchmarks, path, config=None
+    manifest, seed, runs_per_model, models, goldens, path, config=None
 ):
     # A default-config campaign writes no design point, so on both sides
     # an absent one reads as the default geometry.
@@ -57,7 +58,7 @@ def _verify_manifest(
         "seed": seed,
         "runs_per_model": runs_per_model,
         "models": [m.value for m in models],
-        "benchmarks": list(benchmarks),
+        "benchmarks": list(goldens),
         "design_point": default if config is None else config.to_dict(),
     }
     actual = {
@@ -73,6 +74,17 @@ def _verify_manifest(
                 f"{path}: checkpoint {key}={actual[key]!r} does not match "
                 f"this campaign's {key}={expected[key]!r}; refusing to resume"
             )
+    live = {
+        name: GoldenSummary(golden.cycles, golden.committed)
+        for name, golden in goldens.items()
+    }
+    name = golden_mismatch(manifest.goldens, live)
+    if name is not None:
+        raise CheckpointError(
+            f"{path}: checkpoint golden run of {name} "
+            f"{manifest.goldens.get(name)} does not match this campaign's "
+            f"{live.get(name)}; refusing to resume"
+        )
 
 
 def run_engine(
@@ -104,8 +116,8 @@ def run_engine(
             >= 1.
         backend: Execution backend (:class:`SerialBackend` when None).
             Its :class:`~repro.exec.resilience.FaultPolicy` decides how
-            failing tasks are handled (retry + quarantine, watchdog, pool
-            respawn, serial degradation); the default,
+            failing tasks are handled (retry + quarantine, watchdog, and
+            for the pool, replacing a lost worker); the default,
             :data:`~repro.exec.resilience.FAIL_FAST`, raises
             :class:`~repro.exec.resilience.FaultToleranceError` at the
             first failing task.
@@ -140,8 +152,7 @@ def run_engine(
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
     tasks = generate_tasks(
-        list(programs), runs_per_model, models, seed, max_attempts,
-        config=config,
+        list(programs), runs_per_model, models, seed, max_attempts
     )
     backend = backend if backend is not None else SerialBackend()
     context = ExecutionContext(
@@ -159,7 +170,7 @@ def run_engine(
     if resume:
         manifest, done, quarantined = load_checkpoint_full(checkpoint_path)
         _verify_manifest(
-            manifest, seed, runs_per_model, models, list(programs),
+            manifest, seed, runs_per_model, models, goldens,
             checkpoint_path, config=config,
         )
         by_key = {task.key: task for task in tasks}

@@ -12,15 +12,14 @@ checkpointable records instead of campaign aborts:
   cooperatively (the core checks its deadline every ~1024 cycles) or via
   the parent-side watchdog for tasks that stop responding entirely.
 * **worker-crash** — the worker process died (OOM kill, ``os._exit``,
-  segfault); the pool is respawned and the task retried in a fresh slot.
+  segfault) while it held the task; only that worker is replaced.
 
 A task is retried up to ``max_task_retries`` times; after that it is
 *quarantined*: recorded as a :class:`TaskFailure` in the checkpoint (so
 ``--resume`` skips it instead of re-crashing on it) and excluded from
-figure aggregation. ``strict`` turns quarantine and serial fallback into
-hard failures for runs where partial results are unacceptable;
-:data:`FAIL_FAST` (no retries, strict) is the policy a backend runs under
-when none is given.
+figure aggregation. ``strict`` turns quarantine into a hard failure for
+runs where partial results are unacceptable; :data:`FAIL_FAST` (no
+retries, strict) is the policy a backend runs under when none is given.
 
 This module deliberately imports nothing from the rest of the package so
 every layer (core, bugs, exec, fuzz) can depend on it without cycles.
@@ -28,8 +27,6 @@ every layer (core, bugs, exec, fuzz) can depend on it without cycles.
 
 from __future__ import annotations
 
-import math as _math
-import random as _random
 import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -42,47 +39,7 @@ FAILURE_KINDS = ("exception", "timeout", "worker-crash")
 
 
 class FaultToleranceError(RuntimeError):
-    """Raised in ``strict`` mode instead of quarantining or degrading."""
-
-
-def backoff_with_jitter(
-    attempt: int,
-    base_s: float,
-    max_s: float,
-    jitter: float = 0.5,
-    rng: Optional[_random.Random] = None,
-) -> float:
-    """Capped exponential backoff with multiplicative jitter.
-
-    ``attempt`` is 1-based: the first retry waits about ``base_s``, doubling
-    per attempt up to ``max_s``. The jitter then *subtracts* up to
-    ``jitter`` (a fraction in [0, 1]) of the delay, so the returned value
-    lies in ``[delay * (1 - jitter), delay]`` — the cap is an upper bound
-    either way. Jitter exists to break thundering herds: workers (or pool
-    respawns) that all failed at the same instant must not all retry at the
-    same instant too. ``rng`` pins the stream for tests; the default draws
-    from the module-level PRNG, which is exactly the per-process
-    decorrelation wanted in production.
-
-    Overflow-safe for any attempt count: the exponent is clamped to the
-    number of doublings that reaches ``max_s``, so ``attempt=10**9`` is
-    exactly the cap rather than a float overflow. Nonpositive ``base_s``
-    or ``max_s`` yields 0.0 (a delay is never negative).
-    """
-    if base_s <= 0.0 or max_s <= 0.0:
-        return 0.0
-    if base_s >= max_s:
-        delay = max_s
-    else:
-        # Doublings beyond this provably clear the cap; clamping keeps
-        # base_s * 2**exponent representable (ldexp never overflows here).
-        cap_exponent = int(_math.log2(max_s / base_s)) + 1
-        exponent = min(max(0, attempt - 1), cap_exponent)
-        delay = min(max_s, _math.ldexp(base_s, exponent))
-    if jitter <= 0.0:
-        return delay
-    draw = (rng if rng is not None else _random).random()
-    return delay * (1.0 - jitter * draw)
+    """Raised in ``strict`` mode instead of quarantining a task."""
 
 
 @dataclass(frozen=True)
@@ -97,39 +54,19 @@ class FaultPolicy:
             watchdog_grace_s``. None disables both.
         watchdog_grace_s: Extra wall-clock slack the parent grants beyond
             ``task_timeout_s`` before declaring a task hung and killing
-            its pool. Covers per-worker golden/snapshot warm-up, which
+            its worker. Covers per-worker golden/snapshot warm-up, which
             runs before the cooperative deadline can bite.
         max_task_retries: Retries after the first attempt before a task
             is quarantined (so a task runs at most ``1 + max_task_retries``
-            times). Each retry gets a fresh pool slot.
-        max_pool_respawns: Consecutive pool breakages *without a single
-            completed task in between* tolerated before the backend
-            degrades to in-process serial execution (or raises, when
-            ``strict`` or ``fallback_serial=False``). Breakages that do
-            complete tasks in between reset the counter, so a lone poison
-            task never triggers degradation.
-        backoff_base_s: Initial sleep before respawning a broken pool;
-            doubles per consecutive breakage up to ``backoff_max_s``.
-        backoff_max_s: Exponential-backoff ceiling.
-        backoff_jitter: Fraction of each backoff delay randomly shaved off
-            (see :func:`backoff_with_jitter`), so workers that crashed
-            simultaneously don't thundering-herd their respawns. 0 restores
-            the deterministic schedule.
-        fallback_serial: Degrade to :class:`SerialBackend`-style in-process
-            execution when the pool keeps breaking, instead of aborting.
+            times). A task whose worker died retries on its replacement.
         strict: Fail hard (raise :class:`FaultToleranceError`) the moment
-            a task would be quarantined or the backend would degrade,
-            instead of recording and continuing.
+            a task would be quarantined, instead of recording it and
+            continuing.
     """
 
     task_timeout_s: Optional[float] = None
     watchdog_grace_s: float = 60.0
     max_task_retries: int = 2
-    max_pool_respawns: int = 3
-    backoff_base_s: float = 0.5
-    backoff_max_s: float = 30.0
-    backoff_jitter: float = 0.5
-    fallback_serial: bool = True
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -140,14 +77,6 @@ class FaultPolicy:
         if self.max_task_retries < 0:
             raise ValueError(
                 f"max_task_retries must be >= 0, got {self.max_task_retries}"
-            )
-        if self.max_pool_respawns < 0:
-            raise ValueError(
-                f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
-            )
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
             )
 
     @property
@@ -160,20 +89,6 @@ class FaultPolicy:
         if self.task_timeout_s is None:
             return None
         return self.task_timeout_s + self.watchdog_grace_s
-
-    def backoff_s(
-        self,
-        consecutive_breakages: int,
-        rng: Optional[_random.Random] = None,
-    ) -> float:
-        """Sleep before the Nth consecutive respawn (1-based), jittered."""
-        return backoff_with_jitter(
-            consecutive_breakages,
-            self.backoff_base_s,
-            self.backoff_max_s,
-            jitter=self.backoff_jitter,
-            rng=rng,
-        )
 
 
 #: The library default: no retries, and the first failing task raises

@@ -61,12 +61,6 @@ class InjectionTask:
     run_index: int
     derived_seed: int
     max_attempts: int = 6
-    #: Design-point digest (CoreConfig.digest()) the task was generated
-    #: for, or None when the campaign runs the default configuration. A
-    #: task is only meaningful against the core geometry it was drawn for
-    #: (inject-cycle windows, Pdst widths and array sizes all depend on
-    #: it), so the digest travels with the task and into checkpoints.
-    design_point: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -85,16 +79,16 @@ def generate_tasks(
     """Generate the full campaign task list in canonical order.
 
     The order is benchmark-major, then model, then run index — matching the
-    historical serial loop, so exports keep their row order. ``config``
-    stamps each task with the campaign's design-point digest; seed
-    derivation is deliberately config-independent (the same master seed
-    explores the same injection streams at every design point).
+    historical serial loop, so exports keep their row order. ``config`` is
+    accepted and ignored: the task list is the same at every design point,
+    because seed derivation is deliberately config-independent (the same
+    master seed explores the same injection streams everywhere), and the
+    checkpoint manifest pins the geometry a campaign ran at.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if runs_per_model < 0:
         raise ValueError(f"runs_per_model must be >= 0, got {runs_per_model}")
-    design_point = None if config is None else config.digest()
     tasks: List[InjectionTask] = []
     for benchmark in benchmarks:
         for model in models:
@@ -109,7 +103,6 @@ def generate_tasks(
                             seed, benchmark, model, run_index
                         ),
                         max_attempts=max_attempts,
-                        design_point=design_point,
                     )
                 )
     return tasks

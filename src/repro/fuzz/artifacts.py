@@ -37,28 +37,6 @@ class ArtifactError(RuntimeError):
     """Raised on malformed or unsupported artifact files."""
 
 
-# -- config (de)serialization ------------------------------------------------
-#
-# Thin delegates kept for existing imports: the canonical serialization is
-# CoreConfig.to_dict/from_dict/digest (core/config.py), so artifacts, the
-# campaign manifests and the sweep CLI can never drift apart on what a
-# "design point" means. New config axes join artifacts automatically, and
-# old artifact files (written before an axis existed) load as its default.
-
-
-def config_to_dict(config: CoreConfig) -> Dict[str, object]:
-    return config.to_dict()
-
-
-def config_from_dict(data: Dict[str, object]) -> CoreConfig:
-    return CoreConfig.from_dict(data)
-
-
-def config_digest(config: CoreConfig) -> str:
-    """Stable digest of a configuration (checkpoint identity checks)."""
-    return config.digest()
-
-
 # -- the artifact ------------------------------------------------------------
 
 
@@ -102,7 +80,7 @@ class ReproArtifact:
         payload = json.dumps(
             {
                 "genome": genome_to_dict(self.genome),
-                "config": config_to_dict(self.config),
+                "config": self.config.to_dict(),
                 "bug": spec_to_dict(self.bug) if self.bug else None,
             },
             sort_keys=True,
@@ -118,7 +96,7 @@ def artifact_to_dict(artifact: ReproArtifact) -> Dict[str, object]:
         "origin": artifact.origin,
         "seed": artifact.seed,
         "genome": genome_to_dict(artifact.genome),
-        "config": config_to_dict(artifact.config),
+        "config": artifact.config.to_dict(),
         "bug": spec_to_dict(artifact.bug) if artifact.bug else None,
         "verdict": {
             "ok": artifact.verdict.ok,
@@ -140,7 +118,7 @@ def artifact_from_dict(data: Dict[str, object]) -> ReproArtifact:
     return ReproArtifact(
         name=data["name"],
         genome=genome_from_dict(data["genome"]),
-        config=config_from_dict(data["config"]),
+        config=CoreConfig.from_dict(data["config"]),
         verdict=Verdict(
             ok=verdict["ok"],
             failures=tuple(verdict["failures"]),

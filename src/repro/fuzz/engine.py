@@ -48,7 +48,6 @@ from repro.exec.resilience import TaskFailure
 from repro.fuzz.artifacts import (
     ReproArtifact,
     Verdict,
-    config_digest,
     save_artifact,
 )
 from repro.fuzz.coverage import CoverageMap
@@ -288,7 +287,7 @@ def _fuzz_manifest(
             "max_iters": limits.max_iters,
             "data_words": limits.data_words,
         },
-        "config_digest": config_digest(config),
+        "config_digest": config.digest(),
         "bug": spec_to_dict(bug) if bug is not None else None,
     }
     record["identity"] = manifest_identity(record)

@@ -64,6 +64,25 @@ def test_resume_missing_file_clean_error(capsys):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+def test_resume_at_another_scale_is_refused(tmp_path, capsys):
+    """A checkpoint's goldens stay out of its manifest identity, so the
+    engine checks them against the live golden runs: resuming with the
+    programs built at another ``--scale`` stops with one stderr line that
+    names the benchmark, instead of exporting rows of two program sizes."""
+    path = str(tmp_path / "run.jsonl")
+    argv = [
+        "--runs", "1", "--benchmarks", "sha", "--figures", "3",
+        "--no-progress",
+    ]
+    assert main(argv + ["--scale", "0.25", "--checkpoint", path]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--scale", "0.5", "--resume", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "golden run of sha" in captured.err
+
+
 def test_from_checkpoint_missing_file_clean_error(capsys):
     assert main(["--from-checkpoint", "/nonexistent/run.jsonl"]) == 2
     assert "cannot load checkpoint" in capsys.readouterr().err
@@ -91,16 +110,34 @@ def test_invalid_jobs_rejected(flag, value, tmp_path, monkeypatch, capsys):
     assert captured.err.startswith(flag) and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["campaign", "sweep"])
-def test_batch_size_is_an_unrecognized_argument(command, capsys):
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("campaign", ["--batch-size", "8"]),
+        ("sweep", ["--batch-size", "8"]),
+        ("campaign", ["--no-fallback-serial"]),
+        ("sweep", ["--no-fallback-serial"]),
+        ("fuzz", ["--no-fallback-serial"]),
+    ],
+    ids=[
+        "campaign",
+        "sweep",
+        "campaign-no-fallback-serial",
+        "sweep-no-fallback-serial",
+        "fuzz-no-fallback-serial",
+    ],
+)
+def test_batch_size_is_an_unrecognized_argument(command, flag, capsys):
     """Every backend dispatches one injection at a time, so there is no
-    dispatch batch to size."""
+    dispatch batch to size; and a pool worker's loss costs only its own
+    task, so there is no serial fallback to turn off."""
     from repro.cli import repro_main
 
     with pytest.raises(SystemExit) as excinfo:
-        repro_main([command, "--batch-size", "8"])
+        repro_main([command] + flag)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --batch-size 8" in capsys.readouterr().err
+    message = "unrecognized arguments: " + " ".join(flag)
+    assert message in capsys.readouterr().err
 
 
 def test_parallel_campaign_with_checkpoint(tmp_path, capsys):
@@ -129,7 +166,6 @@ FAULT_DEFAULTS = {
     "task_timeout": None,
     "max_task_retries": 2,
     "strict": False,
-    "fallback_serial": True,
     "checkpoint_fsync": False,
 }
 

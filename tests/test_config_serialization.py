@@ -1,8 +1,8 @@
 """Canonical CoreConfig (de)serialization and validation.
 
 CoreConfig.to_dict/from_dict/digest are the single source of truth for a
-*design point*; the fuzz artifact layer delegates to them, so both are
-exercised here. The validation tests pin the actionable-error contract of
+*design point*; fuzz artifacts, campaign manifests and the sweep CLI all
+call them directly. The validation tests pin the actionable-error contract of
 ``__post_init__`` for every axis a config file can carry.
 """
 
@@ -14,7 +14,6 @@ from repro.core.config import (
     RECOVERY_STRATEGIES,
     paper_rrs_config,
 )
-from repro.fuzz.artifacts import config_digest, config_from_dict, config_to_dict
 from repro.isa.instructions import Opcode
 
 
@@ -86,19 +85,7 @@ class TestDigest:
 
 
 class TestArtifactDelegation:
-    """The fuzz artifact layer must be a thin veneer over CoreConfig."""
-
-    def test_to_dict_delegates(self):
-        config = paper_rrs_config(2, "stack", "checkpoint-free")
-        assert config_to_dict(config) == config.to_dict()
-
-    def test_from_dict_delegates(self):
-        config = paper_rrs_config(2, "stack", "checkpoint-free")
-        assert config_from_dict(config.to_dict()) == config
-
-    def test_digest_delegates(self):
-        config = CoreConfig()
-        assert config_digest(config) == config.digest()
+    """Fuzz artifacts store configs through CoreConfig itself."""
 
     def test_old_artifact_config_loads(self):
         """Corpus artifacts written before the policy axes existed carry
@@ -106,7 +93,7 @@ class TestArtifactDelegation:
         data = CoreConfig().to_dict()
         data.pop("free_list_discipline")
         data.pop("recovery_strategy")
-        config = config_from_dict(data)
+        config = CoreConfig.from_dict(data)
         assert config == CoreConfig()
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 import pytest
 
 from repro.bugs.models import PRIMARY_MODELS
-from repro.exec.backends import SerialBackend
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.checkpoint import (
     CheckpointError,
     load_checkpoint_full,
@@ -373,6 +373,26 @@ def test_merge_refuses_mismatched_manifests(checkpointed, tmp_path, capsys):
     merged = str(tmp_path / "merged.jsonl")
     assert checkpoint_main(["merge", "-o", merged, path, other]) == 2
     assert "different campaigns" in capsys.readouterr().err
+
+
+def test_merge_refuses_shards_with_different_goldens(
+    checkpointed, tiny_suite, tmp_path, capsys
+):
+    """Goldens stay out of the manifest identity, so merge compares them
+    itself: two shards of one campaign whose programs were built at two
+    sizes are refused with one stderr line naming the benchmark."""
+    path, _ = checkpointed
+    (name,) = tiny_suite
+    other = str(tmp_path / "other-scale.jsonl")
+    run_engine(
+        {name: WORKLOADS[name](scale=0.5)}, RUNS, seed=SEED,
+        backend=SerialBackend(), checkpoint_path=other,
+    )
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main(["merge", "-o", merged, path, other]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"golden run of {name}" in err
+    assert not os.path.exists(merged)
 
 
 @pytest.fixture(scope="module")
@@ -795,10 +815,56 @@ def test_engine_stops_dispatch_after_shutdown_and_resume_completes(
     ]
 
 
-def test_sigterm_drains_flushes_and_prints_resume_hint(tmp_path):
-    """Subprocess-based: a real SIGTERM against a parallel ``repro
-    campaign`` must exit with the shutdown code, leave a verifiable
-    checkpoint and print the resume hint (acceptance criterion)."""
+def test_pool_drains_inflight_tasks_after_shutdown_and_resume_completes(
+    checkpointed, tiny_suite, tiny_tasks, tmp_path
+):
+    """After a shutdown request the pool dispatches nothing new but keeps
+    what its busy workers finish within the drain deadline, quarantining
+    nothing; a resume on a fresh pool completes the campaign."""
+    path, campaign = checkpointed
+    partial = str(tmp_path / "partial.jsonl")
+    shutdown = GracefulShutdown()
+
+    def stop_after_first(event):
+        if event.benchmark is not None and not shutdown.requested:
+            shutdown.request()  # a second request() would hard-exit
+
+    interrupted = run_engine(
+        tiny_suite,
+        RUNS,
+        seed=SEED,
+        backend=ProcessPoolBackend(2),
+        checkpoint_path=partial,
+        observers=[stop_after_first],
+        shutdown=shutdown,
+    )
+    assert 1 < len(interrupted.results) < len(tiny_tasks)
+    assert interrupted.failures == []
+    assert checkpoint_main(["verify", partial]) == 0  # flushed + sealed
+    resumed = run_engine(
+        tiny_suite,
+        RUNS,
+        seed=SEED,
+        backend=ProcessPoolBackend(2),
+        checkpoint_path=partial,
+        resume=True,
+    )
+    assert [_comparable(r) for r in resumed.results] == [
+        _comparable(r) for r in campaign.results
+    ]
+
+
+@pytest.mark.parametrize(
+    "signum, group",
+    [(signal.SIGTERM, False), (signal.SIGINT, True)],
+    ids=["sigterm-parent", "sigint-group"],
+)
+def test_sigterm_drains_flushes_and_prints_resume_hint(signum, group, tmp_path):
+    """Subprocess-based: a real SIGTERM to a parallel ``repro campaign``,
+    or a Ctrl-C's SIGINT to its whole process group (pool workers
+    included), must exit with the shutdown code, leave a verifiable
+    checkpoint and print the resume hint (acceptance criterion). Workers
+    leave the signal to the parent's shutdown latch."""
     path = str(tmp_path / "sig.jsonl")
     proc = subprocess.Popen(
         [
@@ -810,6 +876,7 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=group,
     )
     try:
         deadline = time.monotonic() + 120
@@ -821,14 +888,17 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(tmp_path):
                         break
             except FileNotFoundError:
                 pass
-        proc.send_signal(signal.SIGTERM)
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
         _, err = proc.communicate(timeout=120)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
     assert proc.returncode == SHUTDOWN_EXIT_CODE, err
-    assert "interrupted by SIGTERM" in err
+    assert f"interrupted by {signal.Signals(signum).name}" in err
     assert f"--resume {path}" in err
     assert checkpoint_main(["verify", path]) == 0
     assert not os.path.exists(lock_path_for(path))  # lock released cleanly

@@ -27,9 +27,6 @@ from repro.fuzz.artifacts import (
     ArtifactError,
     ReproArtifact,
     Verdict,
-    config_digest,
-    config_from_dict,
-    config_to_dict,
     load_artifact,
     replay_artifact,
     save_artifact,
@@ -201,11 +198,9 @@ class TestArtifacts:
             width=2, num_physical_regs=64, rob_entries=24,
             checkpoint_interval=8,
         )
-        clone = config_from_dict(
-            json.loads(json.dumps(config_to_dict(config)))
-        )
+        clone = CoreConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert clone == config
-        assert config_digest(clone) == config_digest(config)
+        assert clone.digest() == config.digest()
 
     def test_artifact_roundtrip_and_replay(self, tmp_path):
         genome = seed_genome(random.Random(5))

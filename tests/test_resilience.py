@@ -5,33 +5,55 @@ task) into a real small campaign through the :mod:`repro.exec.chaos`
 hooks and asserts the recovery contract: the campaign completes, exactly
 the sabotaged tasks are quarantined with the right failure kind, every
 surviving result is bit-identical to a clean run, and a resume skips
-quarantined tasks.
+quarantined tasks. The pool's worker contract (a lost worker costs one
+attempt of its own task and only it is replaced; workers ignore SIGINT;
+every worker is reaped) is checked task by task with a probe runner.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
-import random
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import dataclass
 
 import pytest
 
+from repro.analysis.export import campaign_from_checkpoint
 from repro.bugs.models import PRIMARY_MODELS
 from repro.core.cpu import OoOCore
 from repro.core.errors import DeadlineExceeded, SimulationError
-from repro.exec.backends import ProcessPoolBackend, SerialBackend
-from repro.exec.chaos import ALL_ENV_VARS, ChaosError, chaos_env, chaos_runner
+import repro.exec.backends as backends
+from repro.exec.backends import (
+    ExecutionContext,
+    ProcessPoolBackend,
+    SerialBackend,
+)
+from repro.exec.chaos import (
+    ALL_ENV_VARS,
+    ENV_EXIT,
+    EXIT_STATUS,
+    ChaosError,
+    chaos_env,
+    chaos_runner,
+)
 from repro.exec.checkpoint import (
     CheckpointWriter,
     load_checkpoint_full,
     manifest_for,
 )
+from repro.exec.durability import GracefulShutdown
 from repro.exec.engine import run_engine
 from repro.exec.resilience import (
     AttemptTracker,
     FaultPolicy,
     FaultToleranceError,
     TaskFailure,
-    backoff_with_jitter,
     failure_from_exception,
 )
 from repro.exec.tasks import generate_tasks
@@ -40,10 +62,17 @@ from repro.workloads import WORKLOADS
 RUNS = 2  # 2 runs x 3 models x 1 benchmark = 6 tasks
 SEED = 7
 
+#: The repository root: the pool-contract child imports this module from it.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tiny_suite():
+    return {"bitcount": WORKLOADS["bitcount"](scale=0.25)}
+
 
 @pytest.fixture(scope="module")
 def tiny_suite():
-    return {"bitcount": WORKLOADS["bitcount"](scale=0.25)}
+    return _tiny_suite()
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +125,7 @@ def test_worker_exit_is_quarantined_and_survivors_match(
 ):
     kill_key = tiny_tasks[1].key
     _set_env(monkeypatch, exit_keys=[kill_key])
-    policy = FaultPolicy(max_task_retries=1, backoff_base_s=0.01)
+    policy = FaultPolicy(max_task_retries=1)
     campaign = run_engine(
         tiny_suite,
         RUNS,
@@ -203,7 +232,6 @@ def test_hung_task_hits_watchdog_timeout(
         task_timeout_s=3.0,
         watchdog_grace_s=1.0,
         max_task_retries=0,
-        backoff_base_s=0.01,
     )
     campaign = run_engine(
         tiny_suite,
@@ -233,48 +261,261 @@ def test_cooperative_deadline_raises_and_is_not_a_sim_error():
     assert failure_from_exception(excinfo.value, 1).kind == "timeout"
 
 
-# -- repeated pool breakage degrades to in-process serial ---------------------
+# -- a lost worker costs exactly its own task ----------------------------------
 
 
-def test_exit_in_worker_degrades_to_serial_and_completes(
+def pool_campaign(path: str, retries: int) -> None:
+    """The pool-contract child: the tiny campaign on a 2-worker pool under
+    the inherited chaos plan, checkpointed to ``path``."""
+    run_engine(
+        _tiny_suite(),
+        RUNS,
+        seed=SEED,
+        backend=ProcessPoolBackend(
+            2, policy=FaultPolicy(max_task_retries=retries)
+        ),
+        checkpoint_path=path,
+        task_runner=chaos_runner,
+    )
+
+
+def _run_pool_child(path, retries, exit_keys):
+    """Run :func:`pool_campaign` in a child process, so a pool that runs a
+    killer task in its own process fails the test on the child's exit
+    status instead of killing the test run."""
+    env = {k: v for k, v in os.environ.items() if k not in ALL_ENV_VARS}
+    env[ENV_EXIT] = ",".join(exit_keys)
+    return subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; from tests.test_resilience import pool_campaign; "
+            "pool_campaign(sys.argv[1], int(sys.argv[2]))",
+            path, str(retries),
+        ],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_worker_killer_is_charged_every_attempt_and_survivors_match(
+    tiny_tasks, clean_campaign, tmp_path
+):
+    """Each death of the killer's worker is one attempt against the
+    killer alone: it is quarantined after all five, and every other task
+    completes on the pool with its clean serial result."""
+    kill_key = tiny_tasks[1].key
+    path = str(tmp_path / "killer.jsonl")
+    child = _run_pool_child(path, retries=4, exit_keys=[kill_key])
+    assert child.returncode == 0, child.stderr
+    campaign = campaign_from_checkpoint(path)
+    assert [r.key for r in campaign.failures] == [kill_key]
+    failure = campaign.failures[0].failure
+    assert failure.kind == "worker-crash"
+    assert failure.attempts == 5
+    _assert_survivors_match(campaign, clean_campaign, tiny_tasks, {kill_key})
+
+
+def test_every_task_killing_its_worker_quarantines_all_in_the_pool(
+    tiny_tasks, tmp_path
+):
+    """A pool that never completes a task still charges each loss to the
+    task its worker held: every task is quarantined after its own
+    attempts, and none runs in the parent (which would die with it)."""
+    policy = FaultPolicy(max_task_retries=2)
+    path = str(tmp_path / "all-killers.jsonl")
+    child = _run_pool_child(
+        path, policy.max_task_retries, [t.key for t in tiny_tasks]
+    )
+    assert child.returncode == 0, child.stderr
+    campaign = campaign_from_checkpoint(path)
+    assert campaign.results == []
+    assert [r.key for r in campaign.failures] == [t.key for t in tiny_tasks]
+    for record in campaign.failures:
+        assert record.failure.kind == "worker-crash"
+        assert record.failure.attempts == policy.max_attempts_per_task
+
+
+def test_pool_charges_a_worker_side_exception_in_the_parent(
     tiny_suite, tiny_tasks, clean_campaign, monkeypatch
 ):
-    # Every task kills any *pool worker* it lands on, so the pool can never
-    # make progress; the in-process fallback must finish the whole campaign
-    # (where the same tasks run clean, because the parent is not a worker).
-    _set_env(monkeypatch, exit_in_worker_keys=[t.key for t in tiny_tasks])
-    policy = FaultPolicy(
-        max_task_retries=4, max_pool_respawns=1, backoff_base_s=0.01
-    )
+    """A task that raises in a pool worker comes back as a failure record;
+    the parent charges each attempt, and the worker lives on."""
+    poison_key = tiny_tasks[3].key
+    _set_env(monkeypatch, raise_keys=[poison_key])
     campaign = run_engine(
         tiny_suite,
         RUNS,
         seed=SEED,
-        backend=ProcessPoolBackend(2, policy=policy),
+        backend=ProcessPoolBackend(2, policy=FaultPolicy(max_task_retries=2)),
         task_runner=chaos_runner,
     )
-    assert campaign.failures == []
-    _assert_survivors_match(campaign, clean_campaign, tiny_tasks, set())
-
-
-def test_no_fallback_serial_fails_hard(tiny_suite, tiny_tasks, monkeypatch):
-    _set_env(monkeypatch, exit_in_worker_keys=[t.key for t in tiny_tasks])
-    policy = FaultPolicy(
-        max_task_retries=4,
-        max_pool_respawns=0,
-        backoff_base_s=0.01,
-        fallback_serial=False,
+    assert [r.key for r in campaign.failures] == [poison_key]
+    failure = campaign.failures[0].failure
+    assert failure.kind == "exception"
+    assert failure.attempts == 3
+    assert "ChaosError" in failure.message
+    assert "ChaosError" in failure.traceback
+    _assert_survivors_match(
+        campaign, clean_campaign, tiny_tasks, {poison_key}
     )
-    with pytest.raises(FaultToleranceError):
-        list(
-            run_engine(
-                tiny_suite,
-                RUNS,
-                seed=SEED,
-                backend=ProcessPoolBackend(2, policy=policy),
-                task_runner=chaos_runner,
-            ).results
+
+
+def test_strict_pool_raises_on_a_worker_crash_after_its_retries(
+    tiny_suite, tiny_tasks, monkeypatch
+):
+    kill_key = tiny_tasks[1].key
+    _set_env(monkeypatch, exit_keys=[kill_key])
+    policy = FaultPolicy(max_task_retries=1, strict=True)
+    with pytest.raises(FaultToleranceError) as excinfo:
+        run_engine(
+            tiny_suite, RUNS, seed=SEED,
+            backend=ProcessPoolBackend(2, policy=policy),
+            task_runner=chaos_runner,
         )
+    message = str(excinfo.value)
+    assert (
+        f"task {kill_key} failed after 2 attempt(s) [worker-crash]" in message
+    )
+    assert f"exit code {EXIT_STATUS}" in message
+
+
+# -- the pool's worker contract, task by task ---------------------------------
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """A minimal pool task. ``action`` is ``report``, ``exit`` (kill the
+    worker on every attempt) or ``exit-once`` (kill it on the first
+    attempt only); ``logdir`` collects one line per execution."""
+
+    key: str
+    logdir: str
+    action: str = "report"
+    sleep_s: float = 0.0
+
+
+def _probe_runner(task: _Probe, context: ExecutionContext) -> tuple:
+    """Log the execution, act out ``task.action``, and report the worker's
+    pid and its SIGINT and SIGTERM dispositions."""
+    with open(os.path.join(task.logdir, task.key), "a") as log:
+        log.write(f"{os.getpid()}\n")
+    crashed = os.path.join(task.logdir, task.key + ".crashed")
+    if task.action == "exit-once" and not os.path.exists(crashed):
+        open(crashed, "w").close()
+        os._exit(EXIT_STATUS)
+    if task.action == "exit":
+        os._exit(EXIT_STATUS)
+    time.sleep(task.sleep_s)
+    return (
+        os.getpid(),
+        signal.getsignal(signal.SIGINT),
+        signal.getsignal(signal.SIGTERM),
+    )
+
+
+def _executions(task: _Probe) -> list:
+    """The pids that ran ``task``, one per execution."""
+    with open(os.path.join(task.logdir, task.key)) as log:
+        return [int(line) for line in log]
+
+
+@pytest.fixture
+def started_workers(monkeypatch):
+    """The pids of every pool worker started during the test, in order."""
+    pids = []
+
+    class RecordingWorker(backends._Worker):
+        def __init__(self, args):
+            super().__init__(args)
+            pids.append(self.process.pid)
+
+    monkeypatch.setattr(backends, "_Worker", RecordingWorker)
+    return pids
+
+
+def _run_probes(tasks, policy=None, context=None):
+    backend = ProcessPoolBackend(2, policy=policy or FaultPolicy())
+    context = context or ExecutionContext({}, runner=_probe_runner)
+    return {task.key: outcome for task, outcome in backend.run(tasks, context)}
+
+
+def test_pool_workers_ignore_sigint_and_restore_default_sigterm(tmp_path):
+    """A Ctrl-C reaches the whole process group; workers ignore it so the
+    parent's shutdown latch alone decides, and they drop the latch's
+    inherited SIGTERM handler so the parent can always stop them."""
+    tasks = [_Probe(f"t{i}", str(tmp_path)) for i in range(4)]
+    with GracefulShutdown() as shutdown:
+        context = ExecutionContext(
+            {}, runner=_probe_runner, shutdown=shutdown
+        )
+        outcomes = _run_probes(tasks, context=context)
+    assert len(outcomes) == len(tasks)
+    for pid, on_sigint, on_sigterm in outcomes.values():
+        assert pid != os.getpid()
+        assert on_sigint == signal.SIG_IGN
+        assert on_sigterm == signal.SIG_DFL
+
+
+def test_a_lost_worker_is_the_only_worker_replaced(tmp_path, started_workers):
+    """Each death of the killer's worker costs the killer one attempt and
+    starts one replacement; the task running beside it finishes in its
+    original worker, and no task runs twice."""
+    logdir = str(tmp_path)
+    beside = _Probe("beside", logdir, sleep_s=0.5)
+    others = [_Probe(f"t{i}", logdir) for i in range(4)]
+    killer = _Probe("killer", logdir, action="exit")
+    outcomes = _run_probes(
+        [killer, beside] + others, policy=FaultPolicy(max_task_retries=2)
+    )
+    failure = outcomes.pop("killer")
+    assert isinstance(failure, TaskFailure)
+    assert failure.kind == "worker-crash" and failure.attempts == 3
+    assert f"exit code {EXIT_STATUS}" in failure.message
+    assert len(started_workers) == 2 + failure.attempts
+    assert _executions(beside) == [started_workers[1]]
+    for task in [beside] + others:
+        assert len(_executions(task)) == 1
+        assert outcomes[task.key][0] in started_workers
+
+
+def test_a_crashed_task_is_retried_on_the_replacement(
+    tmp_path, started_workers
+):
+    logdir = str(tmp_path)
+    flaky = _Probe("flaky", logdir, action="exit-once")
+    outcomes = _run_probes(
+        [flaky, _Probe("steady", logdir)],
+        policy=FaultPolicy(max_task_retries=1),
+    )
+    assert not any(isinstance(o, TaskFailure) for o in outcomes.values())
+    assert len(started_workers) == 3
+    first, retry = _executions(flaky)
+    assert first == started_workers[0]
+    assert retry == outcomes["flaky"][0] == started_workers[2]
+
+
+@pytest.mark.parametrize("taken", [None, 1], ids=["to-the-end", "abandoned"])
+def test_pool_reaps_every_worker_it_started(taken, tmp_path, started_workers):
+    """Whether the engine drains the pool or stops reading after one
+    outcome, every worker the pool started, a crashed one included, is
+    stopped and reaped when the run ends."""
+    logdir = str(tmp_path)
+    tasks = [_Probe("killer", logdir, action="exit")] + [
+        _Probe(f"t{i}", logdir, sleep_s=0.05) for i in range(5)
+    ]
+    run = ProcessPoolBackend(2, policy=FaultPolicy(max_task_retries=0)).run(
+        tasks, ExecutionContext({}, runner=_probe_runner)
+    )
+    outcomes = list(itertools.islice(run, taken))
+    run.close()
+    assert len(outcomes) == (taken or len(tasks))
+    assert len(started_workers) >= 2
+    for pid in started_workers:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # already reaped
 
 
 # -- resume skips quarantined tasks -------------------------------------------
@@ -401,36 +642,19 @@ def test_fault_policy_validation():
         FaultPolicy(task_timeout_s=0)
     with pytest.raises(ValueError):
         FaultPolicy(max_task_retries=-1)
-    with pytest.raises(ValueError):
-        FaultPolicy(max_pool_respawns=-1)
     assert FaultPolicy(task_timeout_s=2.0, watchdog_grace_s=1.0).hang_timeout_s == 3.0
     assert FaultPolicy().hang_timeout_s is None
 
 
-def test_backoff_is_exponential_and_capped():
-    # Jitter off: the deterministic exponential-with-cap schedule.
-    policy = FaultPolicy(backoff_base_s=1.0, backoff_max_s=4.0, backoff_jitter=0.0)
-    assert [policy.backoff_s(n) for n in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 4.0]
-
-
-def test_backoff_jitter_bounds_and_decorrelation():
-    policy = FaultPolicy(backoff_base_s=1.0, backoff_max_s=4.0)  # jitter 0.5
-    rng = random.Random(7)
-    draws = [policy.backoff_s(3, rng=rng) for _ in range(64)]
-    # Every draw stays inside [ceiling/2, ceiling] ...
-    assert all(2.0 <= d <= 4.0 for d in draws)
-    # ... and the draws genuinely spread out (no thundering herd).
-    assert len({round(d, 6) for d in draws}) > 32
-
-
-def test_backoff_with_jitter_helper():
-    rng = random.Random(1)
-    assert backoff_with_jitter(1, 0.5, 30.0, jitter=0.0) == 0.5
-    assert backoff_with_jitter(9, 0.5, 30.0, jitter=0.0) == 30.0
-    jittered = backoff_with_jitter(2, 0.5, 30.0, jitter=1.0, rng=rng)
-    assert 0.0 <= jittered <= 1.0
-    with pytest.raises(ValueError):
-        FaultPolicy(backoff_jitter=1.5)
+def test_fault_policy_has_only_the_four_tuning_fields():
+    """A lost pool worker costs only its own task, so there is no respawn
+    budget, backoff schedule or serial fallback left to tune."""
+    assert [f.name for f in dataclasses.fields(FaultPolicy)] == [
+        "task_timeout_s",
+        "watchdog_grace_s",
+        "max_task_retries",
+        "strict",
+    ]
 
 
 def test_attempt_tracker():
@@ -464,74 +688,3 @@ def test_checkpoint_fsync_mode(tiny_suite, tiny_tasks, tmp_path):
     with open(path) as handle:
         records = [json.loads(line) for line in handle]
     assert [r["type"] for r in records] == ["manifest", "result"]
-
-
-# -- backoff properties (hypothesis) -------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    attempt=st.integers(min_value=1, max_value=10**9),
-    base_s=st.floats(min_value=1e-3, max_value=100.0),
-    cap_factor=st.floats(min_value=1.0, max_value=1e6),
-    jitter=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_backoff_always_within_bounds(attempt, base_s, cap_factor, jitter, seed):
-    """The delay is never negative and never exceeds the cap, for any
-    attempt count — including ones whose naive 2**attempt overflows."""
-    max_s = base_s * cap_factor
-    delay = backoff_with_jitter(
-        attempt, base_s, max_s, jitter=jitter, rng=random.Random(seed)
-    )
-    assert 0.0 <= delay <= max_s
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    attempt=st.integers(min_value=1, max_value=10**9),
-    base_s=st.floats(min_value=1e-3, max_value=100.0),
-    cap_factor=st.floats(min_value=1.0, max_value=1e6),
-)
-def test_backoff_unjittered_within_base_and_cap(attempt, base_s, cap_factor):
-    """Without jitter the delay lies in [base, cap] exactly: the first
-    attempt waits the base, deep attempts saturate at the cap."""
-    max_s = base_s * cap_factor
-    delay = backoff_with_jitter(attempt, base_s, max_s, jitter=0.0)
-    assert base_s <= delay <= max_s or delay == max_s  # base_s may exceed cap
-    assert backoff_with_jitter(1, base_s, max_s, jitter=0.0) == min(
-        base_s, max_s
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    base_s=st.floats(min_value=1e-3, max_value=10.0),
-    cap_factor=st.floats(min_value=1.0, max_value=1e3),
-    jitter=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_backoff_huge_attempts_hit_the_cap_exactly(
-    base_s, cap_factor, jitter, seed
-):
-    """Astronomical attempt counts behave exactly like 'at the cap': no
-    overflow, and the jittered draw equals the cap's jittered draw."""
-    max_s = base_s * cap_factor
-    at_cap = backoff_with_jitter(
-        10**6, base_s, max_s, jitter=jitter, rng=random.Random(seed)
-    )
-    astronomical = backoff_with_jitter(
-        10**9, base_s, max_s, jitter=jitter, rng=random.Random(seed)
-    )
-    assert astronomical == at_cap
-    assert astronomical <= max_s
-
-
-def test_backoff_nonpositive_inputs_yield_zero():
-    assert backoff_with_jitter(3, 0.0, 5.0) == 0.0
-    assert backoff_with_jitter(3, 1.0, 0.0) == 0.0
-    assert backoff_with_jitter(3, -1.0, 5.0) == 0.0
-
