@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from typing import TYPE_CHECKING, Dict, Iterable, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis <- bugs)
     from repro.bugs.campaign import CampaignResult, InjectionResult
@@ -110,22 +109,6 @@ def write_csv(campaign: "CampaignResult", path: str) -> None:
     from repro.exec.durability import atomic_write_text
 
     atomic_write_text(path, to_csv(campaign), newline="")
-
-
-def append_csv(records: Iterable["InjectionResult"], path: str) -> None:
-    """Incrementally append injection rows to a CSV file.
-
-    Writes the header only when the file is new or empty, so a long
-    campaign can flush batches of results as they complete and still end
-    up with one well-formed CSV.
-    """
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=FIELDS)
-        if fresh:
-            writer.writeheader()
-        for record in records:
-            writer.writerow(injection_row(record))
 
 
 def campaign_from_checkpoint(path: str) -> "CampaignResult":

@@ -16,23 +16,25 @@ detected at read time with line numbers (``repro checkpoint verify`` /
 ``repair`` operate on exactly this). A record without a CRC is damage,
 and a manifest without an identity is refused.
 
-Writing, locking, torn-tail handling and the strict load are
-:class:`~repro.exec.durability.SealedLog` and
-:func:`~repro.exec.durability.load_sealed_log`, shared with fuzz
-checkpoints; this module is only the campaign record codec.
+Writing, locking, torn-tail handling, the strict load, the format version
+and the rule for whether a file belongs to a run are
+:mod:`repro.exec.durability`'s, shared with fuzz checkpoints; this module
+is only the campaign record codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.campaign import InjectionResult
 from repro.bugs.models import BugModel, BugSpec
+from repro.core.config import CoreConfig
 from repro.core.cpu import RunResult
 from repro.core.rrs.signals import ArrayName, SignalKind
 from repro.exec.durability import (
+    FORMAT_VERSION,
     CheckpointError,
     SealedLog,
     load_sealed_log,
@@ -40,15 +42,6 @@ from repro.exec.durability import (
 )
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
 from repro.exec.tasks import InjectionTask
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import CoreConfig
-
-#: Checkpoint format version this writer produces.
-FORMAT_VERSION = 2
-
-#: Versions the loaders accept.
-SUPPORTED_VERSIONS = (2,)
 
 
 @dataclass(frozen=True)
@@ -97,17 +90,6 @@ class Manifest:
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "Manifest":
-        if record.get("type") != "manifest":
-            raise CheckpointError("checkpoint does not start with a manifest")
-        if record.get("version") not in SUPPORTED_VERSIONS:
-            raise CheckpointError(
-                f"unsupported checkpoint version {record.get('version')!r}"
-            )
-        if record.get("identity") != manifest_identity(record):
-            raise CheckpointError(
-                "manifest identity hash missing or mismatched (manifest "
-                "edited or corrupted)"
-            )
         return cls(
             seed=record["seed"],
             runs_per_model=record["runs_per_model"],
@@ -244,7 +226,7 @@ def load_checkpoint_full(
     line number, and a later result for a quarantined key (a retry that
     eventually succeeded) supersedes the failure.
     """
-    manifest, done, failures = load_sealed_log(path)
+    manifest, done, failures = load_sealed_log(path, "manifest")
     return (
         Manifest.from_record(manifest),
         {
@@ -270,7 +252,7 @@ def manifest_for(
     benchmarks: List[str],
     max_attempts: int,
     goldens: Dict[str, RunResult],
-    config: Optional["CoreConfig"] = None,
+    config: Optional[CoreConfig] = None,
 ) -> Manifest:
     return Manifest(
         seed=seed,
@@ -284,3 +266,12 @@ def manifest_for(
         },
         design_point=None if config is None else config.to_dict(),
     )
+
+
+def comparable(manifest: Dict[str, object]) -> Dict[str, object]:
+    """A manifest record as resume and merge compare it: a campaign run at
+    the default geometry writes no design point, which keeps its manifest
+    bytes stable, so an absent one reads as ``CoreConfig()``'s."""
+    if manifest.get("type") != "manifest" or "design_point" in manifest:
+        return manifest
+    return dict(manifest, design_point=CoreConfig().to_dict())

@@ -9,9 +9,9 @@ Subcommands over the JSONL checkpoint files both engines write:
   (atomically), emitting a dropped-record report so the EXPERIMENTS.md
   exclusion rules can be applied before any figure is trusted.
 * ``merge -o OUT SHARD...`` — combine shard checkpoints of the *same*
-  campaign (identical manifest identity) into one under
-  :func:`~repro.exec.durability.merge_shard`, so the merged file is
-  byte-identical for any argument order.
+  campaign (:func:`~repro.exec.durability.manifest_mismatch`, as a resume)
+  into one under :func:`~repro.exec.durability.merge_shard`, so the merged
+  file is byte-identical for any argument order.
 
 Exit codes: 0 ok, 1 damage found (verify), 2 unusable input / bad usage.
 """
@@ -24,9 +24,10 @@ from typing import Dict, List, Optional
 
 from repro.exec.durability import (
     ScanReport,
+    canonical_winner,
     fold_checkpoint,
-    golden_mismatch,
-    manifest_identity,
+    manifest_mismatch,
+    manifest_problem,
     merge_shard,
     scan_checkpoint,
     write_sealed_checkpoint,
@@ -62,26 +63,18 @@ def _decode_record(record: Dict[str, object]) -> None:
 
 
 def _manifest_problem(manifest: Dict[str, object]) -> Optional[str]:
-    """Structural verdict on an intact manifest record (version support and,
-    for campaign manifests, full field decoding)."""
-    from repro.exec.checkpoint import CheckpointError, Manifest
-    from repro.fuzz.engine import FUZZ_SUPPORTED_VERSIONS
+    """Structural verdict on an intact manifest record: the loaders'
+    :func:`~repro.exec.durability.manifest_problem` and, for a campaign
+    manifest, full field decoding."""
+    from repro.exec.checkpoint import Manifest
 
-    kind = manifest.get("type")
-    try:
-        if kind == "manifest":
+    problem = manifest_problem(manifest)
+    if problem is None and manifest["type"] == "manifest":
+        try:
             Manifest.from_record(manifest)
-        elif kind == "fuzz-manifest":
-            if manifest.get("version") not in FUZZ_SUPPORTED_VERSIONS:
-                raise CheckpointError(
-                    f"unsupported fuzz checkpoint version "
-                    f"{manifest.get('version')!r}"
-                )
-        else:
-            return f"unknown manifest type {kind!r}"
-    except (CheckpointError, KeyError, TypeError, ValueError) as exc:
-        return str(exc) or type(exc).__name__
-    return None
+        except (KeyError, TypeError, ValueError) as exc:
+            return str(exc) or type(exc).__name__
+    return problem
 
 
 def _print_issues(report: ScanReport, verb: str = "corrupt") -> None:
@@ -233,6 +226,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
+    from repro.exec.checkpoint import comparable
+
     base_manifest: Optional[Dict[str, object]] = None
     base_path: Optional[str] = None
     done: Dict[object, Dict[str, object]] = {}
@@ -248,6 +243,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if report.manifest is None:
             print(f"{path}: no readable manifest record", file=sys.stderr)
             return 2
+        problem = _manifest_problem(report.manifest)
+        if problem is not None:
+            print(f"{path}: manifest unusable: {problem}", file=sys.stderr)
+            return 2
         if report.interior_issues:
             _print_issues(report)
             print(
@@ -261,26 +260,18 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             _print_issues(report)  # dropped, like a resume would
         if base_manifest is None:
             base_manifest, base_path = report.manifest, path
-        if manifest_identity(report.manifest) != manifest_identity(
-            base_manifest
-        ):
-            print(
-                f"{path}: manifest identity differs from {base_path}; these "
-                "shards belong to different campaigns and must not be "
-                "merged",
-                file=sys.stderr,
-            )
-            return 2
-        mismatch = golden_mismatch(
-            base_manifest.get("goldens", {}), report.manifest.get("goldens", {})
+        reason = manifest_mismatch(
+            comparable(report.manifest), comparable(base_manifest), base_path
         )
-        if mismatch is not None:
+        if reason is not None:
             print(
-                f"{path}: golden run of {mismatch} differs from {base_path}; "
-                "these shards ran different programs and must not be merged",
+                f"{path}: {reason}; these shards belong to different "
+                "campaigns and must not be merged",
                 file=sys.stderr,
             )
             return 2
+        # Equal by the rule, maybe not in bytes: choose as between records.
+        base_manifest = canonical_winner(base_manifest, report.manifest)
         merge_shard(done, failures, shard_done, shard_failures)
     records = [r for r in done.values()] + [r for r in failures.values()]
     if not _write(args.output, base_manifest, records):

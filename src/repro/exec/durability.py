@@ -16,8 +16,9 @@ here, dependency-free so every layer can use it without cycles:
   checkpoint (intact / torn tail / interior corruption) in O(1) memory;
   :func:`fold_checkpoint` also deduplicates, and :func:`load_sealed_log`
   is the strict loader built on it (tolerates exactly a torn final line,
-  raises on anything else). :func:`merge_shard` is the cross-file merge
-  rule.
+  raises on anything else). :func:`manifest_mismatch` decides whether a
+  file belongs to a run (resume, merge); :func:`merge_shard` is the
+  cross-file merge rule.
 * **Torn-tail truncation** — :func:`truncate_torn_tail` drops a partial
   final line without reading the whole file into memory.
 * **Atomic writes** — :func:`atomic_write_text` writes via a temp file in
@@ -176,10 +177,13 @@ def _check_line(
     return record, None
 
 
+#: The checkpoint format version both engines write and every reader takes.
+FORMAT_VERSION = 2
+
 #: Manifest fields that never join the identity hash: the hash itself, the
 #: per-line CRC, the format version (a format change alone does not make
-#: another campaign), and golden summaries (derived data: resume and merge
-#: compare them with :func:`golden_mismatch` instead).
+#: another campaign), and golden summaries (derived data, which
+#: :func:`manifest_mismatch` compares after the identity fields).
 _NON_IDENTITY_FIELDS = ("crc", "identity", "version", "type", "goldens")
 
 
@@ -199,15 +203,42 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def golden_mismatch(
-    recorded: Dict[str, object], other: Dict[str, object]
+def manifest_mismatch(
+    recorded: Dict[str, object], expected: Dict[str, object], other: str
 ) -> Optional[str]:
-    """The first benchmark (by name) whose golden summary differs between
-    two ``goldens`` maps, or None: a resume or merge across it would mix
-    results of different programs, such as builds at another scale."""
-    for name in sorted(set(recorded) | set(other)):
-        if recorded.get(name) != other.get(name):
-            return name
+    """Why a checkpoint whose manifest is ``recorded`` is not one of
+    ``other``, whose manifest is ``expected``, or None: the first field
+    :func:`manifest_identity` hashes that differs, else the first
+    benchmark whose golden run differs (its program was built otherwise,
+    say at another scale). Resume and merge decide by this one rule."""
+    fields = (set(recorded) | set(expected)) - set(_NON_IDENTITY_FIELDS)
+    mine, theirs = recorded.get("goldens", {}), expected.get("goldens", {})
+    checks = [
+        (f"{key}=", recorded.get(key), expected.get(key))
+        for key in sorted(fields)
+    ] + [
+        (f"golden run of {name} ", mine.get(name), theirs.get(name))
+        for name in sorted(set(mine) | set(theirs))
+    ]
+    for what, have, want in checks:
+        if have != want:
+            return f"{what}{have!r} does not match {other}'s {what}{want!r}"
+    return None
+
+
+def manifest_problem(
+    manifest: Dict[str, object], kind: Optional[str] = None
+) -> Optional[str]:
+    """Why no reader takes an intact manifest record, or None: a version
+    other than :data:`FORMAT_VERSION`, or a type other than ``kind`` (or
+    unknown). The strict loader and ``repro checkpoint verify`` ask; the
+    per-line scan does not, so another version damages one line, not all."""
+    if manifest.get("version") != FORMAT_VERSION:
+        return f"unsupported checkpoint version {manifest.get('version')!r}"
+    kinds = (kind,) if kind else tuple(RECORD_TYPES)
+    if manifest.get("type") not in kinds:
+        wanted = " or ".join(repr(k) for k in kinds)
+        return f"manifest type {manifest.get('type')!r}, not {wanted}"
     return None
 
 
@@ -331,20 +362,21 @@ def fold_checkpoint(
 
 
 def load_sealed_log(
-    path: str,
+    path: str, kind: str
 ) -> Tuple[
     Dict[str, object],
     Dict[object, Dict[str, object]],
     Dict[object, Dict[str, object]],
 ]:
-    """Strict load: ``(manifest, done, failures)`` as raw records,
-    deduplicated by :func:`fold_checkpoint`; the engines decode them.
+    """Strict load of a ``kind`` checkpoint: ``(manifest, done, failures)``
+    as raw records, deduplicated by :func:`fold_checkpoint`; the engines
+    decode them.
 
     Tolerates (and drops) exactly an unparsable *final* line — the
     signature of a killed writer — and raises :class:`CheckpointError`
     naming the line of the first interior issue (CRC missing or stale,
-    damaged JSON, unexpected record type), or when the file is empty or
-    holds no complete record.
+    damaged JSON, unexpected record type), when the file is empty or
+    holds no complete record, or when :func:`manifest_problem` refuses it.
     """
     if os.path.getsize(path) == 0:
         raise CheckpointError(f"{path}: empty checkpoint file")
@@ -356,6 +388,9 @@ def load_sealed_log(
         )
     if report.manifest is None:
         raise CheckpointError(f"{path}: no complete records")
+    problem = manifest_problem(report.manifest, kind)
+    if problem is not None:
+        raise CheckpointError(f"{path}: {problem}")
     return report.manifest, done, failures
 
 

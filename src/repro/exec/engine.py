@@ -1,12 +1,12 @@
-"""The campaign engine: task generation -> backend -> ordered aggregation.
+"""The run driver both engines share (:class:`RunDriver`), and the
+campaign engine on it.
 
-This is the one execution path behind both :func:`repro.bugs.campaign.run_campaign`
-and the ``idld-campaign`` CLI. It generates the canonical task list, skips
-tasks already present in a resume checkpoint, streams the rest through the
-chosen backend, checkpoints each completion, emits progress events, and
-finally assembles a :class:`~repro.bugs.campaign.CampaignResult` in task
-order — making the campaign independent of backend, worker count, and
-interruptions.
+:func:`run_engine` is the one execution path behind both
+:func:`repro.bugs.campaign.run_campaign` and the ``idld-campaign`` CLI. It
+generates the canonical task list, streams the tasks a resume checkpoint
+does not already hold through the chosen backend, and finally assembles a
+:class:`~repro.bugs.campaign.CampaignResult` in task order — making the
+campaign independent of backend, worker count, and interruptions.
 
 Fault tolerance: every backend runs under a
 :class:`~repro.exec.resilience.FaultPolicy` and yields a structured
@@ -23,9 +23,11 @@ library campaign stops at its first failing task with a
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Optional, Sequence
+from collections import Counter
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
-from repro.bugs.campaign import CampaignResult, InjectionResult
+from repro.bugs.campaign import CampaignResult
 from repro.bugs.models import BugModel, PRIMARY_MODELS
 from repro.core.config import CoreConfig
 from repro.exec.backends import (
@@ -35,56 +37,133 @@ from repro.exec.backends import (
     TaskRunner,
 )
 from repro.exec.checkpoint import (
-    CheckpointError,
     CheckpointWriter,
-    GoldenSummary,
+    comparable,
     load_checkpoint_full,
     manifest_for,
 )
-from repro.exec.durability import GracefulShutdown, golden_mismatch
+from repro.exec.durability import (
+    CheckpointError,
+    GracefulShutdown,
+    SealedLog,
+    manifest_mismatch,
+)
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
 from repro.exec.tasks import generate_tasks
 from repro.isa.program import Program
 
 
-def _verify_manifest(
-    manifest, seed, runs_per_model, models, goldens, path, config=None
-):
-    # A default-config campaign writes no design point, so on both sides
-    # an absent one reads as the default geometry.
-    default = CoreConfig().to_dict()
-    expected = {
-        "seed": seed,
-        "runs_per_model": runs_per_model,
-        "models": [m.value for m in models],
-        "benchmarks": list(goldens),
-        "design_point": default if config is None else config.to_dict(),
-    }
-    actual = {
-        "seed": manifest.seed,
-        "runs_per_model": manifest.runs_per_model,
-        "models": manifest.models,
-        "benchmarks": manifest.benchmarks,
-        "design_point": manifest.design_point or default,
-    }
-    for key in expected:
-        if expected[key] != actual[key]:
-            raise CheckpointError(
-                f"{path}: checkpoint {key}={actual[key]!r} does not match "
-                f"this campaign's {key}={expected[key]!r}; refusing to resume"
-            )
-    live = {
-        name: GoldenSummary(golden.cycles, golden.committed)
-        for name, golden in goldens.items()
-    }
-    name = golden_mismatch(manifest.goldens, live)
-    if name is not None:
-        raise CheckpointError(
-            f"{path}: checkpoint golden run of {name} "
-            f"{manifest.goldens.get(name)} does not match this campaign's "
-            f"{live.get(name)}; refusing to resume"
+class RunDriver:
+    """One run of an engine over its optional checkpoint at ``path``.
+
+    Opens the run's sealed log fresh or resumed, refuses a resumed file by
+    :func:`~repro.exec.durability.manifest_mismatch` (the rule ``repro
+    checkpoint merge`` also applies), runs the tasks the file does not
+    hold, appends each outcome as the backend yields it and turns the
+    counts into progress events.
+
+    The engine brings its codec: ``log_class``, a
+    :class:`~repro.exec.durability.SealedLog` with ``write_result`` and
+    ``write_failure``; ``load``, which reads a checkpoint into
+    ``(manifest, done, failures)`` with records keyed as ``key`` keys a
+    task (a resume keeps ``done`` and ``failures`` for the engine); and
+    ``view``, which maps a manifest to the record the rule compares.
+    ``groups`` names each task's benchmark, when the run has benchmarks.
+    """
+
+    def __init__(
+        self,
+        path: Optional[str],
+        manifest: Any,
+        log_class: Callable[..., SealedLog],
+        load: Callable[[str], tuple],
+        view: Callable[[Any], Dict[str, object]] = dict,
+        key: Callable[[Any], object] = attrgetter("key"),
+        resume: bool = False,
+        fsync: bool = False,
+        observers: Sequence[ProgressObserver] = (),
+        total: int = 0,
+        groups: Iterable[str] = (),
+    ) -> None:
+        if resume and path is None:
+            raise ValueError("resume=True requires checkpoint_path")
+        self.done: Dict = {}
+        self.failures: Dict = {}
+        if resume:
+            recorded, self.done, self.failures = load(path)
+            why = manifest_mismatch(view(recorded), view(manifest), "this run")
+            if why is not None:
+                raise CheckpointError(
+                    f"{path}: checkpoint {why}; refusing to resume"
+                )
+        self.log: Optional[SealedLog] = None
+        if path is not None:
+            self.log = log_class(path, manifest, resume=resume, fsync=fsync)
+        self.key = key
+        self.observers = observers
+        self.total = total
+        self.group_totals = Counter(groups)
+        self.group_done: Counter = Counter()
+        self.skipped = self.executed = self._shown = 0
+        self.failed = len(self.failures)
+        self.started = time.monotonic()
+
+    def run(self, backend: Any, tasks: Sequence, context: Any) -> Iterator:
+        """Run the ``tasks`` the checkpoint does not hold, counting the
+        others as skipped (and reporting them before the dispatch), and
+        yield the backend's ``(task, outcome)`` pairs, each appended and
+        reported first."""
+        pending = []
+        for task in tasks:
+            if self.key(task) in self.done or self.key(task) in self.failures:
+                self.skipped += 1
+                self.group_done[getattr(task, "benchmark", None)] += 1
+            else:
+                pending.append(task)
+        if self.skipped + self.executed != self._shown:
+            self._emit(None)
+        for task, outcome in backend.run(pending, context):
+            if isinstance(outcome, TaskFailure):
+                self.failed += 1
+                if self.log is not None:
+                    self.log.write_failure(task, outcome)
+            elif self.log is not None:
+                self.log.write_result(task, outcome)
+            self.executed += 1
+            benchmark = getattr(task, "benchmark", None)
+            self.group_done[benchmark] += 1
+            self._emit(benchmark)
+            yield task, outcome
+
+    def _emit(self, benchmark: Optional[str]) -> None:
+        elapsed = time.monotonic() - self.started
+        executed = self.executed
+        rate = executed / elapsed if elapsed > 0 and executed else 0.0
+        done = self._shown = self.skipped + executed
+        event = ProgressEvent(
+            done=done,
+            total=self.total,
+            skipped=self.skipped,
+            elapsed_s=elapsed,
+            throughput=rate,
+            eta_s=(self.total - done) / rate if rate > 0 else None,
+            benchmark=benchmark,
+            per_benchmark={
+                name: (self.group_done[name], total)
+                for name, total in self.group_totals.items()
+            },
+            failed=self.failed,
         )
+        for observer in self.observers:
+            observer(event)
+
+    def __enter__(self) -> "RunDriver":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.log is not None:
+            self.log.close()
 
 
 def run_engine(
@@ -149,8 +228,6 @@ def run_engine(
         quarantined tasks on ``CampaignResult.failures``.
     """
     models = list(models)
-    if resume and checkpoint_path is None:
-        raise ValueError("resume=True requires checkpoint_path")
     tasks = generate_tasks(
         list(programs), runs_per_model, models, seed, max_attempts
     )
@@ -163,79 +240,23 @@ def run_engine(
         shutdown=shutdown,
     )
     goldens = {name: context.golden(name) for name in programs}
+    manifest = manifest_for(
+        seed, runs_per_model, models, list(programs), max_attempts, goldens,
+        config=config,
+    )
 
-    completed: Dict[int, InjectionResult] = {}
-    failed: Dict[int, TaskFailureRecord] = {}
-    skipped = 0
-    if resume:
-        manifest, done, quarantined = load_checkpoint_full(checkpoint_path)
-        _verify_manifest(
-            manifest, seed, runs_per_model, models, goldens,
-            checkpoint_path, config=config,
-        )
-        by_key = {task.key: task for task in tasks}
-        for key, (index, result) in done.items():
-            if key in by_key:
-                completed[by_key[key].index] = result
-        for key, record in quarantined.items():
-            if key in by_key:
-                failed[by_key[key].index] = record
-        skipped = len(completed) + len(failed)
-
-    writer: Optional[CheckpointWriter] = None
-    if checkpoint_path is not None:
-        manifest = manifest_for(
-            seed, runs_per_model, models, list(programs), max_attempts,
-            goldens, config=config,
-        )
-        writer = CheckpointWriter(
-            checkpoint_path, manifest, resume=resume, fsync=checkpoint_fsync
-        )
-
-    total = len(tasks)
-    bench_totals = {name: 0 for name in programs}
-    for task in tasks:
-        bench_totals[task.benchmark] += 1
-    bench_done = {name: 0 for name in programs}
-    for index in completed:
-        bench_done[tasks[index].benchmark] += 1
-    for index in failed:
-        bench_done[tasks[index].benchmark] += 1
-
-    started = time.monotonic()
-    executed = 0
-
-    def emit(benchmark: Optional[str]) -> None:
-        elapsed = time.monotonic() - started
-        throughput = executed / elapsed if elapsed > 0 and executed else 0.0
-        remaining = total - (skipped + executed)
-        eta = remaining / throughput if throughput > 0 else None
-        event = ProgressEvent(
-            done=skipped + executed,
-            total=total,
-            skipped=skipped,
-            elapsed_s=elapsed,
-            throughput=throughput,
-            eta_s=eta,
-            benchmark=benchmark,
-            per_benchmark={
-                name: (bench_done[name], bench_totals[name])
-                for name in bench_totals
-            },
-            failed=len(failed),
-        )
-        for observer in observers:
-            observer(event)
-
-    try:
-        if skipped and observers:
-            emit(None)
-        pending = [
-            task
-            for task in tasks
-            if task.index not in completed and task.index not in failed
-        ]
-        for task, outcome in backend.run(pending, context):
+    with RunDriver(
+        checkpoint_path, manifest, CheckpointWriter, load_checkpoint_full,
+        view=lambda m: comparable(m.to_record()),
+        resume=resume,
+        fsync=checkpoint_fsync,
+        observers=observers,
+        total=len(tasks),
+        groups=[task.benchmark for task in tasks],
+    ) as driver:
+        completed = {index: result for index, result in driver.done.values()}
+        failed = {record.index: record for record in driver.failures.values()}
+        for task, outcome in driver.run(backend, tasks, context):
             if isinstance(outcome, TaskFailure):
                 failed[task.index] = TaskFailureRecord(
                     key=task.key,
@@ -243,18 +264,8 @@ def run_engine(
                     benchmark=task.benchmark,
                     failure=outcome,
                 )
-                if writer is not None:
-                    writer.write_failure(task, outcome)
             else:
                 completed[task.index] = outcome
-                if writer is not None:
-                    writer.write_result(task, outcome)
-            executed += 1
-            bench_done[task.benchmark] += 1
-            emit(task.benchmark)
-    finally:
-        if writer is not None:
-            writer.close()
 
     campaign = CampaignResult(goldens=dict(goldens))
     campaign.results = [

@@ -1,9 +1,9 @@
-"""Progress events for campaign execution.
+"""Progress events for campaign and fuzz execution.
 
-The engine emits one :class:`ProgressEvent` per completed task (plus one
-up-front event when a resume skips already-done work) through plain
-callables, so consumers stay decoupled from execution: the CLI attaches a
-:class:`ProgressPrinter`, tests attach a recording lambda.
+:class:`~repro.exec.engine.RunDriver` emits one :class:`ProgressEvent` per
+completed task (plus one before a dispatch that follows skipped resumed
+work) through plain callables, so consumers stay decoupled from execution:
+the CLI attaches a :class:`ProgressPrinter`, tests a recording lambda.
 """
 
 from __future__ import annotations

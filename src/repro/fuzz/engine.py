@@ -13,9 +13,10 @@ Execution model — generations with a deterministic barrier:
   campaign bit-identical for any worker count.
 * Completed evaluations append to the same sealed log as campaign
   checkpoints (:class:`~repro.exec.durability.SealedLog`: CRC-sealed
-  lines, single-writer lock, torn-tail tolerant); only the record codec
-  below is fuzz-specific. ``--resume`` replays recorded results through
-  the driver instead of re-simulating them, which reconstructs the exact
+  lines, single-writer lock, torn-tail tolerant) through the campaign's
+  :class:`~repro.exec.engine.RunDriver`; only the record codec below is
+  fuzz-specific. ``--resume`` replays recorded results through the
+  driver instead of re-simulating them, which reconstructs the exact
   corpus/coverage state deterministically.
 
 Any oracle failure is deduplicated by (failure tuple, coverage signature),
@@ -30,6 +31,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bugs.models import BugSpec
@@ -37,13 +39,14 @@ from repro.core.config import CoreConfig
 from repro.exec.backends import Backend, ExecutionContext, SerialBackend
 from repro.exec.checkpoint import spec_to_dict
 from repro.exec.durability import (
-    CheckpointError,
+    FORMAT_VERSION,
     GracefulShutdown,
     SealedLog,
     load_sealed_log,
     manifest_identity,
 )
-from repro.exec.progress import ProgressEvent, ProgressObserver
+from repro.exec.engine import RunDriver
+from repro.exec.progress import ProgressObserver
 from repro.exec.resilience import TaskFailure
 from repro.fuzz.artifacts import (
     ReproArtifact,
@@ -64,13 +67,6 @@ from repro.fuzz.shrink import shrink
 #: Domain separator for fuzz seed derivation (independent of the campaign
 #: engine's namespace); bump if the scheduling scheme ever changes.
 FUZZ_SEED_NAMESPACE = "idld-fuzz-v1"
-
-#: Fuzz checkpoint format version this writer produces (v2: CRC-sealed
-#: records + manifest identity hash, same scheme as campaign checkpoints).
-FUZZ_CHECKPOINT_VERSION = 2
-
-#: Versions the loader accepts.
-FUZZ_SUPPORTED_VERSIONS = (2,)
 
 
 def derive_fuzz_seed(master_seed: int, index: int) -> int:
@@ -244,19 +240,6 @@ def failure_signature(
 # -- checkpointing -----------------------------------------------------------
 
 
-def _result_to_record(result: FuzzResult) -> Dict[str, object]:
-    return {
-        "type": "eval",
-        "index": result.index,
-        "ok": result.ok,
-        "failures": list(result.failures),
-        "coverage": list(result.coverage),
-        "cycles": result.cycles,
-        "committed": result.committed,
-        "output_sha": result.output_sha,
-    }
-
-
 def _result_from_record(record: Dict[str, object]) -> FuzzResult:
     return FuzzResult(
         index=record["index"],
@@ -269,6 +252,25 @@ def _result_from_record(record: Dict[str, object]) -> FuzzResult:
     )
 
 
+class FuzzCheckpoint(SealedLog):
+    """The fuzz codec over a :class:`~repro.exec.durability.SealedLog`:
+    one ``eval`` record per evaluation and one ``eval-failure`` record per
+    quarantined one, after a ``fuzz-manifest``."""
+
+    def write_result(self, task: FuzzTask, result: FuzzResult) -> None:
+        # The record is the result's fields; JSON writes tuples as lists.
+        self.append(dict(vars(result), type="eval"))
+
+    def write_failure(self, task: FuzzTask, failure: TaskFailure) -> None:
+        self.append(
+            {
+                "type": "eval-failure",
+                "index": task.index,
+                "failure": failure.to_record(),
+            }
+        )
+
+
 def _fuzz_manifest(
     seed: int,
     batch: int,
@@ -278,7 +280,7 @@ def _fuzz_manifest(
 ) -> Dict[str, object]:
     record = {
         "type": "fuzz-manifest",
-        "version": FUZZ_CHECKPOINT_VERSION,
+        "version": FORMAT_VERSION,
         "seed": seed,
         "batch": batch,
         "limits": {
@@ -305,16 +307,7 @@ def load_fuzz_checkpoint_full(
     :func:`~repro.exec.durability.load_sealed_log`'s (a later ``eval``
     record for an index supersedes its ``eval-failure`` record: a retry
     eventually succeeded)."""
-    manifest, done, failures = load_sealed_log(path)
-    if manifest.get("type") != "fuzz-manifest":
-        raise CheckpointError(
-            f"{path}: not a fuzz checkpoint (got {manifest.get('type')!r})"
-        )
-    if manifest.get("version") not in FUZZ_SUPPORTED_VERSIONS:
-        raise CheckpointError(
-            f"{path}: unsupported fuzz checkpoint version "
-            f"{manifest.get('version')!r}"
-        )
+    manifest, done, failures = load_sealed_log(path, "fuzz-manifest")
     return (
         manifest,
         {index: _result_from_record(record) for index, record in done.items()},
@@ -323,20 +316,6 @@ def load_fuzz_checkpoint_full(
             for index, record in failures.items()
         },
     )
-
-
-def _verify_fuzz_manifest(
-    manifest: Dict[str, object],
-    expected: Dict[str, object],
-    path: str,
-) -> None:
-    for key in ("seed", "batch", "limits", "config_digest", "bug"):
-        if manifest.get(key) != expected[key]:
-            raise CheckpointError(
-                f"{path}: checkpoint {key}={manifest.get(key)!r} does not "
-                f"match this campaign's {key}={expected[key]!r}; refusing "
-                "to resume"
-            )
 
 
 # -- the campaign ------------------------------------------------------------
@@ -553,8 +532,6 @@ def run_fuzz(
     consistent with each other. The default backend runs under
     :data:`~repro.exec.resilience.FAIL_FAST` and raises instead.
     """
-    if resume and checkpoint_path is None:
-        raise ValueError("resume=True requires checkpoint_path")
     campaign = FuzzCampaign(
         seed=seed,
         budget=budget,
@@ -572,84 +549,32 @@ def run_fuzz(
         runner=run_fuzz_task,
         shutdown=shutdown,
     )
-    expected_manifest = _fuzz_manifest(
-        seed, batch, limits, campaign.config, bug
-    )
-
-    restored: Dict[int, FuzzResult] = {}
-    quarantined: Dict[int, TaskFailure] = {}
-    if resume:
-        manifest, restored, restored_failures = load_fuzz_checkpoint_full(
-            checkpoint_path
-        )
-        _verify_fuzz_manifest(manifest, expected_manifest, checkpoint_path)
-        quarantined.update(restored_failures)
-
-    log: Optional[SealedLog] = None
-    if checkpoint_path is not None:
-        log = SealedLog(
-            checkpoint_path,
-            expected_manifest,
-            resume=resume,
-            fsync=checkpoint_fsync,
-        )
-
-    started = time.monotonic()
-    executed = 0
-    restored_used = 0
-
-    def emit() -> None:
-        elapsed = time.monotonic() - started
-        throughput = executed / elapsed if elapsed > 0 and executed else 0.0
-        done = restored_used + executed
-        eta = (
-            (budget - done) / throughput if throughput > 0 else None
-        )
-        event = ProgressEvent(
-            done=done,
-            total=budget,
-            skipped=restored_used,
-            elapsed_s=elapsed,
-            throughput=throughput,
-            eta_s=eta,
-            benchmark=None,
-            failed=len(quarantined),
-        )
-        for observer in observers:
-            observer(event)
-
-    try:
+    with RunDriver(
+        checkpoint_path,
+        _fuzz_manifest(seed, batch, limits, campaign.config, bug),
+        FuzzCheckpoint,
+        load_fuzz_checkpoint_full,
+        key=attrgetter("index"),
+        resume=resume,
+        fsync=checkpoint_fsync,
+        observers=observers,
+        total=budget,
+    ) as driver:
+        restored, quarantined = driver.done, dict(driver.failures)
         index = 0
         while index < budget:
             size = min(batch, budget - index)
             tasks = [campaign.schedule(index + i) for i in range(size)]
-            results: Dict[int, FuzzResult] = {}
-            pending = []
-            for task in tasks:
-                if task.index in restored:
-                    results[task.index] = restored[task.index]
-                    restored_used += 1
-                elif task.index in quarantined:
-                    restored_used += 1  # known-bad; don't re-crash on it
-                else:
-                    pending.append(task)
-            if pending and observers:
-                emit()
-            for task, outcome in backend.run(pending, context):
+            results: Dict[int, FuzzResult] = {
+                task.index: restored[task.index]
+                for task in tasks
+                if task.index in restored
+            }
+            for task, outcome in driver.run(backend, tasks, context):
                 if isinstance(outcome, TaskFailure):
                     quarantined[task.index] = outcome
-                    record = {
-                        "type": "eval-failure",
-                        "index": task.index,
-                        "failure": outcome.to_record(),
-                    }
                 else:
                     results[task.index] = outcome
-                    record = _result_to_record(outcome)
-                if log is not None:
-                    log.append(record)
-                executed += 1
-                emit()
             interrupted = shutdown is not None and shutdown.requested
             if interrupted:
                 accounted = sum(
@@ -669,24 +594,20 @@ def run_fuzz(
             index += size
             if interrupted:
                 break
-    finally:
-        if log is not None:
-            log.close()
 
     if save_corpus_dir is not None:
         campaign.save_corpus(save_corpus_dir)
 
-    summary = FuzzSummary(
+    return FuzzSummary(
         seed=seed,
         budget=budget,
         batch=batch,
-        executed=executed,
-        restored=restored_used,
+        executed=driver.executed,
+        restored=driver.skipped,
         coverage=campaign.coverage,
         corpus=campaign.corpus,
         findings=campaign.findings,
         failure_runs=campaign.failure_runs,
-        elapsed_s=time.monotonic() - started,
+        elapsed_s=time.monotonic() - driver.started,
         task_failures=dict(sorted(quarantined.items())),
     )
-    return summary

@@ -27,8 +27,6 @@ from repro.isa.program import Program, ProgramBuilder
 ALU_OPS = ("add", "sub", "mul", "and_", "or_", "xor", "slt", "sltu")
 #: Register-immediate ALU builder methods.
 IMM_OPS = ("addi", "andi", "ori", "xori")
-#: Operation kinds a gene can carry.
-OP_KINDS = ("alu", "imm", "load", "store", "zero_li", "zero_xor")
 
 #: Hard bounds that keep every genome well-formed and quick to simulate.
 MAX_BLOCKS = 12

@@ -23,7 +23,6 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 
 _REGISTER_RE = re.compile(r"^r(\d+)$", re.IGNORECASE)
-_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):$")
 
 #: opcode -> operand signature. ``d``=dest reg, ``s``=src reg, ``i``=imm,
 #: ``l``=label. Signature order matches assembly operand order.

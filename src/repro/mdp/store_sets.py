@@ -182,6 +182,3 @@ class StoreSetsPredictor:
 
     def lfst_occupancy(self) -> int:
         return sum(1 for entry in self._lfst if entry is not None)
-
-    def lfst_contents(self) -> List[int]:
-        return [entry.inner_id for entry in self._lfst if entry is not None]

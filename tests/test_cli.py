@@ -83,6 +83,63 @@ def test_resume_at_another_scale_is_refused(tmp_path, capsys):
     assert "golden run of sha" in captured.err
 
 
+def _resume_argv(command, path):
+    if command == "campaign":
+        return [
+            "campaign", "--runs", "1", "--benchmarks", "sha", "--scale",
+            "0.25", "--figures", "3", "--no-progress", "--resume", path,
+        ]
+    return [
+        "fuzz", "--seed", "1", "--budget", "4", "--batch", "4",
+        "--no-progress", "--resume", path,
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, written_by",
+    [
+        ("campaign", "fuzz"),
+        ("fuzz", "campaign"),
+        ("campaign", "campaign-v1"),
+        ("fuzz", "fuzz-v1"),
+    ],
+    ids=[
+        "campaign-resumes-fuzz",
+        "fuzz-resumes-campaign",
+        "campaign-resumes-v1",
+        "fuzz-resumes-v1",
+    ],
+)
+def test_resume_of_an_unreadable_checkpoint_names_it(
+    command, written_by, tmp_path, capsys
+):
+    """A checkpoint of the other engine, or of another format version, is
+    refused by the loader both engines share: exit 2 and one stderr line
+    that names the file."""
+    import json
+
+    from repro.cli import repro_main
+    from repro.exec.durability import seal_record
+
+    path = str(tmp_path / "run.jsonl")
+    engine = written_by.split("-")[0]
+    argv = _resume_argv(engine, path)
+    assert repro_main(argv[:-2] + ["--checkpoint", path]) in (0, 1)
+    if written_by.endswith("-v1"):
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        manifest = json.loads(lines[0])
+        manifest["version"] = 1
+        lines[0] = json.dumps(seal_record(manifest), sort_keys=True)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert repro_main(_resume_argv(command, path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and path in captured.err
+
+
 def test_from_checkpoint_missing_file_clean_error(capsys):
     assert main(["--from-checkpoint", "/nonexistent/run.jsonl"]) == 2
     assert "cannot load checkpoint" in capsys.readouterr().err

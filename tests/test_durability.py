@@ -283,6 +283,38 @@ def test_verify_exit_codes(checkpointed, tmp_path, capsys):
     assert checkpoint_main(["verify", str(tmp_path / "missing.jsonl")]) == 2
 
 
+def _another_version(path: str, dst) -> str:
+    """A copy of ``path`` whose manifest says format version 1, resealed;
+    the version is outside the identity hash, so only it is wrong."""
+    old = _copy(path, dst)
+    lines = _lines(old)
+    manifest = json.loads(lines[0])
+    manifest["version"] = 1
+    lines[0] = json.dumps(seal_record(manifest), sort_keys=True)
+    return _write_lines(old, lines)
+
+
+def test_verify_flags_only_the_manifest_of_another_version(
+    sealed, tmp_path, capsys
+):
+    old = _another_version(sealed.path, tmp_path / "v1.jsonl")
+    assert checkpoint_main(["verify", old]) == 1
+    out = capsys.readouterr().out
+    assert f"{old}:1: corrupt: unsupported" in out
+    assert out.count(": corrupt: ") == 1
+    assert "1 damaged line(s)" in out
+
+
+def test_merge_refuses_a_shard_of_another_version(sealed, tmp_path, capsys):
+    old = _another_version(sealed.path, tmp_path / "v1.jsonl")
+    merged = str(tmp_path / "merged.jsonl")
+    assert checkpoint_main(["merge", "-o", merged, sealed.path, old]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{old}: ")
+    assert "unsupported checkpoint version 1" in err
+    assert not os.path.exists(merged)
+
+
 @pytest.mark.parametrize("command", ["merge", "repair"])
 def test_unwritable_output_exits_2(command, checkpointed, tmp_path, capsys):
     """An output path in a directory that does not exist is unusable
@@ -372,7 +404,9 @@ def test_merge_refuses_mismatched_manifests(checkpointed, tmp_path, capsys):
         handle.write("\n".join(lines) + "\n")
     merged = str(tmp_path / "merged.jsonl")
     assert checkpoint_main(["merge", "-o", merged, path, other]) == 2
-    assert "different campaigns" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "different campaigns" in err
+    assert "seed" in err
 
 
 def test_merge_refuses_shards_with_different_goldens(

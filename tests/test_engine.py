@@ -10,11 +10,9 @@ import json
 import pytest
 
 from repro.analysis.export import (
-    append_csv,
     campaign_from_checkpoint,
     to_csv,
     to_json,
-    write_csv,
 )
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.campaign import CampaignResult, InjectionResult, run_campaign
@@ -28,7 +26,9 @@ from repro.exec.checkpoint import (
     result_to_dict,
 )
 from repro.exec.engine import run_engine
+from repro.exec.resilience import FaultPolicy
 from repro.exec.tasks import derive_seed, generate_tasks
+from repro.fuzz.engine import run_fuzz
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +159,17 @@ class TestCheckpoint:
                 sha_only, 1, seed=8, checkpoint_path=path, resume=True
             )
 
+    def test_mismatched_max_attempts_refused(self, sha_only, tmp_path):
+        """Every field the manifest identity hashes is checked on resume,
+        ``max_attempts`` included: a redraw budget changes the results."""
+        path = str(tmp_path / "run.jsonl")
+        run_engine(sha_only, 1, seed=7, max_attempts=6, checkpoint_path=path)
+        with pytest.raises(CheckpointError, match="max_attempts=6"):
+            run_engine(
+                sha_only, 1, seed=7, max_attempts=2, checkpoint_path=path,
+                resume=True,
+            )
+
     def test_corrupt_middle_record_refused(self, sha_only, tmp_path):
         path = str(tmp_path / "run.jsonl")
         run_engine(sha_only, 2, seed=7, checkpoint_path=path)
@@ -267,6 +278,53 @@ class TestProgress:
         assert final.per_benchmark["sha"] == (6, 6)
         assert final.benchmark_eta_s("sha") == 0.0
 
+    def test_fuzz_event_stream_shape(self):
+        """The fuzz engine reports through the same driver: counts never go
+        back, and the last event has every evaluation of the budget."""
+        events = []
+        summary = run_fuzz(
+            seed=3, budget=12, batch=4, observers=[events.append]
+        )
+        dones = [e.done for e in events]
+        assert dones == sorted(dones)
+        assert dones[-1] == events[-1].total == 12
+        assert summary.executed == 12
+        assert all(e.skipped == 0 and e.failed == 0 for e in events)
+        assert all(e.benchmark is None for e in events)
+
+    def test_fuzz_resumed_event_stream_counts_restored(
+        self, tmp_path, monkeypatch
+    ):
+        """A resumed fuzz run's first event counts the restored evaluations
+        (a quarantined one among them) as skipped, and its last event
+        agrees with the summary."""
+        import repro.fuzz.engine as fuzz_engine
+
+        real_evaluate = fuzz_engine.evaluate
+
+        def flaky_evaluate(program, **kwargs):
+            if program.name == "fuzz2":
+                raise RuntimeError("boom")
+            return real_evaluate(program, **kwargs)
+
+        monkeypatch.setattr(fuzz_engine, "evaluate", flaky_evaluate)
+        policy = FaultPolicy(max_task_retries=0)
+        path = tmp_path / "fuzz.jsonl"
+        run = dict(seed=5, budget=12, batch=8, checkpoint_path=str(path))
+        run_fuzz(backend=SerialBackend(policy=policy), **run)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:7]) + "\n")  # manifest + 6 records
+        events = []
+        summary = run_fuzz(
+            backend=SerialBackend(policy=policy), resume=True,
+            observers=[events.append], **run,
+        )
+        first, final = events[0], events[-1]
+        assert (first.done, first.skipped, first.failed) == (6, 6, 1)
+        assert final.done == final.total == 12
+        assert final.skipped == summary.restored == 6
+        assert final.failed == summary.quarantined == 1
+
 
 class TestNeverActivated:
     def test_counted_not_dropped(self):
@@ -297,14 +355,3 @@ class TestNeverActivated:
     def test_small_campaign_reports(self, small_campaign):
         inactive = sum(1 for r in small_campaign.results if not r.activated)
         assert small_campaign.never_activated == inactive
-
-
-class TestIncrementalCsv:
-    def test_append_matches_bulk_write(self, sha_only, tmp_path):
-        campaign = run_engine(sha_only, 2, seed=4)
-        bulk = str(tmp_path / "bulk.csv")
-        incr = str(tmp_path / "incr.csv")
-        write_csv(campaign, bulk)
-        append_csv(campaign.results[:2], incr)
-        append_csv(campaign.results[2:], incr)
-        assert open(incr).read() == open(bulk).read()

@@ -224,6 +224,27 @@ class TestDesignPointRefusals:
         )
         assert resumed.results == first.results
 
+    def test_merge_reads_absent_design_point_as_default(
+        self, tmp_path, programs
+    ):
+        """Merge decides by the rule a resume applies, so a
+        ``config=CoreConfig()`` shard and a ``config=None`` shard of one
+        campaign merge, to the same bytes in either order."""
+        a = str(tmp_path / "a.jsonl")
+        b = str(tmp_path / "b.jsonl")
+        run_engine(
+            programs, runs_per_model=1, seed=9, config=CoreConfig(),
+            checkpoint_path=a,
+        )
+        run_engine(programs, runs_per_model=1, seed=9, checkpoint_path=b)
+        outputs = []
+        for order in ([a, b], [b, a]):
+            merged = str(tmp_path / "merged.jsonl")
+            assert checkpoint_main(["merge", "-o", merged] + order) == 0
+            with open(merged, "rb") as handle:
+                outputs.append(handle.read())
+        assert outputs[0] == outputs[1]
+
     def test_merge_refuses_mixed_design_points(
         self, tmp_path, programs, capsys
     ):
