@@ -257,25 +257,27 @@ def run_guarded(
     return None, 2
 
 
-def print_shutdown_notice(shutdown, checkpoint_path, subcommand) -> None:
+def print_shutdown_notice(shutdown, subcommand, resume_flags) -> None:
     """One actionable stderr message for a graceful-signal stop: what was
     saved and exactly how to resume (the CLI then exits with
-    :data:`~repro.exec.durability.SHUTDOWN_EXIT_CODE`)."""
+    :data:`~repro.exec.durability.SHUTDOWN_EXIT_CODE`). ``resume_flags``
+    are the options that resume from the saved checkpoint, or None when
+    the run saved none."""
     print(
         f"interrupted by {shutdown.signal_name}: stopped dispatching, "
         "drained inflight work and flushed the checkpoint",
         file=sys.stderr,
     )
-    if checkpoint_path:
+    if resume_flags:
         print(
-            f"resume with: repro {subcommand} --resume {checkpoint_path} "
+            f"resume with: repro {subcommand} {resume_flags} "
             "(plus your original options)",
             file=sys.stderr,
         )
     else:
         print(
-            "no --checkpoint was given, so completed work was not saved; "
-            "rerun with --checkpoint PATH to make runs interruptible",
+            "no checkpoint was given, so completed work was not saved; "
+            "rerun with a checkpoint to make runs interruptible",
             file=sys.stderr,
         )
 
@@ -441,8 +443,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if code:
         return code
     if shutdown.requested:
+        path = args.resume or args.checkpoint
         print_shutdown_notice(
-            shutdown, args.resume or args.checkpoint, "campaign"
+            shutdown, "campaign", f"--resume {path}" if path else None
         )
         return SHUTDOWN_EXIT_CODE
     elapsed = time.time() - started

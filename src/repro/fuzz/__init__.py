@@ -15,7 +15,7 @@ from repro.fuzz.artifacts import (
     save_artifact,
 )
 from repro.fuzz.coverage import CoverageMap, CoverageProbe
-from repro.fuzz.engine import FuzzSummary, run_fuzz
+from repro.fuzz.engine import FuzzCampaign, run_fuzz
 from repro.fuzz.genome import (
     ProgramGenome,
     build_program,
@@ -29,7 +29,7 @@ from repro.fuzz.shrink import shrink
 __all__ = [
     "CoverageMap",
     "CoverageProbe",
-    "FuzzSummary",
+    "FuzzCampaign",
     "OracleReport",
     "ProgramGenome",
     "ReproArtifact",

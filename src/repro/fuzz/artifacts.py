@@ -41,35 +41,13 @@ class ArtifactError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """The recorded oracle outcome a replay must reproduce."""
-
-    ok: bool
-    failures: Tuple[str, ...]
-    output_sha: str
-    cycles: int
-    committed: int
-
-    @classmethod
-    def from_report(cls, report: OracleReport) -> "Verdict":
-        return cls(
-            ok=report.ok,
-            failures=report.failures,
-            output_sha=report.output_sha,
-            cycles=report.cycles,
-            committed=report.committed,
-        )
-
-
-@dataclass(frozen=True)
 class ReproArtifact:
     """One self-contained finding (or corpus seed)."""
 
     name: str
     genome: ProgramGenome
     config: CoreConfig
-    verdict: Verdict
-    coverage: Tuple[str, ...]
+    verdict: OracleReport
     bug: Optional[BugSpec] = None
     seed: Optional[int] = None
     origin: str = "fuzz"
@@ -89,6 +67,8 @@ class ReproArtifact:
 
 
 def artifact_to_dict(artifact: ReproArtifact) -> Dict[str, object]:
+    verdict = artifact.verdict.to_record()
+    coverage = verdict.pop("coverage")
     return {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
@@ -98,14 +78,8 @@ def artifact_to_dict(artifact: ReproArtifact) -> Dict[str, object]:
         "genome": genome_to_dict(artifact.genome),
         "config": artifact.config.to_dict(),
         "bug": spec_to_dict(artifact.bug) if artifact.bug else None,
-        "verdict": {
-            "ok": artifact.verdict.ok,
-            "failures": list(artifact.verdict.failures),
-            "output_sha": artifact.verdict.output_sha,
-            "cycles": artifact.verdict.cycles,
-            "committed": artifact.verdict.committed,
-        },
-        "coverage": list(artifact.coverage),
+        "verdict": verdict,
+        "coverage": coverage,
     }
 
 
@@ -114,19 +88,13 @@ def artifact_from_dict(data: Dict[str, object]) -> ReproArtifact:
         raise ArtifactError(f"not a fuzz repro artifact: {data.get('format')!r}")
     if data.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(f"unsupported artifact version {data.get('version')!r}")
-    verdict = data["verdict"]
     return ReproArtifact(
         name=data["name"],
         genome=genome_from_dict(data["genome"]),
         config=CoreConfig.from_dict(data["config"]),
-        verdict=Verdict(
-            ok=verdict["ok"],
-            failures=tuple(verdict["failures"]),
-            output_sha=verdict["output_sha"],
-            cycles=verdict["cycles"],
-            committed=verdict["committed"],
+        verdict=OracleReport.from_record(
+            dict(data["verdict"], coverage=data.get("coverage", ()))
         ),
-        coverage=tuple(data.get("coverage", ())),
         bug=spec_from_dict(data["bug"]) if data.get("bug") else None,
         seed=data.get("seed"),
         origin=data.get("origin", "fuzz"),

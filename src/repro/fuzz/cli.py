@@ -98,8 +98,7 @@ def _replay(paths: List[str]) -> int:
             failures += 1
             continue
         matches, report = replay_artifact(artifact)
-        recorded = artifact.verdict
-        want = "pass" if recorded.ok else "+".join(recorded.failures)
+        want = artifact.verdict.verdict
         if matches:
             print(f"ok   {path}: {want}")
         else:
@@ -143,7 +142,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     from repro.fuzz.engine import run_fuzz
 
     with GracefulShutdown() as shutdown:
-        summary, code = run_guarded(
+        campaign, code = run_guarded(
             run_fuzz,
             seed=args.seed,
             budget=args.budget,
@@ -161,12 +160,15 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     if code:
         return code
     if shutdown.requested:
-        print_shutdown_notice(shutdown, args.resume or args.checkpoint, "fuzz")
+        path = args.resume or args.checkpoint
+        print_shutdown_notice(
+            shutdown, "fuzz", f"--resume {path}" if path else None
+        )
         return SHUTDOWN_EXIT_CODE
 
-    print("\n".join(summary.report_lines()))
-    print(f"elapsed: {summary.elapsed_s:.1f}s (jobs={args.jobs})")
-    return 1 if summary.findings or summary.quarantined else 0
+    print("\n".join(campaign.report_lines()))
+    print(f"elapsed: {campaign.elapsed_s:.1f}s (jobs={args.jobs})")
+    return 1 if campaign.findings or campaign.quarantined else 0
 
 
 if __name__ == "__main__":

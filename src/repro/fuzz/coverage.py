@@ -14,7 +14,7 @@ to the renaming subsystem.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.core.rrs.ports import RRSObserver
 
@@ -138,7 +138,3 @@ class CoverageMap:
             family = key.split(":", 1)[0]
             families[family] = families.get(family, 0) + 1
         return families
-
-    def signature(self, keys: Iterable[str]) -> Tuple[str, ...]:
-        """Canonical (sorted) form of one run's bucket set."""
-        return tuple(sorted(keys))

@@ -30,7 +30,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,11 +48,7 @@ from repro.exec.durability import (
 from repro.exec.engine import RunDriver
 from repro.exec.progress import ProgressObserver
 from repro.exec.resilience import TaskFailure
-from repro.fuzz.artifacts import (
-    ReproArtifact,
-    Verdict,
-    save_artifact,
-)
+from repro.fuzz.artifacts import ReproArtifact, save_artifact
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.genome import (
     ProgramGenome,
@@ -76,14 +72,15 @@ def derive_fuzz_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class GeneratorLimits:
-    """Size knobs for freshly-seeded genomes."""
+#: Size of freshly-seeded genomes (``seed_genome`` keywords); the fuzz
+#: manifest records them as ``limits``.
+SEED_LIMITS = {
+    "max_blocks": 5, "block_len": 8, "max_iters": 8, "data_words": 24,
+}
 
-    max_blocks: int = 5
-    block_len: int = 8
-    max_iters: int = 8
-    data_words: int = 24
+#: Unique failures minimized (and written out) per campaign; later ones
+#: still count in ``failure_runs``.
+MAX_FINDINGS = 20
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class FuzzTask:
     """
 
     index: int
-    derived_seed: int
     genome: ProgramGenome
     origin: str  # "seed" | "mutant" | "splice"
     bug: Optional[BugSpec] = None
@@ -107,36 +103,14 @@ class FuzzTask:
         return str(self.index)
 
 
-@dataclass(frozen=True)
-class FuzzResult:
-    """What one evaluation sends back (plain data, picklable)."""
-
-    index: int
-    ok: bool
-    failures: Tuple[str, ...]
-    coverage: Tuple[str, ...]
-    cycles: int
-    committed: int
-    output_sha: str
-
-
-def run_fuzz_task(task: FuzzTask, context: ExecutionContext) -> FuzzResult:
+def run_fuzz_task(task: FuzzTask, context: ExecutionContext) -> OracleReport:
     """Module-level task runner (the backends' pluggable-runner target)."""
     program = build_program(task.genome, name=f"fuzz{task.index}")
-    report = evaluate(
+    return evaluate(
         program,
         config=context.config,
         bug=task.bug,
         deadline=context.deadline,
-    )
-    return FuzzResult(
-        index=task.index,
-        ok=report.ok,
-        failures=report.failures,
-        coverage=report.coverage,
-        cycles=report.cycles,
-        committed=report.committed,
-        output_sha=report.output_sha,
     )
 
 
@@ -149,44 +123,235 @@ class Finding:
     first_index: int
     genome: ProgramGenome
     report: OracleReport
-    shrink_evaluations: int
     artifact_path: Optional[str] = None
 
 
 @dataclass
 class CorpusEntry:
-    """One interesting (novel-coverage) input kept for future mutation."""
+    """One interesting (novel-coverage) input kept for future mutation,
+    with the verdict its evaluation recorded."""
 
     index: int
     genome: ProgramGenome
     origin: str
-    new_keys: Tuple[str, ...]
-    coverage: Tuple[str, ...]
-    ok: bool
+    report: OracleReport
 
 
-@dataclass
-class FuzzSummary:
-    """Everything a fuzz campaign produced (and the CLI reports)."""
+def failure_signature(report: OracleReport) -> str:
+    """Dedup key: the failure tuple plus the run's coverage signature."""
+    payload = json.dumps([list(report.failures), list(report.coverage)])
+    return hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
 
-    seed: int
-    budget: int
-    batch: int
-    executed: int
-    restored: int
-    coverage: CoverageMap = field(default_factory=CoverageMap)
-    corpus: List[CorpusEntry] = field(default_factory=list)
-    findings: List[Finding] = field(default_factory=list)
-    failure_runs: int = 0
-    elapsed_s: float = 0.0
-    #: Evaluations the execution layer quarantined (index -> TaskFailure);
-    #: excluded from coverage/corpus/findings, reported so a fuzz run with
-    #: harness-level casualties is visibly incomplete.
-    task_failures: Dict[int, TaskFailure] = field(default_factory=dict)
+
+# -- checkpointing -----------------------------------------------------------
+
+
+def _result_from_record(record: Dict[str, object]) -> OracleReport:
+    return OracleReport.from_record(record)
+
+
+class FuzzCheckpoint(SealedLog):
+    """The fuzz codec over a :class:`~repro.exec.durability.SealedLog`:
+    one ``eval`` record per evaluation and one ``eval-failure`` record per
+    quarantined one, after a ``fuzz-manifest``."""
+
+    def write_result(self, task: FuzzTask, result: OracleReport) -> None:
+        self.append(dict(result.to_record(), type="eval", index=task.index))
+
+    def write_failure(self, task: FuzzTask, failure: TaskFailure) -> None:
+        self.append(
+            {
+                "type": "eval-failure",
+                "index": task.index,
+                "failure": failure.to_record(),
+            }
+        )
+
+
+def _fuzz_manifest(
+    seed: int,
+    batch: int,
+    config: CoreConfig,
+    bug: Optional[BugSpec],
+) -> Dict[str, object]:
+    record = {
+        "type": "fuzz-manifest",
+        "version": FORMAT_VERSION,
+        "seed": seed,
+        "batch": batch,
+        "limits": dict(SEED_LIMITS),
+        "config_digest": config.digest(),
+        "bug": spec_to_dict(bug) if bug is not None else None,
+    }
+    record["identity"] = manifest_identity(record)
+    return record
+
+
+def load_fuzz_checkpoint_full(
+    path: str,
+) -> Tuple[
+    Dict[str, object], Dict[int, OracleReport], Dict[int, TaskFailure]
+]:
+    """Load manifest, recorded results and quarantined evaluations.
+
+    Integrity checks and deduplication are
+    :func:`~repro.exec.durability.load_sealed_log`'s (a later ``eval``
+    record for an index supersedes its ``eval-failure`` record: a retry
+    eventually succeeded)."""
+    manifest, done, failures = load_sealed_log(path, "fuzz-manifest")
+    return (
+        manifest,
+        {index: _result_from_record(record) for index, record in done.items()},
+        {
+            index: TaskFailure.from_record(record["failure"])
+            for index, record in failures.items()
+        },
+    )
+
+
+# -- the campaign ------------------------------------------------------------
+
+
+class FuzzCampaign:
+    """Holds the evolving corpus/coverage state across batches, and is
+    what :func:`run_fuzz` returns (and the CLI reports)."""
+
+    def __init__(
+        self,
+        seed: int,
+        budget: int,
+        config: Optional[CoreConfig] = None,
+        batch: int = 32,
+        shrink_budget: int = 250,
+        artifacts_dir: Optional[str] = None,
+        bug: Optional[BugSpec] = None,
+    ) -> None:
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
+        self.seed = seed
+        self.budget = budget
+        self.batch = batch
+        self.config = config or CoreConfig()
+        self.shrink_budget = shrink_budget
+        self.artifacts_dir = artifacts_dir
+        self.bug = bug
+        self.coverage = CoverageMap()
+        self.corpus: List[CorpusEntry] = []
+        self.findings: List[Finding] = []
+        self._seen_signatures: Dict[str, int] = {}
+        self.failure_runs = 0
+        # Set by run_fuzz when the run ends.
+        self.executed = 0
+        self.restored = 0
+        self.elapsed_s = 0.0
+        #: Evaluations the execution layer quarantined (index -> TaskFailure);
+        #: excluded from coverage/corpus/findings, reported so a fuzz run with
+        #: harness-level casualties is visibly incomplete.
+        self.task_failures: Dict[int, TaskFailure] = {}
 
     @property
     def quarantined(self) -> int:
         return len(self.task_failures)
+
+    # -- scheduling ---------------------------------------------------------
+
+    def schedule(self, index: int) -> FuzzTask:
+        """Derive the genome for execution ``index`` from the corpus as of
+        the last batch barrier (pure function of seed + past results)."""
+        rng = random.Random(derive_fuzz_seed(self.seed, index))
+        if not self.corpus:
+            origin = "seed"
+            genome = seed_genome(rng, **SEED_LIMITS)
+        else:
+            roll = rng.random()
+            if roll < 0.15:
+                origin = "seed"
+                genome = seed_genome(rng, **SEED_LIMITS)
+            elif roll < 0.40 and len(self.corpus) >= 2:
+                origin = "splice"
+                left = rng.choice(self.corpus).genome
+                right = rng.choice(self.corpus).genome
+                genome = splice(rng, left, right)
+            else:
+                origin = "mutant"
+                parent = rng.choice(self.corpus).genome
+                genome = mutate(rng, parent, rounds=rng.randint(1, 3))
+        return FuzzTask(
+            index=index, genome=genome, origin=origin, bug=self.bug
+        )
+
+    # -- state folding ------------------------------------------------------
+
+    def absorb(self, task: FuzzTask, report: OracleReport) -> None:
+        """Fold one verdict into coverage/corpus/findings (canonical order)."""
+        if self.coverage.add(report.coverage):
+            self.corpus.append(
+                CorpusEntry(task.index, task.genome, task.origin, report)
+            )
+        if report.ok:
+            return
+        self.failure_runs += 1
+        signature = failure_signature(report)
+        if signature in self._seen_signatures:
+            return
+        self._seen_signatures[signature] = task.index
+        if len(self.findings) >= MAX_FINDINGS:
+            return
+        self.findings.append(self._minimize(signature, task, report))
+
+    def _minimize(
+        self, signature: str, task: FuzzTask, report: OracleReport
+    ) -> Finding:
+        def oracle(genome: ProgramGenome) -> OracleReport:
+            return evaluate(
+                build_program(genome), config=self.config, bug=self.bug
+            )
+
+        shrunk = shrink(
+            task.genome, report.failures, oracle, budget=self.shrink_budget
+        )
+        finding = Finding(
+            signature=signature,
+            failures=report.failures,
+            first_index=task.index,
+            genome=shrunk.genome,
+            report=shrunk.report,
+        )
+        if self.artifacts_dir is not None:
+            artifact = ReproArtifact(
+                name="fail",
+                genome=shrunk.genome,
+                config=self.config,
+                verdict=shrunk.report,
+                bug=self.bug,
+                seed=self.seed,
+                origin=f"fuzz:{task.origin}@{task.index}",
+            )
+            finding.artifact_path = save_artifact(artifact, self.artifacts_dir)
+        return finding
+
+    def save_corpus(self, directory: str) -> List[str]:
+        """Write every corpus entry as a repro artifact of the verdict its
+        evaluation recorded (nothing is re-simulated)."""
+        return [
+            save_artifact(
+                ReproArtifact(
+                    name="cov",
+                    genome=entry.genome,
+                    config=self.config,
+                    verdict=entry.report,
+                    bug=self.bug,
+                    seed=self.seed,
+                    origin=f"fuzz:{entry.origin}@{entry.index}",
+                ),
+                directory,
+            )
+            for entry in self.corpus
+        ]
+
+    # -- reporting ----------------------------------------------------------
 
     def report_lines(self) -> List[str]:
         """The deterministic coverage report (timing deliberately absent,
@@ -229,258 +394,12 @@ class FuzzSummary:
         return lines
 
 
-def failure_signature(
-    failures: Tuple[str, ...], coverage: Tuple[str, ...]
-) -> str:
-    """Dedup key: the failure tuple plus the run's coverage signature."""
-    payload = json.dumps([list(failures), list(coverage)])
-    return hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
-
-
-# -- checkpointing -----------------------------------------------------------
-
-
-def _result_from_record(record: Dict[str, object]) -> FuzzResult:
-    return FuzzResult(
-        index=record["index"],
-        ok=record["ok"],
-        failures=tuple(record["failures"]),
-        coverage=tuple(record["coverage"]),
-        cycles=record["cycles"],
-        committed=record["committed"],
-        output_sha=record["output_sha"],
-    )
-
-
-class FuzzCheckpoint(SealedLog):
-    """The fuzz codec over a :class:`~repro.exec.durability.SealedLog`:
-    one ``eval`` record per evaluation and one ``eval-failure`` record per
-    quarantined one, after a ``fuzz-manifest``."""
-
-    def write_result(self, task: FuzzTask, result: FuzzResult) -> None:
-        # The record is the result's fields; JSON writes tuples as lists.
-        self.append(dict(vars(result), type="eval"))
-
-    def write_failure(self, task: FuzzTask, failure: TaskFailure) -> None:
-        self.append(
-            {
-                "type": "eval-failure",
-                "index": task.index,
-                "failure": failure.to_record(),
-            }
-        )
-
-
-def _fuzz_manifest(
-    seed: int,
-    batch: int,
-    limits: GeneratorLimits,
-    config: CoreConfig,
-    bug: Optional[BugSpec],
-) -> Dict[str, object]:
-    record = {
-        "type": "fuzz-manifest",
-        "version": FORMAT_VERSION,
-        "seed": seed,
-        "batch": batch,
-        "limits": {
-            "max_blocks": limits.max_blocks,
-            "block_len": limits.block_len,
-            "max_iters": limits.max_iters,
-            "data_words": limits.data_words,
-        },
-        "config_digest": config.digest(),
-        "bug": spec_to_dict(bug) if bug is not None else None,
-    }
-    record["identity"] = manifest_identity(record)
-    return record
-
-
-def load_fuzz_checkpoint_full(
-    path: str,
-) -> Tuple[
-    Dict[str, object], Dict[int, FuzzResult], Dict[int, TaskFailure]
-]:
-    """Load manifest, recorded results and quarantined evaluations.
-
-    Integrity checks and deduplication are
-    :func:`~repro.exec.durability.load_sealed_log`'s (a later ``eval``
-    record for an index supersedes its ``eval-failure`` record: a retry
-    eventually succeeded)."""
-    manifest, done, failures = load_sealed_log(path, "fuzz-manifest")
-    return (
-        manifest,
-        {index: _result_from_record(record) for index, record in done.items()},
-        {
-            index: TaskFailure.from_record(record["failure"])
-            for index, record in failures.items()
-        },
-    )
-
-
-# -- the campaign ------------------------------------------------------------
-
-
-class FuzzCampaign:
-    """Holds the evolving corpus/coverage state across batches."""
-
-    def __init__(
-        self,
-        seed: int,
-        budget: int,
-        config: Optional[CoreConfig] = None,
-        batch: int = 32,
-        limits: GeneratorLimits = GeneratorLimits(),
-        shrink_budget: int = 250,
-        artifacts_dir: Optional[str] = None,
-        max_findings: int = 20,
-        bug: Optional[BugSpec] = None,
-    ) -> None:
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.seed = seed
-        self.budget = budget
-        self.batch = batch
-        self.config = config or CoreConfig()
-        self.limits = limits
-        self.shrink_budget = shrink_budget
-        self.artifacts_dir = artifacts_dir
-        self.max_findings = max_findings
-        self.bug = bug
-        self.coverage = CoverageMap()
-        self.corpus: List[CorpusEntry] = []
-        self.findings: List[Finding] = []
-        self._seen_signatures: Dict[str, int] = {}
-        self.failure_runs = 0
-
-    # -- scheduling ---------------------------------------------------------
-
-    def schedule(self, index: int) -> FuzzTask:
-        """Derive the genome for execution ``index`` from the corpus as of
-        the last batch barrier (pure function of seed + past results)."""
-        derived = derive_fuzz_seed(self.seed, index)
-        rng = random.Random(derived)
-        lim = self.limits
-        if not self.corpus:
-            origin = "seed"
-            genome = seed_genome(
-                rng, lim.max_blocks, lim.block_len, lim.max_iters,
-                lim.data_words,
-            )
-        else:
-            roll = rng.random()
-            if roll < 0.15:
-                origin = "seed"
-                genome = seed_genome(
-                    rng, lim.max_blocks, lim.block_len, lim.max_iters,
-                    lim.data_words,
-                )
-            elif roll < 0.40 and len(self.corpus) >= 2:
-                origin = "splice"
-                left = rng.choice(self.corpus).genome
-                right = rng.choice(self.corpus).genome
-                genome = splice(rng, left, right)
-            else:
-                origin = "mutant"
-                parent = rng.choice(self.corpus).genome
-                genome = mutate(rng, parent, rounds=rng.randint(1, 3))
-        return FuzzTask(
-            index=index,
-            derived_seed=derived,
-            genome=genome,
-            origin=origin,
-            bug=self.bug,
-        )
-
-    # -- state folding ------------------------------------------------------
-
-    def absorb(self, task: FuzzTask, result: FuzzResult) -> None:
-        """Fold one result into coverage/corpus/findings (canonical order)."""
-        new_keys = self.coverage.add(result.coverage)
-        if new_keys:
-            self.corpus.append(
-                CorpusEntry(
-                    index=task.index,
-                    genome=task.genome,
-                    origin=task.origin,
-                    new_keys=tuple(new_keys),
-                    coverage=result.coverage,
-                    ok=result.ok,
-                )
-            )
-        if result.ok:
-            return
-        self.failure_runs += 1
-        signature = failure_signature(result.failures, result.coverage)
-        if signature in self._seen_signatures:
-            return
-        self._seen_signatures[signature] = task.index
-        if len(self.findings) >= self.max_findings:
-            return
-        self.findings.append(self._minimize(signature, task, result))
-
-    def _minimize(
-        self, signature: str, task: FuzzTask, result: FuzzResult
-    ) -> Finding:
-        def oracle(genome: ProgramGenome) -> OracleReport:
-            return evaluate(
-                build_program(genome), config=self.config, bug=self.bug
-            )
-
-        shrunk = shrink(
-            task.genome, result.failures, oracle, budget=self.shrink_budget
-        )
-        finding = Finding(
-            signature=signature,
-            failures=result.failures,
-            first_index=task.index,
-            genome=shrunk.genome,
-            report=shrunk.report,
-            shrink_evaluations=shrunk.evaluations,
-        )
-        if self.artifacts_dir is not None:
-            artifact = ReproArtifact(
-                name="fail",
-                genome=shrunk.genome,
-                config=self.config,
-                verdict=Verdict.from_report(shrunk.report),
-                coverage=shrunk.report.coverage,
-                bug=self.bug,
-                seed=self.seed,
-                origin=f"fuzz:{task.origin}@{task.index}",
-            )
-            finding.artifact_path = save_artifact(artifact, self.artifacts_dir)
-        return finding
-
-    def save_corpus(self, directory: str) -> List[str]:
-        """Write every corpus entry as a (passing) repro artifact."""
-        paths = []
-        for entry in self.corpus:
-            program = build_program(entry.genome)
-            report = evaluate(program, config=self.config, bug=self.bug)
-            artifact = ReproArtifact(
-                name="cov",
-                genome=entry.genome,
-                config=self.config,
-                verdict=Verdict.from_report(report),
-                coverage=report.coverage,
-                bug=self.bug,
-                seed=self.seed,
-                origin=f"fuzz:{entry.origin}@{entry.index}",
-            )
-            paths.append(save_artifact(artifact, directory))
-        return paths
-
-
 def run_fuzz(
     seed: int = 1,
     budget: int = 500,
     config: Optional[CoreConfig] = None,
     backend: Optional[Backend] = None,
     batch: int = 32,
-    limits: GeneratorLimits = GeneratorLimits(),
     shrink_budget: int = 250,
     artifacts_dir: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
@@ -490,7 +409,7 @@ def run_fuzz(
     bug: Optional[BugSpec] = None,
     checkpoint_fsync: bool = False,
     shutdown: Optional[GracefulShutdown] = None,
-) -> FuzzSummary:
+) -> FuzzCampaign:
     """Run one coverage-guided differential fuzzing campaign.
 
     Args:
@@ -520,11 +439,13 @@ def run_fuzz(
             schedule evolves exactly as in an uninterrupted run.
 
     Returns:
-        The :class:`FuzzSummary` (coverage map, corpus, findings).
+        The :class:`FuzzCampaign` (coverage map, corpus, findings), with
+        ``executed``, ``restored``, ``elapsed_s`` and ``task_failures``
+        set.
 
     Fault tolerance: under a quarantining policy (the fuzz CLI's default),
     an evaluation the execution layer gives up on (exception / timeout /
-    worker crash after retries) lands in ``FuzzSummary.task_failures``
+    worker crash after retries) lands in ``FuzzCampaign.task_failures``
     instead of aborting the campaign, is checkpointed as an
     ``eval-failure`` record (so a resume skips it), and contributes nothing
     to coverage/corpus — the downstream schedule evolves exactly as if the
@@ -537,7 +458,6 @@ def run_fuzz(
         budget=budget,
         config=config,
         batch=batch,
-        limits=limits,
         shrink_budget=shrink_budget,
         artifacts_dir=artifacts_dir,
         bug=bug,
@@ -551,7 +471,7 @@ def run_fuzz(
     )
     with RunDriver(
         checkpoint_path,
-        _fuzz_manifest(seed, batch, limits, campaign.config, bug),
+        _fuzz_manifest(seed, batch, campaign.config, bug),
         FuzzCheckpoint,
         load_fuzz_checkpoint_full,
         key=attrgetter("index"),
@@ -565,7 +485,7 @@ def run_fuzz(
         while index < budget:
             size = min(batch, budget - index)
             tasks = [campaign.schedule(index + i) for i in range(size)]
-            results: Dict[int, FuzzResult] = {
+            results: Dict[int, OracleReport] = {
                 task.index: restored[task.index]
                 for task in tasks
                 if task.index in restored
@@ -598,16 +518,8 @@ def run_fuzz(
     if save_corpus_dir is not None:
         campaign.save_corpus(save_corpus_dir)
 
-    return FuzzSummary(
-        seed=seed,
-        budget=budget,
-        batch=batch,
-        executed=driver.executed,
-        restored=driver.skipped,
-        coverage=campaign.coverage,
-        corpus=campaign.corpus,
-        findings=campaign.findings,
-        failure_runs=campaign.failure_runs,
-        elapsed_s=time.monotonic() - driver.started,
-        task_failures=dict(sorted(quarantined.items())),
-    )
+    campaign.executed = driver.executed
+    campaign.restored = driver.skipped
+    campaign.elapsed_s = time.monotonic() - driver.started
+    campaign.task_failures = dict(sorted(quarantined.items()))
+    return campaign

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bugs.injector import arm
 from repro.bugs.models import BugSpec
@@ -54,9 +54,12 @@ def output_digest(output) -> str:
 class OracleReport:
     """Verdict + coverage summary of one oracle evaluation.
 
-    ``failures`` is the canonical, order-stable tuple of everything that
-    went wrong (empty iff ``ok``); artifacts record it and replays compare
-    against it verbatim.
+    The one verdict record of the fuzzer: a task returns it, the
+    checkpoint's ``eval`` records, the corpus, findings and repro
+    artifacts all keep it. ``failures`` is the canonical, order-stable
+    tuple of everything that went wrong (empty iff ``ok``); artifacts
+    record it and replays compare against it verbatim.
+    ``bug_activated`` is diagnostic only and is not recorded.
     """
 
     ok: bool
@@ -70,6 +73,28 @@ class OracleReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.ok else "+".join(self.failures)
+
+    def to_record(self) -> Dict[str, object]:
+        """The recorded fields as JSON-ready values."""
+        return {
+            "ok": self.ok,
+            "failures": list(self.failures),
+            "coverage": list(self.coverage),
+            "cycles": self.cycles,
+            "committed": self.committed,
+            "output_sha": self.output_sha,
+        }
+
+    @classmethod
+    def from_record(cls, record: Dict[str, object]) -> "OracleReport":
+        return cls(
+            ok=record["ok"],
+            failures=tuple(record["failures"]),
+            coverage=tuple(record["coverage"]),
+            cycles=record["cycles"],
+            committed=record["committed"],
+            output_sha=record["output_sha"],
+        )
 
 
 def evaluate(

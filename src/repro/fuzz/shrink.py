@@ -23,13 +23,11 @@ GenomeOracle = Callable[[ProgramGenome], OracleReport]
 
 @dataclass
 class ShrinkResult:
-    """The minimized genome plus bookkeeping for the artifact."""
+    """The minimized genome, its verdict and the evaluations spent."""
 
     genome: ProgramGenome
     report: OracleReport
     evaluations: int
-    removed_blocks: int
-    removed_ops: int
 
 
 def _drop_block_candidates(genome: ProgramGenome) -> Iterator[ProgramGenome]:
@@ -92,15 +90,13 @@ def shrink(
         minimized genome (re-evaluated, never stale).
     """
     evaluations = 0
-    removed_blocks = 0
-    removed_ops = 0
     current = genome
     report = oracle(current)
     evaluations += 1
     if report.failures != failures:
         # The caller's verdict does not reproduce (should not happen for
         # deterministic oracles); return the input untouched.
-        return ShrinkResult(genome, report, evaluations, 0, 0)
+        return ShrinkResult(genome, report, evaluations)
 
     progress = True
     while progress and evaluations < budget:
@@ -116,13 +112,9 @@ def shrink(
                     evaluations += 1
                     if attempt.failures != failures:
                         continue
-                    if candidates is _drop_block_candidates:
-                        removed_blocks += 1
-                    elif candidates is _drop_op_candidates:
-                        removed_ops += 1
                     current = candidate
                     report = attempt
                     progress = True
                     restart = True
                     break
-    return ShrinkResult(current, report, evaluations, removed_blocks, removed_ops)
+    return ShrinkResult(current, report, evaluations)

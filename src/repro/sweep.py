@@ -41,6 +41,7 @@ from repro.cli import (
     add_workload_args,
     policy_from_args,
     print_quarantine,
+    print_shutdown_notice,
     run_args_error,
     run_guarded,
 )
@@ -225,6 +226,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     programs = {name: WORKLOADS[name](scale=args.scale) for name in names}
 
     from repro.exec.backends import make_backend
+    from repro.exec.durability import SHUTDOWN_EXIT_CODE, GracefulShutdown
     from repro.exec.engine import run_engine
 
     policy = policy_from_args(args)
@@ -240,66 +242,81 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     rows: List[Dict[str, object]] = []
     quarantined_cells = []
     started_all = time.time()
-    for number, (width, discipline, recovery) in enumerate(cells, 1):
-        config = paper_rrs_config(
-            width=width,
-            free_list_discipline=discipline,
-            recovery_strategy=recovery,
-        )
-        checkpoint_path = None
-        resume = False
-        if args.checkpoint_dir:
-            checkpoint_path = cell_checkpoint_path(
-                args.checkpoint_dir, width, discipline, recovery
+    with GracefulShutdown() as shutdown:
+        for number, (width, discipline, recovery) in enumerate(cells, 1):
+            config = paper_rrs_config(
+                width=width,
+                free_list_discipline=discipline,
+                recovery_strategy=recovery,
             )
-            resume = args.resume and os.path.exists(checkpoint_path)
-        print(
-            f"[{number}/{len(cells)}] width={width} discipline={discipline} "
-            f"recovery={recovery} (design point {config.digest()})",
-            file=sys.stderr,
-        )
-        started = time.time()
-        campaign, code = run_guarded(
-            run_engine,
-            programs,
-            runs_per_model=args.runs,
-            seed=args.seed,
-            config=config,
-            # Each cell gets a fresh backend: worker processes cache
-            # per-config golden runs, and a pool must never serve two
-            # design points.
-            backend=make_backend(args.jobs, policy),
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            snapshot_interval=args.snapshot_interval,
-            checkpoint_fsync=args.checkpoint_fsync,
-        )
-        if code:
-            return code
-        wall_s = time.time() - started
-        row = _cell_row(width, discipline, recovery, campaign, wall_s)
-        row["design_point_digest"] = config.digest()
-        rows.append(row)
-        if campaign.quarantined:
-            quarantined_cells.append((width, discipline, recovery))
-            print_quarantine(campaign.failures)
-        if not args.no_bench:
-            append_entry(
-                args.bench_output,
-                {
-                    "timestamp": time.strftime(
-                        "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-                    ),
-                    "kind": "sweep-cell",
-                    "design_point": config.to_dict(),
-                    "design_point_digest": config.digest(),
-                    "seed": args.seed,
-                    "scale": args.scale,
-                    "runs_per_model": args.runs,
-                    "benchmarks": names,
-                    "cell": row,
-                },
+            checkpoint_path = None
+            resume = False
+            if args.checkpoint_dir:
+                checkpoint_path = cell_checkpoint_path(
+                    args.checkpoint_dir, width, discipline, recovery
+                )
+                resume = args.resume and os.path.exists(checkpoint_path)
+            print(
+                f"[{number}/{len(cells)}] width={width} "
+                f"discipline={discipline} recovery={recovery} "
+                f"(design point {config.digest()})",
+                file=sys.stderr,
             )
+            started = time.time()
+            campaign, code = run_guarded(
+                run_engine,
+                programs,
+                runs_per_model=args.runs,
+                seed=args.seed,
+                config=config,
+                # Each cell gets a fresh backend: worker processes cache
+                # per-config golden runs, and a pool must never serve two
+                # design points.
+                backend=make_backend(args.jobs, policy),
+                checkpoint_path=checkpoint_path,
+                resume=resume,
+                snapshot_interval=args.snapshot_interval,
+                checkpoint_fsync=args.checkpoint_fsync,
+                shutdown=shutdown,
+            )
+            if code:
+                return code
+            if shutdown.requested:
+                # The interrupted cell is partial: no row, no bench entry.
+                break
+            wall_s = time.time() - started
+            row = _cell_row(width, discipline, recovery, campaign, wall_s)
+            row["design_point_digest"] = config.digest()
+            rows.append(row)
+            if campaign.quarantined:
+                quarantined_cells.append((width, discipline, recovery))
+                print_quarantine(campaign.failures)
+            if not args.no_bench:
+                append_entry(
+                    args.bench_output,
+                    {
+                        "timestamp": time.strftime(
+                            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
+                        ),
+                        "kind": "sweep-cell",
+                        "design_point": config.to_dict(),
+                        "design_point_digest": config.digest(),
+                        "seed": args.seed,
+                        "scale": args.scale,
+                        "runs_per_model": args.runs,
+                        "benchmarks": names,
+                        "cell": row,
+                    },
+                )
+    if shutdown.requested:
+        print_shutdown_notice(
+            shutdown,
+            "sweep",
+            f"--checkpoint-dir {args.checkpoint_dir} --resume"
+            if args.checkpoint_dir
+            else None,
+        )
+        return SHUTDOWN_EXIT_CODE
 
     print("\n".join(format_sweep_table(rows)))
     print()

@@ -31,7 +31,7 @@ from repro.bugs.models import (
 from repro.bugs.snapshot import SnapshotProvider
 from repro.core.config import CoreConfig
 from repro.exec.checkpoint import result_to_dict, spec_to_dict
-from repro.fuzz.artifacts import ReproArtifact, Verdict, save_artifact
+from repro.fuzz.artifacts import ReproArtifact, save_artifact
 from repro.fuzz.engine import FuzzCampaign, run_fuzz
 from repro.fuzz.genome import build_program
 from repro.fuzz.oracle import evaluate
@@ -170,8 +170,7 @@ def main() -> None:
             name="cov",
             genome=entry.genome,
             config=config,
-            verdict=Verdict.from_report(report),
-            coverage=report.coverage,
+            verdict=report,
             seed=11,
             origin=f"fuzz:{entry.origin}@{entry.index}",
         )
@@ -202,8 +201,7 @@ def main() -> None:
             name=name,
             genome=genome,
             config=config,
-            verdict=Verdict.from_report(report),
-            coverage=report.coverage,
+            verdict=report,
             bug=spec,
             seed=11,
             origin=f"armed:{model.value}@{cycle}",

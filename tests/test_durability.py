@@ -13,6 +13,7 @@ on a fuzz checkpoint alike, since both engines write through it.
 
 from __future__ import annotations
 
+import glob
 import itertools
 import json
 import os
@@ -888,25 +889,41 @@ def test_pool_drains_inflight_tasks_after_shutdown_and_resume_completes(
     ]
 
 
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
 @pytest.mark.parametrize(
     "signum, group",
     [(signal.SIGTERM, False), (signal.SIGINT, True)],
     ids=["sigterm-parent", "sigint-group"],
 )
-def test_sigterm_drains_flushes_and_prints_resume_hint(signum, group, tmp_path):
-    """Subprocess-based: a real SIGTERM to a parallel ``repro campaign``,
-    or a Ctrl-C's SIGINT to its whole process group (pool workers
-    included), must exit with the shutdown code, leave a verifiable
-    checkpoint and print the resume hint (acceptance criterion). Workers
-    leave the signal to the parent's shutdown latch."""
-    path = str(tmp_path / "sig.jsonl")
+def test_sigterm_drains_flushes_and_prints_resume_hint(
+    command, signum, group, tmp_path
+):
+    """Subprocess-based: a real SIGTERM to a parallel ``repro campaign``
+    or ``repro sweep``, or a Ctrl-C's SIGINT to its whole process group
+    (pool workers included), must exit with the shutdown code, leave
+    verifiable checkpoints and no lock, and print the resume hint
+    (acceptance criterion). Workers leave the signal to the parent's
+    shutdown latch; a sweep stops after the interrupted cell."""
+    common = [
+        "--benchmarks", "bitcount,sha", "--scale", "0.5", "--seed", "1",
+        "--jobs", "2",
+    ]
+    if command == "campaign":
+        target = str(tmp_path / "sig.jsonl")
+        argv = ["campaign", "--runs", "40", "--checkpoint", target,
+                "--no-progress", "--figures", "3"]
+        hint = f"--resume {target}"
+        pattern = target
+    else:
+        target = str(tmp_path / "cells")
+        argv = ["sweep", "--widths", "1,4", "--disciplines", "fifo",
+                "--recoveries", "checkpoint", "--runs", "20",
+                "--checkpoint-dir", target, "--no-bench"]
+        hint = f"--checkpoint-dir {target} --resume"
+        pattern = os.path.join(target, "*.jsonl")
+
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "campaign",
-            "--runs", "40", "--benchmarks", "bitcount,sha", "--scale", "0.5",
-            "--seed", "1", "--jobs", "2", "--checkpoint", path,
-            "--no-progress", "--figures", "3",
-        ],
+        [sys.executable, "-m", "repro", *argv, *common],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -914,14 +931,14 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(signum, group, tmp_path):
     )
     try:
         deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
+        while time.monotonic() < deadline and proc.poll() is None:
             time.sleep(0.2)
-            try:
+            lines = 0
+            for path in glob.glob(pattern):
                 with open(path) as handle:
-                    if sum(1 for _ in handle) >= 3:
-                        break
-            except FileNotFoundError:
-                pass
+                    lines += sum(1 for _ in handle)
+            if lines >= 3:
+                break
         if group:
             os.killpg(proc.pid, signum)
         else:
@@ -933,6 +950,8 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(signum, group, tmp_path):
             proc.communicate()
     assert proc.returncode == SHUTDOWN_EXIT_CODE, err
     assert f"interrupted by {signal.Signals(signum).name}" in err
-    assert f"--resume {path}" in err
-    assert checkpoint_main(["verify", path]) == 0
-    assert not os.path.exists(lock_path_for(path))  # lock released cleanly
+    assert hint in err
+    assert glob.glob(pattern)
+    for path in glob.glob(pattern):
+        assert checkpoint_main(["verify", path]) == 0
+        assert not os.path.exists(lock_path_for(path))  # released cleanly

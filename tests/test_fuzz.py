@@ -7,7 +7,9 @@ campaigns are bit-identical for any worker count; and a killed-then-resumed
 campaign equals an uninterrupted one.
 """
 
+import dataclasses
 import json
+import os
 import random
 
 import pytest
@@ -26,7 +28,6 @@ from repro.exec.checkpoint import CheckpointError
 from repro.fuzz.artifacts import (
     ArtifactError,
     ReproArtifact,
-    Verdict,
     load_artifact,
     replay_artifact,
     save_artifact,
@@ -210,8 +211,7 @@ class TestArtifacts:
             name="leak",
             genome=genome,
             config=CoreConfig(),
-            verdict=Verdict.from_report(report),
-            coverage=report.coverage,
+            verdict=report,
             bug=spec,
             seed=5,
         )
@@ -226,19 +226,14 @@ class TestArtifacts:
     def test_stale_verdict_fails_replay(self, tmp_path):
         genome = seed_genome(random.Random(6))
         report = evaluate(build_program(genome))
-        wrong = Verdict(
-            ok=False,
-            failures=("idld_detected",),
-            output_sha=report.output_sha,
-            cycles=report.cycles,
-            committed=report.committed,
+        wrong = dataclasses.replace(
+            report, ok=False, failures=("idld_detected",)
         )
         artifact = ReproArtifact(
             name="stale",
             genome=genome,
             config=CoreConfig(),
             verdict=wrong,
-            coverage=report.coverage,
         )
         loaded = load_artifact(save_artifact(artifact, str(tmp_path)))
         matches, _ = replay_artifact(loaded)
@@ -283,19 +278,31 @@ class TestFuzzEngine:
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         full_path = str(tmp_path / "full.jsonl")
         part_path = str(tmp_path / "part.jsonl")
-        full = run_fuzz(seed=7, budget=20, batch=8, checkpoint_path=full_path)
+        full = run_fuzz(
+            seed=7, budget=20, batch=8, checkpoint_path=full_path,
+            save_corpus_dir=str(tmp_path / "full-corpus"),
+        )
         lines = open(full_path).read().splitlines()
         with open(part_path, "w") as handle:
             handle.write("\n".join(lines[:8]) + "\n")
             handle.write(lines[8][: len(lines[8]) // 2])  # torn write
         resumed = run_fuzz(
-            seed=7, budget=20, batch=8, checkpoint_path=part_path, resume=True
+            seed=7, budget=20, batch=8, checkpoint_path=part_path, resume=True,
+            save_corpus_dir=str(tmp_path / "part-corpus"),
         )
         assert resumed.restored == 7
         assert resumed.coverage.counts == full.coverage.counts
         # The resumed file is complete: a second resume re-simulates nothing.
         _, done, _ = load_fuzz_checkpoint_full(part_path)
         assert len(done) == 20
+        # Restored verdicts feed the saved corpus byte for byte.
+        full_files = sorted(os.listdir(tmp_path / "full-corpus"))
+        assert full_files
+        assert sorted(os.listdir(tmp_path / "part-corpus")) == full_files
+        for name in full_files:
+            assert (tmp_path / "part-corpus" / name).read_bytes() == (
+                tmp_path / "full-corpus" / name
+            ).read_bytes()
 
     def test_resume_rejects_mismatched_campaign(self, tmp_path):
         path = str(tmp_path / "fuzz.jsonl")
@@ -314,13 +321,17 @@ class TestFuzzEngine:
     def test_armed_campaign_finds_shrinks_and_emits_artifacts(self, tmp_path):
         """A campaign armed with a known bug must surface failures, dedup
         them by signature, and write minimized artifacts that replay to
-        the recorded verdict — the whole loop, end to end."""
+        the recorded verdict — the whole loop, end to end. The saved
+        corpus holds one artifact per entry, each replaying to the verdict
+        its evaluation recorded."""
+        corpus_dir = tmp_path / "corpus"
         summary = run_fuzz(
             seed=3,
             budget=6,
             batch=3,
             shrink_budget=40,
             artifacts_dir=str(tmp_path),
+            save_corpus_dir=str(corpus_dir),
             bug=_leak_spec(cycle=60),
         )
         assert summary.failure_runs >= 1
@@ -332,6 +343,13 @@ class TestFuzzEngine:
             assert finding.report.failures == finding.failures
             loaded = load_artifact(finding.artifact_path)
             matches, _ = replay_artifact(loaded)
+            assert matches
+        saved = [load_artifact(str(p)) for p in corpus_dir.iterdir()]
+        assert sorted(a.origin for a in saved) == sorted(
+            f"fuzz:{e.origin}@{e.index}" for e in summary.corpus
+        )
+        for artifact in saved:
+            matches, _ = replay_artifact(artifact)
             assert matches
 
 
@@ -370,8 +388,7 @@ class TestFuzzCli:
             name="cov",
             genome=genome,
             config=CoreConfig(),
-            verdict=Verdict.from_report(report),
-            coverage=report.coverage,
+            verdict=report,
         )
         path = save_artifact(artifact, str(tmp_path))
         assert repro_main(["fuzz", "--replay", path]) == 0
