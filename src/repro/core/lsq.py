@@ -14,7 +14,8 @@ Wrong-path or bug-corrupted addresses never raise at execute time; a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import MemoryFault, SimulatorAssertion
 from repro.isa.instructions import WORD_MASK
@@ -33,12 +34,28 @@ class StoreQueueEntry:
         return self.address is not None
 
 
+#: A :meth:`DataMemory.save_state` page holds ``2**PAGE_BITS`` words.
+PAGE_BITS = 6
+
+
 class DataMemory:
-    """Sparse word-addressed memory with a legality window."""
+    """Sparse word-addressed memory with a legality window.
+
+    Snapshots are copy-on-write page tables: :meth:`save_state` maps each
+    page number to the sorted ``(address, value)`` pairs it holds, and a
+    page no committed store has written since the previous save is that
+    save's own tuple. A golden run that snapshots every few hundred cycles
+    therefore stores each unchanged page once, not once per snapshot, and
+    two tables of one lineage compare page by page at identity speed.
+    """
 
     def __init__(self, limit: int, initial: Optional[Dict[int, int]] = None) -> None:
         self.limit = limit
         self._words: Dict[int, int] = dict(initial or {})
+        # The table the last save produced (or load accepted), and the
+        # pages written since; a table is never mutated once handed out.
+        self._pages: Dict[int, tuple] = {}
+        self._dirty: Set[int] = {a >> PAGE_BITS for a in self._words}
 
     def read(self, address: int) -> int:
         """Speculative read; out-of-window reads return 0 (never raise)."""
@@ -50,6 +67,7 @@ class DataMemory:
         if address >= self.limit:
             raise MemoryFault(cycle, address)
         self._words[address] = value & WORD_MASK
+        self._dirty.add(address >> PAGE_BITS)
 
     def check_committed_read(self, cycle: int, address: int) -> None:
         """Commit-time legality check for a load's address."""
@@ -59,13 +77,28 @@ class DataMemory:
 
     # -- warm-start snapshot/restore -----------------------------------------
 
-    def save_state(self) -> dict:
-        """Snapshot the committed word store (sparse dict copy)."""
-        return dict(self._words)
+    def save_state(self) -> Dict[int, tuple]:
+        """Snapshot the committed words as a page table, sharing every
+        page not written since the previous save with that save's table."""
+        if self._dirty:
+            words = self._words
+            pages = dict(self._pages)
+            for page in sorted(self._dirty):
+                base = page << PAGE_BITS
+                pages[page] = tuple(
+                    (address, words[address])
+                    for address in range(base, base + (1 << PAGE_BITS))
+                    if address in words
+                )
+            self._pages = pages
+            self._dirty = set()
+        return self._pages
 
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`save_state` snapshot."""
-        self._words = dict(state)
+    def load_state(self, state: Dict[int, tuple]) -> None:
+        """Restore a :meth:`save_state` page table."""
+        self._words = dict(chain.from_iterable(state.values()))
+        self._pages = state
+        self._dirty = set()
 
 
 class StoreQueue:

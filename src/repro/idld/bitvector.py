@@ -33,7 +33,13 @@ from repro.core.rrs.ports import RRSObserver
 
 
 class BitVectorScheme(RRSObserver):
-    """Free/allocated bit per physical register with quiescent leak probe."""
+    """Free/allocated bit per physical register with quiescent leak probe.
+
+    Attributes:
+        detections: The first alarm, or empty. The alarm latches: once it
+            holds a record, later duplications and leak probes record
+            nothing, while the bit vector and free count keep tracking.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -71,7 +77,7 @@ class BitVectorScheme(RRSObserver):
         if not 0 <= pdst < len(self._bits):
             return
         if self._bits[pdst]:
-            if self.enabled:
+            if self.enabled and not self.detections:
                 self.detections.append(
                     BVDetection(self._cycle, "duplication", pdst=pdst)
                 )
@@ -80,7 +86,7 @@ class BitVectorScheme(RRSObserver):
         self._bits[pdst] = True
 
     def pipeline_empty(self, cycle: int) -> None:
-        if not self.enabled:
+        if self.detections or not self.enabled:
             return
         free = self._free_count
         if free != self._expected_free:
@@ -94,21 +100,13 @@ class BitVectorScheme(RRSObserver):
         """Closed-form replay of the per-cycle hooks over a skipped span.
 
         No FL traffic happens in a quiescent span, so the bit vector and
-        free count are constant: each skipped cycle would have appended one
-        identical leakage detection iff the pipeline was empty and the
-        count off, then advanced the event clock. See the bulk-replay
-        protocol in :mod:`repro.core.rrs.ports`.
+        free count are constant: the skipped cycles would have latched a
+        leakage detection at the span's first cycle iff the pipeline was
+        empty and the count off, then advanced the event clock. See the
+        bulk-replay protocol in :mod:`repro.core.rrs.ports`.
         """
-        if (
-            pipeline_empty
-            and self.enabled
-            and self._free_count != self._expected_free
-        ):
-            free = self._free_count
-            self.detections.extend(
-                BVDetection(cycle, "leakage", free_count=free)
-                for cycle in range(start_cycle + 1, end_cycle + 1)
-            )
+        if pipeline_empty:
+            self.pipeline_empty(start_cycle + 1)
         self._cycle = end_cycle + 1
 
     @property

@@ -74,7 +74,11 @@ class IDLDChecker(RRSObserver):
     Attributes:
         enabled: The "chicken bit" (Section V.B): when False the checker
             keeps its XOR state but never raises a violation.
-        violations: Every end-of-cycle check failure, in order.
+        violations: The first end-of-cycle check failure, or empty. The
+            alarm latches: once it holds a record, later checks return
+            early, so a syndrome that stays nonzero for the rest of the
+            run costs one record, not one per cycle. The XOR registers
+            keep tracking port traffic either way.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -200,7 +204,7 @@ class IDLDChecker(RRSObserver):
         self._check(cycle)
 
     def _check(self, cycle: int) -> None:
-        if not self.enabled:
+        if self.violations or not self.enabled:
             return
         syndrome = self.syndrome
         if syndrome != 0:
@@ -215,21 +219,13 @@ class IDLDChecker(RRSObserver):
 
         No port traffic happens in the span, so the XOR registers — and
         therefore the syndrome — are constant across it: per-cycle stepping
-        would have appended one identical :class:`Violation` per cycle (or
-        none). Replaying that in bulk is exact, which is what lets the core
-        keep this checker attached while fast-forwarding (see the
-        bulk-replay protocol in :mod:`repro.core.rrs.ports`).
+        would have latched a :class:`Violation` at the span's first cycle
+        (or none), and every later check would have returned early.
+        Replaying that in bulk is exact, which is what lets the core keep
+        this checker attached while fast-forwarding (see the bulk-replay
+        protocol in :mod:`repro.core.rrs.ports`).
         """
-        if self._in_recovery or not self.enabled:
-            return
-        syndrome = self.syndrome
-        if syndrome == 0:
-            return
-        fl, rat, rob = self.fl_xor, self.rat_xor, self.rob_xor
-        self.violations.extend(
-            Violation(cycle, fl, rat, rob, syndrome)
-            for cycle in range(start_cycle + 1, end_cycle + 1)
-        )
+        self.cycle_end(start_cycle + 1)
 
     # -- results ---------------------------------------------------------------------------
 

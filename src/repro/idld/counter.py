@@ -28,7 +28,13 @@ class CounterDetection:
 
 
 class CounterScheme(RRSObserver):
-    """log2(#Pdsts)-bit free-register counter, checked at quiescence."""
+    """log2(#Pdsts)-bit free-register counter, checked at quiescence.
+
+    Attributes:
+        detections: The first alarm, or empty. The alarm latches: once it
+            holds a record, later checks return early, while the counter
+            keeps tracking.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -48,7 +54,7 @@ class CounterScheme(RRSObserver):
         self._free += 1
 
     def pipeline_empty(self, cycle: int) -> None:
-        if not self.enabled:
+        if self.detections or not self.enabled:
             return
         if self._free != self._expected_free:
             self.detections.append(
@@ -60,18 +66,11 @@ class CounterScheme(RRSObserver):
     ) -> None:
         """Closed-form replay of ``pipeline_empty`` over a skipped span:
         the free counter is constant (no FL traffic in a quiescent span),
-        so the per-cycle checks would have appended identical detections.
-        See the bulk-replay protocol in :mod:`repro.core.rrs.ports`."""
-        if (
-            pipeline_empty
-            and self.enabled
-            and self._free != self._expected_free
-        ):
-            free, expected = self._free, self._expected_free
-            self.detections.extend(
-                CounterDetection(cycle, free, expected)
-                for cycle in range(start_cycle + 1, end_cycle + 1)
-            )
+        so the per-cycle checks would have latched a detection at the
+        span's first cycle (or none). See the bulk-replay protocol in
+        :mod:`repro.core.rrs.ports`."""
+        if pipeline_empty:
+            self.pipeline_empty(start_cycle + 1)
 
     @property
     def detected(self) -> bool:

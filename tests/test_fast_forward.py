@@ -159,12 +159,20 @@ def test_fast_forward_actually_skips_on_stall_heavy_run():
     assert core.ff_cycles_skipped > 0
 
 
+def _records(detector):
+    """A stock detector's detection records."""
+    if isinstance(detector, IDLDChecker):
+        return detector.violations
+    return detector.detections
+
+
 def test_deadlock_wedge_identical_under_fast_forward():
     """A single-identifier free pool plus one FL write suppression leaks
     the only spare Pdst: rename starves forever and the core wedges. The
     fast-forwarding core must report the exact same DeadlockError cycle as
     lockstep, and must have skipped cycles inside the wedge window (the
-    post-drain wedge is the canonical quiescent span)."""
+    post-drain wedge is the canonical quiescent span). Every detector
+    latches: the skip leaves it at most one record, the lockstep run's."""
     program = random_program(3, blocks=4, block_len=6, max_loop_iters=6)
     config = _cell_config(
         4, "fifo", "checkpoint",
@@ -173,16 +181,19 @@ def test_deadlock_wedge_identical_under_fast_forward():
         checkpoint_interval=8,
         deadlock_cycles=1_000,
     )
+    bug = (ArrayName.FL, SignalKind.WRITE_ENABLE, 50)
     ff_core = _assert_indistinguishable(
-        program, config, budget=500_000,
-        bug=(ArrayName.FL, SignalKind.WRITE_ENABLE, 50),
+        program, config, budget=500_000, bug=bug
     )
-    _, _, err = _run_one(
-        program, config, True, 500_000,
-        bug=(ArrayName.FL, SignalKind.WRITE_ENABLE, 50),
-    )
-    assert isinstance(err, DeadlockError)
     assert ff_core.ff_cycles_skipped > 0
+    _, ff_det, err = _run_one(program, config, True, 500_000, bug=bug)
+    _, lk_det, _ = _run_one(program, config, False, 500_000, bug=bug)
+    assert isinstance(err, DeadlockError)
+    for ff_d, lk_d in zip(ff_det, lk_det):
+        name = type(ff_d).__name__
+        assert ff_d.detected, name
+        assert len(_records(ff_d)) <= 1, name
+        assert _records(ff_d) == _records(lk_d), name
 
 
 class _CycleTap(RRSObserver):

@@ -17,8 +17,10 @@ from repro.bugs.models import PRIMARY_MODELS
 from repro.bugs.snapshot import SnapshotProvider, make_detectors
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore
+from repro.core.lsq import PAGE_BITS
 from repro.exec.backends import ProcessPoolBackend
 from repro.exec.engine import run_engine
+from repro.isa.instructions import WORD_MASK
 from repro.workloads import WORKLOADS
 
 SUITE = sorted(WORKLOADS)
@@ -113,6 +115,61 @@ def test_provider_matches_lockstep_golden(programs):
         assert provider.delta.fingerprints[cycle] == fingerprint, cycle
     assert provider.delta.clean
     assert provider.delta.golden_persists == (not core.census_is_clean())
+
+
+def test_consecutive_snapshots_share_unwritten_memory_pages(programs):
+    """Golden snapshots are copy-on-write over data memory: every page no
+    committed store touched between two consecutive snapshots is the
+    earlier snapshot's own tuple, not a copy."""
+    prog = programs["patricia"]
+    provider = SnapshotProvider(prog, 20)
+    # The golden's committed stores, as (cycle, page), from a plain run.
+    core = OoOCore(prog)
+    stores = []
+    write = core.memory.committed_write
+
+    def recording_write(cycle, address, value):
+        stores.append((cycle, (address & WORD_MASK) >> PAGE_BITS))
+        write(cycle, address, value)
+
+    core.memory.committed_write = recording_write
+    assert _canon(core.run()) == _canon(provider.golden)
+    cycles = provider.candidate_cycles
+    shared = written = 0
+    for before, after in zip(cycles, cycles[1:]):
+        old = provider.at(before).core_state["memory"]
+        new = provider.at(after).core_state["memory"]
+        touched = {page for cycle, page in stores if before < cycle <= after}
+        for page, pairs in new.items():
+            if page in touched:
+                written += 1
+            else:
+                assert pairs is old[page], (after, page)
+                shared += 1
+    assert written > 0 and shared > 0
+
+
+def test_save_load_save_round_trip_compares_equal(programs):
+    """A restored core saves a state equal to the one it loaded, for every
+    golden snapshot and for a full-trace mid-run state."""
+    prog = programs["patricia"]
+    provider = SnapshotProvider(prog, 200)
+    for cycle in provider.candidate_cycles:
+        snapshot = provider.at(cycle)
+        detectors = make_detectors()
+        core = OoOCore(prog, observers=list(detectors))
+        provider.restore_into(snapshot, core, detectors)
+        assert core.save_state(light_trace=True) == snapshot.core_state
+        assert (
+            tuple(d.save_state() for d in detectors)
+            == snapshot.detector_states
+        )
+    core = OoOCore(prog)
+    core.run_cycles(provider.golden.cycles // 2)
+    state = core.save_state()
+    restored = OoOCore(prog)
+    restored.load_state(state)
+    assert restored.save_state() == state
 
 
 # -- injection-level: warm == cold over the whole suite x primary models ------
