@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.classify import classify_run, timeout_budget
-from repro.bugs.differential import converged
+from repro.bugs.differential import Reconvergence, converged, relabelled
 from repro.bugs.injector import arm
 from repro.bugs.models import BugModel, BugSpec, PRIMARY_MODELS
 from repro.core.config import CoreConfig
@@ -138,10 +138,10 @@ def run_injection(
     fire during cycle c itself, so the restore point must satisfy
     ``snapshot.cycle <= inject_cycle - 1``. The suffix is then simulated
     in chunks up to each snapshot cycle and terminates the moment the
-    variant provably re-converges with the golden trajectory (see
-    :mod:`repro.bugs.differential`). The result is bit-identical to the
-    cold run; ``warm_start_cycles_skipped`` and ``early_terminated_cycle``
-    record what was skipped.
+    variant provably re-converges with the golden trajectory, exactly or
+    up to identifier relabelling (see :mod:`repro.bugs.differential`).
+    The result is bit-identical to the cold run; ``warm_start_cycles_skipped``
+    and ``early_terminated_cycle`` record what was skipped.
 
     ``deadline`` (absolute ``time.monotonic()``) is the harness wall-clock
     budget; on expiry :class:`~repro.core.errors.DeadlineExceeded`
@@ -167,25 +167,29 @@ def run_injection(
             snapshots.restore_into(snap, core, detectors)
             skipped = snap.cycle
     budget = timeout_budget(golden)
-    early_cycle: Optional[int] = None
+    hit: Optional[Reconvergence] = None
     error: Optional[Exception] = None
     try:
         if delta is None or not delta.clean:
             core.run_cycles(budget, deadline=deadline)
         else:
-            early_cycle = _run_until_converged(
+            hit = _run_until_converged(
                 snapshots, core, detectors, fabric, budget, deadline
             )
     except SimulationError as exc:
         error = exc
-    if early_cycle is not None:
-        # State, traces, and detector tracking are back on the golden
-        # trajectory with nothing pending: every remaining cycle replays
-        # the golden run, so the full-suffix result is fully determined.
+    bv_cycle = bv.first_detection_cycle
+    counter_cycle = counter.first_detection_cycle
+    if hit is not None:
+        # The machine is back on the golden trajectory, up to a renaming of
+        # identifiers and hit.missing of them short, with nothing pending:
+        # every remaining cycle replays the golden run, so the full-suffix
+        # result is fully determined.
         outcome = OutcomeClass.BENIGN
         manifestation_cycle = None
         final_cycle = golden.cycles
-        persists: Optional[bool] = delta.golden_persists
+        persists: Optional[bool] = delta.golden_persists or hit.missing > 0
+        bv_cycle, counter_cycle = hit.bv_cycle, hit.counter_cycle
     else:
         result = core.result()
         classification = classify_run(program, golden, result, error)
@@ -206,12 +210,12 @@ def run_injection(
         final_cycle=final_cycle,
         persists=persists,
         idld_cycle=idld.first_detection_cycle,
-        bv_cycle=bv.first_detection_cycle,
-        counter_cycle=counter.first_detection_cycle,
+        bv_cycle=bv_cycle,
+        counter_cycle=counter_cycle,
         eot_detected=eot.detected,
         sim_wall_ns=time.perf_counter_ns() - started,
         warm_start_cycles_skipped=skipped,
-        early_terminated_cycle=early_cycle,
+        early_terminated_cycle=None if hit is None else hit.cycle,
     )
 
 
@@ -229,16 +233,21 @@ def _run_until_converged(
     fabric: SignalFabric,
     budget: int,
     deadline: Optional[float],
-) -> Optional[int]:
+) -> Optional[Reconvergence]:
     """Run ``core`` to ``budget`` in chunks ending at each snapshot cycle.
 
-    Returns the snapshot cycle at which the variant provably re-converged
-    with the golden run (:func:`converged`), or None when it halted or
-    reached ``budget`` first.
+    At each chunk boundary, every detector whose first detection is
+    recorded is detached: results read only that cycle. Returns where the
+    variant provably re-converged with the golden run, exactly
+    (:func:`converged`) or up to identifier relabelling
+    (:func:`relabelled`), or None when it halted or reached ``budget``
+    first.
     """
     fingerprints = snapshots.delta.fingerprints
     candidates = snapshots.candidate_cycles
     pos = bisect_right(candidates, core.cycle)
+    idld, bv, counter = detectors
+    attached = list(detectors)
     skip_deep_until = 0
     stride = 1
     clock_origin: Optional[float] = None
@@ -252,16 +261,33 @@ def _run_until_converged(
         if core.halted or core.cycle >= budget:
             break
         pos += 1
+        for detector in attached:
+            if detector.first_detection_cycle is not None:
+                core.detach(detector)
+        attached = [d for d in attached if d.first_detection_cycle is None]
         cycle = core.cycle
-        if fabric.any_armed:
+        if fabric.any_armed or cycle < skip_deep_until:
             continue
         reference = fingerprints.get(cycle)
-        if reference is None or core.fingerprint() != reference:
+        if reference is None:
             continue
-        if cycle < skip_deep_until:
+        fingerprint = core.fingerprint()
+        if fingerprint == reference:
+            if converged(snapshots, core, detectors, fabric, cycle):
+                return Reconvergence(
+                    cycle, 0, bv.first_detection_cycle,
+                    counter.first_detection_cycle,
+                )
+        elif not (
+            idld.first_detection_cycle is not None
+            and fingerprint[:-1] == reference[:-1]
+            and fingerprint[-1] <= reference[-1]
+        ):
             continue
-        if converged(snapshots, core, detectors, fabric, cycle):
-            return cycle
+        if idld.first_detection_cycle is not None:
+            hit = relabelled(snapshots, core, detectors, fabric, cycle)
+            if hit is not None:
+                return hit
         skip_deep_until = cycle + stride * snapshots.interval
         if stride < _MAX_DEEP_STRIDE:
             stride <<= 1

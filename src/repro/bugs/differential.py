@@ -10,8 +10,9 @@ too, DejaVuzz-style, by running every snapshot-driven injection
 
 1. **Golden delta trace.** The provider's instrumented golden run keeps
    every snapshot and, per snapshot cycle, the golden core's fingerprint,
-   plus the golden persistence probe and whether every detector stayed
-   silent (:class:`DeltaTrace`).
+   the fewest identifiers its free list holds from there to HALT and its
+   first pipeline-empty cycle after it, plus the golden persistence probe
+   and whether every detector stayed silent (:class:`DeltaTrace`).
 
 2. **Restore.** An injection restores the nearest snapshot strictly
    before its inject cycle (:meth:`DeltaTrace.first_perturbation`). The
@@ -32,7 +33,17 @@ too, DejaVuzz-style, by running every snapshot-driven injection
    golden, so the run is classified immediately (Benign, golden final
    cycle, golden persistence) without simulating the rest.
 
-Soundness of the convergence predicate (see EXPERIMENTS.md):
+4. **Convergence up to identifier relabelling.** A leak leaves the machine
+   short of identifiers, so the exact predicate never holds and such runs
+   used to simulate to HALT. The core never looks at an identifier's
+   value, only at which structures hold it, so where the exact check fails
+   :func:`relabelled` asks whether the variant is the golden state under a
+   renaming of identifiers, with ``k`` identifiers missing from its free
+   list. If so the run ends Benign at the golden final cycle, persisting
+   iff ``k >= 1``, with any pending BV or counter detection placed at the
+   golden's next pipeline-empty cycle.
+
+Soundness of the exact predicate (see EXPERIMENTS.md):
 
 * ``fabric.any_armed`` must be False: an unfired bug can still perturb any
   future cycle, so no early exit while anything is pending. A spec whose
@@ -49,19 +60,30 @@ Soundness of the convergence predicate (see EXPERIMENTS.md):
   (``tracking_of``): XOR codes, bit vectors, counters, mirrors — not the
   recorded detections. A run whose detector fired and then recovered can
   converge; its detections are already recorded and are carried into the
-  result unchanged.
+  result unchanged. For the same reason the injection loop detaches a
+  detector from the core once it has latched (:meth:`OoOCore.detach`).
 
-The deep compare is the expensive path, so a failed deep compare backs off
+Soundness of the relabelling predicate is argued in EXPERIMENTS.md
+("Injections stop paying once their result is fixed"). In short: every
+core operation either ignores identifier values or uses them as opaque
+keys (equality, array index), except the shared zero register, which the
+map fixes; the free list is the one place the variant may hold fewer
+identifiers, and while the golden free list keeps ``k + width`` or more,
+no rename gate sees the difference. IDLD must have latched, because its
+XOR code does depend on identifier values.
+
+The deep compares are the expensive path, so a failed one backs off
 exponentially (the fingerprint probe keeps running every candidate cycle);
 this only delays termination and never affects the classification.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.bugs.models import BugSpec
 from repro.core.rrs.signals import SignalFabric
+from repro.core.uop import Uop
 from repro.idld.bitvector import BitVectorScheme
 from repro.idld.checker import IDLDChecker
 from repro.idld.counter import CounterScheme
@@ -82,19 +104,29 @@ class DeltaTrace:
         clean: True when the golden run halted with every detector silent;
             convergence is only checked for clean goldens (in practice
             goldens are always clean — this is a guard, not a policy).
+        free_floor: Snapshot cycle -> the fewest identifiers the golden
+            free list holds from that cycle to HALT.
+        next_empty: Snapshot cycle -> the first later cycle that delivers a
+            ``pipeline_empty`` event in the golden run, or None.
     """
 
-    __slots__ = ("fingerprints", "golden_persists", "clean")
+    __slots__ = (
+        "fingerprints", "golden_persists", "clean", "free_floor", "next_empty"
+    )
 
     def __init__(
         self,
         fingerprints: Dict[int, tuple],
         golden_persists: bool,
         clean: bool,
+        free_floor: Dict[int, int],
+        next_empty: Dict[int, Optional[int]],
     ) -> None:
         self.fingerprints = fingerprints
         self.golden_persists = golden_persists
         self.clean = clean
+        self.free_floor = free_floor
+        self.next_empty = next_empty
 
     def first_perturbation(self, spec: BugSpec) -> int:
         """The earliest cycle ``spec`` can perturb the variant.
@@ -147,28 +179,207 @@ def converged(
     for key, value in state.items():
         if key != "stats" and value != golden_state[key]:
             return False
-    # Light-trace states carry prefix *lengths*; equal lengths do not imply
-    # equal contents (an SDC-in-progress can have committed the same number
-    # of instructions with different values), so compare the actual traces
-    # against the golden prefixes.
-    out_len, committed = state["trace"]
-    golden = provider.golden
-    if core.output != golden.output[:out_len]:
-        return False
-    if core.commit_pcs != golden.commit_pcs[:committed]:
-        return False
-    if core.commit_cycles != golden.commit_cycles[:committed]:
+    if not _same_traces(core, provider.golden, state["trace"]):
         return False
     for detector, reference_state, tracking in zip(
         detectors, snapshot.detector_states, _TRACKING
     ):
-        if tracking(detector.save_state()) != tracking(reference_state):
-            # A detector whose tracking state desynced permanently (e.g. a
-            # leaked ID stuck in the IDLD XOR code while the machine itself
-            # recovered) only matters while its first detection is still
-            # pending: detectors are pure observers, and the result records
-            # first-detection cycles only. Once it has detected, its future
-            # cannot change the classification.
-            if detector.first_detection_cycle is None:
-                return False
+        # A detector whose tracking state desynced permanently (e.g. a
+        # leaked ID stuck in the IDLD XOR code while the machine itself
+        # recovered) only matters while its first detection is still
+        # pending: detectors are pure observers, and the result records
+        # first-detection cycles only. Once it has detected, its future
+        # cannot change the classification (and it may be detached).
+        if detector.first_detection_cycle is None and tracking(
+            detector.save_state()
+        ) != tracking(reference_state):
+            return False
+    return True
+
+
+def _same_traces(core: "OoOCore", golden, trace: tuple) -> bool:
+    """Light-trace states carry prefix *lengths*; equal lengths do not imply
+    equal contents (an SDC-in-progress can have committed the same number
+    of instructions with different values), so compare the actual traces
+    against the golden prefixes."""
+    out_len, committed = trace
+    return (
+        core.output == golden.output[:out_len]
+        and core.commit_pcs == golden.commit_pcs[:committed]
+        and core.commit_cycles == golden.commit_cycles[:committed]
+    )
+
+
+class Reconvergence(NamedTuple):
+    """Where a variant rejoined the golden run, and what that fixes."""
+
+    cycle: int
+    #: Identifiers the variant's free list lacks against the golden's
+    #: (``k``; 0 for exact convergence).
+    missing: int
+    #: BV and counter first detections: recorded, or predicted by
+    #: :func:`relabelled`.
+    bv_cycle: Optional[int]
+    counter_cycle: Optional[int]
+
+
+#: ``save_state`` keys that hold identifiers; :func:`relabelled` maps them,
+#: and every other key except ``stats`` must equal the golden's.
+_RELABELLED = frozenset(
+    ("uops", "rat", "rob", "rht", "ckpt", "recovery", "free_list", "prf")
+)
+
+
+def relabelled(
+    provider: "SnapshotProvider",
+    core: "OoOCore",
+    detectors: Tuple[IDLDChecker, BitVectorScheme, CounterScheme],
+    fabric: SignalFabric,
+    cycle: int,
+) -> Optional[Reconvergence]:
+    """Convergence up to identifier relabelling at snapshot ``cycle``.
+
+    Returns the fixed result facts when the variant is the golden state
+    under one injective identifier map, with ``k`` identifiers missing
+    from its free list, and nothing can tell the two apart for the rest
+    of the run; otherwise None. Every condition is listed in
+    EXPERIMENTS.md with its reason:
+
+    * nothing is armed, IDLD has latched, and the golden run is clean and
+      does not persist;
+    * every field without an identifier, and the trace contents, equal
+      the golden's;
+    * one injective map, fixing the shared zero register, sends the
+      variant's identifiers to the golden's across uops, the RAT, live ROB
+      entries, live RHT entries, valid checkpoint images and walk-recovery
+      records, and registers not free agree in their ready bits and, where
+      ready, their values; the ROB reclaim pointer equals the golden's, so
+      it does not lag;
+    * the variant's free list maps, in delivery order, onto the golden's
+      with ``k >= 0`` entries missing;
+    * BV and the counter have latched, or mirror the variant's free list;
+    * the golden free list holds at least ``k + width`` identifiers from
+      ``cycle`` to HALT.
+    """
+    delta = provider.delta
+    idld, bv, counter = detectors
+    if (
+        fabric.any_armed
+        or idld.first_detection_cycle is None
+        or not delta.clean
+        or delta.golden_persists
+        or core.parity
+    ):
+        return None
+    reference = delta.fingerprints.get(cycle)
+    if reference is None:
+        return None
+    # The free-list count is the fingerprint's last component.
+    fingerprint = core.fingerprint()
+    missing = reference[-1] - fingerprint[-1]
+    if (
+        missing < 0
+        or fingerprint[:-1] != reference[:-1]
+        or delta.free_floor[cycle] < missing + core.config.width
+    ):
+        return None
+    golden_state = provider.at(cycle).core_state
+    state = core.save_state(light_trace=True)
+    for key, value in state.items():
+        if key not in _RELABELLED and key != "stats":
+            if value != golden_state[key]:
+                return None
+    if not _same_traces(core, provider.golden, state["trace"]):
+        return None
+    free = core.free_list.contents()
+    if not _maps_onto_golden(core, state, golden_state, free):
+        return None
+    next_empty = delta.next_empty[cycle]
+    predicted = []
+    for detector in (bv, counter):
+        first = detector.first_detection_cycle
+        if first is None:
+            if not detector.mirrors(free):
+                return None
+            # It counts k fewer free identifiers than the golden detector,
+            # which never fires, so it fires at its next check iff k >= 1.
+            if missing and detector.enabled:
+                first = next_empty
+        predicted.append(first)
+    return Reconvergence(cycle, missing, predicted[0], predicted[1])
+
+
+def _maps_onto_golden(
+    core: "OoOCore", state: dict, golden: dict, free: List[int]
+) -> bool:
+    """True when one injective identifier map sends the identifier fields
+    of ``state`` onto ``golden``'s (see :func:`relabelled`)."""
+    zero = core.zero_pdst
+    limit = core.config.num_physical_regs
+    forward: Dict[int, int] = {}
+    backward: Dict[int, int] = {}
+    if zero is not None:
+        forward[zero] = backward[zero] = zero
+
+    def bind(pdst: int, image: int) -> bool:
+        known = forward.get(pdst)
+        if known is not None:
+            return known == image
+        if image in backward or not 0 <= pdst < limit:
+            return False
+        forward[pdst] = image
+        backward[image] = pdst
+        return True
+
+    uops, golden_uops = state["uops"], golden["uops"]
+    if len(uops) != len(golden_uops):
+        return False
+    pairs = [
+        (Uop.split_identifiers(uop), Uop.split_identifiers(other))
+        for uop, other in zip(uops, golden_uops)
+    ]
+    pairs += [
+        (split(state[key]), split(golden[key]))
+        for key, split in (
+            ("rat", core.rat.split_identifiers),
+            ("rob", core.rob.split_identifiers),
+            ("rht", core.rht.split_identifiers),
+            ("ckpt", core.ckpt.split_identifiers),
+            ("recovery", core.recovery_strategy.split_identifiers),
+        )
+    ]
+    for (plain, ids), (golden_plain, golden_ids) in pairs:
+        # Equal plain parts imply as many identifiers on both sides.
+        if plain != golden_plain or not all(map(bind, ids, golden_ids)):
+            return False
+    # Free list: in delivery order onto the golden's, skipping exactly the
+    # k missing entries. An identifier no other field names takes the next
+    # golden entry no other field names.
+    golden_free = core.free_list.contents_of(golden["free_list"])
+    position = 0
+    for pdst in free:
+        image = forward.get(pdst)
+        while position < len(golden_free) and (
+            golden_free[position] in backward
+            if image is None
+            else golden_free[position] != image
+        ):
+            position += 1
+        if position == len(golden_free):
+            return False
+        if not bind(pdst, golden_free[position]):
+            return False
+        position += 1
+    # PRF: a value is read only once its ready bit is set, and only the
+    # producer's writeback sets it, so the value of a pending register is
+    # dead; so are both fields of a free one (allocation marks it pending).
+    values, ready = state["prf"]
+    golden_values, golden_ready = golden["prf"]
+    golden_free_set = set(golden_free)
+    for pdst, image in forward.items():
+        if image not in golden_free_set and (
+            ready[pdst] != golden_ready[image]
+            or (ready[pdst] and values[pdst] != golden_values[image])
+        ):
+            return False
     return True

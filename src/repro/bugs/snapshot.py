@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bugs.differential import DeltaTrace
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore, RunResult
+from repro.core.rrs.ports import RRSObserver
 from repro.idld.bitvector import BitVectorScheme
 from repro.idld.checker import IDLDChecker
 from repro.idld.counter import CounterScheme
@@ -54,6 +55,65 @@ class CoreSnapshot:
         self.cycle = cycle
         self.core_state = core_state
         self.detector_states = detector_states
+
+
+class _SuffixRecorder(RRSObserver):
+    """Golden facts about the rest of the run, per snapshot cycle.
+
+    The relabelling check (:func:`repro.bugs.differential.relabelled`)
+    reads two: the fewest identifiers the free list holds from a snapshot
+    to HALT, and the first cycle after a snapshot that delivers a
+    ``pipeline_empty`` event. A pure observer that also replays skipped
+    spans, so the golden run and its fast-forwarding are unchanged.
+    """
+
+    def __init__(self) -> None:
+        self.free_list = None  # the provider's, set once its core exists
+        self._cycles: List[int] = []
+        #: Fewest free identifiers from each snapshot to the next.
+        self._lows: List[int] = []
+        self._low = 0
+        self.next_empty: Dict[int, Optional[int]] = {}
+        self._waiting: List[int] = []
+
+    def fl_read(self, pdst: int) -> None:
+        # The count falls only through allocations, so its low points are
+        # right after one.
+        count = self.free_list.count
+        if count < self._low:
+            self._low = count
+
+    def pipeline_empty(self, cycle: int) -> None:
+        if self._waiting:
+            for snapshot_cycle in self._waiting:
+                self.next_empty[snapshot_cycle] = cycle
+            self._waiting = []
+
+    def fast_forward(
+        self, start_cycle: int, end_cycle: int, pipeline_empty: bool
+    ) -> None:
+        if pipeline_empty:
+            self.pipeline_empty(start_cycle + 1)
+
+    def mark(self, cycle: int) -> None:
+        """A snapshot was taken at ``cycle``."""
+        if self._cycles:
+            self._lows.append(self._low)
+        self._cycles.append(cycle)
+        self._low = self.free_list.count
+        self.next_empty[cycle] = None
+        self._waiting.append(cycle)
+
+    def free_floor(self) -> Dict[int, int]:
+        """Snapshot cycle -> fewest free identifiers from it to HALT."""
+        floor: Dict[int, int] = {}
+        running = self._low  # the last snapshot's interval ends at HALT
+        for cycle, low in zip(
+            reversed(self._cycles), reversed(self._lows + [self._low])
+        ):
+            running = min(running, low)
+            floor[cycle] = running
+        return floor
 
 
 def make_detectors() -> Tuple[IDLDChecker, BitVectorScheme, CounterScheme]:
@@ -87,7 +147,11 @@ class SnapshotProvider:
         self.interval = interval
         self.config = config
         detectors = make_detectors()
-        core = OoOCore(program, config=config, observers=list(detectors))
+        recorder = _SuffixRecorder()
+        core = OoOCore(
+            program, config=config, observers=[*detectors, recorder]
+        )
+        recorder.free_list = core.free_list
         # Every snapshot is kept, not only those in the injection-draw
         # window: the convergence candidates lie past it.
         snapshots: List[CoreSnapshot] = []
@@ -108,6 +172,7 @@ class SnapshotProvider:
                 )
             )
             fingerprints[core.cycle] = core.fingerprint()
+            recorder.mark(core.cycle)
         self.golden = core.result()
         if not self.golden.halted:
             raise RuntimeError(
@@ -121,6 +186,8 @@ class SnapshotProvider:
             fingerprints=fingerprints,
             golden_persists=not core.census_is_clean(),
             clean=all(d.first_detection_cycle is None for d in detectors),
+            free_floor=recorder.free_floor(),
+            next_empty=recorder.next_empty,
         )
         self._snapshots = snapshots
         self._cycles = [s.cycle for s in snapshots]

@@ -164,17 +164,6 @@ class OoOCore:
         self.config = config or CoreConfig()
         self.fabric = fabric or SignalFabric()
         self.observers: List[RRSObserver] = list(observers)
-        # Per-event dispatch lists: only observers that override a hook are
-        # called for it, so a hook nobody overrides costs nothing per event.
-        self._on_recovery_begin = listeners(self.observers, "recovery_begin")
-        self._on_recovery_end = listeners(self.observers, "recovery_end")
-        self._on_flush_initiated = listeners(self.observers, "flush_initiated")
-        self._on_checkpoint_restored = listeners(
-            self.observers, "checkpoint_restored"
-        )
-        self._on_load_replay = listeners(self.observers, "load_replay")
-        self._on_pipeline_empty = listeners(self.observers, "pipeline_empty")
-        self._on_cycle_end = listeners(self.observers, "cycle_end")
 
         cfg = self.config
         self.zero_pdst = cfg.zero_pdst
@@ -189,20 +178,21 @@ class OoOCore:
                 "RAT": ParityStore("RAT"),
                 "ROB": ParityStore("ROB"),
             }
+        # The arrays' port dispatch lists are bound by _bind_observers.
         self.free_list = make_free_list(
             cfg.free_list_discipline, cfg.free_list_entries, self.fabric,
-            self.observers, parity=self.parity.get("FL"),
+            (), parity=self.parity.get("FL"),
         )
         self.rat = RegisterAliasTable(
-            NUM_LOGICAL_REGS, self.fabric, self.observers,
+            NUM_LOGICAL_REGS, self.fabric, (),
             zero_pdst=self.zero_pdst, parity=self.parity.get("RAT"),
         )
         self.rob = ReorderBuffer(
-            cfg.rob_entries, self.fabric, self.observers,
+            cfg.rob_entries, self.fabric, (),
             zero_pdst=self.zero_pdst, parity=self.parity.get("ROB"),
         )
-        self.rht = RegisterHistoryTable(cfg.rht_entries, self.fabric, self.observers)
-        self.ckpt = CheckpointTable(cfg.num_checkpoints, self.fabric, self.observers)
+        self.rht = RegisterHistoryTable(cfg.rht_entries, self.fabric, ())
+        self.ckpt = CheckpointTable(cfg.num_checkpoints, self.fabric, ())
         # One extra physical register backs the hardwired zero when the
         # zero-idiom optimization is on; it stays outside the token set.
         prf_size = cfg.num_physical_regs + (1 if self.zero_pdst is not None else 0)
@@ -218,25 +208,9 @@ class OoOCore:
         self.recovery_strategy = make_recovery_strategy(
             cfg.recovery_strategy, self
         )
-        # Quiescence-aware fast-forward: legal only when every attached
-        # per-cycle listener is bulk-replayable under the protocol in
-        # ports.py. One unproven listener disables skipping for this core
-        # entirely (the conservative fallback is exactly today's per-cycle
-        # behavior, so an unknown observer can never change an outcome).
-        ff_enabled = True
-        replays: List = []
-        for obs in self.observers:
-            if overrides_hook(obs, "pipeline_empty") or overrides_hook(
-                obs, "cycle_end"
-            ):
-                replay = getattr(obs, "fast_forward", None)
-                if replay is None:
-                    ff_enabled = False
-                    replays = []
-                    break
-                replays.append(replay)
-        self._ff_replay: Tuple = tuple(replays)
-        self.fast_forward_enabled = ff_enabled
+        #: ``(profile, stack)`` of a profiled core (see _profile_stages).
+        self._stage_timing: Optional[Tuple[Dict[str, int], List[int]]] = None
+        self._bind_observers()
         if STAGE_PROFILE is not None:
             self._profile_stages(STAGE_PROFILE)
         # Static per-PC decode tables. Latency, issue-queue occupancy and
@@ -332,6 +306,70 @@ class OoOCore:
             obs.checkpoint_content(0, 0)
             obs.checkpoint_meta(0, 0)
 
+    def _bind_observers(self) -> None:
+        """Build every dispatch list derived from :attr:`observers`.
+
+        Per-event lists hold only the observers that override a hook, so a
+        hook nobody overrides costs nothing per event. The core's own lists,
+        the fast-forward replays and the FL, RAT, ROB and CKPT port lists
+        are all built here: construction calls this once and
+        :meth:`detach` again, and a profiled core re-wraps its per-cycle
+        hooks here, so it keeps its timing wrappers across a detach.
+        """
+        observers = self.observers
+        self._on_recovery_begin = listeners(observers, "recovery_begin")
+        self._on_recovery_end = listeners(observers, "recovery_end")
+        self._on_flush_initiated = listeners(observers, "flush_initiated")
+        self._on_checkpoint_restored = listeners(
+            observers, "checkpoint_restored"
+        )
+        self._on_load_replay = listeners(observers, "load_replay")
+        self._on_pipeline_empty = listeners(observers, "pipeline_empty")
+        self._on_cycle_end = listeners(observers, "cycle_end")
+        for array in (self.free_list, self.rat, self.rob, self.ckpt):
+            array.bind(observers)
+        # Quiescence-aware fast-forward: legal only when every attached
+        # per-cycle listener is bulk-replayable under the protocol in
+        # ports.py. One unproven listener disables skipping for this core
+        # entirely (the conservative fallback is exactly today's per-cycle
+        # behavior, so an unknown observer can never change an outcome).
+        ff_enabled = True
+        replays: List = []
+        for obs in observers:
+            if overrides_hook(obs, "pipeline_empty") or overrides_hook(
+                obs, "cycle_end"
+            ):
+                replay = getattr(obs, "fast_forward", None)
+                if replay is None:
+                    ff_enabled = False
+                    replays = []
+                    break
+                replays.append(replay)
+        self._ff_replay: Tuple = tuple(replays)
+        self.fast_forward_enabled = ff_enabled
+        if self._stage_timing is not None:
+            profile, stack = self._stage_timing
+            self._on_pipeline_empty = [
+                _timed(hook, profile, "observer", stack)
+                for hook in self._on_pipeline_empty
+            ]
+            self._on_cycle_end = [
+                _timed(hook, profile, "observer", stack)
+                for hook in self._on_cycle_end
+            ]
+
+    def detach(self, observer: RRSObserver) -> None:
+        """Deliver no further event of any kind to ``observer``.
+
+        The observer keeps the state it has; the core's state is untouched,
+        so the run goes on exactly as it would with the observer attached.
+        Detaching never turns fast-forward on when it was off.
+        """
+        self.observers = [obs for obs in self.observers if obs is not observer]
+        enabled = self.fast_forward_enabled
+        self._bind_observers()
+        self.fast_forward_enabled = enabled and self.fast_forward_enabled
+
     def _profile_stages(self, profile: Dict[str, int]) -> None:
         """Attribute wall time to pipeline stages without a second stepper.
 
@@ -342,6 +380,7 @@ class OoOCore:
         plain method calls.
         """
         stack: List[int] = []
+        self._stage_timing = (profile, stack)
         for name, bucket in (
             ("_commit_stage", "commit"),
             ("_execute_stage", "execute"),
@@ -355,14 +394,7 @@ class OoOCore:
             setattr(self, name, _timed(method, profile, bucket, stack))
         strategy = self.recovery_strategy
         strategy.step = _timed(strategy.step, profile, "recovery", stack)
-        self._on_pipeline_empty = [
-            _timed(hook, profile, "observer", stack)
-            for hook in self._on_pipeline_empty
-        ]
-        self._on_cycle_end = [
-            _timed(hook, profile, "observer", stack)
-            for hook in self._on_cycle_end
-        ]
+        self._bind_observers()  # now with timed per-cycle hooks
         step = self.step
 
         def counted_step() -> None:
@@ -1246,7 +1278,10 @@ class OoOCore:
         (never of ``stats``, which the differential deep compare excludes):
         if two states are structurally equal their fingerprints are equal,
         so a fingerprint mismatch cheaply rules out the expensive deep
-        compare without ever ruling out a true convergence.
+        compare without ever ruling out a true convergence. The free-list
+        count comes last: the relabelling check
+        (:func:`repro.bugs.differential.relabelled`) compares the rest and
+        reads how many identifiers the variant lacks from it.
         """
         return (
             self.halted,
@@ -1261,8 +1296,8 @@ class OoOCore:
             self.recovery is None,
             self.allocs_since_checkpoint,
             self.last_progress_cycle,
-            self.free_list.count,
             self.rht.occupancy,
+            self.free_list.count,
         )
 
     # -- probes -------------------------------------------------------------------------------

@@ -34,7 +34,7 @@ suppressed enable inside the flow leaves a nonzero code at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.core.errors import SimulatorAssertion
 
@@ -92,6 +92,12 @@ class RecoveryStrategy:
     def load_recovery(self, rec):
         """Unpack a :meth:`save_recovery` value (None stays None)."""
         raise NotImplementedError
+
+    def split_identifiers(self, rec) -> Tuple[object, List[int]]:
+        """Split a :meth:`save_recovery` value as
+        :meth:`repro.core.uop.Uop.split_identifiers` does. A checkpoint
+        walk holds RHT positions only, no identifier."""
+        return rec, []
 
     def _finish(self, redirect_pc: int, new_rht_tail: int) -> None:
         core = self.core
@@ -277,6 +283,16 @@ class RobWalkRecovery(RecoveryStrategy):
             rec.offender_seq, rec.redirect_pc, rec.new_rht_tail,
             rec.records, rec.idx, rec.draining,
         )
+
+    def split_identifiers(self, rec) -> Tuple[object, List[int]]:
+        """Each undo record names its evicted and allocated PdstIDs."""
+        if rec is None:
+            return None, []
+        offender_seq, redirect_pc, new_rht_tail, records, idx, draining = rec
+        plain = (offender_seq, redirect_pc, new_rht_tail, idx, draining)
+        return plain + tuple(r[:2] for r in records), [
+            pdst for r in records for pdst in r[2:]
+        ]
 
     def load_recovery(self, rec):
         if rec is None:

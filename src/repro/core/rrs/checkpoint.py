@@ -24,7 +24,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.rrs.ports import RRSObserver, listeners
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
@@ -56,16 +56,19 @@ class CheckpointTable:
         if num_slots < 1:
             raise ValueError("need at least one checkpoint slot")
         self._fabric = fabric
-        self._observers = observers
-        self._on_content = listeners(observers, "checkpoint_content")
-        self._on_meta = listeners(observers, "checkpoint_meta")
-        self._on_freed = listeners(observers, "checkpoint_freed")
+        self.bind(observers)
         self._slots = [CheckpointSlot(i) for i in range(num_slots)]
         # retire_anchor() runs every cycle from the commit stage but can
         # only change its answer after a slot mutation; memoize on a
         # monotonically bumped table version to make the idle case O(1).
         self._version = 0
         self._retire_memo: Optional[tuple] = None
+
+    def bind(self, observers: Sequence[RRSObserver]) -> None:
+        """(Re)build the slot-event dispatch lists from ``observers``."""
+        self._on_content = listeners(observers, "checkpoint_content")
+        self._on_meta = listeners(observers, "checkpoint_meta")
+        self._on_freed = listeners(observers, "checkpoint_freed")
 
     def reset(self, initial_rat: Sequence[int]) -> None:
         """Power-on: slot 0 anchors the initial architectural state."""
@@ -215,6 +218,19 @@ class CheckpointTable:
             (s.valid, s.pos, s.rht_pos, tuple(s.rat_image))
             for s in self._slots
         )
+
+    @staticmethod
+    def split_identifiers(state: tuple) -> Tuple[tuple, List[int]]:
+        """Split a :meth:`save_state` snapshot as
+        :meth:`repro.core.uop.Uop.split_identifiers` does. Only a valid
+        slot's image can be restored, so only those images count."""
+        plain = []
+        ids: List[int] = []
+        for valid, pos, rht_pos, image in state:
+            plain.append((valid, pos, rht_pos, len(image) if valid else 0))
+            if valid:
+                ids += image
+        return tuple(plain), ids
 
     def load_state(self, state: tuple) -> None:
         """Restore a :meth:`save_state` snapshot."""

@@ -48,14 +48,17 @@ class FifoFreeList:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._fabric = fabric
-        self._observers = observers
-        self._on_read = listeners(observers, "fl_read")
-        self._on_write = listeners(observers, "fl_write")
+        self.bind(observers)
         self._parity = parity
         self._array: List[int] = [0] * capacity
         self._head = 0
         self._tail = 0
         self._count = 0
+
+    def bind(self, observers: Sequence[RRSObserver]) -> None:
+        """(Re)build the port dispatch lists from ``observers``."""
+        self._on_read = listeners(observers, "fl_read")
+        self._on_write = listeners(observers, "fl_write")
 
     def reset(self, initial_ids: Iterable[int]) -> None:
         """Power-on initialization with the initially-free PdstIDs."""
@@ -177,6 +180,13 @@ class FifoFreeList:
         a suppressed read re-delivers whatever the storage holds)."""
         return (tuple(self._array), self._head, self._tail, self._count)
 
+    @staticmethod
+    def contents_of(state: tuple) -> List[int]:
+        """The live contents, in delivery order, of a :meth:`save_state`
+        snapshot."""
+        array, head, _tail, count = state
+        return [array[(head + i) % len(array)] for i in range(count)]
+
     def load_state(self, state: tuple) -> None:
         """Restore a :meth:`save_state` snapshot."""
         array, head, tail, count = state
@@ -211,13 +221,16 @@ class StackFreeList:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._fabric = fabric
-        self._observers = observers
-        self._on_read = listeners(observers, "fl_read")
-        self._on_write = listeners(observers, "fl_write")
+        self.bind(observers)
         self._parity = parity
         self._array: List[int] = [0] * capacity
         #: Live entry count; the read bus drives ``_array[_top - 1]``.
         self._top = 0
+
+    def bind(self, observers: Sequence[RRSObserver]) -> None:
+        """(Re)build the port dispatch lists from ``observers``."""
+        self._on_read = listeners(observers, "fl_read")
+        self._on_write = listeners(observers, "fl_write")
 
     def reset(self, initial_ids: Iterable[int]) -> None:
         """Power-on initialization with the initially-free PdstIDs.
@@ -306,6 +319,13 @@ class StackFreeList:
     def save_state(self) -> tuple:
         """Snapshot the full backing array and the stack pointer."""
         return (tuple(self._array), self._top)
+
+    @staticmethod
+    def contents_of(state: tuple) -> List[int]:
+        """The live contents, in delivery order, of a :meth:`save_state`
+        snapshot."""
+        array, top = state
+        return [array[top - 1 - i] for i in range(top)]
 
     def load_state(self, state: tuple) -> None:
         """Restore a :meth:`save_state` snapshot."""

@@ -143,8 +143,9 @@ def listeners(
 ) -> Tuple[Callable[..., None], ...]:
     """Bound methods of the observers that actually override ``hook``.
 
-    Arrays and the core build these dispatch lists once at attach time, so
-    the per-event hot path calls only real handlers: an observer that keeps
+    Arrays and the core build these dispatch lists when the observer set
+    is fixed (at construction, and again at ``OoOCore.detach``), so the
+    per-event hot path calls only real handlers: an observer that keeps
     the base-class no-op for a hook costs zero calls on that event, and an
     empty tuple short-circuits the dispatch entirely.
     """

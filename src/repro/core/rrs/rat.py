@@ -10,7 +10,7 @@ Section III.A).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.rrs.ports import RRSObserver, listeners
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
@@ -32,10 +32,7 @@ class RegisterAliasTable:
     ) -> None:
         self.num_logical = num_logical
         self._fabric = fabric
-        self._observers = observers
-        self._on_write = listeners(observers, "rat_write")
-        self._on_write_zero_idiom = listeners(observers, "rat_write_zero_idiom")
-        self._on_write_over_zero = listeners(observers, "rat_write_over_zero")
+        self.bind(observers)
         self._zero_pdst = zero_pdst
         self._parity = parity
         self._table: List[int] = list(range(num_logical))
@@ -45,6 +42,12 @@ class RegisterAliasTable:
             # Every table update below (including bulk restore/load_state)
             # slice-assigns in place so the binding stays valid.
             self.read = self._table.__getitem__
+
+    def bind(self, observers: Sequence[RRSObserver]) -> None:
+        """(Re)build the write-port dispatch lists from ``observers``."""
+        self._on_write = listeners(observers, "rat_write")
+        self._on_write_zero_idiom = listeners(observers, "rat_write_zero_idiom")
+        self._on_write_over_zero = listeners(observers, "rat_write_over_zero")
 
     def reset(self, initial_mappings: Sequence[int]) -> None:
         """Power-on initialization (logical register i -> mapping[i])."""
@@ -172,3 +175,9 @@ class RegisterAliasTable:
     def load_state(self, state: tuple) -> None:
         """Restore a :meth:`save_state` snapshot (not signal-gated)."""
         self._table[:] = state[0]
+
+    @staticmethod
+    def split_identifiers(state: tuple) -> Tuple[tuple, List[int]]:
+        """Every mapping is an identifier (see
+        :meth:`repro.core.uop.Uop.split_identifiers`)."""
+        return (), list(state[0])

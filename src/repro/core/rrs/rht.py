@@ -21,7 +21,7 @@ tail restore on flushes by the RHT recovery signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.core.errors import SimulatorAssertion
 from repro.core.rrs.ports import RRSObserver
@@ -158,6 +158,23 @@ class RegisterHistoryTable:
             self._head,
             self._tail,
         )
+
+    @staticmethod
+    def split_identifiers(state: tuple) -> Tuple[tuple, List[int]]:
+        """Split a :meth:`save_state` snapshot as
+        :meth:`repro.core.uop.Uop.split_identifiers` does. The live window
+        only: with no enable suppressed, the walks read nothing else."""
+        entries, head, tail = state
+        plain: list = [head, tail]
+        ids: List[int] = []
+        for pos in range(head, tail):
+            has_dest, ldst, new = entries[pos % len(entries)]
+            if has_dest:
+                plain.append((has_dest, ldst))
+                ids.append(new)
+            else:
+                plain.append((has_dest, ldst, new))
+        return tuple(plain), ids
 
     def load_state(self, state: tuple) -> None:
         """Restore a :meth:`save_state` snapshot."""

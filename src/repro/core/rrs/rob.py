@@ -22,7 +22,7 @@ Bug-injection fidelity notes:
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING, List, Optional, Sequence
+from typing import Callable, TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SimulatorAssertion
 from repro.core.rrs.ports import RRSObserver, listeners
@@ -72,9 +72,7 @@ class ReorderBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._fabric = fabric
-        self._observers = observers
-        self._on_pdst_write = listeners(observers, "rob_pdst_write")
-        self._on_pdst_read = listeners(observers, "rob_pdst_read")
+        self.bind(observers)
         self._zero_pdst = zero_pdst
         self._parity = parity
         self._slots: List[ROBSlot] = [ROBSlot() for _ in range(capacity)]
@@ -87,6 +85,11 @@ class ReorderBuffer:
         #: Output latch of the recovery-walk read port (ROB-walk recovery
         #: strategies); holds the last identifier the port delivered.
         self._walk_bus = 0
+
+    def bind(self, observers: Sequence[RRSObserver]) -> None:
+        """(Re)build the PdstID-field dispatch lists from ``observers``."""
+        self._on_pdst_write = listeners(observers, "rob_pdst_write")
+        self._on_pdst_read = listeners(observers, "rob_pdst_read")
 
     def reset(self) -> None:
         self._slots = [ROBSlot() for _ in range(self.capacity)]
@@ -311,6 +314,25 @@ class ReorderBuffer:
             for index, slot in enumerate(self._slots)
         )
         return (head, tail, self._read_ptr, slots, self._walk_bus)
+
+    @staticmethod
+    def split_identifiers(state: tuple) -> Tuple[tuple, List[int]]:
+        """Split a :meth:`save_state` snapshot as
+        :meth:`repro.core.uop.Uop.split_identifiers` does. Live entries
+        only: with the reclaim pointer at the head and no enable
+        suppressed, no stale slot, walk-port latch or evicted field of a
+        destination-less entry is read again."""
+        head, tail, read_ptr, slots = state[:4]
+        plain: list = [head, tail, read_ptr]
+        ids: List[int] = []
+        for pos in range(head, tail):
+            seq, has_dest, evicted, new, ref = slots[pos % len(slots)]
+            if has_dest:
+                plain.append((seq, has_dest, ref))
+                ids += (evicted, new)
+            else:
+                plain.append((seq, has_dest, ref, new))
+        return tuple(plain), ids
 
     def load_state(self, state: tuple, uops: Sequence[object]) -> None:
         """Restore a :meth:`save_state` snapshot; ``uops`` resolves the

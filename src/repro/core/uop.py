@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -136,6 +136,19 @@ class Uop:
             self.fetch_cycle,
             self.done_cycle,
         )
+
+    @staticmethod
+    def split_identifiers(data: tuple) -> Tuple[tuple, List[int]]:
+        """Split a :meth:`save_state` tuple into its fields without an
+        identifier and its PdstIDs (sources, then ``pdst`` and
+        ``evicted_pdst`` where set). Two states agree up to a renaming of
+        identifiers when the first parts are equal and one injective map
+        sends the second onto each other
+        (:func:`repro.bugs.differential.relabelled`)."""
+        sources, pdst, evicted = data[5:8]
+        absent = (len(sources), pdst is None, evicted is None)
+        ids = [*sources, *(p for p in (pdst, evicted) if p is not None)]
+        return data[:5] + data[8:] + absent, ids
 
     @classmethod
     def from_state(cls, data: tuple, inst: Instruction) -> "Uop":

@@ -16,7 +16,7 @@ latency), and bug activations whose effect is repaired before either event
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 @dataclass
@@ -108,6 +108,14 @@ class BitVectorScheme(RRSObserver):
         if pipeline_empty:
             self.pipeline_empty(start_cycle + 1)
         self._cycle = end_cycle + 1
+
+    def mirrors(self, free: Sequence[int]) -> bool:
+        """True when the vector marks exactly the identifiers in ``free``
+        (a free list holding each once) as free."""
+        bits = self._bits
+        return self._free_count == len(free) and all(
+            0 <= pdst < len(bits) and bits[pdst] for pdst in free
+        )
 
     @property
     def detected(self) -> bool:

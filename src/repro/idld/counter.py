@@ -13,7 +13,7 @@ exactly these blind spots against IDLD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.rrs.ports import RRSObserver
 
@@ -71,6 +71,10 @@ class CounterScheme(RRSObserver):
         :mod:`repro.core.rrs.ports`."""
         if pipeline_empty:
             self.pipeline_empty(start_cycle + 1)
+
+    def mirrors(self, free: Sequence[int]) -> bool:
+        """True when the counter holds the size of the free list ``free``."""
+        return self._free == len(free)
 
     @property
     def detected(self) -> bool:

@@ -155,6 +155,82 @@ def make_differential_seeds() -> None:
     assert not missing, f"no adversarial seeds found for: {missing}"
 
 
+#: Relabelling seeds: (category, benchmark, CoreConfig overrides, task key
+#: of ``--seed 1000``). The first converges up to identifier relabelling;
+#: on the 64-register core of the second, the golden free list later falls
+#: below k + width, so the check must refuse the state that otherwise
+#: matches.
+RELABEL_SEEDS = (
+    ("relabelled", "basicmath", {}, "basicmath/Leakage/1"),
+    (
+        "relabel-floor",
+        "susan",
+        dict(num_physical_regs=64, rob_entries=40, checkpoint_interval=16),
+        "susan/Leakage/0",
+    ),
+)
+RELABEL_SCALE = 1
+RELABEL_INTERVAL = 250
+
+
+def make_relabelling_seeds() -> None:
+    """Pin one leak the relabelling check ends early and one it must not
+    end at its first match; each records the full-suffix verdict."""
+    from repro.exec.tasks import execute_task, generate_tasks
+
+    for category, benchmark, overrides, key in RELABEL_SEEDS:
+        config = CoreConfig(**overrides)
+        program = WORKLOADS[benchmark](scale=RELABEL_SCALE)
+        provider = SnapshotProvider(program, RELABEL_INTERVAL, config=config)
+        golden = provider.golden
+        (task,) = [
+            t for t in generate_tasks([benchmark], 4, seed=1000)
+            if t.key == key
+        ]
+        full = execute_task(task, program, golden, config=config)
+        diff = execute_task(
+            task, program, golden, config=config, snapshots=provider
+        )
+        assert diff == full, f"differential mismatch while mining: {key}"
+        if category == "relabelled":
+            assert diff.early_terminated_cycle is not None
+        else:
+            # Without the floor condition the check would end the run at a
+            # match and report a result the full suffix does not reach.
+            floor = provider.delta.free_floor
+            provider.delta.free_floor = dict.fromkeys(floor, 1 << 30)
+            loose = execute_task(
+                task, program, golden, config=config, snapshots=provider
+            )
+            provider.delta.free_floor = floor
+            assert loose != full
+        recorded = result_to_dict(full)
+        for name in DIFF_BOOKKEEPING:
+            recorded.pop(name)
+        seed = {
+            "kind": "differential",
+            "category": category,
+            "benchmark": benchmark,
+            "scale": RELABEL_SCALE,
+            "interval": RELABEL_INTERVAL,
+            "config": config.to_dict(),
+            "spec": spec_to_dict(full.spec),
+            "recorded": recorded,
+            "early_terminated_cycle": diff.early_terminated_cycle,
+        }
+        payload = json.dumps(
+            {"spec": seed["spec"], "benchmark": benchmark,
+             "config": overrides},
+            sort_keys=True,
+        )
+        digest = hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
+        path = os.path.join(HERE, f"diff-{digest}.json")
+        with open(path, "w") as handle:
+            json.dump(seed, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("wrote", path, f"({category})")
+
+
 def main() -> None:
     for name in os.listdir(HERE):
         if name.endswith(".json"):
@@ -211,6 +287,7 @@ def main() -> None:
     # Adversarial half for the differential engine: late-divergence seeds
     # pinning the convergence predicate against silent misclassification.
     make_differential_seeds()
+    make_relabelling_seeds()
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import pytest
 
 from repro.bugs.campaign import run_injection
 from repro.bugs.snapshot import SnapshotProvider
+from repro.core.config import CoreConfig
 from repro.exec.checkpoint import result_to_dict, spec_from_dict
 from repro.fuzz.artifacts import load_artifact, replay_artifact
 from repro.workloads import WORKLOADS
@@ -60,10 +61,13 @@ def test_artifact_replays_to_recorded_verdict(path):
 #
 # Each seed is a late-divergence injection whose corruption stays dormant
 # past apparent re-convergence (categories: dormant-persists,
-# late-manifestation, detected-then-converged). The recorded verdict is
-# the *full-suffix* classification; the replay asserts the differential
-# engine reproduces it bit-for-bit, pinning the convergence predicate
-# against silent misclassification.
+# late-manifestation, detected-then-converged), or a leak that pins the
+# relabelling check (relabelled: it ends the run early; relabel-floor: the
+# golden free list later falls below k + width, so the check must refuse
+# the state that otherwise matches). A seed may carry its CoreConfig. The
+# recorded verdict is the *full-suffix* classification; the replay asserts
+# the differential engine reproduces it bit-for-bit, pinning the
+# convergence predicates against silent misclassification.
 
 #: Execution-strategy bookkeeping excluded from the recorded verdict.
 _DIFF_BOOKKEEPING = (
@@ -75,13 +79,13 @@ _DIFF_BOOKKEEPING = (
 _PROVIDERS = {}
 
 
-def _diff_provider(benchmark, scale, interval):
-    key = (benchmark, scale, interval)
+def _diff_provider(benchmark, scale, interval, config):
+    key = (benchmark, scale, interval, repr(config))
     if key not in _PROVIDERS:
         program = WORKLOADS[benchmark](scale=scale)
         _PROVIDERS[key] = (
             program,
-            SnapshotProvider(program, interval),
+            SnapshotProvider(program, interval, config=config),
         )
     return _PROVIDERS[key]
 
@@ -93,18 +97,23 @@ def test_differential_seed_replays_to_recorded_verdict(path):
     with open(path) as handle:
         seed = json.load(handle)
     assert seed["kind"] == "differential"
+    config = CoreConfig.from_dict(seed["config"]) if "config" in seed else None
     program, provider = _diff_provider(
-        seed["benchmark"], seed["scale"], seed["interval"]
+        seed["benchmark"], seed["scale"], seed["interval"], config
     )
     golden = provider.golden
     spec = spec_from_dict(seed["spec"])
 
-    full = run_injection(program, golden, spec)
-    diff = run_injection(program, golden, spec, snapshots=provider)
+    full = run_injection(program, golden, spec, config=config)
+    diff = run_injection(
+        program, golden, spec, config=config, snapshots=provider
+    )
     # The differential run must match the full-suffix run on every
     # simulation-outcome field (InjectionResult equality excludes only
     # the throughput bookkeeping)...
     assert diff == full, f"{os.path.basename(path)} ({seed['category']})"
+    if seed["category"] == "relabelled":
+        assert diff.early_terminated_cycle is not None
 
     # ...and both must still match the verdict recorded at mining time.
     replayed = result_to_dict(full)

@@ -86,7 +86,8 @@ def test_provider_golden_matches_plain_golden(programs):
 def test_provider_matches_lockstep_golden(programs):
     """The provider drives its golden through run_cycles, fast-forward
     included; every snapshot, fingerprint and detector state must equal
-    a plain one-step-at-a-time golden captured at the same cycles."""
+    a plain one-step-at-a-time golden captured at the same cycles, and so
+    must the free-list floor and next pipeline-empty cycle it records."""
     prog = programs["basicmath"]
     # Long-latency divides open quiescent spans the golden skips.
     skipping = OoOCore(prog, observers=list(make_detectors()))
@@ -97,8 +98,13 @@ def test_provider_matches_lockstep_golden(programs):
     detectors = make_detectors()
     core = OoOCore(prog, observers=list(detectors))
     reference = {}
+    # Per cycle: free-list count at its end (its minimum over the cycle:
+    # commit pushes before rename pops) and whether the pipeline emptied.
+    free_counts, empty = [], []
     while not core.halted:
         core.step()
+        free_counts.append(core.free_list.count)
+        empty.append(core.rob.empty and core.recovery is None)
         if core.cycle % interval == 0 and not core.halted:
             reference[core.cycle] = (
                 core.save_state(light_trace=True),
@@ -113,6 +119,10 @@ def test_provider_matches_lockstep_golden(programs):
         assert snapshot.core_state == core_state, cycle
         assert snapshot.detector_states == detector_states, cycle
         assert provider.delta.fingerprints[cycle] == fingerprint, cycle
+        assert provider.delta.free_floor[cycle] == min(free_counts[cycle - 1:])
+        assert provider.delta.next_empty[cycle] == next(
+            (c for c in range(cycle + 1, core.cycle + 1) if empty[c - 1]), None
+        )
     assert provider.delta.clean
     assert provider.delta.golden_persists == (not core.census_is_clean())
 
