@@ -130,9 +130,9 @@ def campaign_from_checkpoint(path: str) -> "CampaignResult":
     campaign.failures = sorted(
         quarantined.values(), key=lambda record: record.index
     )
-    # Canonical benchmark order, not file order: checkpoints rewritten by
-    # repair/merge (sort_keys) would otherwise reorder the goldens block
-    # of the JSON export relative to a live campaign's.
+    # Canonical benchmark order, not file order: a checkpoint rewritten by
+    # repair (sort_keys) would otherwise reorder the goldens block of the
+    # JSON export relative to a live campaign's.
     campaign.goldens = {
         name: manifest.goldens[name]
         for name in manifest.benchmarks

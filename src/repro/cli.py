@@ -38,7 +38,7 @@ KNOWN_FIGURES = ("3", "4", "5", "8", "9", "10", "latency", "table2")
 
 #: Output-file flags, by dest: each command writes them only after its run,
 #: so their directories are checked before the run starts.
-OUTPUT_DESTS = ("export_csv", "export_json", "bench_output", "output")
+OUTPUT_DESTS = ("export_csv", "export_json", "output")
 
 
 # -- the shared run flags -----------------------------------------------------
@@ -221,7 +221,7 @@ def run_args_error(
             return str(exc)
     for dest in OUTPUT_DESTS:
         path = getattr(args, dest, None)
-        if not path or (dest == "bench_output" and args.no_bench):
+        if not path:
             continue
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
@@ -337,18 +337,21 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
 
 
 def _report(campaign, campaign_figures, args) -> None:
-    reports = {
-        "3": figure3_report,
-        "4": figure4_report,
-        "5": figure5_report,
-        "8": figure8_report,
-        "9": lambda c: coverage_report(c, with_bv=False),
-        "10": coverage_report,
-    }
-    for fig in ("3", "4", "5", "8", "9", "10"):
+    reports = (
+        ("3", figure3_report),
+        ("4", figure4_report),
+        ("5", figure5_report),
+        ("8", figure8_report),
+    )
+    for fig, report in reports:
         if fig in campaign_figures:
-            print("\n".join(reports[fig](campaign)))
+            print("\n".join(report(campaign)))
             print()
+    if campaign_figures & {"9", "10"}:
+        # Figures 9 and 10 share one block; 10 adds the BV rows.
+        with_bv = "10" in campaign_figures
+        print("\n".join(coverage_report(campaign, with_bv=with_bv)))
+        print()
     if "latency" in campaign_figures:
         print("\n".join(latency_report(campaign)))
     if args.export_csv:
@@ -472,7 +475,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     ``idld-campaign`` script), ``sweep`` (the campaign across a design-space
     matrix of width x free-list discipline x recovery strategy), ``fuzz``
     (coverage-guided differential fuzzing), ``checkpoint``
-    (inspect/verify/repair/merge the JSONL artifacts the engines write),
+    (inspect/verify/repair the JSONL artifacts the engines write),
     and ``bench`` (the performance trajectory harness; shares the
     ``--snapshot-interval`` knob with ``campaign``).
     Also reachable without installation as ``python -m repro``.

@@ -184,7 +184,7 @@ class OoOCore:
             (), parity=self.parity.get("FL"),
         )
         self.rat = RegisterAliasTable(
-            NUM_LOGICAL_REGS, self.fabric, (),
+            NUM_LOGICAL_REGS, cfg.num_physical_regs, self.fabric, (),
             zero_pdst=self.zero_pdst, parity=self.parity.get("RAT"),
         )
         self.rob = ReorderBuffer(
@@ -1312,7 +1312,7 @@ class OoOCore:
         census: Dict[int, int] = {}
         for pdst in self.free_list.contents():
             census[pdst] = census.get(pdst, 0) + 1
-        for pdst in self.rat.contents():
+        for pdst in self.rat.snapshot():
             if pdst != self.zero_pdst:
                 census[pdst] = census.get(pdst, 0) + 1
         for pdst in self.rob.live_evicted_ids():

@@ -3,7 +3,6 @@
 from repro.core.rrs.checkpoint import CheckpointSlot, CheckpointTable
 from repro.core.rrs.free_list import (
     FifoFreeList,
-    FreeList,
     StackFreeList,
     make_free_list,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "DUPLICATION_SIGNALS",
     "EXTENDED_SIGNALS",
     "FifoFreeList",
-    "FreeList",
     "LEAKAGE_SIGNALS",
     "RHTEntry",
     "ROBSlot",

@@ -16,8 +16,7 @@ The organization is a *policy axis* (``CoreConfig.free_list_discipline``):
 
 Both expose one interface (``pop``/``push``/``count``/``contents``/
 ``corrupt_stored``/``save_state``), so the core, the detectors and the
-fault injector are discipline-agnostic. ``FreeList`` remains an alias of
-the FIFO discipline for existing imports.
+fault injector are discipline-agnostic.
 """
 
 from __future__ import annotations
@@ -333,9 +332,6 @@ class StackFreeList:
         self._array = list(array)
         self._top = top
 
-
-#: Alias kept for existing imports: the paper's organization is the FIFO.
-FreeList = FifoFreeList
 
 _DISCIPLINES = {
     FifoFreeList.discipline: FifoFreeList,

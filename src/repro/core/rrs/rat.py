@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro.core.errors import SimulatorAssertion
 from repro.core.rrs.ports import RRSObserver, listeners
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
 
@@ -25,12 +26,15 @@ class RegisterAliasTable:
     def __init__(
         self,
         num_logical: int,
+        num_physical: int,
         fabric: SignalFabric,
         observers: Sequence[RRSObserver],
         zero_pdst: int = None,
         parity: Optional["ParityStore"] = None,
     ) -> None:
         self.num_logical = num_logical
+        #: PdstIDs name registers 0..num_physical-1.
+        self.num_physical = num_physical
         self._fabric = fabric
         self.bind(observers)
         self._zero_pdst = zero_pdst
@@ -73,6 +77,11 @@ class RegisterAliasTable:
         update itself is gated by the RAT write enable. Returns the value
         that was *driven to* the array (post-corruption) so rename can
         forward it, whether or not the write landed.
+
+        Raises:
+            SimulatorAssertion: When a corruption drives an identifier no
+                physical register has (the register count is not a power
+                of two): no hardware behaviour is defined past it.
         """
         fabric = self._fabric
         if not fabric.hot:
@@ -80,6 +89,12 @@ class RegisterAliasTable:
             landed = True
         else:
             driven = fabric.corrupt_pdst(new_pdst)
+            if driven >= self.num_physical:
+                raise SimulatorAssertion(
+                    fabric.cycle,
+                    f"RAT write port drove PdstID {driven}, outside "
+                    f"0..{self.num_physical - 1}",
+                )
             landed = fabric.asserted(ArrayName.RAT, SignalKind.WRITE_ENABLE)
         if landed:
             old = self._table[ldst]
@@ -156,10 +171,6 @@ class RegisterAliasTable:
 
     def snapshot(self) -> List[int]:
         """Copy of the current mapping (checkpoint capture / probes)."""
-        return list(self._table)
-
-    def contents(self) -> List[int]:
-        """Alias of :meth:`snapshot` for probe symmetry with the FIFOs."""
         return list(self._table)
 
     # -- warm-start snapshot/restore -----------------------------------------

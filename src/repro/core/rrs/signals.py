@@ -116,8 +116,11 @@ class ArmedSuppression:
 class ArmedCorruption:
     """A one-shot PdstID corruption on the RAT write port.
 
-    ``xor_mask`` must be nonzero and within the PdstID encoding width so the
-    corrupted value is a different, representable identifier.
+    ``xor_mask`` must be nonzero and within the PdstID encoding width, so
+    the corrupted value is a different value of that width. It names a
+    physical register only when the register count is a power of two;
+    otherwise it may be P or more, and the RAT write port raises
+    :class:`~repro.core.errors.SimulatorAssertion` (the *Assert* outcome).
     """
 
     from_cycle: int

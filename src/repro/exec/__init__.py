@@ -20,9 +20,9 @@ failing task.
 Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
 (:class:`~repro.exec.durability.SealedLog`: CRC-sealed records, format v2,
 under a single-writer :class:`~repro.exec.durability.CheckpointLock`) that
-campaign and fuzz checkpoints share, with its strict loader, merge rule
-and the streaming scan/repair primitives behind the ``repro checkpoint``
-CLI, plus atomic exports and the SIGINT/SIGTERM
+campaign and fuzz checkpoints share, with its strict loader, the rule a
+resume applies and the streaming scan/repair primitives behind the
+``repro checkpoint`` CLI, plus atomic exports and the SIGINT/SIGTERM
 :class:`~repro.exec.durability.GracefulShutdown` latch.
 """
 

@@ -65,8 +65,8 @@ class Manifest:
     goldens: Dict[str, GoldenSummary]
     #: Serialized CoreConfig (CoreConfig.to_dict()) the campaign ran at,
     #: or None for the default design point / files predating this field.
-    #: Part of the manifest identity: resume and merge refuse to mix
-    #: results produced on different core geometries.
+    #: Part of the manifest identity: a resume refuses to mix results
+    #: produced on different core geometries.
     design_point: Optional[Dict[str, object]] = None
 
     def to_record(self) -> Dict[str, object]:
@@ -269,7 +269,7 @@ def manifest_for(
 
 
 def comparable(manifest: Dict[str, object]) -> Dict[str, object]:
-    """A manifest record as resume and merge compare it: a campaign run at
+    """A manifest record as a resume compares it: a campaign run at
     the default geometry writes no design point, which keeps its manifest
     bytes stable, so an absent one reads as ``CoreConfig()``'s."""
     if manifest.get("type") != "manifest" or "design_point" in manifest:

@@ -8,10 +8,6 @@ Subcommands over the JSONL checkpoint files both engines write:
 * ``repair PATH``     — salvage every intact record into a fresh file
   (atomically), emitting a dropped-record report so the EXPERIMENTS.md
   exclusion rules can be applied before any figure is trusted.
-* ``merge -o OUT SHARD...`` — combine shard checkpoints of the *same*
-  campaign (:func:`~repro.exec.durability.manifest_mismatch`, as a resume)
-  into one under :func:`~repro.exec.durability.merge_shard`, so the merged
-  file is byte-identical for any argument order.
 
 Exit codes: 0 ok, 1 damage found (verify), 2 unusable input / bad usage.
 """
@@ -24,11 +20,8 @@ from typing import Dict, List, Optional
 
 from repro.exec.durability import (
     ScanReport,
-    canonical_winner,
     fold_checkpoint,
-    manifest_mismatch,
     manifest_problem,
-    merge_shard,
     scan_checkpoint,
     write_sealed_checkpoint,
 )
@@ -81,18 +74,6 @@ def _print_issues(report: ScanReport, verb: str = "corrupt") -> None:
     for issue in report.issues:
         tag = "torn tail" if issue.torn_tail else verb
         print(f"{report.path}:{issue.lineno}: {tag}: {issue.reason}")
-
-
-def _write(
-    path: str, manifest: Dict[str, object], records: List[Dict[str, object]]
-) -> bool:
-    """Write a fresh checkpoint; an unwritable path is one stderr line."""
-    try:
-        write_sealed_checkpoint(path, manifest, records)
-    except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
 
 
 def _type_summary(report: ScanReport) -> str:
@@ -209,7 +190,10 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         print(f"{args.path}: manifest unusable: {problem}", file=sys.stderr)
         return 2
     records = [r for r in done.values()] + [r for r in failures.values()]
-    if not _write(out, report.manifest, records):
+    try:
+        write_sealed_checkpoint(out, report.manifest, records)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
         return 2
     _print_issues(report, verb="dropped")
     print(
@@ -225,71 +209,13 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.exec.checkpoint import comparable
-
-    base_manifest: Optional[Dict[str, object]] = None
-    base_path: Optional[str] = None
-    done: Dict[object, Dict[str, object]] = {}
-    failures: Dict[object, Dict[str, object]] = {}
-    for path in args.paths:
-        try:
-            report, shard_done, shard_failures = fold_checkpoint(
-                path, _decode_record
-            )
-        except OSError as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-        if report.manifest is None:
-            print(f"{path}: no readable manifest record", file=sys.stderr)
-            return 2
-        problem = _manifest_problem(report.manifest)
-        if problem is not None:
-            print(f"{path}: manifest unusable: {problem}", file=sys.stderr)
-            return 2
-        if report.interior_issues:
-            _print_issues(report)
-            print(
-                f"{path}: interior corruption; run "
-                f"`repro checkpoint repair {path}` and merge the repaired "
-                "file instead",
-                file=sys.stderr,
-            )
-            return 2
-        if report.torn_tail:
-            _print_issues(report)  # dropped, like a resume would
-        if base_manifest is None:
-            base_manifest, base_path = report.manifest, path
-        reason = manifest_mismatch(
-            comparable(report.manifest), comparable(base_manifest), base_path
-        )
-        if reason is not None:
-            print(
-                f"{path}: {reason}; these shards belong to different "
-                "campaigns and must not be merged",
-                file=sys.stderr,
-            )
-            return 2
-        # Equal by the rule, maybe not in bytes: choose as between records.
-        base_manifest = canonical_winner(base_manifest, report.manifest)
-        merge_shard(done, failures, shard_done, shard_failures)
-    records = [r for r in done.values()] + [r for r in failures.values()]
-    if not _write(args.output, base_manifest, records):
-        return 2
-    print(
-        f"{args.output}: merged {len(args.paths)} shard(s) into "
-        f"{len(done)} result(s) + {len(failures)} quarantine record(s)"
-    )
-    return 0
-
-
 # -- entry point --------------------------------------------------------------
 
 
 def checkpoint_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro checkpoint",
-        description="Inspect, verify, repair and merge JSONL checkpoints.",
+        description="Inspect, verify and repair JSONL checkpoints.",
     )
     sub = parser.add_subparsers(dest="command")
     inspect = sub.add_parser(
@@ -316,20 +242,6 @@ def checkpoint_main(argv: Optional[List[str]] = None) -> int:
         help="where to write the repaired checkpoint [PATH.repaired]",
     )
     repair.set_defaults(func=_cmd_repair)
-    merge = sub.add_parser(
-        "merge",
-        help="combine shard checkpoints of one campaign (a result outranks "
-        "a failure)",
-    )
-    merge.add_argument(
-        "-o",
-        "--output",
-        required=True,
-        metavar="PATH",
-        help="where to write the merged checkpoint",
-    )
-    merge.add_argument("paths", nargs="+", help="shard checkpoint files")
-    merge.set_defaults(func=_cmd_merge)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

@@ -17,8 +17,7 @@ here, dependency-free so every layer can use it without cycles:
   :func:`fold_checkpoint` also deduplicates, and :func:`load_sealed_log`
   is the strict loader built on it (tolerates exactly a torn final line,
   raises on anything else). :func:`manifest_mismatch` decides whether a
-  file belongs to a run (resume, merge); :func:`merge_shard` is the
-  cross-file merge rule.
+  file belongs to the run that resumes it.
 * **Torn-tail truncation** — :func:`truncate_torn_tail` drops a partial
   final line without reading the whole file into memory.
 * **Atomic writes** — :func:`atomic_write_text` writes via a temp file in
@@ -191,8 +190,8 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
     """The expected ``identity`` hash for a manifest record: a content hash
     of its campaign-identity fields.
 
-    Survives reserialization (repair, merge) that a raw-bytes CRC would
-    not, so it pins *which campaign* a file belongs to, not which bytes.
+    Survives reserialization (repair) that a raw-bytes CRC would not, so
+    it pins *which campaign* a file belongs to, not which bytes.
     """
     fields = {
         key: value
@@ -204,13 +203,13 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
 
 
 def manifest_mismatch(
-    recorded: Dict[str, object], expected: Dict[str, object], other: str
+    recorded: Dict[str, object], expected: Dict[str, object]
 ) -> Optional[str]:
-    """Why a checkpoint whose manifest is ``recorded`` is not one of
-    ``other``, whose manifest is ``expected``, or None: the first field
+    """Why a checkpoint whose manifest is ``recorded`` is not one of the
+    run whose manifest is ``expected``, or None: the first field
     :func:`manifest_identity` hashes that differs, else the first
     benchmark whose golden run differs (its program was built otherwise,
-    say at another scale). Resume and merge decide by this one rule."""
+    say at another scale). Every resume decides by this one rule."""
     fields = (set(recorded) | set(expected)) - set(_NON_IDENTITY_FIELDS)
     mine, theirs = recorded.get("goldens", {}), expected.get("goldens", {})
     checks = [
@@ -222,7 +221,7 @@ def manifest_mismatch(
     ]
     for what, have, want in checks:
         if have != want:
-            return f"{what}{have!r} does not match {other}'s {what}{want!r}"
+            return f"{what}{have!r} does not match this run's {what}{want!r}"
     return None
 
 
@@ -256,45 +255,6 @@ def record_key(record: Dict[str, object]) -> object:
     """The dedup key of a data record: campaign records use ``key``, fuzz
     records use ``index`` (both families always carry ``index``)."""
     return record.get("key", record.get("index"))
-
-
-def canonical_winner(
-    a: Dict[str, object], b: Dict[str, object]
-) -> Dict[str, object]:
-    """Deterministic choice between two records claiming the same key and
-    role (two results, or two failures): the lexicographically smaller
-    canonical payload wins. Result records for one key are
-    classification-identical by construction — only wall-clock metadata
-    can differ — so any *stable* rule is correct; a content-based one
-    makes shard merges independent of argument order."""
-    return a if canonical_payload(a) <= canonical_payload(b) else b
-
-
-def merge_shard(
-    done: Dict[object, Dict[str, object]],
-    failures: Dict[object, Dict[str, object]],
-    shard_done: Dict[object, Dict[str, object]],
-    shard_failures: Dict[object, Dict[str, object]],
-) -> None:
-    """Fold one file's deduplicated records (:func:`fold_checkpoint`) into
-    ``done``/``failures`` in place.
-
-    A result anywhere outranks a failure for its key, and two records of
-    one role resolve by :func:`canonical_winner`, so merging shards gives
-    the same records for any arrival order. (Within one file,
-    :func:`fold_checkpoint` lets the later record win instead.)
-    """
-    for key, record in shard_done.items():
-        if key in done:
-            record = canonical_winner(done[key], record)
-        done[key] = record
-        failures.pop(key, None)
-    for key, record in shard_failures.items():
-        if key in done:
-            continue
-        if key in failures:
-            record = canonical_winner(failures[key], record)
-        failures[key] = record
 
 
 def scan_checkpoint(
@@ -454,8 +414,8 @@ def write_sealed_checkpoint(
 ) -> None:
     """Write a fresh checkpoint atomically: manifest first, data records in
     canonical task order, everything (re-)sealed with a CRC and the
-    manifest's identity hash recomputed. Shared by ``repro checkpoint
-    repair`` and ``merge``."""
+    manifest's identity hash recomputed, as ``repro checkpoint repair``
+    writes its salvage."""
     manifest = dict(manifest)
     manifest["identity"] = manifest_identity(manifest)
     lines = [json.dumps(seal_record(manifest), sort_keys=True)]
@@ -551,13 +511,12 @@ class CheckpointLock:
         pid = owner.get("pid")
         host = owner.get("host")
         # PID liveness is only meaningful on the host that recorded the
-        # lock: once checkpoints travel between machines (shard files on a
-        # shared filesystem), the same PID number may belong to a live but
-        # unrelated process here — or the owner may be perfectly alive
-        # over there. So the dead-PID fast path requires an explicit,
-        # matching hostname in the sidecar; locks from other hosts (or
-        # legacy locks that never recorded one) can only age out via the
-        # heartbeat.
+        # lock: on a filesystem that several machines mount, the same PID
+        # number may belong to a live but unrelated process here — or the
+        # owner may be perfectly alive over there. So the dead-PID fast
+        # path requires an explicit, matching hostname in the sidecar;
+        # locks from other hosts (or legacy locks that never recorded one)
+        # can only age out via the heartbeat.
         same_host = isinstance(host, str) and host == socket.gethostname()
         dead = same_host and isinstance(pid, int) and not _pid_alive(pid)
         if dead or age > self.stale_after_s:

@@ -58,10 +58,9 @@ class RunDriver:
     """One run of an engine over its optional checkpoint at ``path``.
 
     Opens the run's sealed log fresh or resumed, refuses a resumed file by
-    :func:`~repro.exec.durability.manifest_mismatch` (the rule ``repro
-    checkpoint merge`` also applies), runs the tasks the file does not
-    hold, appends each outcome as the backend yields it and turns the
-    counts into progress events.
+    :func:`~repro.exec.durability.manifest_mismatch`, runs the tasks the
+    file does not hold, appends each outcome as the backend yields it and
+    turns the counts into progress events.
 
     The engine brings its codec: ``log_class``, a
     :class:`~repro.exec.durability.SealedLog` with ``write_result`` and
@@ -92,7 +91,7 @@ class RunDriver:
         self.failures: Dict = {}
         if resume:
             recorded, self.done, self.failures = load(path)
-            why = manifest_mismatch(view(recorded), view(manifest), "this run")
+            why = manifest_mismatch(view(recorded), view(manifest))
             if why is not None:
                 raise CheckpointError(
                     f"{path}: checkpoint {why}; refusing to resume"

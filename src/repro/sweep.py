@@ -6,15 +6,13 @@ same engine the single-point campaign uses (same task derivation, fault
 tolerance, durability and warm-start machinery per cell), then prints:
 
 * a per-cell table: detection coverage, mean IDLD latency, outcome mix;
-* the Table II-shaped RTL overhead report for every width in the sweep;
-* and appends one per-design-point entry to the ``BENCH_core.json``
-  performance trajectory.
+* the Table II-shaped RTL overhead report for every width in the sweep.
 
-Each cell can write its own JSONL checkpoint under ``--checkpoint-dir``;
-the manifests carry the cell's serialized design point, so a resume (or a
-merge) of the wrong cell's file is refused rather than silently blending
-geometries. Results are bit-identical for any ``--jobs`` value, exactly
-as for ``repro campaign``.
+Each cell can write its own JSONL checkpoint under ``--checkpoint-dir``,
+the only file a sweep writes; the manifests carry the cell's serialized
+design point, so a resume of the wrong cell's file is refused rather than
+silently blending geometries. Results are bit-identical for any
+``--jobs`` value, exactly as for ``repro campaign``.
 
 Example::
 
@@ -32,7 +30,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench import append_entry
 from repro.cli import (
     add_fault_args,
     add_jobs_arg,
@@ -109,19 +106,10 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         help="resume cells whose checkpoint file already exists in "
         "--checkpoint-dir, skipping their completed injections",
     )
+    # Accepted and ignored: a sweep writes nothing to the perf trajectory,
+    # and the benchmark's sweep-cells workload still passes it.
     parser.add_argument(
-        "--bench-output",
-        default="BENCH_core.json",
-        metavar="PATH",
-        dest="bench_output",
-        help="performance-trajectory file to append per-cell entries to "
-        "[BENCH_core.json]",
-    )
-    parser.add_argument(
-        "--no-bench",
-        action="store_true",
-        dest="no_bench",
-        help="skip appending to the performance trajectory",
+        "--no-bench", action="store_true", help=argparse.SUPPRESS
     )
     add_fault_args(parser)
     return parser.parse_args(argv)
@@ -137,7 +125,7 @@ def cell_checkpoint_path(
 
 
 def _cell_row(
-    width: int, discipline: str, recovery: str, campaign, wall_s: float
+    width: int, discipline: str, recovery: str, campaign
 ) -> Dict[str, object]:
     coverage = campaign.coverage()
     latencies = campaign.detection_latencies("idld")
@@ -159,7 +147,6 @@ def _cell_row(
             sum(latencies) / len(latencies) if latencies else None
         ),
         "outcomes": outcomes,
-        "wall_s": wall_s,
     }
 
 
@@ -240,8 +227,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         for recovery in recoveries
     ]
     rows: List[Dict[str, object]] = []
-    quarantined_cells = []
-    started_all = time.time()
+    started = time.time()
     with GracefulShutdown() as shutdown:
         for number, (width, discipline, recovery) in enumerate(cells, 1):
             config = paper_rrs_config(
@@ -262,7 +248,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 f"(design point {config.digest()})",
                 file=sys.stderr,
             )
-            started = time.time()
             campaign, code = run_guarded(
                 run_engine,
                 programs,
@@ -282,32 +267,11 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
             if code:
                 return code
             if shutdown.requested:
-                # The interrupted cell is partial: no row, no bench entry.
+                # The interrupted cell is partial: no table row.
                 break
-            wall_s = time.time() - started
-            row = _cell_row(width, discipline, recovery, campaign, wall_s)
-            row["design_point_digest"] = config.digest()
-            rows.append(row)
+            rows.append(_cell_row(width, discipline, recovery, campaign))
             if campaign.quarantined:
-                quarantined_cells.append((width, discipline, recovery))
                 print_quarantine(campaign.failures)
-            if not args.no_bench:
-                append_entry(
-                    args.bench_output,
-                    {
-                        "timestamp": time.strftime(
-                            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-                        ),
-                        "kind": "sweep-cell",
-                        "design_point": config.to_dict(),
-                        "design_point_digest": config.digest(),
-                        "seed": args.seed,
-                        "scale": args.scale,
-                        "runs_per_model": args.runs,
-                        "benchmarks": names,
-                        "cell": row,
-                    },
-                )
     if shutdown.requested:
         print_shutdown_notice(
             shutdown,
@@ -323,14 +287,14 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     # The RTL cost model depends only on width, so one Table II block
     # covers every (discipline, recovery) cell at that width.
     print("\n".join(format_table_ii([evaluate_width(w) for w in widths])))
-    elapsed = time.time() - started_all
+    elapsed = time.time() - started
     total = sum(row["injections"] for row in rows)
     print(
         f"\nsweep: {len(rows)} design points, {total} injections in "
         f"{elapsed:.1f}s (jobs={args.jobs})",
         file=sys.stderr,
     )
-    return 1 if quarantined_cells else 0
+    return 1 if any(row["quarantined"] for row in rows) else 0
 
 
 if __name__ == "__main__":

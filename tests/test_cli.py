@@ -26,6 +26,26 @@ def test_tiny_campaign(capsys):
     assert "sha" in out
 
 
+@pytest.mark.parametrize(
+    "figures, with_bv",
+    [
+        ([], True),
+        (["--figures", "9"], False),
+        (["--figures", "10"], True),
+        (["--figures", "9,10"], True),
+    ],
+    ids=["default", "9", "10", "9,10"],
+)
+def test_coverage_block_prints_once(figures, with_bv, capsys):
+    """Figures 9 and 10 share one coverage block; Figure 10 adds the BV
+    rows to it rather than printing it again."""
+    argv = ["--runs", "1", "--benchmarks", "sha", "--no-progress"]
+    assert main(argv + figures) == 0
+    out = capsys.readouterr().out
+    assert out.count("Figures 9/10 -- detection coverage") == 1
+    assert ("bit-vector (BV)" in out) == with_bv
+
+
 def test_unknown_benchmark_rejected(capsys):
     assert main(["--benchmarks", "nosuch", "--figures", "3"]) == 2
     assert "unknown benchmarks" in capsys.readouterr().err
@@ -249,7 +269,7 @@ def test_run_flag_defaults_are_pinned():
         recoveries="checkpoint,rob-walk,checkpoint-free",
         runs=4, scale=1.0, benchmarks="crc32,qsort", seed=1, jobs=1,
         snapshot_interval=250, checkpoint_dir=None,
-        resume=False, bench_output="BENCH_core.json", no_bench=False,
+        resume=False, no_bench=False,
     )
     assert vars(fuzz_args([])) == dict(
         FAULT_DEFAULTS,
@@ -303,7 +323,6 @@ RUN_FLAG_BOUNDS = [
     ("sweep", "--snapshot-interval", "-1", "0"),
     ("sweep", "--max-task-retries", "-1", "0"),
     ("sweep", "--task-timeout", "0", "0.5"),
-    ("sweep", "--bench-output", "missing/bench.json", "bench.json"),
     ("fuzz", "--jobs", "0", "1"),
     ("fuzz", "--max-task-retries", "-1", "0"),
     ("fuzz", "--task-timeout", "0", "0.5"),
@@ -325,21 +344,9 @@ def test_run_flag_bound_accepts_the_legal_side(
     assert run_args_error(parse([flag, refused]), min_interval) is not None
 
 
-def test_no_bench_skips_the_bench_output_directory_check(tmp_path):
-    """``--no-bench`` never writes ``--bench-output``, so its directory
-    need not exist."""
-    from repro.cli import run_args_error
-    from repro.sweep import _parse_args
-
-    missing = str(tmp_path / "missing" / "bench.json")
-    assert run_args_error(_parse_args(["--bench-output", missing])) is not None
-    args = _parse_args(["--no-bench", "--bench-output", missing])
-    assert run_args_error(args) is None
-
-
 #: The refusals no other test runs: campaign's other flags are in
-#: test_invalid_jobs_rejected above, and sweep's --runs,
-#: --snapshot-interval and --bench-output in tests/test_sweep_cli.py.
+#: test_invalid_jobs_rejected above, and sweep's --runs and
+#: --snapshot-interval in tests/test_sweep_cli.py.
 REFUSED_RUN_FLAGS = [
     ("campaign", ["--max-task-retries", "-1"]),
     ("campaign", ["--task-timeout", "0"]),

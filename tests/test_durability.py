@@ -1,4 +1,4 @@
-"""Artifact-integrity scenarios: checkpoint format v2, verify/repair/merge,
+"""Artifact-integrity scenarios: checkpoint format v2, verify/repair,
 single-writer locking and graceful shutdown.
 
 The checker mindset applied to our own persistence layer: every scenario
@@ -14,7 +14,6 @@ on a fuzz checkpoint alike, since both engines write through it.
 from __future__ import annotations
 
 import glob
-import itertools
 import json
 import os
 import re
@@ -44,11 +43,11 @@ from repro.exec.durability import (
     SHUTDOWN_EXIT_CODE,
     SealedLog,
     atomic_write_text,
-    canonical_winner,
     crc_of,
     fold_checkpoint,
     lock_path_for,
-    merge_shard,
+    manifest_identity,
+    manifest_mismatch,
     scan_checkpoint,
     seal_record,
 )
@@ -155,6 +154,13 @@ def _copy(src: str, dst) -> str:
 def _lines(path: str):
     with open(path) as handle:
         return handle.read().splitlines()
+
+
+def _write_lines(path, lines) -> str:
+    path = str(path)
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
 
 
 # -- format v2: sealing --------------------------------------------------------
@@ -270,16 +276,17 @@ def test_edited_manifest_is_rejected_by_identity_hash(checkpointed, tmp_path):
 # -- the repro checkpoint CLI --------------------------------------------------
 
 
-def test_verify_exit_codes(checkpointed, tmp_path, capsys):
-    path, _ = checkpointed
-    assert checkpoint_main(["verify", path]) == 0
+def test_verify_exit_codes(sealed, tmp_path, capsys):
+    assert checkpoint_main(["verify", sealed.path]) == 0
+    assert capsys.readouterr().out.endswith(f"{sealed.path}: ok\n")
 
-    torn = _copy(path, tmp_path / "torn.jsonl")
+    torn = _copy(sealed.path, tmp_path / "torn.jsonl")
     with open(torn, "a") as handle:
         handle.write('{"half')
     assert checkpoint_main(["verify", torn]) == 1
     out = capsys.readouterr().out
-    assert f"{torn}:8: torn tail" in out
+    # The manifest is line 1, so the torn line follows the last record.
+    assert f"{torn}:{sealed.records + 2}: torn tail" in out
 
     assert checkpoint_main(["verify", str(tmp_path / "missing.jsonl")]) == 2
 
@@ -306,38 +313,24 @@ def test_verify_flags_only_the_manifest_of_another_version(
     assert "1 damaged line(s)" in out
 
 
-def test_merge_refuses_a_shard_of_another_version(sealed, tmp_path, capsys):
-    old = _another_version(sealed.path, tmp_path / "v1.jsonl")
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, sealed.path, old]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"{old}: ")
-    assert "unsupported checkpoint version 1" in err
-    assert not os.path.exists(merged)
-
-
-@pytest.mark.parametrize("command", ["merge", "repair"])
-def test_unwritable_output_exits_2(command, checkpointed, tmp_path, capsys):
+def test_unwritable_output_exits_2(checkpointed, tmp_path, capsys):
     """An output path in a directory that does not exist is unusable
     input: one stderr line and exit 2, not a traceback."""
     path, _ = checkpointed
     out = str(tmp_path / "missing" / "out.jsonl")
-    argv = {
-        "merge": ["merge", "-o", out, path],
-        "repair": ["repair", path, "-o", out],
-    }[command]
-    assert checkpoint_main(argv) == 2
+    assert checkpoint_main(["repair", path, "-o", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
 
 
-def test_inspect_reports_counts(checkpointed, capsys):
-    path, campaign = checkpointed
-    assert checkpoint_main(["inspect", path]) == 0
+def test_inspect_reports_counts(sealed, capsys):
+    assert checkpoint_main(["inspect", sealed.path]) == 0
     out = capsys.readouterr().out
-    assert f"done         {len(campaign.results)}" in out
+    assert f"done         {sealed.records}" in out
     assert "quarantined  0" in out
-    assert "remaining    0" in out
+    # Only a campaign manifest names its whole task list.
+    campaign = json.loads(_lines(sealed.path)[0])["type"] == "manifest"
+    assert ("remaining    0" in out) == campaign
 
 
 def test_repair_then_resume_matches_uninterrupted_run(
@@ -371,258 +364,10 @@ def test_repair_then_resume_matches_uninterrupted_run(
     assert checkpoint_main(["verify", repaired]) == 0
 
 
-def test_merge_shards_matches_full_checkpoint(checkpointed, tmp_path):
-    path, campaign = checkpointed
-    lines = _lines(path)
-    shard_a, shard_b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    with open(shard_a, "w") as handle:
-        handle.write("\n".join([lines[0]] + lines[1:4]) + "\n")
-    with open(shard_b, "w") as handle:  # overlaps shard_a on line 4's record
-        handle.write("\n".join([lines[0]] + lines[3:]) + "\n")
-
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, shard_a, shard_b]) == 0
-    assert checkpoint_main(["verify", merged]) == 0
-    _, done, failures = load_checkpoint_full(merged)
-    assert len(done) == len(campaign.results) and not failures
-    by_index = {index: result for index, result in done.values()}
-    assert [_comparable(by_index[i]) for i in sorted(by_index)] == [
-        _comparable(r) for r in campaign.results
-    ]
-
-
-def test_merge_refuses_mismatched_manifests(checkpointed, tmp_path, capsys):
-    path, _ = checkpointed
-    from repro.exec.durability import manifest_identity
-
-    other = _copy(path, tmp_path / "other.jsonl")
-    lines = _lines(other)
-    manifest = json.loads(lines[0])
-    manifest["seed"] = manifest["seed"] + 1  # a different campaign
-    manifest["identity"] = manifest_identity(manifest)
-    lines[0] = json.dumps(seal_record(manifest), sort_keys=True)
-    with open(other, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, path, other]) == 2
-    err = capsys.readouterr().err
-    assert "different campaigns" in err
-    assert "seed" in err
-
-
-def test_merge_refuses_shards_with_different_goldens(
-    checkpointed, tiny_suite, tmp_path, capsys
-):
-    """Goldens stay out of the manifest identity, so merge compares them
-    itself: two shards of one campaign whose programs were built at two
-    sizes are refused with one stderr line naming the benchmark."""
-    path, _ = checkpointed
-    (name,) = tiny_suite
-    other = str(tmp_path / "other-scale.jsonl")
-    run_engine(
-        {name: WORKLOADS[name](scale=0.5)}, RUNS, seed=SEED,
-        backend=SerialBackend(), checkpoint_path=other,
-    )
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, path, other]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"golden run of {name}" in err
-    assert not os.path.exists(merged)
-
-
-@pytest.fixture(scope="module")
-def overlapping_shards(checkpointed, tiny_suite, tmp_path_factory):
-    """Two shards of one campaign, cut from two independent runs of it, that
-    overlap on two keys. The manifests are byte-equal; the two copies of an
-    overlapping record differ in their wall-clock ``sim_wall_ns`` only."""
-    path, _ = checkpointed
-    rerun = str(tmp_path_factory.mktemp("durability") / "rerun.jsonl")
-    run_engine(
-        tiny_suite, RUNS, seed=SEED, backend=SerialBackend(),
-        checkpoint_path=rerun,
-    )
-    first, second = _lines(path), _lines(rerun)
-    assert first[0] == second[0]
-    return [first[0]] + first[1:5], [second[0]] + second[3:]
-
-
-def _keys(lines):
-    return {json.loads(line)["key"] for line in lines[1:]}
-
-
-def _write_lines(path, lines) -> str:
-    path = str(path)
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return path
-
-
-def test_cli_merge_overlap_is_argument_order_independent(
-    overlapping_shards, tmp_path
-):
-    """``repro checkpoint merge`` with overlapping shards: the two copies
-    of an overlapping key differ, so only a content-based choice between
-    them (``canonical_winner``) makes either argument order produce
-    byte-identical output."""
-    first, second = overlapping_shards
-    overlap = _keys(first) & _keys(second)
-    assert len(overlap) == 2
-    assert not set(first[1:]) & set(second[1:]), "the copies must differ"
-    shard_a = _write_lines(tmp_path / "a.jsonl", first)
-    shard_b = _write_lines(tmp_path / "b.jsonl", second)
-
-    outputs = []
-    for name, order in (
-        ("ab.jsonl", [shard_a, shard_b]),
-        ("ba.jsonl", [shard_b, shard_a]),
-    ):
-        out = str(tmp_path / name)
-        assert checkpoint_main(["merge", "-o", out] + order) == 0
-        assert checkpoint_main(["verify", out]) == 0
-        with open(out, "rb") as handle:
-            outputs.append(handle.read())
-    assert outputs[0] == outputs[1]
-    _, done, failures = fold_checkpoint(str(tmp_path / "ab.jsonl"))
-    assert len(done) == len(_keys(first) | _keys(second)) and not failures
-
-
-def test_cli_merge_result_beats_failure_in_both_orders(
-    overlapping_shards, tmp_path
-):
-    first, second = overlapping_shards
-    victim = sorted(_keys(first) & _keys(second))[0]
-    # Shard A records a quarantine for the overlap key; shard B completed
-    # it. Whichever order the shards are merged, the result must win.
-    doctored = [first[0]]
-    for line in first[1:]:
-        record = json.loads(line)
-        if record["key"] == victim:
-            record = {
-                "type": "failure",
-                "index": record["index"],
-                "key": victim,
-                "benchmark": "bitcount",
-                "failure": {
-                    "kind": "exception",
-                    "attempts": 3,
-                    "message": "flaky host",
-                    "traceback": "",
-                },
-            }
-            line = json.dumps(seal_record(record), sort_keys=True)
-        doctored.append(line)
-    shard_a = _write_lines(tmp_path / "failed.jsonl", doctored)
-    shard_b = _write_lines(tmp_path / "completed.jsonl", second)
-    for name, order in (
-        ("fr.jsonl", [shard_a, shard_b]),
-        ("rf.jsonl", [shard_b, shard_a]),
-    ):
-        out = str(tmp_path / name)
-        assert checkpoint_main(["merge", "-o", out] + order) == 0
-        _, done, failures = fold_checkpoint(out)
-        assert victim in done and victim not in failures, (
-            f"argument order {order} let a failure shadow a result"
-        )
-
-
-def test_merged_overlap_reports_like_the_uninterrupted_run(
-    checkpointed, overlapping_shards, tmp_path
-):
-    """Whichever copy of an overlapping record the merge keeps, the
-    campaign it reports is the uninterrupted run's, row for row."""
-    from repro.analysis.export import campaign_from_checkpoint, to_csv
-
-    _, campaign = checkpointed
-    first, second = overlapping_shards
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main([
-        "merge", "-o", merged,
-        _write_lines(tmp_path / "a.jsonl", first),
-        _write_lines(tmp_path / "b.jsonl", second),
-    ]) == 0
-    assert to_csv(campaign_from_checkpoint(merged)) == to_csv(campaign)
-
-
-def test_merge_is_idempotent_on_its_own_output(overlapping_shards, tmp_path):
-    """Merging the result again, alone or with a shard already in it, adds
-    nothing: the bytes stay the same."""
-    first, second = overlapping_shards
-    shard_a = _write_lines(tmp_path / "a.jsonl", first)
-    shard_b = _write_lines(tmp_path / "b.jsonl", second)
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, shard_a, shard_b]) == 0
-    with open(merged, "rb") as handle:
-        expected = handle.read()
-    for name, inputs in (
-        ("alone.jsonl", [merged]),
-        ("again.jsonl", [merged, shard_a]),
-        ("late.jsonl", [shard_b, merged]),
-    ):
-        out = str(tmp_path / name)
-        assert checkpoint_main(["merge", "-o", out] + inputs) == 0
-        with open(out, "rb") as handle:
-            assert handle.read() == expected, name
-
-
-def test_merge_refuses_a_shard_with_interior_damage(
-    checkpointed, tmp_path, capsys
-):
-    path, _ = checkpointed
-    bad = _copy(path, tmp_path / "bad.jsonl")
-    lines = _lines(bad)
-    lines[3] = lines[3][:-10] + '"corrupt"}'
-    _write_lines(bad, lines)
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, path, bad]) == 2
-    captured = capsys.readouterr()
-    assert f"{bad}:4: corrupt" in captured.out
-    assert f"repro checkpoint repair {bad}" in captured.err
-    assert not os.path.exists(merged)
-
-
-def test_merge_drops_a_torn_shard_tail(checkpointed, tmp_path, capsys):
-    """A shard whose writer was killed mid-append merges the way a resume
-    loads it: the partial last line goes, every complete record stays."""
-    path, campaign = checkpointed
-    torn = _copy(path, tmp_path / "torn.jsonl")
-    with open(torn, "a") as handle:
-        handle.write('{"half')
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, torn]) == 0
-    assert f"{torn}:8: torn tail" in capsys.readouterr().out
-    assert checkpoint_main(["verify", merged]) == 0
-    _, done, failures = fold_checkpoint(merged)
-    assert len(done) == len(campaign.results) and not failures
-
-
-def test_merge_fuzz_shards_matches_full_checkpoint(
-    fuzz_checkpointed, tmp_path
-):
-    """Fuzz records merge by ``index`` as campaign records do by ``key``."""
-    lines = _lines(fuzz_checkpointed)
-    cut = len(lines) // 2 + 1
-    shard_a = _write_lines(tmp_path / "a.jsonl", lines[:cut])
-    # Overlaps shard_a on the record at line ``cut``.
-    shard_b = _write_lines(tmp_path / "b.jsonl", [lines[0]] + lines[cut - 1:])
-    merged = str(tmp_path / "merged.jsonl")
-    assert checkpoint_main(["merge", "-o", merged, shard_b, shard_a]) == 0
-    assert checkpoint_main(["verify", merged]) == 0
-    _, done, failures = fold_checkpoint(merged)
-    _, full_done, full_failures = fold_checkpoint(fuzz_checkpointed)
-    assert done == full_done and failures == full_failures
-    _, results, quarantined = load_fuzz_checkpoint_full(merged)
-    assert len(results) == FUZZ_BUDGET and not quarantined
-
-
-@pytest.mark.parametrize("command", ["inspect", "repair", "merge"])
+@pytest.mark.parametrize("command", ["inspect", "repair"])
 def test_missing_input_exits_2(command, tmp_path, capsys):
     missing = str(tmp_path / "missing.jsonl")
-    argv = {
-        "inspect": ["inspect", missing],
-        "repair": ["repair", missing],
-        "merge": ["merge", "-o", str(tmp_path / "out.jsonl"), missing],
-    }[command]
-    assert checkpoint_main(argv) == 2
+    assert checkpoint_main([command, missing]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read {missing}: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
@@ -633,77 +378,103 @@ def test_checkpoint_without_a_subcommand_prints_help_and_exits_2(capsys):
     assert capsys.readouterr().out.startswith("usage: repro checkpoint")
 
 
-# -- the merge rule ------------------------------------------------------------
+def test_merge_is_not_a_checkpoint_subcommand(tmp_path, capsys):
+    """No command writes part of a run, so there is nothing to merge: a
+    resume completes a partial file in place."""
+    out = str(tmp_path / "merged.jsonl")
+    with pytest.raises(SystemExit) as exit_info:
+        checkpoint_main(["merge", "-o", out, str(tmp_path / "a.jsonl")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'merge'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
-def _record(kind, key, note):
-    return {"type": kind, "key": key, "index": int(key[1:]), "note": note}
+# -- the rules a resume reads by ---------------------------------------------
 
 
-#: ``(done, failures)`` per shard: k1 is a result in one shard and a failure
-#: in another, k2 a result in two, k3 a failure in two and a result in one,
-#: k4 a failure in two.
-MERGE_SHARDS = (
-    (
-        {
-            "k1": _record("result", "k1", "a"),
-            "k2": _record("result", "k2", "a"),
-        },
-        {"k3": _record("failure", "k3", "a")},
-    ),
-    (
-        {"k2": _record("result", "k2", "b")},
-        {
-            "k1": _record("failure", "k1", "b"),
-            "k3": _record("failure", "k3", "b"),
-            "k4": _record("failure", "k4", "b"),
-        },
-    ),
-    (
-        {"k3": _record("result", "k3", "c")},
-        {"k4": _record("failure", "k4", "c")},
-    ),
-)
-
-
-def _merge_all(shards, done=None, failures=None):
-    done = {} if done is None else done
-    failures = {} if failures is None else failures
-    for shard_done, shard_failures in shards:
-        merge_shard(done, failures, shard_done, shard_failures)
-    return done, failures
+def _record(kind, note):
+    return {"type": kind, "key": "k", "index": 0, "note": note}
 
 
 @pytest.mark.parametrize(
-    "order",
-    list(itertools.permutations(range(3))),
-    ids=lambda order: "-".join(map(str, order)),
+    "records, done, failed",
+    [
+        ([("failure", "a"), ("result", "b")], "b", None),
+        ([("result", "a"), ("failure", "b")], "a", None),
+        ([("result", "a"), ("result", "b")], "b", None),
+        ([("failure", "a"), ("failure", "b")], None, "b"),
+    ],
+    ids=[
+        "a-retry-that-succeeded",
+        "a-result-outranks-a-later-failure",
+        "the-later-result-wins",
+        "the-later-failure-wins",
+    ],
 )
-def test_merge_shard_is_arrival_order_independent(order):
-    done, failures = _merge_all(MERGE_SHARDS[i] for i in order)
-    assert done == {
-        "k1": _record("result", "k1", "a"),  # a result outranks a failure
-        "k2": _record("result", "k2", "a"),  # the smaller canonical payload
-        "k3": _record("result", "k3", "c"),
-    }
-    assert failures == {"k4": _record("failure", "k4", "b")}
+def test_fold_checkpoint_keeps_one_record_per_task(
+    records, done, failed, tmp_path
+):
+    """Two records of one task in one file: a result supersedes a failure
+    in either order, and otherwise the later record wins. This is the one
+    place that decides it; resume, repair and reporting all read through
+    it."""
+    manifest = {"type": "manifest", "version": 2, "seed": SEED}
+    manifest["identity"] = manifest_identity(manifest)
+    path = _write_lines(tmp_path / "twice.jsonl", [
+        json.dumps(seal_record(record), sort_keys=True)
+        for record in [manifest] + [_record(*r) for r in records]
+    ])
+    report, kept, failures = fold_checkpoint(path)
+    assert report.clean and report.records == len(records)
+    assert {k: r["note"] for k, r in kept.items()} == (
+        {"k": done} if done else {}
+    )
+    assert {k: r["note"] for k, r in failures.items()} == (
+        {"k": failed} if failed else {}
+    )
 
 
-def test_merge_shard_is_idempotent():
-    """Merging a shard that is already in (a retried or late copy) changes
-    nothing, whatever was merged after it."""
-    done, failures = _merge_all(MERGE_SHARDS)
-    expected = (dict(done), dict(failures))
-    for shard in MERGE_SHARDS:
-        assert _merge_all([shard], done, failures) == expected
+_RUN = {
+    "type": "manifest", "version": 2, "identity": "x", "crc": 1,
+    "seed": 7, "runs_per_model": 2,
+    "goldens": {"sha": {"cycles": 100, "committed": 80}},
+}
 
 
-def test_canonical_winner_is_symmetric_and_ignores_the_crc():
-    a = seal_record(_record("result", "k1", "a"))
-    b = seal_record(_record("result", "k1", "b"))
-    assert canonical_winner(a, b) is a and canonical_winner(b, a) is a
-    # The CRC would sort first; it is not part of the compared payload.
-    assert canonical_winner(dict(b, crc=0), a) is a
+@pytest.mark.parametrize(
+    "recorded, reason",
+    [
+        (dict(_RUN, version=1, identity="y", crc=2), None),
+        (dict(_RUN, seed=8), "seed=8 does not match this run's seed=7"),
+        (
+            dict(_RUN, seed=8, runs_per_model=3),
+            "runs_per_model=3 does not match this run's runs_per_model=2",
+        ),
+        (
+            dict(_RUN, design_point={"width": 2}),
+            "design_point={'width': 2} does not match this run's "
+            "design_point=None",
+        ),
+        (
+            dict(_RUN, goldens={"sha": {"cycles": 90, "committed": 80}}),
+            "golden run of sha {'cycles': 90, 'committed': 80} does not "
+            "match this run's golden run of sha {'cycles': 100, "
+            "'committed': 80}",
+        ),
+    ],
+    ids=[
+        "bookkeeping-is-not-identity",
+        "an-identity-field",
+        "the-first-field-in-name-order",
+        "a-field-on-one-side-only",
+        "a-golden-run",
+    ],
+)
+def test_manifest_mismatch_names_the_first_difference(recorded, reason):
+    """The one rule behind every resume refusal: the identity fields in
+    name order, then each benchmark's golden run; the hash, CRC, version
+    and type are not compared."""
+    assert manifest_mismatch(recorded, _RUN) == reason
 
 
 # -- single-writer locking -----------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulatorAssertion
-from repro.core.rrs.free_list import FreeList
+from repro.core.rrs.free_list import FifoFreeList
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
 from repro.idld.parity import ParityStore
 
@@ -16,7 +16,7 @@ from tests.support import RecordingObserver
 def setup():
     fabric = SignalFabric()
     observer = RecordingObserver()
-    fl = FreeList(8, fabric, [observer])
+    fl = FifoFreeList(8, fabric, [observer])
     fl.reset(range(8))
     return fl, fabric, observer
 
@@ -44,13 +44,13 @@ class TestFifoSemantics:
         assert fl.count == 8
 
     def test_reset_partial_fill(self):
-        fl = FreeList(8, SignalFabric(), [])
+        fl = FifoFreeList(8, SignalFabric(), [])
         fl.reset([5, 6])
         assert fl.count == 2
         assert fl.contents() == [5, 6]
 
     def test_reset_rejects_overfill(self):
-        fl = FreeList(4, SignalFabric(), [])
+        fl = FifoFreeList(4, SignalFabric(), [])
         with pytest.raises(ValueError):
             fl.reset(range(5))
 
@@ -67,7 +67,7 @@ class TestFifoSemantics:
 
 class TestBoundaryAsserts:
     def test_pop_empty_raises(self):
-        fl = FreeList(4, SignalFabric(), [])
+        fl = FifoFreeList(4, SignalFabric(), [])
         fl.reset([])
         with pytest.raises(SimulatorAssertion):
             fl.pop()
@@ -153,7 +153,7 @@ class TestWraparoundProperties:
         head/tail wraps — a PdstID is never delivered while the previous
         delivery of it is still outstanding (that would be a duplication
         on a bug-free FIFO)."""
-        fl = FreeList(capacity, SignalFabric(), [])
+        fl = FifoFreeList(capacity, SignalFabric(), [])
         fl.reset(range(capacity))
         outstanding = []  # ids delivered and not yet reclaimed, FIFO order
         for do_pop in schedule:
@@ -173,7 +173,7 @@ class TestWraparoundProperties:
         """Reset with len(ids) == capacity lands tail back on head (the
         modulo edge case): count must read full, FIFO order must be the
         reset order, and a full drain/refill cycle must stay consistent."""
-        fl = FreeList(capacity, SignalFabric(), [])
+        fl = FifoFreeList(capacity, SignalFabric(), [])
         # Desynchronize the pointers first so reset must rewind them.
         fl.reset(range(capacity))
         for _ in range(min(extra_pops, capacity)):
@@ -198,7 +198,7 @@ class TestWraparoundProperties:
         it, so a bug-free interleaving (with wraps reusing slots for
         different ids) must never raise a parity alarm."""
         parity = ParityStore("FL")
-        fl = FreeList(capacity, SignalFabric(), [], parity=parity)
+        fl = FifoFreeList(capacity, SignalFabric(), [], parity=parity)
         fl.reset(range(capacity))
         outstanding = []
         for do_pop in schedule:
@@ -219,7 +219,7 @@ class TestWraparoundProperties:
         """After wrapping the pointers, an at-rest upset is still caught on
         the next read of that slot (parity follows slots, not values)."""
         parity = ParityStore("FL")
-        fl = FreeList(capacity, SignalFabric(), [], parity=parity)
+        fl = FifoFreeList(capacity, SignalFabric(), [], parity=parity)
         fl.reset(range(capacity))
         fl.push(fl.pop())  # advance both pointers once to shift the window
         fl.corrupt_stored(capacity - 1, 0b1)

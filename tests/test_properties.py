@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoreConfig, OoOCore
-from repro.core.rrs.free_list import FreeList
+from repro.core.rrs.free_list import FifoFreeList
 from repro.core.rrs.signals import SignalFabric
 from repro.idld import IDLDChecker
 from repro.isa.semantics import reference_run
@@ -57,11 +57,11 @@ def test_invariant_across_configurations(seed, width, phys):
 @given(ops=st.lists(st.booleans(), max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_free_list_model_equivalence(ops):
-    """The FreeList FIFO behaves exactly like a deque under any legal
+    """The FIFO free list behaves exactly like a deque under any legal
     push/pop sequence (True=pop, False=push of a recycled id)."""
     from collections import deque
 
-    fl = FreeList(16, SignalFabric(), [])
+    fl = FifoFreeList(16, SignalFabric(), [])
     fl.reset(range(8))
     model = deque(range(8))
     held = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import SimulatorAssertion
 from repro.core.rrs.rat import RegisterAliasTable
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
 
@@ -12,7 +13,7 @@ from tests.support import RecordingObserver
 def setup():
     fabric = SignalFabric()
     observer = RecordingObserver()
-    rat = RegisterAliasTable(8, fabric, [observer])
+    rat = RegisterAliasTable(8, 128, fabric, [observer])
     rat.reset(list(range(8)))
     return rat, fabric, observer
 
@@ -43,7 +44,7 @@ class TestMapping:
         assert snap[0] == 0
 
     def test_reset_requires_full_mapping(self):
-        rat = RegisterAliasTable(8, SignalFabric(), [])
+        rat = RegisterAliasTable(8, 128, SignalFabric(), [])
         with pytest.raises(ValueError):
             rat.reset([1, 2, 3])
 
@@ -100,6 +101,28 @@ class TestPdstCorruption:
         rat.write(2, 40)
         rat.write(3, 50)
         assert rat.read(3) == 50
+
+    def test_identifier_past_the_register_count_asserts(self):
+        """At 48 registers a 6-bit mask can name registers 48..63, which
+        do not exist: the write port stops the run before the array
+        changes or any tap sees the write."""
+        fabric = SignalFabric()
+        observer = RecordingObserver()
+        rat = RegisterAliasTable(8, 48, fabric, [observer])
+        rat.reset(list(range(8)))
+        fabric.arm_corruption(0, xor_mask=0b100000)
+        with pytest.raises(SimulatorAssertion, match="PdstID 56, outside"):
+            rat.write(2, 24)
+        assert rat.read(2) == 2
+        assert observer.of_kind("rat_write") == []
+
+    def test_identifier_within_the_register_count_is_written(self):
+        fabric = SignalFabric()
+        rat = RegisterAliasTable(8, 48, fabric, [])
+        rat.reset(list(range(8)))
+        fabric.arm_corruption(0, xor_mask=0b100000)
+        assert rat.write(2, 15) == 47
+        assert rat.read(2) == 47
 
     def test_zero_mask_rejected(self, setup):
         _, fabric, _ = setup

@@ -14,7 +14,6 @@ from repro.core.config import FREE_LIST_DISCIPLINES, RECOVERY_STRATEGIES
 from repro.core.recovery import make_recovery_strategy
 from repro.core.rrs.free_list import (
     FifoFreeList,
-    FreeList,
     StackFreeList,
     make_free_list,
 )
@@ -248,9 +247,6 @@ class TestStackFreeList:
 
 
 class TestFactories:
-    def test_fifo_alias_preserved(self):
-        assert FreeList is FifoFreeList
-
     def test_make_free_list_by_discipline(self):
         fabric = SignalFabric()
         assert isinstance(

@@ -2,8 +2,8 @@
 
 The sweep CLI drives one engine campaign per design point; these tests
 pin its observable contract: deterministic stdout across worker counts,
-per-cell checkpoints that verify and resume, bench-trajectory entries,
-and refusal to resume or merge across design points.
+per-cell checkpoints that verify and resume, no file written outside
+``--checkpoint-dir``, and refusal to resume across design points.
 """
 
 import json
@@ -32,10 +32,7 @@ SMALL = [
 class TestSweepCli:
     def test_small_matrix_runs_clean(self, tmp_path, capsys):
         ckpt = str(tmp_path / "cells")
-        bench = str(tmp_path / "bench.json")
-        code = sweep_main(
-            SMALL + ["--checkpoint-dir", ckpt, "--bench-output", bench]
-        )
+        code = sweep_main(SMALL + ["--checkpoint-dir", ckpt])
         out = capsys.readouterr().out
         assert code == 0
         assert (
@@ -48,33 +45,56 @@ class TestSweepCli:
             for recovery in ("checkpoint", "rob-walk"):
                 path = cell_checkpoint_path(ckpt, 1, discipline, recovery)
                 assert os.path.exists(path)
-        # One bench entry per cell.
-        with open(bench) as fh:
-            trajectory = json.load(fh)
-        cells = [
-            e for e in trajectory["entries"] if e.get("kind") == "sweep-cell"
-        ]
-        assert len(cells) == 4
-        assert all("design_point" in e for e in cells)
-        assert {e["cell"]["discipline"] for e in cells} == {"fifo", "stack"}
+
+    @pytest.mark.parametrize(
+        "extra, written",
+        [
+            ([], []),
+            (["--no-bench"], []),
+            (["--checkpoint-dir", "cells"], ["cells"]),
+        ],
+        ids=["plain", "no-bench", "checkpoint-dir"],
+    )
+    def test_writes_nothing_outside_the_checkpoint_dir(
+        self, extra, written, tmp_path, monkeypatch, capsys
+    ):
+        """The per-cell numbers go to stdout only: no ``BENCH_core.json``
+        or other file lands in the working directory. ``--no-bench`` is
+        still accepted and changes nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert sweep_main(SMALL + extra) == 0
+        assert sorted(os.listdir(tmp_path)) == written
+        assert "Design-space sweep" in capsys.readouterr().out
+
+    def test_trajectory_flags_are_refused_or_hidden(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main(SMALL + ["--bench-output", "bench.json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bench-output" in (
+            capsys.readouterr().err
+        )
+        with pytest.raises(SystemExit):
+            sweep_main(["--help"])
+        usage = capsys.readouterr().out
+        assert "--no-bench" not in usage and "--bench-output" not in usage
 
     def test_cell_checkpoints_verify(self, tmp_path):
         ckpt = str(tmp_path / "cells")
-        sweep_main(SMALL + ["--checkpoint-dir", ckpt, "--no-bench"])
+        sweep_main(SMALL + ["--checkpoint-dir", ckpt])
         path = cell_checkpoint_path(ckpt, 1, "fifo", "checkpoint")
         assert checkpoint_main(["verify", path]) == 0
 
     def test_resume_rerun_is_cheap_and_clean(self, tmp_path):
         ckpt = str(tmp_path / "cells")
-        args = SMALL + ["--checkpoint-dir", ckpt, "--no-bench"]
+        args = SMALL + ["--checkpoint-dir", ckpt]
         assert sweep_main(args) == 0
         # Second pass resumes every completed cell.
         assert sweep_main(args + ["--resume"]) == 0
 
     def test_stdout_identical_across_jobs(self, tmp_path, capsys):
-        assert sweep_main(SMALL + ["--no-bench", "--jobs", "1"]) == 0
+        assert sweep_main(SMALL + ["--jobs", "1"]) == 0
         serial_out = capsys.readouterr().out
-        assert sweep_main(SMALL + ["--no-bench", "--jobs", "2"]) == 0
+        assert sweep_main(SMALL + ["--jobs", "2"]) == 0
         pooled_out = capsys.readouterr().out
         assert serial_out == pooled_out
 
@@ -85,14 +105,12 @@ class TestSweepCli:
         assert sweep_main(["--resume"]) == 2  # no --checkpoint-dir
         assert sweep_main(["--benchmarks", "nonesuch"]) == 2
         assert sweep_main(["--runs", "-1"]) == 2
-        missing = str(tmp_path / "missing" / "bench.json")
-        assert sweep_main(SMALL + ["--bench-output", missing]) == 2
         capsys.readouterr()
 
     def test_negative_snapshot_interval_rejected(self, capsys):
         """Checked at the CLI edge, as ``repro campaign`` does, instead of
         quietly running every cell cold."""
-        args = SMALL + ["--no-bench", "--snapshot-interval", "-1"]
+        args = SMALL + ["--snapshot-interval", "-1"]
         assert sweep_main(args) == 2
         err = capsys.readouterr().err
         assert "--snapshot-interval must be >= 0, got -1" in err
@@ -116,7 +134,7 @@ class TestSweepCli:
             "--widths", "1", "--disciplines", "fifo",
             "--recoveries", "checkpoint", "--runs", "1", "--scale", "0.25",
             "--benchmarks", "crc32", "--checkpoint-dir", str(cells),
-            "--resume", "--no-bench",
+            "--resume",
         ])
         err = capsys.readouterr().err
         assert code == 2
@@ -134,7 +152,6 @@ class TestSweepCli:
             "injections": 6, "activated": 6, "quarantined": 0,
             "idld": 1.0, "bv": 0.5, "end_of_test": 0.5,
             "idld_latency_mean": 3.5, "outcomes": {"Benign": 6},
-            "wall_s": 0.1,
         }]
         lines = format_sweep_table(rows)
         assert len(lines) == 3  # title + header + one cell
@@ -165,6 +182,23 @@ class TestDesignPointManifest:
     def test_old_record_loads_as_none(self):
         record = self._manifest(config=None).to_record()
         assert Manifest.from_record(record).design_point is None
+
+    def test_comparable_reads_an_absent_design_point_as_the_default(self):
+        """What a resume compares: a default-geometry manifest and one
+        stamped with ``CoreConfig()`` are the same run; a fuzz manifest
+        has no design point and is compared as it is."""
+        from repro.exec.checkpoint import comparable
+        from repro.exec.durability import manifest_mismatch
+
+        default = self._manifest(config=None).to_record()
+        stamped = self._manifest(CoreConfig()).to_record()
+        assert comparable(default) == dict(
+            default, design_point=CoreConfig().to_dict()
+        )
+        assert comparable(stamped) is stamped
+        assert manifest_mismatch(comparable(default), stamped) is None
+        fuzz = {"type": "fuzz-manifest", "seed": 1}
+        assert comparable(fuzz) is fuzz
 
     def test_design_point_joins_manifest_identity(self):
         default = self._manifest(config=None).to_record()
@@ -223,43 +257,3 @@ class TestDesignPointRefusals:
             checkpoint_path=path, resume=True,
         )
         assert resumed.results == first.results
-
-    def test_merge_reads_absent_design_point_as_default(
-        self, tmp_path, programs
-    ):
-        """Merge decides by the rule a resume applies, so a
-        ``config=CoreConfig()`` shard and a ``config=None`` shard of one
-        campaign merge, to the same bytes in either order."""
-        a = str(tmp_path / "a.jsonl")
-        b = str(tmp_path / "b.jsonl")
-        run_engine(
-            programs, runs_per_model=1, seed=9, config=CoreConfig(),
-            checkpoint_path=a,
-        )
-        run_engine(programs, runs_per_model=1, seed=9, checkpoint_path=b)
-        outputs = []
-        for order in ([a, b], [b, a]):
-            merged = str(tmp_path / "merged.jsonl")
-            assert checkpoint_main(["merge", "-o", merged] + order) == 0
-            with open(merged, "rb") as handle:
-                outputs.append(handle.read())
-        assert outputs[0] == outputs[1]
-
-    def test_merge_refuses_mixed_design_points(
-        self, tmp_path, programs, capsys
-    ):
-        a = str(tmp_path / "a.jsonl")
-        b = str(tmp_path / "b.jsonl")
-        run_engine(
-            programs, runs_per_model=1, seed=9,
-            config=paper_rrs_config(width=1), checkpoint_path=a,
-        )
-        run_engine(
-            programs, runs_per_model=1, seed=9,
-            config=paper_rrs_config(width=2), checkpoint_path=b,
-        )
-        merged = str(tmp_path / "merged.jsonl")
-        code = checkpoint_main(["merge", a, b, "--output", merged])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "must not be merged" in err

@@ -172,7 +172,7 @@ class TestConfig:
     def test_write_zero_requires_enablement(self):
         from repro.core.rrs.rat import RegisterAliasTable
 
-        rat = RegisterAliasTable(8, SignalFabric(), [])
+        rat = RegisterAliasTable(8, 16, SignalFabric(), [])
         rat.reset(list(range(8)))
         with pytest.raises(ValueError):
             rat.write_zero_idiom(0)
