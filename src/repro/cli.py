@@ -38,12 +38,12 @@ KNOWN_FIGURES = ("3", "4", "5", "8", "9", "10", "latency", "table2")
 
 #: Output-file flags, by dest: each command writes them only after its run,
 #: so their directories are checked before the run starts.
-OUTPUT_DESTS = ("export_csv", "export_json", "output")
+OUTPUT_DESTS = ("export_csv", "export_json")
 
 
 # -- the shared run flags -----------------------------------------------------
 #
-# campaign, sweep, fuzz and bench declare the flags they share through
+# campaign, sweep and fuzz declare the flags they share through
 # the helpers below, check them with run_args_error and act on them here, so
 # one flag means the same thing, with the same checks, in every command.
 
@@ -87,13 +87,11 @@ def add_workload_args(
     )
 
 
-def add_snapshot_interval_arg(
-    parser: argparse.ArgumentParser, default: int = 250
-) -> None:
+def add_snapshot_interval_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--snapshot-interval",
         type=int,
-        default=default,
+        default=250,
         metavar="K",
         help=(
             "golden-run snapshot period in cycles: each injection restores "
@@ -101,7 +99,7 @@ def add_snapshot_interval_arg(
             "provable re-convergence with the golden run, checked at every "
             "snapshot cycle; 0 runs every injection cold, from power-on to "
             "the end. Purely a throughput knob: results are bit-identical "
-            f"for any K [{default}]"
+            "for any K [%(default)s]"
         ),
     )
 
@@ -186,16 +184,13 @@ def policy_from_args(args: argparse.Namespace):
     )
 
 
-def run_args_error(
-    args: argparse.Namespace, min_snapshot_interval: int = 0
-) -> Optional[str]:
+def run_args_error(args: argparse.Namespace) -> Optional[str]:
     """The message for the first bad value among the shared run flags the
     parser declared (the fault-tolerance group and the output files
     included), or None.
 
     Mains print it and return 2 themselves: argparse's own errors raise
-    SystemExit instead. ``repro bench`` always builds snapshots, so it
-    passes ``min_snapshot_interval=1``.
+    SystemExit instead.
     """
     runs = getattr(args, "runs", 0)
     if runs < 0:
@@ -203,12 +198,9 @@ def run_args_error(
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         return f"--jobs must be >= 1, got {jobs}"
-    interval = getattr(args, "snapshot_interval", min_snapshot_interval)
-    if interval < min_snapshot_interval:
-        return (
-            f"--snapshot-interval must be >= {min_snapshot_interval}, "
-            f"got {interval}"
-        )
+    interval = getattr(args, "snapshot_interval", 0)
+    if interval < 0:
+        return f"--snapshot-interval must be >= 0, got {interval}"
     if getattr(args, "checkpoint", None) and getattr(args, "resume", None):
         return (
             "--checkpoint and --resume are mutually exclusive "
@@ -474,15 +466,14 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     Subcommands: ``campaign`` (the injection campaign, same as the
     ``idld-campaign`` script), ``sweep`` (the campaign across a design-space
     matrix of width x free-list discipline x recovery strategy), ``fuzz``
-    (coverage-guided differential fuzzing), ``checkpoint``
-    (inspect/verify/repair the JSONL artifacts the engines write),
-    and ``bench`` (the performance trajectory harness; shares the
-    ``--snapshot-interval`` knob with ``campaign``).
-    Also reachable without installation as ``python -m repro``.
+    (coverage-guided differential fuzzing) and ``checkpoint``
+    (inspect/verify/repair the JSONL artifacts the engines write).
+    Performance is measured end to end by ``perfbench/run.py``, not by a
+    subcommand. Also reachable without installation as ``python -m repro``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     usage = (
-        "usage: repro {campaign,sweep,fuzz,checkpoint,bench} [options]  "
+        "usage: repro {campaign,sweep,fuzz,checkpoint} [options]  "
         "(-h for help)"
     )
     if not argv or argv[0] in ("-h", "--help"):
@@ -503,10 +494,6 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
         from repro.exec.cli import checkpoint_main
 
         return checkpoint_main(rest)
-    if command == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(rest)
     print(f"unknown subcommand {command!r}\n{usage}", file=sys.stderr)
     return 2
 

@@ -32,6 +32,7 @@ from repro.core.errors import (
     DeadlineExceeded,
     DeadlockError,
     MemoryFault,
+    SimulatorAssertion,
 )
 from repro.core.lsq import DataMemory, StoreQueue
 from repro.core.recovery import make_recovery_strategy
@@ -93,7 +94,8 @@ def enable_stage_profiling() -> Dict[str, int]:
     Returns the live accumulator dict: exclusive ns per pipeline-stage
     bucket, plus a ``cycles`` count of profiled steps. Profiled cores pay
     a ``perf_counter_ns`` pair and a wrapper call per stage call, so this
-    is for the dedicated ``bench --profile`` pass, never the timed passes.
+    is for traced measurement (``perfbench/run.py --trace 1``), never the
+    timed runs.
     """
     global STAGE_PROFILE
     STAGE_PROFILE = {bucket: 0 for bucket in _PROFILE_BUCKETS}
@@ -610,7 +612,8 @@ class OoOCore:
         """Advance one clock cycle."""
         cycle = self.cycle + 1
         self.cycle = cycle
-        self.fabric.cycle = cycle
+        fabric = self.fabric
+        fabric.cycle = cycle
         if self.recovery is not None:
             self.recovery_strategy.step()
             self.stats["recovery_cycles"] += 1
@@ -649,6 +652,16 @@ class OoOCore:
                 hook(cycle)
         for hook in self._on_cycle_end:
             hook(cycle)
+        if fabric.undefined_pdst is not None:
+            # A corrupted RAT write named a register that does not exist.
+            # The cycle-end hooks (IDLD's check among them) have seen this
+            # cycle; no hardware behaviour is defined past it, so the run
+            # ends here, before run_cycles can fast-forward.
+            raise SimulatorAssertion(
+                cycle,
+                f"RAT write port drove PdstID {fabric.undefined_pdst}, "
+                f"outside 0..{self.config.num_physical_regs - 1}",
+            )
 
     # -- commit -------------------------------------------------------------------
 

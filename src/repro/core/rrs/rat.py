@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.core.errors import SimulatorAssertion
 from repro.core.rrs.ports import RRSObserver, listeners
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
 
@@ -78,10 +77,11 @@ class RegisterAliasTable:
         that was *driven to* the array (post-corruption) so rename can
         forward it, whether or not the write landed.
 
-        Raises:
-            SimulatorAssertion: When a corruption drives an identifier no
-                physical register has (the register count is not a power
-                of two): no hardware behaviour is defined past it.
+        A corruption can drive an identifier no physical register has (the
+        register count is not a power of two). That write lands and fires
+        its taps like any other, and is recorded as the fabric's
+        :attr:`~repro.core.rrs.signals.SignalFabric.undefined_pdst` for
+        the core to end the run at the end of the cycle.
         """
         fabric = self._fabric
         if not fabric.hot:
@@ -90,11 +90,7 @@ class RegisterAliasTable:
         else:
             driven = fabric.corrupt_pdst(new_pdst)
             if driven >= self.num_physical:
-                raise SimulatorAssertion(
-                    fabric.cycle,
-                    f"RAT write port drove PdstID {driven}, outside "
-                    f"0..{self.num_physical - 1}",
-                )
+                fabric.undefined_pdst = driven
             landed = fabric.asserted(ArrayName.RAT, SignalKind.WRITE_ENABLE)
         if landed:
             old = self._table[ldst]

@@ -119,8 +119,10 @@ class ArmedCorruption:
     ``xor_mask`` must be nonzero and within the PdstID encoding width, so
     the corrupted value is a different value of that width. It names a
     physical register only when the register count is a power of two;
-    otherwise it may be P or more, and the RAT write port raises
-    :class:`~repro.core.errors.SimulatorAssertion` (the *Assert* outcome).
+    otherwise it may be P or more. Such a write still lands and reaches
+    every tap, and the core raises
+    :class:`~repro.core.errors.SimulatorAssertion` (the *Assert* outcome)
+    at the end of that cycle (see :attr:`SignalFabric.undefined_pdst`).
     """
 
     from_cycle: int
@@ -154,6 +156,11 @@ class SignalFabric:
         #: attribute read. Maintained by :meth:`_refresh_hot` at every
         #: arm/fire/load transition.
         self.hot = False
+        #: An identifier the RAT write port drove that names no physical
+        #: register, or None. The core raises SimulatorAssertion at the end
+        #: of the cycle that sets it, after the cycle-end hooks, so it is
+        #: None between cycles and no snapshot holds it.
+        self.undefined_pdst: Optional[int] = None
 
     def _refresh_hot(self) -> None:
         self.hot = bool(self._live_suppressions or self._live_corruptions)
@@ -256,6 +263,7 @@ class SignalFabric:
         """Restore a :meth:`save_state` snapshot."""
         cycle, suppressions, corruptions = state
         self.cycle = cycle
+        self.undefined_pdst = None
         self._suppressions = [
             ArmedSuppression(array, kind, from_cycle, fired, fired_cycle)
             for array, kind, from_cycle, fired, fired_cycle in suppressions

@@ -69,7 +69,7 @@ from repro.isa.program import Program
 
 #: A pluggable task runner: ``runner(task, context) -> result``. Must be a
 #: module-level function so the process pool can ship it to workers by
-#: reference. ``None`` selects the built-in injection-task path.
+#: reference. The default is :func:`run_injection_task`.
 TaskRunner = Callable[[object, "ExecutionContext"], object]
 
 #: What a backend yields per task: the result, or the structured account
@@ -77,14 +77,29 @@ TaskRunner = Callable[[object, "ExecutionContext"], object]
 TaskOutcome = Union[InjectionResult, TaskFailure]
 
 
+def run_injection_task(
+    task: InjectionTask, context: "ExecutionContext"
+) -> InjectionResult:
+    """The injection runner: ``task`` against the context's cached golden
+    run and snapshot provider, under the current task's deadline."""
+    return execute_task(
+        task,
+        context.programs[task.benchmark],
+        context.golden(task.benchmark),
+        context.config,
+        snapshots=context.snapshots(task.benchmark),
+        deadline=context.deadline,
+    )
+
+
 @dataclass
 class ExecutionContext:
     """Everything a backend needs to run tasks: programs, config, goldens.
 
-    ``runner`` makes the backends task-agnostic: when set (e.g. to
-    :func:`repro.fuzz.engine.run_fuzz_task`), every task is dispatched to
-    it; when None, tasks follow the classic injection path with per-worker
-    golden caching.
+    ``runner`` makes the backends task-agnostic: every task is dispatched
+    to it. The default, :func:`run_injection_task`, runs injection tasks
+    with per-worker golden caching; the fuzzer passes
+    :func:`repro.fuzz.engine.run_fuzz_task`.
 
     ``snapshot_interval`` > 0 enables snapshot-driven injection: each
     worker lazily builds one :class:`~repro.bugs.snapshot.SnapshotProvider`
@@ -110,7 +125,7 @@ class ExecutionContext:
 
     programs: Dict[str, Program]
     config: Optional[CoreConfig] = None
-    runner: Optional[TaskRunner] = None
+    runner: TaskRunner = run_injection_task
     snapshot_interval: int = 0
     task_timeout_s: Optional[float] = None
     shutdown: Optional[GracefulShutdown] = None
@@ -150,24 +165,14 @@ class ExecutionContext:
         return self._snapshots[benchmark]
 
     def execute(self, task: object) -> object:
-        """Run one task through ``runner`` or the injection default."""
+        """Run one task through ``runner`` under its deadline."""
         self._deadline = (
             time.monotonic() + self.task_timeout_s
             if self.task_timeout_s is not None
             else None
         )
         try:
-            if self.runner is not None:
-                return self.runner(task, self)
-            golden = self.golden(task.benchmark)
-            return execute_task(
-                task,
-                self.programs[task.benchmark],
-                golden,
-                self.config,
-                snapshots=self.snapshots(task.benchmark),
-                deadline=self._deadline,
-            )
+            return self.runner(task, self)
         finally:
             self._deadline = None
 
@@ -240,7 +245,7 @@ def _worker_main(
     conn: Connection,
     programs: Dict[str, Program],
     config: Optional[CoreConfig],
-    runner: Optional[TaskRunner],
+    runner: TaskRunner,
     snapshot_interval: int,
     task_timeout_s: Optional[float],
 ) -> None:

@@ -6,8 +6,9 @@ recovery machinery (retry, quarantine, watchdog, worker replacement,
 torn-tail repair) is exercised against real misbehavior instead of mocks.
 
 :func:`chaos_runner` is a drop-in :data:`~repro.exec.backends.TaskRunner`
-that executes the normal injection path, except for tasks whose keys appear
-in the ``REPRO_CHAOS_*`` environment variables, which it sabotages instead.
+that runs :func:`~repro.exec.backends.run_injection_task`, except for tasks
+whose keys appear in the ``REPRO_CHAOS_*`` environment variables, which it
+sabotages instead.
 Environment variables — not closures — carry the sabotage plan because pool
 workers and child processes are separate processes: they inherit the
 parent's environment but not its objects, and the runner itself is shipped
@@ -38,9 +39,8 @@ import os
 import time
 from typing import Dict, Iterable, Optional, Set
 
-from repro.exec.backends import ExecutionContext
+from repro.exec.backends import ExecutionContext, run_injection_task
 from repro.exec.durability import ENV_TORN_APPEND
-from repro.exec.tasks import execute_task
 
 ENV_EXIT = "REPRO_CHAOS_EXIT"
 ENV_RAISE = "REPRO_CHAOS_RAISE"
@@ -102,15 +102,8 @@ def _maybe_sabotage(key: str) -> None:
 
 
 def chaos_runner(task: object, context: ExecutionContext) -> object:
-    """The sabotage-aware task runner (see module docstring): the normal
-    injection path, after the sabotage check for ``task``'s key."""
+    """The sabotage-aware task runner (see module docstring):
+    :func:`~repro.exec.backends.run_injection_task`, after the sabotage
+    check for ``task``'s key."""
     _maybe_sabotage(task.key)
-    golden = context.golden(task.benchmark)
-    return execute_task(
-        task,
-        context.programs[task.benchmark],
-        golden,
-        context.config,
-        snapshots=context.snapshots(task.benchmark),
-        deadline=context.deadline,
-    )
+    return run_injection_task(task, context)

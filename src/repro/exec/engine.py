@@ -35,6 +35,7 @@ from repro.exec.backends import (
     ExecutionContext,
     SerialBackend,
     TaskRunner,
+    run_injection_task,
 )
 from repro.exec.checkpoint import (
     CheckpointWriter,
@@ -178,7 +179,7 @@ def run_engine(
     observers: Sequence[ProgressObserver] = (),
     snapshot_interval: int = 0,
     checkpoint_fsync: bool = False,
-    task_runner: Optional[TaskRunner] = None,
+    task_runner: TaskRunner = run_injection_task,
     shutdown: Optional[GracefulShutdown] = None,
 ) -> CampaignResult:
     """Run a full injection campaign through the task engine.
@@ -212,7 +213,7 @@ def run_engine(
             NOT part of the checkpoint manifest identity.
         checkpoint_fsync: ``os.fsync`` every checkpoint record (survives
             hard machine kills, not just process kills) at an I/O cost.
-        task_runner: Override the per-task execution function (see
+        task_runner: The per-task execution function (see
             :data:`~repro.exec.backends.TaskRunner`); the chaos hooks
             (:mod:`repro.exec.chaos`) use it to wrap the injection path
             with fault injection.

@@ -248,10 +248,9 @@ FAULT_DEFAULTS = {
 
 
 def test_run_flag_defaults_are_pinned():
-    """campaign, sweep, fuzz and bench declare their shared flags through
-    one set of helpers; a helper change must not move any command's parsed
+    """campaign, sweep and fuzz declare their shared flags through one set
+    of helpers; a helper change must not move any command's parsed
     defaults."""
-    from repro.bench import _parse_args as bench_args
     from repro.cli import _parse_args as campaign_args
     from repro.fuzz.cli import _parse_args as fuzz_args
     from repro.sweep import _parse_args as sweep_args
@@ -277,10 +276,6 @@ def test_run_flag_defaults_are_pinned():
         artifacts=None, save_corpus=None, checkpoint=None, resume=None,
         progress=None, replay=None,
     )
-    assert vars(bench_args([])) == dict(
-        runs=8, scale=1.0, benchmarks="all", seed=1, snapshot_interval=25,
-        profile=False, output="BENCH_core.json",
-    )
 
 
 # Each command's run flags on either side of their bounds: the accepted
@@ -291,22 +286,18 @@ def test_run_flag_defaults_are_pinned():
 
 
 def _command(name):
-    """``(parse_args, main, min_snapshot_interval)`` of one command."""
+    """``(parse_args, main)`` of one command."""
     if name == "campaign":
         from repro.cli import _parse_args
 
-        return _parse_args, main, 0
+        return _parse_args, main
     if name == "sweep":
         from repro.sweep import _parse_args, sweep_main
 
-        return _parse_args, sweep_main, 0
-    if name == "fuzz":
-        from repro.fuzz.cli import _parse_args, fuzz_main
+        return _parse_args, sweep_main
+    from repro.fuzz.cli import _parse_args, fuzz_main
 
-        return _parse_args, fuzz_main, 0
-    from repro.bench import _parse_args, main as bench_main
-
-    return _parse_args, bench_main, 1  # bench always builds snapshots
+    return _parse_args, fuzz_main
 
 
 RUN_FLAG_BOUNDS = [
@@ -326,9 +317,6 @@ RUN_FLAG_BOUNDS = [
     ("fuzz", "--jobs", "0", "1"),
     ("fuzz", "--max-task-retries", "-1", "0"),
     ("fuzz", "--task-timeout", "0", "0.5"),
-    ("bench", "--runs", "-1", "0"),
-    ("bench", "--snapshot-interval", "0", "1"),
-    ("bench", "--output", "missing/bench.json", "bench.json"),
 ]
 
 
@@ -339,9 +327,9 @@ def test_run_flag_bound_accepts_the_legal_side(
     from repro.cli import run_args_error
 
     monkeypatch.chdir(tmp_path)
-    parse, _, min_interval = _command(command)
-    assert run_args_error(parse([flag, accepted]), min_interval) is None
-    assert run_args_error(parse([flag, refused]), min_interval) is not None
+    parse, _ = _command(command)
+    assert run_args_error(parse([flag, accepted])) is None
+    assert run_args_error(parse([flag, refused])) is not None
 
 
 #: The refusals no other test runs: campaign's other flags are in
@@ -359,9 +347,6 @@ REFUSED_RUN_FLAGS = [
     ("fuzz", ["--budget", "0"]),
     ("fuzz", ["--batch", "0"]),
     ("fuzz", ["--checkpoint", "a.jsonl", "--resume", "b.jsonl"]),
-    ("bench", ["--runs", "-1"]),
-    ("bench", ["--snapshot-interval", "0"]),
-    ("bench", ["--output", "missing/bench.json"]),
 ]
 
 
@@ -374,12 +359,12 @@ def test_bad_run_flag_stops_the_command_before_any_work(
     command, argv, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    _, command_main, _ = _command(command)
+    _, command_main = _command(command)
     assert command_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert os.listdir(tmp_path) == []  # no checkpoint, bench file or export
+    assert os.listdir(tmp_path) == []  # no checkpoint or export
 
 
 # -- the repro umbrella command -----------------------------------------------
@@ -398,6 +383,21 @@ def test_retired_fabric_subcommands_are_unknown(retired, capsys):
     assert captured.err.startswith(f"unknown subcommand {retired!r}\n")
 
 
+def test_retired_bench_subcommand_is_unknown(capsys):
+    """The single-trial throughput harness is gone (perfbench measures
+    speed): ``repro bench`` is a typo like the fabric verbs, and no
+    ``repro.bench`` module is left to run with ``python -m``."""
+    import importlib.util
+
+    from repro.cli import repro_main
+
+    assert repro_main(["bench", "--help"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unknown subcommand 'bench'\n")
+    assert importlib.util.find_spec("repro.bench") is None
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [([], 2), (["-h"], 0), (["--help"], 0)],
@@ -408,7 +408,7 @@ def test_repro_usage_lists_the_live_subcommands(argv, code, capsys):
 
     assert repro_main(argv) == code
     assert capsys.readouterr().out == (
-        "usage: repro {campaign,sweep,fuzz,checkpoint,bench} [options]  "
+        "usage: repro {campaign,sweep,fuzz,checkpoint} [options]  "
         "(-h for help)\n"
     )
 
@@ -420,7 +420,6 @@ def test_repro_usage_lists_the_live_subcommands(argv, code, capsys):
         ("sweep", "repro sweep"),
         ("fuzz", "repro fuzz"),
         ("checkpoint", "repro checkpoint"),
-        ("bench", "python -m repro.bench"),
     ],
 )
 def test_repro_dispatches_each_subcommand(subcommand, prog, capsys):

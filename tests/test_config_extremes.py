@@ -5,10 +5,11 @@ free list with one free register, a ROB no deeper than a rename group,
 issue at the rename-width bound, one checkpoint slot, a 1-wide core, and
 register counts that are not a power of two. At those counts a PdstID
 corruption mask (drawn over the full encoding width) can name a register
-that does not exist; the RAT write port then ends the run as *Assert*
-instead of letting the PRF index fail in the issue stage. Each extreme
-runs the same small campaign cold and from snapshots: no task is
-quarantined, and the two agree result for result.
+that does not exist. That write lands and reaches IDLD's taps like any
+other, and the core ends the run as *Assert* at the end of that cycle,
+after IDLD's check, instead of letting the PRF index fail in the issue
+stage. Each extreme runs the same small campaign cold and from
+snapshots: no task is quarantined, and the two agree result for result.
 """
 
 import pytest
@@ -82,8 +83,8 @@ def test_campaign_quarantines_nothing_and_snapshots_match_cold(
 
 def test_a_corruption_past_the_register_count_is_an_assert(programs):
     """At 48 registers a 6-bit mask can drive PdstID 48..63: such a run is
-    classified *Assert* in the cycle the corruption fires, and only a
-    corruption ends that way."""
+    classified *Assert* in the cycle the corruption fires, IDLD detects it
+    in that same cycle, and only a corruption ends that way."""
     cold = _campaign(programs, CoreConfig(**EXTREMES["48-registers"]), 0)
     asserts = [
         r for r in cold.results if r.outcome is OutcomeClass.ASSERT
@@ -93,3 +94,30 @@ def test_a_corruption_past_the_register_count_is_an_assert(programs):
         assert result.spec.model is BugModel.PDST_CORRUPTION
         assert result.activated
         assert result.manifestation_cycle == result.activation_cycle
+        assert result.idld_cycle == result.activation_cycle
+        assert result.final_cycle == result.activation_cycle
+
+
+#: The extremes whose register count is not a power of two.
+UNDEFINED_IDENTIFIERS = (
+    "48-registers", "40-registers-checkpoint-free", "one-free-register"
+)
+
+
+@pytest.mark.parametrize("extreme", UNDEFINED_IDENTIFIERS)
+def test_idld_detects_every_activation_at_a_register_count_off_a_power_of_two(
+    extreme, programs
+):
+    """Fig. 9's claim holds where a corruption can name a register that
+    does not exist: the run stops only after IDLD's cycle-end check, so
+    IDLD detects every activation, *Assert* runs in their own cycle."""
+    cold = _campaign(programs, CoreConfig(**EXTREMES[extreme]), 0)
+    activated = [r for r in cold.results if r.activated]
+    assert activated
+    assert [r for r in activated if r.idld_cycle is None] == []
+    asserts = [
+        r for r in activated if r.outcome is OutcomeClass.ASSERT
+    ]
+    assert asserts
+    for result in asserts:
+        assert result.idld_cycle == result.activation_cycle

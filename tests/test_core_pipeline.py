@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.bugs.campaign import run_injection
+from repro.bugs.snapshot import SnapshotProvider, make_detectors
 from repro.core import CoreConfig, DeadlockError, MemoryFault, OoOCore
+from repro.core.cpu import disable_stage_profiling, enable_stage_profiling
+from repro.core.errors import SimulatorAssertion
+from repro.core.rrs.ports import RRSObserver
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
+from repro.exec.tasks import execute_task, generate_tasks
+from repro.idld.checker import IDLDChecker
 from repro.isa.program import ProgramBuilder
 from repro.isa.semantics import reference_run
+from repro.workloads import WORKLOADS
 
 from tests.support import RecordingObserver
 
@@ -216,3 +224,105 @@ class TestHaltSemantics:
         b.halt()
         result = OoOCore(b.build()).run()
         assert result.output == [0, 10, 20, 30, 40, 50]
+
+
+class _CycleEnds(RRSObserver):
+    """Records every cycle end, fast-forwarded spans included."""
+
+    def __init__(self):
+        self.cycles = []
+
+    def cycle_end(self, cycle):
+        self.cycles.append(cycle)
+
+    def fast_forward(self, start_cycle, end_cycle, pipeline_empty):
+        self.cycles.extend(range(start_cycle + 1, end_cycle + 1))
+
+
+class TestUndefinedIdentifier:
+    """At 48 registers PdstIDs 48..63 exist in the encoding but name no
+    register. A corruption that drives one ends the run as *Assert*."""
+
+    def test_run_ends_at_the_cycle_end_after_idld_checks(self):
+        config = CoreConfig(
+            num_physical_regs=48, rob_entries=32, checkpoint_interval=8
+        )
+        fabric = SignalFabric()
+        armed = fabric.arm_corruption(5, xor_mask=0b010000)
+        idld = IDLDChecker()
+        ends = _CycleEnds()
+        core = OoOCore(
+            simple_loop(), config=config, observers=[idld, ends],
+            fabric=fabric,
+        )
+        with pytest.raises(
+            SimulatorAssertion, match="PdstID 55, outside 0..47"
+        ) as raised:
+            core.run()
+        cycle = armed.fired_cycle
+        assert armed.corrupted == 55
+        assert raised.value.cycle == core.cycle == cycle
+        # The cycle ran to its end: every cycle-end hook saw it, and IDLD
+        # detected the corruption in its own cycle.
+        assert ends.cycles[-1] == cycle
+        assert idld.first_detection_cycle == cycle
+
+
+class TestStageProfiler:
+    """A profiled core runs the very same ``step()`` as an unprofiled one,
+    so its results are identical and only the attribution differs."""
+
+    def test_profiled_core_runs_the_same_step(self):
+        prog = WORKLOADS["basicmath"](scale=0.4)
+        plain = OoOCore(prog, observers=list(make_detectors())).run()
+        profile = enable_stage_profiling()
+        try:
+            core = OoOCore(prog, observers=list(make_detectors()))
+            profiled = core.run()
+        finally:
+            disable_stage_profiling()
+        assert profiled == plain
+        assert profile["cycles"] == profiled.cycles - core.ff_cycles_skipped
+        assert core.ff_cycles_skipped > 0
+        buckets = [
+            "fetch", "rename", "issue", "execute", "commit", "flush",
+            "recovery", "observer", "fast_forward",
+        ]
+        for bucket in buckets:
+            assert profile[bucket] > 0, bucket
+        # Cores built once profiling is off keep the plain methods.
+        assert "step" not in vars(OoOCore(prog))
+
+    def test_profiled_snapshot_driven_injections_match_unprofiled(
+        self, monkeypatch
+    ):
+        """Restores, detaching latched detectors and convergence all run
+        on profiled cores too, and change no result."""
+        prog = WORKLOADS["sha"](scale=0.25)
+        provider = SnapshotProvider(prog, 25)
+        golden = provider.golden
+        plain = [
+            execute_task(task, prog, golden, snapshots=provider)
+            for task in generate_tasks(["sha"], 2, seed=1)
+        ]
+        detached = []
+        detach = OoOCore.detach
+
+        def counting_detach(core, observer):
+            detached.append(observer)
+            detach(core, observer)
+
+        monkeypatch.setattr(OoOCore, "detach", counting_detach)
+        profile = enable_stage_profiling()
+        try:
+            profiled = [
+                run_injection(prog, golden, result.spec, snapshots=provider)
+                for result in plain
+            ]
+        finally:
+            disable_stage_profiling()
+        assert profiled == plain
+        assert all(r.warm_start_cycles_skipped > 0 for r in profiled)
+        assert any(r.early_terminated_cycle is not None for r in profiled)
+        assert detached
+        assert profile["cycles"] > 0 and profile["observer"] > 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.errors import SimulatorAssertion
 from repro.core.rrs.rat import RegisterAliasTable
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
 
@@ -102,19 +101,23 @@ class TestPdstCorruption:
         rat.write(3, 50)
         assert rat.read(3) == 50
 
-    def test_identifier_past_the_register_count_asserts(self):
+    def test_identifier_past_the_register_count_is_written_and_recorded(
+        self,
+    ):
         """At 48 registers a 6-bit mask can name registers 48..63, which
-        do not exist: the write port stops the run before the array
-        changes or any tap sees the write."""
+        do not exist. The write lands and every tap sees it, like any
+        corrupted write, so IDLD can check it in this cycle; the fabric
+        records the identifier, and the core ends the run at the cycle's
+        end (tests/test_config_extremes.py)."""
         fabric = SignalFabric()
         observer = RecordingObserver()
         rat = RegisterAliasTable(8, 48, fabric, [observer])
         rat.reset(list(range(8)))
         fabric.arm_corruption(0, xor_mask=0b100000)
-        with pytest.raises(SimulatorAssertion, match="PdstID 56, outside"):
-            rat.write(2, 24)
-        assert rat.read(2) == 2
-        assert observer.of_kind("rat_write") == []
+        assert rat.write(2, 24) == 56
+        assert rat.read(2) == 56
+        assert observer.of_kind("rat_write") == [("rat_write", 2, 2, 56)]
+        assert fabric.undefined_pdst == 56
 
     def test_identifier_within_the_register_count_is_written(self):
         fabric = SignalFabric()
@@ -123,6 +126,7 @@ class TestPdstCorruption:
         fabric.arm_corruption(0, xor_mask=0b100000)
         assert rat.write(2, 15) == 47
         assert rat.read(2) == 47
+        assert fabric.undefined_pdst is None
 
     def test_zero_mask_rejected(self, setup):
         _, fabric, _ = setup

@@ -637,6 +637,41 @@ def test_pool_jobs_validation():
     ProcessPoolBackend(1)  # the minimum is fine
 
 
+def test_context_runs_injections_through_the_module_runner(
+    tiny_suite, tiny_tasks, clean_campaign, monkeypatch
+):
+    """``ExecutionContext`` has one dispatch: its runner, which defaults to
+    ``run_injection_task``. That runner looks ``execute_task`` up in the
+    backends module at call time, so a wrapper installed there (as
+    perfbench's trace does) sees every task."""
+    context = ExecutionContext(tiny_suite, snapshot_interval=25)
+    assert context.runner is backends.run_injection_task
+    seen = []
+    execute_task = backends.execute_task
+
+    def recording(task, *args, **kwargs):
+        seen.append(task.key)
+        return execute_task(task, *args, **kwargs)
+
+    monkeypatch.setattr(backends, "execute_task", recording)
+    results = [context.execute(task) for task in tiny_tasks]
+    assert results == clean_campaign.results
+    assert seen == [task.key for task in tiny_tasks]
+
+
+def test_chaos_runner_without_a_plan_is_the_injection_runner(
+    tiny_suite, tiny_tasks, clean_campaign
+):
+    """With no ``REPRO_CHAOS_*`` plan, the chaos runner sabotages nothing
+    and returns what the injection runner returns."""
+    context = ExecutionContext(tiny_suite, runner=chaos_runner)
+    results = [context.execute(task) for task in tiny_tasks]
+    assert results == clean_campaign.results
+    assert results == [
+        backends.run_injection_task(task, context) for task in tiny_tasks
+    ]
+
+
 def test_fault_policy_validation():
     with pytest.raises(ValueError):
         FaultPolicy(task_timeout_s=0)

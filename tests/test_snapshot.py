@@ -10,18 +10,26 @@ snapshot intervals and worker counts.
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.bugs.campaign import run_golden, run_injection
 from repro.bugs.injector import draw_spec
-from repro.bugs.models import PRIMARY_MODELS
+from repro.bugs.models import PRIMARY_MODELS, BugModel
 from repro.bugs.snapshot import SnapshotProvider, make_detectors
-from repro.core.config import CoreConfig
+from repro.core.config import (
+    FREE_LIST_DISCIPLINES,
+    RECOVERY_STRATEGIES,
+    CoreConfig,
+)
 from repro.core.cpu import OoOCore
 from repro.core.lsq import PAGE_BITS
 from repro.exec.backends import ProcessPoolBackend
 from repro.exec.engine import run_engine
 from repro.isa.instructions import WORD_MASK
 from repro.workloads import WORKLOADS
+
+from tests.test_config_extremes import EXTREMES
 
 SUITE = sorted(WORKLOADS)
 SCALE = 0.4
@@ -218,6 +226,53 @@ def test_snapshot_every_cycle_equals_off(programs):
         warm = run_injection(prog, golden, spec, snapshots=provider)
         assert warm == cold
         assert warm.warm_start_cycles_skipped == spec.inject_cycle - 1
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    benchmark=st.sampled_from(("sha", "crc32", "bitcount", "basicmath")),
+    scale=st.integers(min_value=1, max_value=10).map(lambda n: n / 20),
+    width=st.sampled_from((1, 2, 4, 8)),
+    discipline=st.sampled_from(FREE_LIST_DISCIPLINES),
+    recovery=st.sampled_from(RECOVERY_STRATEGIES),
+    predictor=st.sampled_from(("gshare", "bimodal")),
+    registers=st.sampled_from(({}, EXTREMES["48-registers"])),
+    model=st.sampled_from(PRIMARY_MODELS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# At 48 registers this corruption drives PdstID 48..63 after the first
+# snapshot: the Assert path runs restored as well as cold.
+@example(
+    benchmark="sha", scale=0.25, width=4, discipline="fifo",
+    recovery="checkpoint", predictor="gshare",
+    registers=EXTREMES["48-registers"],
+    model=BugModel.PDST_CORRUPTION, seed=4,
+)
+def test_snapshot_injection_equals_cold_across_scales_and_design_points(
+    benchmark, scale, width, discipline, recovery, predictor, registers,
+    model, seed,
+):
+    """Cold and snapshot-driven injections agree at random scales and
+    CoreConfig points, including a register count that is not a power of
+    two (so a corruption can name a register that does not exist)."""
+    config = CoreConfig(
+        width=width,
+        free_list_discipline=discipline,
+        recovery_strategy=recovery,
+        predictor_kind=predictor,
+        **registers,
+    )
+    prog = WORKLOADS[benchmark](scale=scale)
+    provider = SnapshotProvider(prog, 25, config=config)
+    golden = provider.golden
+    spec = draw_spec(model, random.Random(seed), golden.cycles, config)
+    cold = run_injection(prog, golden, spec, config)
+    warm = run_injection(prog, golden, spec, config, snapshots=provider)
+    assert warm == cold
 
 
 # -- engine-level: campaigns bit-identical across intervals and jobs ----------

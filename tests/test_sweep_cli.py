@@ -58,9 +58,9 @@ class TestSweepCli:
     def test_writes_nothing_outside_the_checkpoint_dir(
         self, extra, written, tmp_path, monkeypatch, capsys
     ):
-        """The per-cell numbers go to stdout only: no ``BENCH_core.json``
-        or other file lands in the working directory. ``--no-bench`` is
-        still accepted and changes nothing."""
+        """The per-cell numbers go to stdout only: no file lands in the
+        working directory. ``--no-bench`` is still accepted and changes
+        nothing."""
         monkeypatch.chdir(tmp_path)
         assert sweep_main(SMALL + extra) == 0
         assert sorted(os.listdir(tmp_path)) == written
