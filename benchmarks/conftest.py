@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.bugs.campaign import run_campaign
+from repro.exec.engine import run_engine
 from repro.workloads import build_suite
 
 BENCH_RUNS = int(os.environ.get("IDLD_BENCH_RUNS", "6"))
@@ -32,7 +32,7 @@ def figure_suite():
 @pytest.fixture(scope="session")
 def figure_campaign(figure_suite):
     """The one campaign every figure bench reports from."""
-    return run_campaign(
+    return run_engine(
         figure_suite, runs_per_model=BENCH_RUNS, seed=BENCH_SEED
     )
 

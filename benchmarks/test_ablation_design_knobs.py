@@ -12,9 +12,9 @@ Two sweeps on the live simulator:
 
 import random
 
-from repro.bugs.campaign import run_campaign
 from repro.core import CoreConfig, OoOCore
 from repro.bugs.models import BugModel
+from repro.exec.engine import run_engine
 
 from conftest import BENCH_SEED, emit
 
@@ -58,7 +58,7 @@ def test_ablation_predictor_choice(benchmark, figure_suite):
     stats = {}
     for kind in ("gshare", "bimodal"):
         config = CoreConfig(predictor_kind=kind)
-        campaign = run_campaign(
+        campaign = run_engine(
             programs, runs_per_model=5, seed=BENCH_SEED,
             models=(BugModel.PDST_CORRUPTION,), config=config,
         )

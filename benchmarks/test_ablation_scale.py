@@ -7,8 +7,8 @@ directly: masked fractions at two workload scales. Duplication masking
 must fall with scale; corruption masking must not rise.
 """
 
-from repro.bugs.campaign import run_campaign
 from repro.bugs.models import BugModel
+from repro.exec.engine import run_engine
 from repro.workloads import WORKLOADS
 
 from conftest import BENCH_SEED, emit
@@ -18,7 +18,7 @@ BENCHES = ("bitcount", "crc32", "sha", "qsort")
 
 def masked_at_scale(scale, runs=8):
     programs = {name: WORKLOADS[name](scale=scale) for name in BENCHES}
-    campaign = run_campaign(programs, runs_per_model=runs, seed=BENCH_SEED)
+    campaign = run_engine(programs, runs_per_model=runs, seed=BENCH_SEED)
     return {
         model: campaign.masked_fraction(model=model)
         for model in (BugModel.DUPLICATION, BugModel.LEAKAGE,
@@ -27,7 +27,7 @@ def masked_at_scale(scale, runs=8):
 
 
 def test_ablation_masking_vs_scale(benchmark):
-    benchmark(lambda: run_campaign(
+    benchmark(lambda: run_engine(
         {"sha": WORKLOADS["sha"]()}, runs_per_model=2, seed=BENCH_SEED
     ))
 

@@ -11,9 +11,9 @@ zero-idiom elimination and measures:
 * the rigidity of the unadapted BV/counter alternatives (false positives).
 """
 
-from repro.bugs.campaign import run_campaign
 from repro.core import CoreConfig, OoOCore
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
+from repro.exec.engine import run_engine
 from repro.idld import BitVectorScheme, CounterScheme, IDLDChecker
 from repro.workloads.generator import random_program
 
@@ -60,7 +60,7 @@ def test_ablation_zero_idiom_elimination(benchmark):
     mark_latency = checker.first_detection_cycle - armed.fired_cycle
 
     # Primary-model campaign with the optimization on: still 100%.
-    campaign = run_campaign(
+    campaign = run_engine(
         {"zi": program}, runs_per_model=8, seed=BENCH_SEED, config=config
     )
     coverage = campaign.coverage()

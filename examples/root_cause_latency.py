@@ -15,16 +15,16 @@ cycle exactly.
 
 from repro.analysis.buckets import histogram_table
 from repro.analysis.trace import RRSTracer
-from repro.bugs import run_campaign
 from repro.core import OoOCore, SimulationError
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
+from repro.exec.engine import run_engine
 from repro.idld import IDLDChecker
 from repro.workloads import WORKLOADS
 
 
 def main() -> None:
     program = WORKLOADS["dijkstra"](scale=1.5)
-    campaign = run_campaign({"dijkstra": program}, runs_per_model=15, seed=9)
+    campaign = run_engine({"dijkstra": program}, runs_per_model=15, seed=9)
 
     rows = [r for r in campaign.results if r.activated]
     manifest = [

@@ -3,7 +3,6 @@
 from repro.bugs.campaign import (
     CampaignResult,
     InjectionResult,
-    run_campaign,
     run_golden,
     run_injection,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "run_with_at_rest_fault",
     "classify_run",
     "draw_spec",
-    "run_campaign",
     "run_golden",
     "run_injection",
     "timeout_budget",

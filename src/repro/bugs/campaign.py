@@ -19,13 +19,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.classify import classify_run, timeout_budget
 from repro.bugs.differential import Reconvergence, converged, relabelled
 from repro.bugs.injector import arm
-from repro.bugs.models import BugModel, BugSpec, PRIMARY_MODELS
+from repro.bugs.models import BugModel, BugSpec
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore, RunResult
 from repro.core.errors import SimulationError
@@ -266,7 +266,13 @@ def _run_until_converged(
                 core.detach(detector)
         attached = [d for d in attached if d.first_detection_cycle is None]
         cycle = core.cycle
-        if fabric.any_armed or cycle < skip_deep_until:
+        # A pending undefined PdstID ends the run as Assert when its
+        # recovery flow ends, whatever the state looks like before that.
+        if (
+            fabric.any_armed
+            or fabric.undefined_pdst is not None
+            or cycle < skip_deep_until
+        ):
             continue
         reference = fingerprints.get(cycle)
         if reference is None:
@@ -431,47 +437,3 @@ class CampaignResult:
                 out.append(latency)
         return out
 
-
-def run_campaign(
-    programs: Dict[str, Program],
-    runs_per_model: int,
-    models: Iterable[BugModel] = PRIMARY_MODELS,
-    seed: int = 1,
-    config: Optional[CoreConfig] = None,
-    max_attempts: int = 6,
-    snapshot_interval: int = 0,
-) -> CampaignResult:
-    """Run a full injection campaign (serially; see :mod:`repro.exec`).
-
-    This is a thin façade over the task engine: each injection draws from
-    a task-local seed derived from ``seed`` by stable hash, so the result
-    is bit-identical to the same campaign run on any parallel backend.
-
-    Args:
-        programs: benchmark name -> program.
-        runs_per_model: Injections per (benchmark, model) pair.
-        models: Bug models to exercise (the paper's three by default).
-        seed: Master seed; every draw derives from it deterministically.
-        config: Core configuration (paper defaults when None).
-        max_attempts: Redraws allowed until an injection actually fires
-            (an armed signal nobody exercises has no effect); must be >= 1.
-        snapshot_interval: Golden snapshot period in cycles; 0 runs every
-            injection cold, from power-on to the end. Any value yields
-            bit-identical campaign results — it is purely a throughput
-            knob (warm starts and convergence-terminated suffixes, see
-            :mod:`repro.bugs.differential`).
-
-    Returns:
-        The populated :class:`CampaignResult`.
-    """
-    from repro.exec.engine import run_engine  # local: exec imports this module
-
-    return run_engine(
-        programs,
-        runs_per_model,
-        models=models,
-        seed=seed,
-        config=config,
-        max_attempts=max_attempts,
-        snapshot_interval=snapshot_interval,
-    )

@@ -40,6 +40,11 @@ from repro.idld.checker import IDLDChecker
 from repro.idld.counter import CounterScheme
 from repro.isa.program import Program
 
+#: The golden snapshot period, in cycles, of every campaign. Results do
+#: not depend on it; it sets only how far a restore lands from an inject
+#: cycle and how often a suffix is checked for re-convergence.
+SNAPSHOT_INTERVAL = 250
+
 
 class CoreSnapshot:
     """One captured machine state: core + the three attached detectors."""
@@ -129,7 +134,8 @@ class SnapshotProvider:
         golden: The bug-free :class:`RunResult` of the instrumented run —
             bit-identical to :func:`repro.bugs.campaign.run_golden` because
             the detectors are pure observers.
-        interval: Capture period in cycles (must be >= 1).
+        interval: Capture period in cycles (must be >= 1;
+            :data:`SNAPSHOT_INTERVAL` by default).
         delta: The golden :class:`~repro.bugs.differential.DeltaTrace`:
             per-snapshot fingerprints, persistence and detector silence.
     """
@@ -137,7 +143,7 @@ class SnapshotProvider:
     def __init__(
         self,
         program: Program,
-        interval: int,
+        interval: int = SNAPSHOT_INTERVAL,
         config: Optional[CoreConfig] = None,
         max_cycles: int = 2_000_000,
     ) -> None:

@@ -87,23 +87,6 @@ def add_workload_args(
     )
 
 
-def add_snapshot_interval_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=250,
-        metavar="K",
-        help=(
-            "golden-run snapshot period in cycles: each injection restores "
-            "the nearest snapshot before its inject cycle and stops at "
-            "provable re-convergence with the golden run, checked at every "
-            "snapshot cycle; 0 runs every injection cold, from power-on to "
-            "the end. Purely a throughput knob: results are bit-identical "
-            "for any K [%(default)s]"
-        ),
-    )
-
-
 def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     """``--checkpoint``/``--resume``: the run's sealed JSONL log."""
     parser.add_argument(
@@ -198,9 +181,6 @@ def run_args_error(args: argparse.Namespace) -> Optional[str]:
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         return f"--jobs must be >= 1, got {jobs}"
-    interval = getattr(args, "snapshot_interval", 0)
-    if interval < 0:
-        return f"--snapshot-interval must be >= 0, got {interval}"
     if getattr(args, "checkpoint", None) and getattr(args, "resume", None):
         return (
             "--checkpoint and --resume are mutually exclusive "
@@ -294,7 +274,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     add_workload_args(parser, runs=20)
     add_seed_arg(parser)
     add_jobs_arg(parser)
-    add_snapshot_interval_arg(parser)
     parser.add_argument(
         "--figures",
         default="3,4,5,8,9,10,table2",
@@ -431,7 +410,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             checkpoint_path=args.resume or args.checkpoint,
             resume=args.resume is not None,
             observers=progress_observers(args),
-            snapshot_interval=args.snapshot_interval,
             checkpoint_fsync=args.checkpoint_fsync,
             shutdown=shutdown,
         )

@@ -652,14 +652,24 @@ class OoOCore:
                 hook(cycle)
         for hook in self._on_cycle_end:
             hook(cycle)
-        if fabric.undefined_pdst is not None:
+        if fabric.undefined_pdst is not None and self.recovery is None:
             # A corrupted RAT write named a register that does not exist.
             # The cycle-end hooks (IDLD's check among them) have seen this
             # cycle; no hardware behaviour is defined past it, so the run
-            # ends here, before run_cycles can fast-forward.
+            # ends here, before run_cycles can fast-forward. A write inside
+            # a recovery flow ends the run when the flow ends instead
+            # (RecoveryStrategy._finish), after IDLD's flow-end check.
+            self.assert_defined_pdst()
+
+    def assert_defined_pdst(self) -> None:
+        """Raise the *Assert* outcome if a RAT write drove a PdstID that
+        names no physical register (see
+        :attr:`~repro.core.rrs.signals.SignalFabric.undefined_pdst`)."""
+        driven = self.fabric.undefined_pdst
+        if driven is not None:
             raise SimulatorAssertion(
-                cycle,
-                f"RAT write port drove PdstID {fabric.undefined_pdst}, "
+                self.cycle,
+                f"RAT write port drove PdstID {driven}, "
                 f"outside 0..{self.config.num_physical_regs - 1}",
             )
 

@@ -108,6 +108,9 @@ class RecoveryStrategy:
         core.recovery = None
         for hook in core._on_recovery_end:
             hook(core.cycle)
+        # An undefined PdstID written during the flow ends the run now,
+        # after IDLD's flow-end check and before any later stage runs.
+        core.assert_defined_pdst()
 
 
 class CheckpointRecovery(RecoveryStrategy):

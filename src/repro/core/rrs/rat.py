@@ -81,7 +81,8 @@ class RegisterAliasTable:
         register count is not a power of two). That write lands and fires
         its taps like any other, and is recorded as the fabric's
         :attr:`~repro.core.rrs.signals.SignalFabric.undefined_pdst` for
-        the core to end the run at the end of the cycle.
+        the core to end the run at the end of the cycle (or of the
+        recovery flow that made the write).
         """
         fabric = self._fabric
         if not fabric.hot:

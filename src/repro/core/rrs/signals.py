@@ -122,7 +122,8 @@ class ArmedCorruption:
     otherwise it may be P or more. Such a write still lands and reaches
     every tap, and the core raises
     :class:`~repro.core.errors.SimulatorAssertion` (the *Assert* outcome)
-    at the end of that cycle (see :attr:`SignalFabric.undefined_pdst`).
+    at the end of that cycle, or at the end of the recovery flow that made
+    the write (see :attr:`SignalFabric.undefined_pdst`).
     """
 
     from_cycle: int
@@ -158,8 +159,10 @@ class SignalFabric:
         self.hot = False
         #: An identifier the RAT write port drove that names no physical
         #: register, or None. The core raises SimulatorAssertion at the end
-        #: of the cycle that sets it, after the cycle-end hooks, so it is
-        #: None between cycles and no snapshot holds it.
+        #: of the cycle that sets it, after the cycle-end hooks, or, for a
+        #: write inside a recovery flow, when that flow ends, after the
+        #: recovery_end hooks. A golden run never sets it, so no snapshot
+        #: holds it.
         self.undefined_pdst: Optional[int] = None
 
     def _refresh_hot(self) -> None:

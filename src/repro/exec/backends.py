@@ -43,11 +43,11 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    TYPE_CHECKING,
     Union,
 )
 
-from repro.bugs.campaign import InjectionResult, run_golden
+from repro.bugs.campaign import InjectionResult
+from repro.bugs.snapshot import SnapshotProvider
 from repro.exec.durability import GracefulShutdown
 from repro.exec.resilience import (
     FAIL_FAST,
@@ -59,9 +59,6 @@ from repro.exec.resilience import (
     failure_from_exception,
     timeout_failure,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.bugs.snapshot import SnapshotProvider
 from repro.core.config import CoreConfig
 from repro.core.cpu import RunResult
 from repro.exec.tasks import InjectionTask, execute_task
@@ -80,8 +77,9 @@ TaskOutcome = Union[InjectionResult, TaskFailure]
 def run_injection_task(
     task: InjectionTask, context: "ExecutionContext"
 ) -> InjectionResult:
-    """The injection runner: ``task`` against the context's cached golden
-    run and snapshot provider, under the current task's deadline."""
+    """The injection runner: ``task`` against the context's cached
+    snapshot provider and its golden run, under the current task's
+    deadline."""
     return execute_task(
         task,
         context.programs[task.benchmark],
@@ -98,17 +96,18 @@ class ExecutionContext:
 
     ``runner`` makes the backends task-agnostic: every task is dispatched
     to it. The default, :func:`run_injection_task`, runs injection tasks
-    with per-worker golden caching; the fuzzer passes
+    from golden snapshots; the fuzzer passes
     :func:`repro.fuzz.engine.run_fuzz_task`.
 
-    ``snapshot_interval`` > 0 enables snapshot-driven injection: each
-    worker lazily builds one :class:`~repro.bugs.snapshot.SnapshotProvider`
-    per benchmark (an instrumented golden run capturing machine snapshots
-    and the golden delta trace every that-many cycles); injections resume
-    from the nearest snapshot instead of power-on and stop once they
-    re-converge with the golden run. The provider's golden doubles as the
-    cached reference run, so the provider replaces — not adds to — the
-    per-worker golden cost. Results are bit-identical for any interval.
+    Each worker lazily builds one
+    :class:`~repro.bugs.snapshot.SnapshotProvider` per benchmark, at
+    :data:`~repro.bugs.snapshot.SNAPSHOT_INTERVAL`: an instrumented golden
+    run that captures machine snapshots and the golden delta trace.
+    Injections resume from the nearest snapshot instead of power-on and
+    stop once they re-converge with the golden run. The provider's golden
+    is the reference run, so a benchmark costs a worker one golden run.
+    The cold run (:func:`~repro.exec.tasks.execute_task` with no provider)
+    is the oracle these results are checked against.
 
     ``task_timeout_s`` is the cooperative per-task wall-clock budget: at
     each :meth:`execute` an absolute deadline is computed and threaded into
@@ -126,11 +125,9 @@ class ExecutionContext:
     programs: Dict[str, Program]
     config: Optional[CoreConfig] = None
     runner: TaskRunner = run_injection_task
-    snapshot_interval: int = 0
     task_timeout_s: Optional[float] = None
     shutdown: Optional[GracefulShutdown] = None
-    _goldens: Dict[str, RunResult] = field(default_factory=dict)
-    _snapshots: Dict[str, "SnapshotProvider"] = field(default_factory=dict)
+    _snapshots: Dict[str, SnapshotProvider] = field(default_factory=dict)
     _deadline: Optional[float] = field(default=None, repr=False)
 
     @property
@@ -140,27 +137,14 @@ class ExecutionContext:
         return self._deadline
 
     def golden(self, benchmark: str) -> RunResult:
-        """The (cached) bug-free reference run for ``benchmark``."""
-        if benchmark not in self._goldens:
-            if self.snapshot_interval > 0:
-                self._goldens[benchmark] = self.snapshots(benchmark).golden
-            else:
-                self._goldens[benchmark] = run_golden(
-                    self.programs[benchmark], self.config
-                )
-        return self._goldens[benchmark]
+        """The bug-free reference run for ``benchmark``: its provider's."""
+        return self.snapshots(benchmark).golden
 
-    def snapshots(self, benchmark: str) -> Optional["SnapshotProvider"]:
-        """The (cached) snapshot provider, or None when snapshots are off."""
-        if self.snapshot_interval <= 0:
-            return None
+    def snapshots(self, benchmark: str) -> SnapshotProvider:
+        """The (cached) snapshot provider for ``benchmark``."""
         if benchmark not in self._snapshots:
-            from repro.bugs.snapshot import SnapshotProvider
-
             self._snapshots[benchmark] = SnapshotProvider(
-                self.programs[benchmark],
-                self.snapshot_interval,
-                config=self.config,
+                self.programs[benchmark], config=self.config
             )
         return self._snapshots[benchmark]
 
@@ -246,7 +230,6 @@ def _worker_main(
     programs: Dict[str, Program],
     config: Optional[CoreConfig],
     runner: TaskRunner,
-    snapshot_interval: int,
     task_timeout_s: Optional[float],
 ) -> None:
     """A pool worker: run each task the parent sends, reply on ``conn``.
@@ -264,7 +247,6 @@ def _worker_main(
         programs=programs,
         config=config,
         runner=runner,
-        snapshot_interval=snapshot_interval,
         task_timeout_s=task_timeout_s,
     )
     while True:
@@ -360,7 +342,6 @@ class ProcessPoolBackend:
             context.programs,
             context.config,
             context.runner,
-            context.snapshot_interval,
             policy.task_timeout_s,
         )
         workers: List[_Worker] = []

@@ -1,12 +1,16 @@
 """The run driver both engines share (:class:`RunDriver`), and the
 campaign engine on it.
 
-:func:`run_engine` is the one execution path behind both
-:func:`repro.bugs.campaign.run_campaign` and the ``idld-campaign`` CLI. It
+:func:`run_engine` is the one library call that runs a campaign, and the
+``idld-campaign`` CLI and ``repro sweep`` run theirs through it. It
 generates the canonical task list, streams the tasks a resume checkpoint
 does not already hold through the chosen backend, and finally assembles a
 :class:`~repro.bugs.campaign.CampaignResult` in task order — making the
-campaign independent of backend, worker count, and interruptions.
+campaign independent of backend, worker count, and interruptions. Every
+injection restores the nearest golden snapshot and stops at provable
+re-convergence (:mod:`repro.bugs.snapshot`); the cold run,
+:func:`~repro.exec.tasks.execute_task` with no provider, is the oracle the
+tests hold it to.
 
 Fault tolerance: every backend runs under a
 :class:`~repro.exec.resilience.FaultPolicy` and yields a structured
@@ -177,7 +181,6 @@ def run_engine(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     observers: Sequence[ProgressObserver] = (),
-    snapshot_interval: int = 0,
     checkpoint_fsync: bool = False,
     task_runner: TaskRunner = run_injection_task,
     shutdown: Optional[GracefulShutdown] = None,
@@ -205,12 +208,6 @@ def run_engine(
             tasks *and* its quarantined tasks; the file keeps growing in
             place.
         observers: Progress-event callables (see :mod:`repro.exec.progress`).
-        snapshot_interval: Golden snapshot period in cycles; 0 runs every
-            injection cold. Snapshots serve both warm starts and
-            convergence-terminated suffixes (:mod:`repro.bugs.differential`).
-            Purely a throughput knob — results (and checkpoints) are
-            bit-identical for any value, which is why it is deliberately
-            NOT part of the checkpoint manifest identity.
         checkpoint_fsync: ``os.fsync`` every checkpoint record (survives
             hard machine kills, not just process kills) at an I/O cost.
         task_runner: The per-task execution function (see
@@ -236,7 +233,6 @@ def run_engine(
         programs=programs,
         config=config,
         runner=task_runner,
-        snapshot_interval=snapshot_interval,
         shutdown=shutdown,
     )
     goldens = {name: context.golden(name) for name in programs}

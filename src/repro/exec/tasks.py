@@ -119,13 +119,14 @@ def execute_task(
     """Execute one task: draw from its private stream until activation.
 
     Pure with respect to the task — no shared RNG, no global state — so
-    backends may run tasks in any order or process. ``snapshots`` is a
-    throughput-only knob: snapshot-driven and cold attempts produce
-    bit-identical results, so it never joins the task's identity.
-    ``deadline`` (absolute
-    ``time.monotonic()``) is the whole-task wall-clock budget shared by
-    all redraw attempts; expiry raises
-    :class:`~repro.core.errors.DeadlineExceeded` to the execution layer.
+    backends may run tasks in any order or process. Campaigns pass the
+    benchmark's ``snapshots`` provider; with None each attempt is the cold
+    run, from power-on to the end, which is the oracle the
+    snapshot-driven results must equal (so the provider never joins the
+    task's identity). ``deadline`` (absolute ``time.monotonic()``) is the
+    whole-task wall-clock budget shared by all redraw attempts; expiry
+    raises :class:`~repro.core.errors.DeadlineExceeded` to the execution
+    layer.
     """
     from repro.bugs.campaign import run_injection
     from repro.bugs.injector import draw_attempts

@@ -34,7 +34,6 @@ from repro.cli import (
     add_fault_args,
     add_jobs_arg,
     add_seed_arg,
-    add_snapshot_interval_arg,
     add_workload_args,
     policy_from_args,
     print_quarantine,
@@ -91,7 +90,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     add_workload_args(parser, runs=4, benchmarks="crc32,qsort")
     add_seed_arg(parser)
     add_jobs_arg(parser)
-    add_snapshot_interval_arg(parser)
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -260,7 +258,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 backend=make_backend(args.jobs, policy),
                 checkpoint_path=checkpoint_path,
                 resume=resume,
-                snapshot_interval=args.snapshot_interval,
                 checkpoint_fsync=args.checkpoint_fsync,
                 shutdown=shutdown,
             )

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bugs.campaign import run_campaign, run_golden
+from repro.bugs.campaign import run_golden
 from repro.core.config import CoreConfig
+from repro.exec.engine import run_engine
 from repro.workloads import build_suite
 
 #: Benchmarks used by the expensive integration fixtures (fast subset).
@@ -32,8 +33,8 @@ def goldens(suite):
 
 @pytest.fixture(scope="session")
 def small_campaign(fast_suite):
-    """One shared injection campaign (kept small; ~1 minute)."""
-    return run_campaign(fast_suite, runs_per_model=8, seed=1234)
+    """One shared injection campaign, run from snapshots."""
+    return run_engine(fast_suite, runs_per_model=8, seed=1234)
 
 
 @pytest.fixture()

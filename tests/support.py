@@ -2,7 +2,32 @@
 
 from __future__ import annotations
 
+from repro.bugs.campaign import CampaignResult, run_golden
+from repro.bugs.models import PRIMARY_MODELS
 from repro.core.rrs.ports import RRSObserver
+from repro.exec.tasks import execute_task, generate_tasks
+
+
+def cold_campaign(
+    programs, runs_per_model, models=PRIMARY_MODELS, seed=1, config=None,
+    max_attempts=6,
+) -> CampaignResult:
+    """The cold oracle of ``run_engine``: the same task list, each task run
+    from power-on to the end against ``run_golden``, with no snapshot."""
+    goldens = {
+        name: run_golden(program, config) for name, program in programs.items()
+    }
+    tasks = generate_tasks(
+        list(programs), runs_per_model, list(models), seed, max_attempts
+    )
+    campaign = CampaignResult(goldens=goldens)
+    campaign.results = [
+        execute_task(
+            task, programs[task.benchmark], goldens[task.benchmark], config
+        )
+        for task in tasks
+    ]
+    return campaign
 
 
 class RecordingObserver(RRSObserver):

@@ -10,12 +10,12 @@ longer bit-identical to published results.
 import hashlib
 import json
 
-from repro.bugs.campaign import run_campaign
 from repro.core import OoOCore
 from repro.exec.checkpoint import result_to_dict
+from repro.exec.engine import run_engine
 from repro.workloads import WORKLOADS
 
-from tests.support import RecordingObserver
+from tests.support import RecordingObserver, cold_campaign
 from tests.test_recovery_flows import mispredicting_program
 
 #: blake2b-8 of repr(RecordingObserver.events) for the default core on
@@ -23,7 +23,9 @@ from tests.test_recovery_flows import mispredicting_program
 CORE_EVENT_DIGEST = "fce5b8dd0c84ca80"
 
 #: blake2b-8 of the sorted-JSON campaign results (wall-clock stripped)
-#: for run_campaign(crc32 @ scale 0.25, runs_per_model=2, seed=7).
+#: for the cold oracle of crc32 @ scale 0.25, runs_per_model=2, seed=7.
+#: The payload keeps warm_start_cycles_skipped, which is 0 only on the
+#: cold run, so the digest is taken there.
 CAMPAIGN_DIGEST = "403626086dc275d1"
 
 
@@ -45,12 +47,10 @@ class TestDefaultCoreUnchanged:
 
 class TestDefaultCampaignUnchanged:
     def test_campaign_result_digest(self):
-        campaign = run_campaign(
-            {"crc32": WORKLOADS["crc32"](scale=0.25)},
-            runs_per_model=2,
-            seed=7,
-        )
+        programs = {"crc32": WORKLOADS["crc32"](scale=0.25)}
+        campaign = cold_campaign(programs, runs_per_model=2, seed=7)
         assert len(campaign.results) == 6
+        assert run_engine(programs, 2, seed=7).results == campaign.results
         records = []
         for result in campaign.results:
             record = result_to_dict(result)

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.analysis.outcomes import OutcomeClass
-from repro.bugs.campaign import run_campaign, run_golden, run_injection
+from repro.bugs.campaign import run_golden, run_injection
 from repro.bugs.models import BugModel, BugSpec, PRIMARY_MODELS
 from repro.bugs.snapshot import SnapshotProvider
 from repro.core.rrs.signals import ArrayName, SignalKind
+from repro.exec.engine import run_engine
 
 
 class TestGolden:
@@ -70,8 +71,8 @@ class TestCampaign:
 
     def test_campaign_deterministic(self, fast_suite):
         sub = {"sha": fast_suite["sha"]}
-        a = run_campaign(sub, runs_per_model=3, seed=77)
-        b = run_campaign(sub, runs_per_model=3, seed=77)
+        a = run_engine(sub, runs_per_model=3, seed=77)
+        b = run_engine(sub, runs_per_model=3, seed=77)
         assert [r.outcome for r in a.results] == [r.outcome for r in b.results]
         assert [r.spec for r in a.results] == [r.spec for r in b.results]
 

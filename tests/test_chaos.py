@@ -50,7 +50,6 @@ BENCHMARK = "bitcount"
 SCALE = 0.25
 RUNS = 6  # 6 runs x 3 models x 1 benchmark = 18 tasks
 SEED = 1
-SNAPSHOT_INTERVAL = 100
 
 #: The repository root: the mid-run child imports this module from it.
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -124,7 +123,7 @@ def test_torn_append_is_flagged_repaired_and_resumed(
             sys.executable, "-m", "repro", "campaign",
             "--runs", str(RUNS), "--benchmarks", BENCHMARK,
             "--scale", str(SCALE), "--seed", str(SEED),
-            "--checkpoint", path, "--snapshot-interval", "0",
+            "--checkpoint", path,
             "--no-progress", "--figures", "3",
         ],
         env=dict(clean_env, **{ENV_TORN_APPEND: tasks[2].key}),
@@ -171,7 +170,6 @@ def snapshot_campaign(path: str) -> None:
         backend=SerialBackend(),
         checkpoint_path=path,
         resume=os.path.exists(path),
-        snapshot_interval=SNAPSHOT_INTERVAL,
         task_runner=chaos_runner,
     )
 

@@ -169,7 +169,6 @@ def test_from_checkpoint_missing_file_clean_error(capsys):
     "flag, value",
     [
         ("--jobs", "0"),
-        ("--snapshot-interval", "-1"),
         ("--runs", "-1"),
         ("--export-csv", "missing/out.csv"),
         ("--export-json", "missing/out.json"),
@@ -217,6 +216,19 @@ def test_batch_size_is_an_unrecognized_argument(command, flag, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
+def test_retired_snapshot_interval_flag_is_refused(command, capsys):
+    """Every campaign restores from golden snapshots, so there is no
+    snapshot period to choose and no cold campaign to ask for."""
+    from repro.cli import repro_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        repro_main([command, "--snapshot-interval", "0"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --snapshot-interval 0" in err
+
+
 def test_parallel_campaign_with_checkpoint(tmp_path, capsys):
     path = str(tmp_path / "run.jsonl")
     code = main([
@@ -258,7 +270,7 @@ def test_run_flag_defaults_are_pinned():
     assert vars(campaign_args([])) == dict(
         FAULT_DEFAULTS,
         runs=20, scale=1.0, benchmarks="all", seed=1, jobs=1,
-        snapshot_interval=250, figures="3,4,5,8,9,10,table2",
+        figures="3,4,5,8,9,10,table2",
         checkpoint=None, resume=None, from_checkpoint=None, progress=None,
         export_csv=None, export_json=None,
     )
@@ -267,7 +279,7 @@ def test_run_flag_defaults_are_pinned():
         widths="1,2,4,8", disciplines="fifo,stack",
         recoveries="checkpoint,rob-walk,checkpoint-free",
         runs=4, scale=1.0, benchmarks="crc32,qsort", seed=1, jobs=1,
-        snapshot_interval=250, checkpoint_dir=None,
+        checkpoint_dir=None,
         resume=False, no_bench=False,
     )
     assert vars(fuzz_args([])) == dict(
@@ -304,14 +316,12 @@ RUN_FLAG_BOUNDS = [
     # (command, flag, refused, accepted)
     ("campaign", "--runs", "-1", "0"),
     ("campaign", "--jobs", "0", "1"),
-    ("campaign", "--snapshot-interval", "-1", "0"),
     ("campaign", "--max-task-retries", "-1", "0"),
     ("campaign", "--task-timeout", "0", "0.5"),
     ("campaign", "--export-csv", "missing/out.csv", "out.csv"),
     ("campaign", "--export-json", "missing/out.json", "out.json"),
     ("sweep", "--runs", "-1", "0"),
     ("sweep", "--jobs", "0", "1"),
-    ("sweep", "--snapshot-interval", "-1", "0"),
     ("sweep", "--max-task-retries", "-1", "0"),
     ("sweep", "--task-timeout", "0", "0.5"),
     ("fuzz", "--jobs", "0", "1"),
@@ -333,8 +343,8 @@ def test_run_flag_bound_accepts_the_legal_side(
 
 
 #: The refusals no other test runs: campaign's other flags are in
-#: test_invalid_jobs_rejected above, and sweep's --runs and
-#: --snapshot-interval in tests/test_sweep_cli.py.
+#: test_invalid_jobs_rejected above, and sweep's --runs in
+#: tests/test_sweep_cli.py.
 REFUSED_RUN_FLAGS = [
     ("campaign", ["--max-task-retries", "-1"]),
     ("campaign", ["--task-timeout", "0"]),

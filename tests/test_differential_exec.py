@@ -10,7 +10,8 @@ spec. These tests pin that at three levels:
   discipline x recovery strategy) on one benchmark, asserting outcome
   classification, detector verdicts and latency stats cell by cell,
 * whole engine campaigns: snapshot-driven execution, serial and on a
-  worker pool, stays bit-identical to a cold ``--jobs 1`` campaign.
+  worker pool, stays bit-identical to the cold oracle
+  (``tests.support.cold_campaign``).
 
 ``InjectionResult`` equality covers every simulation-outcome field —
 outcome class, activation/manifestation/final cycles, persistence, the
@@ -37,6 +38,8 @@ from repro.core.config import (
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.engine import run_engine
 from repro.workloads import WORKLOADS
+
+from tests.support import cold_campaign
 
 SUITE = sorted(WORKLOADS)
 SCALE = 0.4
@@ -149,24 +152,16 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
 
 
 def test_engine_snapshot_jobs_identical_to_cold(programs):
-    """Snapshot-driven serial and pooled campaigns == cold campaigns."""
+    """Snapshot-driven serial and pooled campaigns == the cold oracle."""
     subset = {name: programs[name] for name in ("bitcount", "crc32")}
-    base = run_engine(subset, 2, seed=9)
+    base = cold_campaign(subset, 2, seed=9)
 
-    serial = run_engine(
-        subset,
-        2,
-        seed=9,
-        snapshot_interval=INTERVAL,
-        backend=SerialBackend(),
-    )
+    serial = run_engine(subset, 2, seed=9, backend=SerialBackend())
     assert serial.results == base.results
+    assert any(r.warm_start_cycles_skipped > 0 for r in serial.results)
+    assert any(r.early_terminated_cycle is not None for r in serial.results)
 
     pooled = run_engine(
-        subset,
-        2,
-        seed=9,
-        snapshot_interval=INTERVAL,
-        backend=ProcessPoolBackend(jobs=2),
+        subset, 2, seed=9, backend=ProcessPoolBackend(jobs=2)
     )
     assert pooled.results == base.results

@@ -15,7 +15,7 @@ from repro.analysis.export import (
     to_json,
 )
 from repro.analysis.outcomes import OutcomeClass
-from repro.bugs.campaign import CampaignResult, InjectionResult, run_campaign
+from repro.bugs.campaign import CampaignResult, InjectionResult
 from repro.bugs.models import BugModel, BugSpec, PRIMARY_MODELS
 from repro.core.rrs.signals import ArrayName, SignalKind
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
@@ -79,9 +79,9 @@ class TestTaskGeneration:
         with pytest.raises(ValueError, match="max_attempts"):
             generate_tasks(["a"], 1, PRIMARY_MODELS, seed=1, max_attempts=0)
 
-    def test_run_campaign_guards_max_attempts(self, sha_only):
+    def test_run_engine_guards_max_attempts(self, sha_only):
         with pytest.raises(ValueError, match="max_attempts"):
-            run_campaign(sha_only, runs_per_model=1, max_attempts=0)
+            run_engine(sha_only, runs_per_model=1, max_attempts=0)
 
 
 class TestBackendDeterminism:
@@ -97,11 +97,6 @@ class TestBackendDeterminism:
             )
         ]
         assert csvs[0] == csvs[1] == csvs[2]
-
-    def test_engine_matches_run_campaign(self, sha_only):
-        facade = run_campaign(sha_only, runs_per_model=2, seed=55)
-        direct = run_engine(sha_only, 2, seed=55)
-        assert to_csv(facade) == to_csv(direct)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):

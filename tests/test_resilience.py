@@ -644,7 +644,7 @@ def test_context_runs_injections_through_the_module_runner(
     ``run_injection_task``. That runner looks ``execute_task`` up in the
     backends module at call time, so a wrapper installed there (as
     perfbench's trace does) sees every task."""
-    context = ExecutionContext(tiny_suite, snapshot_interval=25)
+    context = ExecutionContext(tiny_suite)
     assert context.runner is backends.run_injection_task
     seen = []
     execute_task = backends.execute_task

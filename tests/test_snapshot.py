@@ -3,8 +3,8 @@
 The whole optimization rests on one property: a snapshot-driven injection
 run is *bit-identical* to the cold run of the same spec. These tests assert it
 at three levels — raw core save/restore, single injections across every
-suite benchmark and primary bug model, and whole engine campaigns across
-snapshot intervals and worker counts.
+suite benchmark and primary bug model, and whole engine campaigns, serial
+and pooled, against the cold oracle (``tests.support.cold_campaign``).
 """
 
 import random
@@ -13,10 +13,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.export import to_csv, to_json
 from repro.bugs.campaign import run_golden, run_injection
 from repro.bugs.injector import draw_spec
 from repro.bugs.models import PRIMARY_MODELS, BugModel
-from repro.bugs.snapshot import SnapshotProvider, make_detectors
+from repro.bugs.snapshot import (
+    SNAPSHOT_INTERVAL,
+    SnapshotProvider,
+    make_detectors,
+)
 from repro.core.config import (
     FREE_LIST_DISCIPLINES,
     RECOVERY_STRATEGIES,
@@ -24,11 +29,13 @@ from repro.core.config import (
 )
 from repro.core.cpu import OoOCore
 from repro.core.lsq import PAGE_BITS
-from repro.exec.backends import ProcessPoolBackend
+from repro.exec.backends import ExecutionContext, ProcessPoolBackend
 from repro.exec.engine import run_engine
+from repro.exec.tasks import execute_task, generate_tasks
 from repro.isa.instructions import WORD_MASK
 from repro.workloads import WORKLOADS
 
+from tests.support import cold_campaign
 from tests.test_config_extremes import EXTREMES
 
 SUITE = sorted(WORKLOADS)
@@ -89,6 +96,18 @@ def test_provider_golden_matches_plain_golden(programs):
     provider = SnapshotProvider(prog, 20)
     assert _canon(provider.golden) == _canon(run_golden(prog))
     assert provider.count > 0
+
+
+def test_every_campaign_snapshots_at_the_one_campaign_period(programs):
+    """A campaign's provider is built once per benchmark, at
+    SNAPSHOT_INTERVAL, and its golden is the plain golden run."""
+    prog = programs["sha"]
+    context = ExecutionContext({"sha": prog})
+    provider = context.snapshots("sha")
+    assert SNAPSHOT_INTERVAL == 250
+    assert provider.interval == SNAPSHOT_INTERVAL
+    assert context.snapshots("sha") is provider
+    assert _canon(context.golden("sha")) == _canon(run_golden(prog))
 
 
 def test_provider_matches_lockstep_golden(programs):
@@ -275,20 +294,71 @@ def test_snapshot_injection_equals_cold_across_scales_and_design_points(
     assert warm == cold
 
 
-# -- engine-level: campaigns bit-identical across intervals and jobs ----------
+# -- engine-level: campaigns equal the cold oracle ---------------------------
+
+
+def _shows_both_shortcuts(results):
+    """At least one result restored a snapshot and one ended early, so an
+    equality with the cold oracle is not vacuous."""
+    return any(r.warm_start_cycles_skipped > 0 for r in results) and any(
+        r.early_terminated_cycle is not None for r in results
+    )
 
 
 def test_engine_campaigns_identical_across_intervals_and_jobs(programs):
+    """``run_engine`` (snapshots every SNAPSHOT_INTERVAL cycles), serial
+    and on two workers, and the same tasks from snapshots every 25 cycles
+    all equal the cold oracle."""
     subset = {name: programs[name] for name in ("qsort", "dijkstra")}
-    base = run_engine(subset, 2, seed=5)
-    for interval in (25, 250):
-        again = run_engine(subset, 2, seed=5, snapshot_interval=interval)
-        assert again.results == base.results
+    cold = cold_campaign(subset, 2, seed=5)
+    serial = run_engine(subset, 2, seed=5)
+    assert serial.results == cold.results
+    assert _shows_both_shortcuts(serial.results)
     pooled = run_engine(
-        subset,
-        2,
-        seed=5,
-        snapshot_interval=25,
-        backend=ProcessPoolBackend(jobs=2),
+        subset, 2, seed=5, backend=ProcessPoolBackend(jobs=2)
     )
-    assert pooled.results == base.results
+    assert pooled.results == cold.results
+    providers = {
+        name: SnapshotProvider(program, 25)
+        for name, program in subset.items()
+    }
+    fine = [
+        execute_task(
+            task,
+            subset[task.benchmark],
+            providers[task.benchmark].golden,
+            snapshots=providers[task.benchmark],
+        )
+        for task in generate_tasks(list(subset), 2, PRIMARY_MODELS, 5)
+    ]
+    assert fine == cold.results
+    assert _shows_both_shortcuts(fine)
+
+
+#: Two campaigns whose exports must not move by a byte between the cold
+#: oracle and snapshots on two workers: all ten benchmarks at half scale,
+#: and three whose leaks end by convergence up to identifier relabelling.
+EXPORT_CAMPAIGNS = {
+    "all-ten": dict(seed=1, runs=2, scale=0.5, benchmarks=list(WORKLOADS)),
+    "relabelling": dict(
+        seed=1000, runs=4, scale=1.0,
+        benchmarks=["basicmath", "qsort", "susan"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXPORT_CAMPAIGNS)
+def test_pooled_exports_equal_the_cold_oracle_byte_for_byte(name):
+    campaign = EXPORT_CAMPAIGNS[name]
+    programs = {
+        bench: WORKLOADS[bench](scale=campaign["scale"])
+        for bench in campaign["benchmarks"]
+    }
+    cold = cold_campaign(programs, campaign["runs"], seed=campaign["seed"])
+    pooled = run_engine(
+        programs, campaign["runs"], seed=campaign["seed"],
+        backend=ProcessPoolBackend(2),
+    )
+    assert to_csv(pooled) == to_csv(cold)
+    assert to_json(pooled) == to_json(cold)
+    assert _shows_both_shortcuts(pooled.results)

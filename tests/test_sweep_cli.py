@@ -107,14 +107,6 @@ class TestSweepCli:
         assert sweep_main(["--runs", "-1"]) == 2
         capsys.readouterr()
 
-    def test_negative_snapshot_interval_rejected(self, capsys):
-        """Checked at the CLI edge, as ``repro campaign`` does, instead of
-        quietly running every cell cold."""
-        args = SMALL + ["--snapshot-interval", "-1"]
-        assert sweep_main(args) == 2
-        err = capsys.readouterr().err
-        assert "--snapshot-interval must be >= 0, got -1" in err
-
     def test_resume_refuses_a_default_config_checkpoint(
         self, tmp_path, capsys
     ):
