@@ -19,7 +19,7 @@ failing task.
 
 Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
 (:class:`~repro.exec.durability.SealedLog`: CRC-sealed records, format v2,
-under a single-writer :class:`~repro.exec.durability.CheckpointLock`) that
+under an exclusive ``flock`` on the file that dies with its writer) that
 campaign and fuzz checkpoints share, with its strict loader, the rule a
 resume applies and the streaming scan/repair primitives behind the
 ``repro checkpoint`` CLI, plus atomic exports and the SIGINT/SIGTERM
@@ -33,7 +33,6 @@ from repro.exec.checkpoint import (
     load_checkpoint_full,
 )
 from repro.exec.durability import (
-    CheckpointLock,
     CheckpointLockedError,
     GracefulShutdown,
     SHUTDOWN_EXIT_CODE,
@@ -59,7 +58,6 @@ from repro.exec.tasks import (
 __all__ = [
     "Backend",
     "CheckpointError",
-    "CheckpointLock",
     "CheckpointLockedError",
     "CheckpointWriter",
     "FaultPolicy",

@@ -240,6 +240,10 @@ def _worker_main(
     worker inherits the parent's handlers), so a worker can always be
     stopped. A task's exception goes back as a :class:`TaskFailure`; the
     parent charges the attempt.
+
+    Between tasks the worker also watches its parent's sentinel and
+    returns once the parent is gone: its pipe never reads EOF, since each
+    worker holds the parent's ends of its own and earlier workers' pipes.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -249,10 +253,13 @@ def _worker_main(
         runner=runner,
         task_timeout_s=task_timeout_s,
     )
+    parent = multiprocessing.parent_process().sentinel
     while True:
+        if parent in wait([conn, parent]):
+            return
         try:
             task = conn.recv()
-        except EOFError:  # the parent is gone
+        except EOFError:  # the parent closed its end
             return
         try:
             outcome = context.execute(task)

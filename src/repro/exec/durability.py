@@ -10,8 +10,8 @@ here, dependency-free so every layer can use it without cycles:
   hash, so bit rot and hand edits are detected at read time, with line
   numbers, instead of silently skewing figure statistics.
 * **One sealed log** — :class:`SealedLog` writes campaign and fuzz
-  checkpoints alike (manifest first, sealed lines, lock, flush/fsync);
-  the engines keep only their record codecs.
+  checkpoints alike (manifest first, sealed lines, flush/fsync) under its
+  writer lock; the engines keep only their record codecs.
 * **Streaming scan** — :func:`scan_checkpoint` classifies every line of a
   checkpoint (intact / torn tail / interior corruption) in O(1) memory;
   :func:`fold_checkpoint` also deduplicates, and :func:`load_sealed_log`
@@ -23,10 +23,10 @@ here, dependency-free so every layer can use it without cycles:
 * **Atomic writes** — :func:`atomic_write_text` writes via a temp file in
   the destination directory plus ``os.replace``, so a killed export never
   leaves a half-written figure input.
-* **Single-writer locking** — :class:`CheckpointLock`, a sidecar lockfile
-  (PID + heartbeat mtime) that makes a second concurrent run refuse to
-  append to the same checkpoint, with stale-lock takeover once the
-  heartbeat ages out (or the owning local process is provably dead).
+* **Single-writer locking** — :class:`SealedLog` holds an exclusive
+  ``flock`` on the checkpoint file itself, so a second concurrent run
+  refuses to touch it; the lock dies with its writer, so a killed run
+  leaves nothing to clean up.
 * **Graceful shutdown** — :class:`GracefulShutdown`, a SIGINT/SIGTERM
   latch: the first signal requests an orderly drain under a deadline, the
   second hard-exits (the torn-tail path covers that).
@@ -34,14 +34,14 @@ here, dependency-free so every layer can use it without cycles:
 
 from __future__ import annotations
 
-import errno
+import fcntl
 import hashlib
 import json
 import os
 import signal
-import socket
 import tempfile
 import time
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
@@ -190,8 +190,10 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
     """The expected ``identity`` hash for a manifest record: a content hash
     of its campaign-identity fields.
 
-    Survives reserialization (repair) that a raw-bytes CRC would not, so
-    it pins *which campaign* a file belongs to, not which bytes.
+    Like the CRC it hashes canonical JSON, so both survive repair's
+    reserialization; unlike the CRC it skips :data:`_NON_IDENTITY_FIELDS`,
+    so it pins *which campaign* a file belongs to (not its format version
+    or golden summaries), and a hand edit that reseals the CRC breaks it.
     """
     fields = {
         key: value
@@ -424,159 +426,42 @@ def write_sealed_checkpoint(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# -- single-writer locking ----------------------------------------------------
-
-
-def lock_path_for(checkpoint_path: str) -> str:
-    return checkpoint_path + ".lock"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except OSError as exc:
-        # EPERM: the process exists but belongs to someone else.
-        return exc.errno == errno.EPERM
-    return True
-
-
-class CheckpointLock:
-    """Sidecar single-writer lock for one checkpoint file.
-
-    The lock is ``<checkpoint>.lock`` holding ``{"pid", "host",
-    "created"}``; its mtime is the heartbeat, refreshed by the writer (at
-    most once per :data:`HEARTBEAT_INTERVAL_S`) on every append. A second
-    run refuses to start with an actionable message. Takeover happens when
-    the heartbeat is older than ``stale_after_s``, or immediately when the
-    owner recorded the *same host* and its PID is provably dead — PID
-    liveness carries no signal across machines (the number may be live
-    here and dead there, or vice versa), so cross-host locks and legacy
-    locks without a recorded host are never taken over on PID evidence
-    alone.
-    """
-
-    #: Minimum seconds between heartbeat mtime refreshes.
-    HEARTBEAT_INTERVAL_S = 5.0
-
-    #: Default heartbeat age after which a lock may be taken over.
-    STALE_AFTER_S = 600.0
-
-    def __init__(
-        self, checkpoint_path: str, stale_after_s: float = STALE_AFTER_S
-    ) -> None:
-        self.path = lock_path_for(checkpoint_path)
-        self.checkpoint_path = checkpoint_path
-        self.stale_after_s = stale_after_s
-        self._held = False
-        self._last_beat = 0.0
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def acquire(self) -> "CheckpointLock":
-        payload = json.dumps(
-            {
-                "pid": os.getpid(),
-                "host": socket.gethostname(),
-                "created": time.time(),
-            },
-            sort_keys=True,
-        )
-        for _ in range(2):  # second pass after a stale-lock removal
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                self._contend()
-                continue
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload + "\n")
-            self._held = True
-            self._last_beat = time.monotonic()
-            return self
-        raise CheckpointLockedError(
-            f"{self.checkpoint_path}: could not acquire the writer lock "
-            f"{self.path} (lost a takeover race to another run)"
-        )
-
-    def _contend(self) -> None:
-        """An existing lock: take over if stale/dead, else refuse loudly."""
-        try:
-            with open(self.path) as handle:
-                owner = json.loads(handle.read())
-            age = time.time() - os.path.getmtime(self.path)
-        except (OSError, json.JSONDecodeError):
-            # Vanished (owner just released) or unreadable (half-written
-            # by a killed owner): treat as stale and race for it.
-            self._remove_quietly()
-            return
-        pid = owner.get("pid")
-        host = owner.get("host")
-        # PID liveness is only meaningful on the host that recorded the
-        # lock: on a filesystem that several machines mount, the same PID
-        # number may belong to a live but unrelated process here — or the
-        # owner may be perfectly alive over there. So the dead-PID fast
-        # path requires an explicit, matching hostname in the sidecar;
-        # locks from other hosts (or legacy locks that never recorded one)
-        # can only age out via the heartbeat.
-        same_host = isinstance(host, str) and host == socket.gethostname()
-        dead = same_host and isinstance(pid, int) and not _pid_alive(pid)
-        if dead or age > self.stale_after_s:
-            self._remove_quietly()
-            return
-        raise CheckpointLockedError(
-            f"{self.checkpoint_path}: another run (pid {pid} on "
-            f"{host if host is not None else 'an unrecorded host'}, "
-            f"heartbeat {age:.0f}s ago) holds the writer lock {self.path}; "
-            f"two writers would interleave and corrupt the checkpoint. "
-            f"If that run is dead, delete the lock file or retry after "
-            f"{self.stale_after_s:.0f}s without a heartbeat."
-        )
-
-    def _remove_quietly(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-    def heartbeat(self) -> None:
-        """Refresh the lock mtime (rate-limited); call on every append."""
-        if not self._held:
-            return
-        now = time.monotonic()
-        if now - self._last_beat < self.HEARTBEAT_INTERVAL_S:
-            return
-        self._last_beat = now
-        try:
-            os.utime(self.path, None)
-        except OSError:  # lock dir vanished; nothing useful to do mid-run
-            pass
-
-    def release(self) -> None:
-        if self._held:
-            self._held = False
-            self._remove_quietly()
-
-    def __enter__(self) -> "CheckpointLock":
-        return self.acquire()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-
 # -- the sealed log -----------------------------------------------------------
+
+
+#: Every open :class:`SealedLog`, so a forked child can drop its copies.
+_OPEN_LOGS: "weakref.WeakSet[SealedLog]" = weakref.WeakSet()
+
+
+def _drop_inherited_logs() -> None:
+    """In a forked child, point each inherited checkpoint descriptor at
+    ``/dev/null``: the child's share of the open file would keep the
+    writer lock alive after the parent dies. Unlocking instead would
+    release the parent's lock too, and closing would free a number that
+    the child's copy of the handle still names."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for log in _OPEN_LOGS:
+        os.dup2(devnull, log._handle.fileno(), inheritable=False)
+    os.close(devnull)
+
+
+os.register_at_fork(after_in_child=_drop_inherited_logs)
 
 
 class SealedLog:
     """The append-only, CRC-sealed JSONL log behind every checkpoint.
 
-    A fresh log truncates ``path`` and writes ``manifest`` first; a resumed
-    log drops a torn final line left by a kill and appends after the
-    manifest already on disk. Every record is sealed, written as one
-    sorted-key JSON line and flushed, so a process kill loses at most the
-    line being written; ``fsync=True`` also ``os.fsync``'s every record,
-    surviving hard machine kills at a per-record I/O cost. The
-    :class:`CheckpointLock` is held until :meth:`close` and its heartbeat
-    refreshes on every append, so a concurrent second writer raises
-    :class:`CheckpointLockedError` instead of interleaving lines.
+    From open to :meth:`close` the log holds an exclusive ``flock`` on
+    ``path``, so a second writer raises :class:`CheckpointLockedError`
+    and leaves the file as it was. Once locked, a fresh log truncates the
+    file and writes ``manifest`` first; a resumed log drops a torn final
+    line left by a kill and appends after the manifest on disk. The lock
+    dies with its writer, and a forked child drops its share at fork.
+
+    Every record is sealed, written as one sorted-key JSON line and
+    flushed, so a process kill loses at most the line being written;
+    ``fsync=True`` also ``os.fsync``'s every record, surviving hard machine
+    kills at a per-record I/O cost.
     """
 
     def __init__(
@@ -588,14 +473,22 @@ class SealedLog:
     ) -> None:
         self.path = path
         self.fsync = fsync
-        self._handle: Optional[IO[str]] = None
-        self._lock = CheckpointLock(path).acquire()
+        flags = os.O_WRONLY | os.O_APPEND | (0 if resume else os.O_CREAT)
+        fd = os.open(path, flags, 0o666)
+        self._handle: Optional[IO[str]] = open(fd, "a")
+        _OPEN_LOGS.add(self)
         try:
+            try:
+                fcntl.flock(self._handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise CheckpointLockedError(
+                    f"{path}: another run holds this checkpoint's writer "
+                    "lock; two writers would interleave and corrupt it"
+                ) from None
             if resume:
                 truncate_torn_tail(path)
-                self._handle = open(path, "a")
             else:
-                self._handle = open(path, "w")
+                self._handle.truncate(0)
                 self.append(manifest)
         except BaseException:
             self.close()
@@ -607,8 +500,8 @@ class SealedLog:
         torn_key = os.environ.get(ENV_TORN_APPEND)
         if torn_key and record.get("key") == torn_key:
             # Chaos hook: a deterministic SIGKILL-mid-append — half the
-            # line reaches the file, no newline, and the process dies with
-            # the lock still on disk. Production runs never set this.
+            # line reaches the file, no newline, and the process dies
+            # (the kernel drops its lock). Production runs never set this.
             self._handle.write(line[: len(line) // 2])
             self._handle.flush()
             os._exit(TORN_APPEND_EXIT_STATUS)
@@ -616,14 +509,13 @@ class SealedLog:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
-        self._lock.heartbeat()
 
     def close(self) -> None:
-        """Close the file and release the lock; a second call is a no-op."""
+        """Close the file, releasing the lock; a second call is a no-op."""
         if self._handle is not None:
+            _OPEN_LOGS.discard(self)
             self._handle.close()
             self._handle = None
-        self._lock.release()
 
     def __enter__(self) -> "SealedLog":
         return self

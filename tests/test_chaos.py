@@ -5,11 +5,14 @@ every failure path shares: the surviving artifact verifies clean and
 exports byte-identically to a clean serial (``--jobs 1``) run.
 
 - **Torn append:** ``repro campaign`` dies halfway through writing a
-  checkpoint record; verify flags it, repair salvages the rest, the dead
-  writer's lock is taken over, and the resume completes the campaign.
+  checkpoint record; verify flags it, repair salvages the rest, and a
+  resume of the killed writer's own file completes the campaign. The
+  writer's lock died with it, so there is nothing to take over.
 - **Mid-run kill:** a serial, snapshot-driven campaign process dies in
   the middle of its task list; the resume records every task exactly
   once.
+- **Killed parent:** the parent of a ``--jobs 2`` campaign is SIGKILLed
+  alone; its pool workers exit instead of outliving it.
 
 Pool worker kills, hangs and no-op resumes live in
 ``tests/test_resilience.py``.
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -39,7 +44,6 @@ from repro.exec.cli import checkpoint_main
 from repro.exec.durability import (
     ENV_TORN_APPEND,
     TORN_APPEND_EXIT_STATUS,
-    lock_path_for,
     scan_checkpoint,
 )
 from repro.exec.engine import run_engine
@@ -114,9 +118,10 @@ def test_torn_append_is_flagged_repaired_and_resumed(
     programs, tasks, reference, clean_env, tmp_path
 ):
     """``repro campaign`` hard-exits after writing half of its third
-    record, leaving a torn tail and a stale lock. Verify flags the tail,
-    repair salvages the two intact records, a resume takes over the dead
-    writer's lock and finishes bit-identically."""
+    record, leaving a torn tail and no other file. Verify flags the tail,
+    repair salvages the two intact records, and a resume of the killed
+    writer's own file drops the tail and finishes bit-identically; the
+    kernel released the dead writer's lock, so nothing is taken over."""
     path = str(tmp_path / "torn.jsonl")
     child = subprocess.run(
         [
@@ -132,7 +137,7 @@ def test_torn_append_is_flagged_repaired_and_resumed(
         timeout=120,
     )
     assert child.returncode == TORN_APPEND_EXIT_STATUS, child.stderr
-    assert os.path.exists(lock_path_for(path)), "a killed writer keeps its lock"
+    assert os.listdir(tmp_path) == ["torn.jsonl"]
 
     report = scan_checkpoint(path)
     assert report.torn_tail and not report.interior_issues, report.issues
@@ -145,16 +150,12 @@ def test_torn_append_is_flagged_repaired_and_resumed(
     _, done, quarantined = load_checkpoint_full(repaired)
     assert len(done) == 2 and not quarantined
 
-    # The dead owner's lock, parked next to the repaired file: the resume
-    # must take it over (same host, provably dead PID), not refuse.
-    os.replace(lock_path_for(path), lock_path_for(repaired))
     resumed = run_engine(
         programs, RUNS, seed=SEED, backend=SerialBackend(),
-        checkpoint_path=repaired, resume=True,
+        checkpoint_path=path, resume=True,
     )
     assert len(resumed.results) == len(tasks)
-    assert not os.path.exists(lock_path_for(repaired))
-    _assert_matches_reference(repaired, reference)
+    _assert_matches_reference(path, reference)
 
 
 # -- mid-run kill --------------------------------------------------------------
@@ -218,3 +219,57 @@ def test_mid_run_kill_resumes_every_task_exactly_once(
     assert resumed.returncode == 0, resumed.stderr
     assert Counter(_result_keys(path)) == Counter(task.key for task in tasks)
     _assert_matches_reference(path, reference)
+
+
+# -- killed parent -------------------------------------------------------------
+
+
+def _line_count(path):
+    if not os.path.exists(path):
+        return 0
+    with open(path) as handle:
+        return sum(1 for _ in handle)
+
+
+def test_pool_workers_do_not_outlive_a_killed_parent(clean_env, tmp_path):
+    """A SIGKILL to the parent of a ``--jobs 2`` campaign alone: its pool
+    workers must see the parent go and exit, not sleep on their pipes
+    forever with the checkpoint open. Each worker holds the parent's ends
+    of its own pipe and of every earlier worker's, so no pipe reads EOF."""
+    path = str(tmp_path / "orphans.jsonl")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "campaign",
+            "--runs", "40", "--benchmarks", "bitcount,sha",
+            "--scale", "0.5", "--seed", "1", "--jobs", "2",
+            "--checkpoint", path, "--no-progress", "--figures", "3",
+        ],
+        env=clean_env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while _line_count(path) < 3:
+            assert proc.poll() is None, "the campaign ended before the kill"
+            assert time.monotonic() < deadline, "no records after 120 s"
+            time.sleep(0.2)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, (
+                "pool workers outlived their killed parent by 60 s"
+            )
+            time.sleep(0.2)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import glob
 import json
+import multiprocessing
 import os
 import re
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -37,7 +37,6 @@ from repro.exec.checkpoint import (
 )
 from repro.exec.cli import checkpoint_main
 from repro.exec.durability import (
-    CheckpointLock,
     CheckpointLockedError,
     GracefulShutdown,
     SHUTDOWN_EXIT_CODE,
@@ -45,7 +44,6 @@ from repro.exec.durability import (
     atomic_write_text,
     crc_of,
     fold_checkpoint,
-    lock_path_for,
     manifest_identity,
     manifest_mismatch,
     scan_checkpoint,
@@ -482,85 +480,114 @@ def test_manifest_mismatch_names_the_first_difference(recorded, reason):
 
 def test_second_writer_is_refused(sealed, tmp_path):
     mine = _copy(sealed.path, tmp_path / "locked.jsonl")
+    before = _lines(mine)
     with SealedLog(mine, {}, resume=True):
         with pytest.raises(CheckpointLockedError, match="another run"):
             sealed.resume(mine)
-    # Released on close: a new writer may take the file.
+        with pytest.raises(CheckpointLockedError, match="another run"):
+            SealedLog(mine, {"type": "manifest"})  # a fresh writer too
+        assert _lines(mine) == before
+    # Released on close: a new writer may take the file, and the lock is
+    # the file itself, so nothing is left beside it.
     sealed.resume(mine)
-    assert not os.path.exists(lock_path_for(mine))
+    assert os.listdir(tmp_path) == ["locked.jsonl"]
 
 
-def test_stale_lock_of_a_dead_process_is_taken_over(tmp_path):
-    path = str(tmp_path / "ck.jsonl")
-    probe = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                           capture_output=True, text=True)
-    dead_pid = int(probe.stdout)
-    with open(lock_path_for(path), "w") as handle:
-        json.dump({"pid": dead_pid, "host": socket.gethostname(),
-                   "created": time.time()}, handle)
-    lock = CheckpointLock(path)
-    lock.acquire()  # dead same-host owner: immediate takeover, no wait
-    lock.release()
-    assert not os.path.exists(lock_path_for(path))
+def test_another_process_is_refused_and_the_file_keeps_its_bytes(
+    checkpointed, tmp_path
+):
+    """While this process writes a checkpoint, ``repro campaign`` on it,
+    fresh or resumed, exits 2 with one stderr line naming the file, and
+    the file keeps its bytes: a fresh writer locks before it truncates."""
+    path = _copy(checkpointed[0], tmp_path / "held.jsonl")
+    with open(path, "rb") as handle:
+        before = handle.read()
+    with SealedLog(path, {}, resume=True):
+        for flag in ("--checkpoint", "--resume"):
+            child = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "campaign",
+                    "--runs", str(RUNS), "--benchmarks", "bitcount",
+                    "--scale", "0.25", "--seed", str(SEED),
+                    "--no-progress", "--figures", "3", flag, path,
+                ],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert child.returncode == 2, (flag, child.stderr)
+            assert child.stdout == ""
+            [line] = child.stderr.splitlines()
+            assert path in line and "another run" in line, line
+    with open(path, "rb") as handle:
+        assert handle.read() == before
 
 
-def test_aged_out_heartbeat_is_taken_over_even_for_live_pid(tmp_path):
-    path = str(tmp_path / "ck.jsonl")
-    with open(lock_path_for(path), "w") as handle:
-        json.dump({"pid": os.getpid(), "host": "elsewhere",
-                   "created": time.time()}, handle)
-    old = time.time() - 120
-    os.utime(lock_path_for(path), (old, old))
-    with pytest.raises(CheckpointLockedError):
-        CheckpointLock(path, stale_after_s=600.0).acquire()
-    CheckpointLock(path, stale_after_s=60.0).acquire().release()
+def _sleep_once_started(started) -> None:
+    started.set()
+    time.sleep(60)
 
 
-def _plant_lock(path: str, owner: dict) -> None:
-    with open(lock_path_for(path), "w") as handle:
-        json.dump(dict({"created": time.time()}, **owner), handle)
+def test_a_forked_child_does_not_keep_the_lock(tmp_path):
+    """A forked child shares the parent's open checkpoint file, and with
+    it the lock; it drops its share at fork, so once the parent closes the
+    log a new writer may take the file while the child still runs."""
+    path = str(tmp_path / "forked.jsonl")
+    log = SealedLog(path, {"type": "manifest"})
+    fork = multiprocessing.get_context("fork")
+    started = fork.Event()
+    child = fork.Process(target=_sleep_once_started, args=(started,))
+    child.start()
+    try:
+        assert started.wait(60)
+        log.close()
+        assert child.is_alive()
+        SealedLog(path, {}, resume=True).close()
+    finally:
+        log.close()
+        child.kill()
+        child.join(60)
 
 
-def test_cross_host_lock_is_refused_even_when_the_pid_is_dead_here(tmp_path):
-    """PID liveness carries no signal across machines: a lock recorded on
-    another host must never be taken over just because the same PID number
-    happens to be dead (or alive) on *this* one — only its heartbeat aging
-    out may clear it."""
-    path = str(tmp_path / "ck.jsonl")
-    probe = subprocess.run(
-        [sys.executable, "-c", "import os; print(os.getpid())"],
-        capture_output=True, text=True,
-    )
-    dead_here = int(probe.stdout)
-    _plant_lock(path, {"pid": dead_here, "host": "another-host"})
-    with pytest.raises(CheckpointLockedError, match="another-host"):
-        CheckpointLock(path).acquire()
+def _append_and_close(log) -> None:
+    log.append({"type": "result", "key": "from-the-child"})
+    log.close()
 
 
-def test_same_pid_as_ours_on_another_host_is_refused(tmp_path):
-    """A run on host B may reuse host A's PID number; holding that PID
-    ourselves proves nothing about the remote owner."""
-    path = str(tmp_path / "ck.jsonl")
-    _plant_lock(path, {"pid": os.getpid(), "host": "another-host"})
-    with pytest.raises(CheckpointLockedError, match="another-host"):
-        CheckpointLock(path).acquire()
+def test_a_forked_childs_copy_neither_writes_nor_unlocks_the_log(tmp_path):
+    """A forked child that appends to and closes its copy of the log
+    reaches ``/dev/null``, not the checkpoint: the parent's file keeps its
+    bytes and the parent keeps its lock, since unlocking the shared file
+    would release the parent's lock too."""
+    path = str(tmp_path / "shared.jsonl")
+    with SealedLog(path, {"type": "manifest"}) as log:
+        before = _lines(path)
+        child = multiprocessing.get_context("fork").Process(
+            target=_append_and_close, args=(log,)
+        )
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        assert _lines(path) == before
+        with pytest.raises(CheckpointLockedError, match="another run"):
+            SealedLog(path, {}, resume=True)
+        log.append({"type": "result", "key": "from-the-parent"})
+    assert [json.loads(line).get("key") for line in _lines(path)] == [
+        None, "from-the-parent",
+    ]
 
 
-def test_legacy_lock_without_host_only_ages_out(tmp_path):
-    """Locks written before the host field existed get no PID-based
-    takeover (their host is unknown), but still age out by heartbeat."""
-    path = str(tmp_path / "ck.jsonl")
-    probe = subprocess.run(
-        [sys.executable, "-c", "import os; print(os.getpid())"],
-        capture_output=True, text=True,
-    )
-    _plant_lock(path, {"pid": int(probe.stdout)})  # dead here, host unknown
-    with pytest.raises(CheckpointLockedError, match="an unrecorded host"):
-        CheckpointLock(path).acquire()
-    old = time.time() - 120
-    os.utime(lock_path_for(path), (old, old))
-    CheckpointLock(path, stale_after_s=60.0).acquire().release()
-    assert not os.path.exists(lock_path_for(path))
+def test_a_fresh_writer_replaces_a_file_no_one_holds(sealed, tmp_path):
+    """A fresh writer truncates only once it holds the lock, but it does
+    truncate: over a finished log that no writer holds, only its own
+    manifest is left."""
+    path = _copy(sealed.path, tmp_path / "stale.jsonl")
+    assert len(_lines(path)) == sealed.records + 1
+    with SealedLog(path, {"type": "manifest", "seed": SEED}):
+        pass
+    [line] = _lines(path)
+    assert json.loads(line)["type"] == "manifest"
+    assert json.loads(line)["seed"] == SEED
 
 
 # -- atomic writes -------------------------------------------------------------
@@ -672,7 +699,8 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(
     """Subprocess-based: a real SIGTERM to a parallel ``repro campaign``
     or ``repro sweep``, or a Ctrl-C's SIGINT to its whole process group
     (pool workers included), must exit with the shutdown code, leave
-    verifiable checkpoints and no lock, and print the resume hint
+    verifiable checkpoints that a new writer may lock at once and nothing
+    beside them, and print the resume hint
     (acceptance criterion). Workers leave the signal to the parent's
     shutdown latch; a sweep stops after the interrupted cell."""
     common = [
@@ -722,7 +750,11 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(
     assert proc.returncode == SHUTDOWN_EXIT_CODE, err
     assert f"interrupted by {signal.Signals(signum).name}" in err
     assert hint in err
-    assert glob.glob(pattern)
-    for path in glob.glob(pattern):
+    written = glob.glob(pattern)
+    assert written
+    for path in written:
         assert checkpoint_main(["verify", path]) == 0
-        assert not os.path.exists(lock_path_for(path))  # released cleanly
+        SealedLog(path, {}, resume=True).close()  # the lock died with the run
+    assert sorted(os.listdir(os.path.dirname(pattern))) == sorted(
+        os.path.basename(path) for path in written
+    )

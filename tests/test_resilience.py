@@ -711,15 +711,28 @@ def test_failure_roundtrip_and_classification():
     assert TaskFailure.from_record(failure.to_record()) == failure
 
 
-def test_checkpoint_fsync_mode(tiny_suite, tiny_tasks, tmp_path):
+def test_checkpoint_fsync_mode(tiny_suite, tiny_tasks, tmp_path, monkeypatch):
+    """``fsync=True`` syncs each appended record, the manifest included,
+    as it is written; without it the writer never syncs."""
     clean = run_engine(tiny_suite, RUNS, seed=SEED, backend=SerialBackend())
-    path = str(tmp_path / "chk.jsonl")
     manifest = manifest_for(
         SEED, RUNS, list(PRIMARY_MODELS), list(tiny_suite), 6, clean.goldens
     )
-    with CheckpointWriter(path, manifest, fsync=True) as writer:
-        assert writer.fsync
-        writer.write_result(tiny_tasks[0], clean.results[0])
-    with open(path) as handle:
-        records = [json.loads(line) for line in handle]
-    assert [r["type"] for r in records] == ["manifest", "result"]
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    for fsync in (True, False):
+        synced.clear()
+        path = str(tmp_path / f"chk-{fsync}.jsonl")
+        with CheckpointWriter(path, manifest, fsync=fsync) as writer:
+            assert len(synced) == int(fsync)
+            writer.write_result(tiny_tasks[0], clean.results[0])
+            assert len(synced) == 2 * int(fsync)
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        assert [r["type"] for r in records] == ["manifest", "result"]
