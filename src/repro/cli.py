@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -229,29 +230,51 @@ def run_guarded(
     return None, 2
 
 
-def print_shutdown_notice(shutdown, subcommand, resume_flags) -> None:
-    """One actionable stderr message for a graceful-signal stop: what was
-    saved and exactly how to resume (the CLI then exits with
-    :data:`~repro.exec.durability.SHUTDOWN_EXIT_CODE`). ``resume_flags``
-    are the options that resume from the saved checkpoint, or None when
-    the run saved none."""
-    print(
-        f"interrupted by {shutdown.signal_name}: stopped dispatching, "
-        "drained inflight work and flushed the checkpoint",
-        file=sys.stderr,
-    )
-    if resume_flags:
-        print(
-            f"resume with: repro {subcommand} {resume_flags} "
-            "(plus your original options)",
-            file=sys.stderr,
-        )
-    else:
-        print(
-            "no checkpoint was given, so completed work was not saved; "
-            "rerun with a checkpoint to make runs interruptible",
-            file=sys.stderr,
-        )
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt(signal.Signals(signum).name)
+
+
+class StopGuard:
+    """Guard a command's whole run, once: the one way a run stops early.
+
+    In the block SIGTERM raises :class:`KeyboardInterrupt`, as SIGINT does,
+    so either unwinds the run like any error (the checkpoint closes, pool
+    workers die). The guard then prints the signal and a hint, sets
+    :attr:`stopped`, swallows the interrupt and restores the previous
+    handler (tests and perfbench call the mains in-process). Observing the
+    block's runs, it learns when a checkpoint holds this run's manifest
+    and work: only then does the hint offer ``resume_flags``.
+    """
+
+    saved = stopped = False
+
+    def __init__(self, command: str, resume_flags: Optional[str]) -> None:
+        self.command, self.resume_flags = command, resume_flags
+
+    def __call__(self, event: object) -> None:
+        self.saved = True
+
+    def __enter__(self) -> "StopGuard":
+        self._previous = signal.signal(signal.SIGTERM, _interrupt)
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        signal.signal(signal.SIGTERM, self._previous)
+        self.stopped = kind is not None and issubclass(kind, KeyboardInterrupt)
+        if not self.stopped:
+            return False
+        if not self.resume_flags:
+            hint = "no checkpoint was given, so nothing was saved"
+        elif self.saved:
+            hint = (
+                f"resume with: repro {self.command} {self.resume_flags} "
+                "(plus your original options)"
+            )
+        else:
+            hint = "stopped before anything was saved; rerun the same command"
+        name = exc.args[0] if exc.args else "SIGINT"
+        print(f"interrupted by {name}\n{hint}", file=sys.stderr)
+        return True
 
 
 def print_quarantine(failures, stream=None) -> None:
@@ -391,36 +414,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    programs: Dict[str, object] = {
-        name: WORKLOADS[name](scale=args.scale) for name in names
-    }
 
     from repro.exec.backends import make_backend
-    from repro.exec.durability import SHUTDOWN_EXIT_CODE, GracefulShutdown
+    from repro.exec.durability import SHUTDOWN_EXIT_CODE
     from repro.exec.engine import run_engine
 
-    started = time.time()
-    with GracefulShutdown() as shutdown:
+    path = args.resume or args.checkpoint
+    with StopGuard("campaign", f"--resume {path}" if path else None) as guard:
+        programs: Dict[str, object] = {
+            name: WORKLOADS[name](scale=args.scale) for name in names
+        }
+        started = time.time()
         campaign, code = run_guarded(
             run_engine,
             programs,
             runs_per_model=args.runs,
             seed=args.seed,
             backend=make_backend(args.jobs, policy_from_args(args)),
-            checkpoint_path=args.resume or args.checkpoint,
+            checkpoint_path=path,
             resume=args.resume is not None,
-            observers=progress_observers(args),
+            observers=progress_observers(args) + [guard],
             checkpoint_fsync=args.checkpoint_fsync,
-            shutdown=shutdown,
         )
+    if guard.stopped:
+        return SHUTDOWN_EXIT_CODE
     if code:
         return code
-    if shutdown.requested:
-        path = args.resume or args.checkpoint
-        print_shutdown_notice(
-            shutdown, "campaign", f"--resume {path}" if path else None
-        )
-        return SHUTDOWN_EXIT_CODE
     elapsed = time.time() - started
     quarantined = (
         f", {campaign.quarantined} quarantined" if campaign.quarantined else ""

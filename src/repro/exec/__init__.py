@@ -22,8 +22,9 @@ Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
 under an exclusive ``flock`` on the file that dies with its writer) that
 campaign and fuzz checkpoints share, with its strict loader, the rule a
 resume applies and the streaming scan/repair primitives behind the
-``repro checkpoint`` CLI, plus atomic exports and the SIGINT/SIGTERM
-:class:`~repro.exec.durability.GracefulShutdown` latch.
+``repro checkpoint`` CLI, plus atomic exports. A run stops the way it
+fails, by an exception (the CLIs raise :class:`KeyboardInterrupt` on
+SIGINT and SIGTERM), and resumes from its flushed checkpoint.
 """
 
 from repro.exec.backends import Backend, ProcessPoolBackend, SerialBackend
@@ -34,7 +35,6 @@ from repro.exec.checkpoint import (
 )
 from repro.exec.durability import (
     CheckpointLockedError,
-    GracefulShutdown,
     SHUTDOWN_EXIT_CODE,
     atomic_write_text,
     scan_checkpoint,
@@ -62,7 +62,6 @@ __all__ = [
     "CheckpointWriter",
     "FaultPolicy",
     "FaultToleranceError",
-    "GracefulShutdown",
     "InjectionTask",
     "ProcessPoolBackend",
     "ProgressEvent",

@@ -48,7 +48,6 @@ from typing import (
 
 from repro.bugs.campaign import InjectionResult
 from repro.bugs.snapshot import SnapshotProvider
-from repro.exec.durability import GracefulShutdown
 from repro.exec.resilience import (
     FAIL_FAST,
     AttemptTracker,
@@ -114,19 +113,12 @@ class ExecutionContext:
     the simulator, which checks it every ~1024 cycles and raises
     :class:`~repro.core.errors.DeadlineExceeded` on expiry. Custom runners
     read the current task's deadline from :attr:`deadline`.
-
-    ``shutdown`` (parent-side only, never shipped to workers) is the
-    SIGINT/SIGTERM latch: once it is requested the backends stop
-    dispatching, drain or abandon inflight work under its deadline and
-    return early — the engine then flushes the checkpoint so the run is
-    resumable.
     """
 
     programs: Dict[str, Program]
     config: Optional[CoreConfig] = None
     runner: TaskRunner = run_injection_task
     task_timeout_s: Optional[float] = None
-    shutdown: Optional[GracefulShutdown] = None
     _snapshots: Dict[str, SnapshotProvider] = field(default_factory=dict)
     _deadline: Optional[float] = field(default=None, repr=False)
 
@@ -159,10 +151,6 @@ class ExecutionContext:
             return self.runner(task, self)
         finally:
             self._deadline = None
-
-
-def _shutdown_requested(context: ExecutionContext) -> bool:
-    return context.shutdown is not None and context.shutdown.requested
 
 
 class Backend(Protocol):
@@ -205,8 +193,6 @@ class SerialBackend:
         context.task_timeout_s = self.policy.task_timeout_s
         tracker = AttemptTracker(self.policy)
         for task in tasks:
-            if _shutdown_requested(context):
-                return
             yield task, self._run_one(task, context, tracker)
 
     def _run_one(
@@ -235,11 +221,11 @@ def _worker_main(
     """A pool worker: run each task the parent sends, reply on ``conn``.
 
     A Ctrl-C reaches the whole process group, workers included; they
-    ignore it, so the parent's :class:`GracefulShutdown` latch alone
-    decides what it means. SIGTERM gets its default action back (a forked
-    worker inherits the parent's handlers), so a worker can always be
-    stopped. A task's exception goes back as a :class:`TaskFailure`; the
-    parent charges the attempt.
+    ignore it, so the parent alone decides what it means (the CLIs unwind
+    the run, which kills the workers). SIGTERM gets its default action
+    back (a forked worker inherits the parent's handlers), so a worker can
+    always be stopped. A task's exception goes back as a
+    :class:`TaskFailure`; the parent charges the attempt.
 
     Between tasks the worker also watches its parent's sentinel and
     returns once the parent is gone: its pipe never reads EOF, since each
@@ -329,7 +315,8 @@ class ProcessPoolBackend:
     ``policy.hang_timeout_s``, is charged one attempt against the task it
     held and replaced; the other workers and their tasks are untouched.
     Results are yielded in completion order; tasks and results are plain
-    picklable dataclasses.
+    picklable dataclasses. However the run ends, by its last result or an
+    exception (a stop), every worker is killed and reaped.
     """
 
     def __init__(self, jobs: int, policy: FaultPolicy = FAIL_FAST) -> None:
@@ -361,21 +348,17 @@ class ProcessPoolBackend:
                 busy = [w for w in workers if w.task is not None]
                 if not busy:
                     return
-                if not _shutdown_requested(context):
-                    timeout = None
-                    if hang is not None:
-                        oldest = min(w.started for w in busy)
-                        timeout = max(0.0, oldest + hang - time.monotonic())
-                    ready = set(
-                        wait(
-                            [w.conn for w in busy]
-                            + [w.process.sentinel for w in busy],
-                            timeout=timeout,
-                        )
+                timeout = None
+                if hang is not None:
+                    oldest = min(w.started for w in busy)
+                    timeout = max(0.0, oldest + hang - time.monotonic())
+                ready = set(
+                    wait(
+                        [w.conn for w in busy]
+                        + [w.process.sentinel for w in busy],
+                        timeout=timeout,
                     )
-                if _shutdown_requested(context):
-                    yield from _drain(busy, context.shutdown)
-                    return
+                )
                 now = time.monotonic()
                 for slot, worker in enumerate(workers):
                     task = worker.task
@@ -413,24 +396,6 @@ class ProcessPoolBackend:
         finally:
             for worker in workers:
                 worker.stop()
-
-
-def _drain(
-    busy: List[_Worker], shutdown: GracefulShutdown
-) -> Iterator[Tuple[object, object]]:
-    """After a shutdown request: yield what the busy workers finish within
-    the drain deadline, charging and quarantining nothing, and abandon the
-    rest (the flushed checkpoint makes it resumable)."""
-    pending = {worker.conn: worker for worker in busy}
-    while pending:
-        ready = wait(list(pending), timeout=shutdown.drain_remaining())
-        if not ready:
-            return
-        for conn in ready:
-            worker = pending.pop(conn)
-            outcome = worker.receive()
-            if outcome is not _LOST and not isinstance(outcome, TaskFailure):
-                yield worker.task, outcome
 
 
 def make_backend(jobs: int, policy: FaultPolicy = FAIL_FAST) -> Backend:

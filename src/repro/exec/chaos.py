@@ -25,7 +25,8 @@ Behaviors (each variable holds comma-separated task keys):
 - ``REPRO_CHAOS_TORN_APPEND`` (honored by
   :class:`~repro.exec.durability.SealedLog` itself, one task key):
   emit half of that task's checkpoint line and hard-exit — a deterministic
-  SIGKILL-mid-append that leaves a torn tail *and* a stale writer lock.
+  SIGKILL-mid-append that leaves a torn tail (the writer's lock dies with
+  it).
 
 The scenarios that drive these hooks are tier-1 tests:
 ``tests/test_resilience.py`` (worker kill, poison, hang, a pool whose

@@ -174,16 +174,8 @@ class CheckpointWriter(SealedLog):
     ``result`` record per completed task and one ``failure`` record per
     quarantined task."""
 
-    def __init__(
-        self,
-        path: str,
-        manifest: Manifest,
-        resume: bool = False,
-        fsync: bool = False,
-    ) -> None:
-        super().__init__(
-            path, manifest.to_record(), resume=resume, fsync=fsync
-        )
+    def begin(self, manifest: Manifest) -> None:
+        super().begin(manifest.to_record())
 
     def write_result(self, task: InjectionTask, result: InjectionResult) -> None:
         self.append(

@@ -1,4 +1,4 @@
-"""Artifact integrity and interruption primitives for durable campaigns.
+"""Artifact integrity primitives for durable campaigns.
 
 The paper's thesis is that silent corruption must be caught *instantly*;
 this module applies the same checker mindset to our own persistence layer.
@@ -25,11 +25,8 @@ here, dependency-free so every layer can use it without cycles:
   leaves a half-written figure input.
 * **Single-writer locking** — :class:`SealedLog` holds an exclusive
   ``flock`` on the checkpoint file itself, so a second concurrent run
-  refuses to touch it; the lock dies with its writer, so a killed run
-  leaves nothing to clean up.
-* **Graceful shutdown** — :class:`GracefulShutdown`, a SIGINT/SIGTERM
-  latch: the first signal requests an orderly drain under a deadline, the
-  second hard-exits (the torn-tail path covers that).
+  refuses to touch it; the lock dies with its writer, so a killed or
+  stopped run leaves nothing to clean up and its flushed log resumes.
 """
 
 from __future__ import annotations
@@ -38,16 +35,14 @@ import fcntl
 import hashlib
 import json
 import os
-import signal
 import tempfile
-import time
 import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
 
-#: Exit code of a CLI run stopped by a graceful SIGINT/SIGTERM drain —
-#: EX_TEMPFAIL: the run is incomplete but resumable, not failed.
+#: Exit code of a CLI run stopped by SIGINT or SIGTERM — EX_TEMPFAIL: the
+#: run is incomplete but resumable, not failed.
 SHUTDOWN_EXIT_CODE = 75
 
 #: Chaos hook (see :mod:`repro.exec.chaos`): when this variable names a
@@ -211,13 +206,23 @@ def manifest_mismatch(
     run whose manifest is ``expected``, or None: the first field
     :func:`manifest_identity` hashes that differs, else the first
     benchmark whose golden run differs (its program was built otherwise,
-    say at another scale). Every resume decides by this one rule."""
+    say at another scale). A field that is a dict on both sides (a design
+    point, fuzz ``limits``) is named down to its first differing key in
+    sorted order, as ``design_point.width``. Every resume decides by this
+    one rule."""
     fields = (set(recorded) | set(expected)) - set(_NON_IDENTITY_FIELDS)
     mine, theirs = recorded.get("goldens", {}), expected.get("goldens", {})
-    checks = [
-        (f"{key}=", recorded.get(key), expected.get(key))
-        for key in sorted(fields)
-    ] + [
+    checks = []
+    for key in sorted(fields):
+        have, want = recorded.get(key), expected.get(key)
+        if isinstance(have, dict) and isinstance(want, dict):
+            checks += [
+                (f"{key}.{sub}=", have.get(sub), want.get(sub))
+                for sub in sorted(set(have) | set(want))
+            ]
+        else:
+            checks.append((f"{key}=", have, want))
+    checks += [
         (f"golden run of {name} ", mine.get(name), theirs.get(name))
         for name in sorted(set(mine) | set(theirs))
     ]
@@ -451,12 +456,12 @@ os.register_at_fork(after_in_child=_drop_inherited_logs)
 class SealedLog:
     """The append-only, CRC-sealed JSONL log behind every checkpoint.
 
-    From open to :meth:`close` the log holds an exclusive ``flock`` on
-    ``path``, so a second writer raises :class:`CheckpointLockedError`
-    and leaves the file as it was. Once locked, a fresh log truncates the
-    file and writes ``manifest`` first; a resumed log drops a torn final
-    line left by a kill and appends after the manifest on disk. The lock
-    dies with its writer, and a forked child drops its share at fork.
+    Opening the log takes an exclusive ``flock`` on ``path``, held until
+    :meth:`close`, so a second writer raises :class:`CheckpointLockedError`
+    at once and leaves the file as it was. Nothing is written before
+    :meth:`begin`, so the writer may build its manifest and refuse a
+    resumed file in between. The lock dies with its writer, and a forked
+    child drops its share at fork.
 
     Every record is sealed, written as one sorted-key JSON line and
     flushed, so a process kill loses at most the line being written;
@@ -465,13 +470,10 @@ class SealedLog:
     """
 
     def __init__(
-        self,
-        path: str,
-        manifest: Dict[str, object],
-        resume: bool = False,
-        fsync: bool = False,
+        self, path: str, resume: bool = False, fsync: bool = False
     ) -> None:
         self.path = path
+        self.resume = resume
         self.fsync = fsync
         flags = os.O_WRONLY | os.O_APPEND | (0 if resume else os.O_CREAT)
         fd = os.open(path, flags, 0o666)
@@ -485,14 +487,19 @@ class SealedLog:
                     f"{path}: another run holds this checkpoint's writer "
                     "lock; two writers would interleave and corrupt it"
                 ) from None
-            if resume:
-                truncate_torn_tail(path)
-            else:
-                self._handle.truncate(0)
-                self.append(manifest)
         except BaseException:
             self.close()
             raise
+
+    def begin(self, manifest: Dict[str, object]) -> None:
+        """Start writing: a fresh log truncates the file and appends
+        ``manifest``; a resumed log, whose file holds its manifest, drops
+        a torn final line."""
+        if self.resume:
+            truncate_torn_tail(self.path)
+        else:
+            self._handle.truncate(0)
+            self.append(manifest)
 
     def append(self, record: Dict[str, object]) -> None:
         """Seal, write and flush one record."""
@@ -522,68 +529,3 @@ class SealedLog:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# -- graceful shutdown --------------------------------------------------------
-
-
-class GracefulShutdown:
-    """SIGINT/SIGTERM latch for an orderly stop-dispatch-and-drain.
-
-    The first signal sets :attr:`requested` and starts the drain deadline:
-    the execution layer stops submitting work, collects whatever finishes
-    within :attr:`drain_s` seconds, flushes the checkpoint and returns. A
-    second signal hard-exits with ``128 + signum`` — at worst that tears
-    the final checkpoint line, which the torn-tail path already tolerates.
-
-    Use as a context manager around the campaign (main thread only, where
-    signal handlers can be installed); handlers are restored on exit.
-    """
-
-    def __init__(
-        self,
-        drain_s: float = 10.0,
-        signals: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
-    ) -> None:
-        self.drain_s = drain_s
-        self.signals = signals
-        self.requested = False
-        self.signum: Optional[int] = None
-        self._deadline: Optional[float] = None
-        self._previous: Dict[int, object] = {}
-
-    def _handle(self, signum: int, frame: object) -> None:
-        if self.requested:
-            os._exit(128 + signum)  # second signal: hard exit, torn tail
-        self.requested = True
-        self.signum = signum
-        self._deadline = time.monotonic() + self.drain_s
-
-    def request(self, signum: int = signal.SIGTERM) -> None:
-        """Programmatic trigger (tests, embedding without signals)."""
-        self._handle(signum, None)
-
-    def drain_remaining(self) -> float:
-        """Seconds left to wait for inflight work (0 when not requested)."""
-        if self._deadline is None:
-            return 0.0
-        return max(0.0, self._deadline - time.monotonic())
-
-    @property
-    def signal_name(self) -> str:
-        if self.signum is None:
-            return "shutdown"
-        try:
-            return signal.Signals(self.signum).name
-        except ValueError:  # pragma: no cover - exotic signal number
-            return f"signal {self.signum}"
-
-    def __enter__(self) -> "GracefulShutdown":
-        for signum in self.signals:
-            self._previous[signum] = signal.signal(signum, self._handle)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for signum, previous in self._previous.items():
-            signal.signal(signum, previous)
-        self._previous.clear()

@@ -47,12 +47,7 @@ from repro.exec.checkpoint import (
     load_checkpoint_full,
     manifest_for,
 )
-from repro.exec.durability import (
-    CheckpointError,
-    GracefulShutdown,
-    SealedLog,
-    manifest_mismatch,
-)
+from repro.exec.durability import CheckpointError, SealedLog, manifest_mismatch
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
 from repro.exec.tasks import generate_tasks
@@ -62,10 +57,13 @@ from repro.isa.program import Program
 class RunDriver:
     """One run of an engine over its optional checkpoint at ``path``.
 
-    Opens the run's sealed log fresh or resumed, refuses a resumed file by
-    :func:`~repro.exec.durability.manifest_mismatch`, runs the tasks the
-    file does not hold, appends each outcome as the backend yields it and
-    turns the counts into progress events.
+    Locks the run's sealed log before any set-up, so a refused writer
+    learns it at once; then builds the manifest with ``manifest()`` (the
+    campaign's golden runs), refuses a resumed file by
+    :func:`~repro.exec.durability.manifest_mismatch` and only then begins
+    the log. It runs the tasks the file does not hold, appends each
+    outcome as the backend yields it and turns the counts into progress
+    events.
 
     The engine brings its codec: ``log_class``, a
     :class:`~repro.exec.durability.SealedLog` with ``write_result`` and
@@ -79,7 +77,7 @@ class RunDriver:
     def __init__(
         self,
         path: Optional[str],
-        manifest: Any,
+        manifest: Callable[[], Any],
         log_class: Callable[..., SealedLog],
         load: Callable[[str], tuple],
         view: Callable[[Any], Dict[str, object]] = dict,
@@ -92,18 +90,26 @@ class RunDriver:
     ) -> None:
         if resume and path is None:
             raise ValueError("resume=True requires checkpoint_path")
-        self.done: Dict = {}
-        self.failures: Dict = {}
-        if resume:
-            recorded, self.done, self.failures = load(path)
-            why = manifest_mismatch(view(recorded), view(manifest))
-            if why is not None:
-                raise CheckpointError(
-                    f"{path}: checkpoint {why}; refusing to resume"
-                )
         self.log: Optional[SealedLog] = None
         if path is not None:
-            self.log = log_class(path, manifest, resume=resume, fsync=fsync)
+            self.log = log_class(path, resume=resume, fsync=fsync)
+        self.done: Dict = {}
+        self.failures: Dict = {}
+        try:
+            expected = manifest()
+            if resume:
+                recorded, self.done, self.failures = load(path)
+                why = manifest_mismatch(view(recorded), view(expected))
+                if why is not None:
+                    raise CheckpointError(
+                        f"{path}: checkpoint {why}; refusing to resume"
+                    )
+            if self.log is not None:
+                self.log.begin(expected)
+        except BaseException:
+            if self.log is not None:
+                self.log.close()
+            raise
         self.key = key
         self.observers = observers
         self.total = total
@@ -183,7 +189,6 @@ def run_engine(
     observers: Sequence[ProgressObserver] = (),
     checkpoint_fsync: bool = False,
     task_runner: TaskRunner = run_injection_task,
-    shutdown: Optional[GracefulShutdown] = None,
 ) -> CampaignResult:
     """Run a full injection campaign through the task engine.
 
@@ -214,15 +219,15 @@ def run_engine(
             :data:`~repro.exec.backends.TaskRunner`); the chaos hooks
             (:mod:`repro.exec.chaos`) use it to wrap the injection path
             with fault injection.
-        shutdown: A :class:`~repro.exec.durability.GracefulShutdown` latch;
-            once requested (SIGINT/SIGTERM) the backend stops dispatching,
-            drains inflight work under the latch's deadline and the engine
-            returns a partial — but checkpointed and resumable — campaign.
 
     Returns:
         The populated :class:`CampaignResult`, with completed results in
         canonical task order regardless of completion order and any
         quarantined tasks on ``CampaignResult.failures``.
+
+    A stop is an exception like any other (the CLIs raise
+    :class:`KeyboardInterrupt` on SIGINT and SIGTERM): the checkpoint holds
+    every completed task, and a resume reruns those that were in flight.
     """
     models = list(models)
     tasks = generate_tasks(
@@ -230,19 +235,20 @@ def run_engine(
     )
     backend = backend if backend is not None else SerialBackend()
     context = ExecutionContext(
-        programs=programs,
-        config=config,
-        runner=task_runner,
-        shutdown=shutdown,
-    )
-    goldens = {name: context.golden(name) for name in programs}
-    manifest = manifest_for(
-        seed, runs_per_model, models, list(programs), max_attempts, goldens,
-        config=config,
+        programs=programs, config=config, runner=task_runner
     )
 
+    def goldens() -> Dict[str, Any]:
+        return {name: context.golden(name) for name in programs}
+
     with RunDriver(
-        checkpoint_path, manifest, CheckpointWriter, load_checkpoint_full,
+        checkpoint_path,
+        lambda: manifest_for(
+            seed, runs_per_model, models, list(programs), max_attempts,
+            goldens(), config=config,
+        ),
+        CheckpointWriter,
+        load_checkpoint_full,
         view=lambda m: comparable(m.to_record()),
         resume=resume,
         fsync=checkpoint_fsync,
@@ -263,7 +269,7 @@ def run_engine(
             else:
                 completed[task.index] = outcome
 
-    campaign = CampaignResult(goldens=dict(goldens))
+    campaign = CampaignResult(goldens=goldens())
     campaign.results = [
         completed[task.index] for task in tasks if task.index in completed
     ]

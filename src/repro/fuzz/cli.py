@@ -119,8 +119,8 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         return _replay(args.replay)
 
     from repro.cli import (
+        StopGuard,
         policy_from_args,
-        print_shutdown_notice,
         progress_observers,
         run_args_error,
         run_guarded,
@@ -138,10 +138,11 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     from repro.exec.backends import make_backend
-    from repro.exec.durability import SHUTDOWN_EXIT_CODE, GracefulShutdown
+    from repro.exec.durability import SHUTDOWN_EXIT_CODE
     from repro.fuzz.engine import run_fuzz
 
-    with GracefulShutdown() as shutdown:
+    path = args.resume or args.checkpoint
+    with StopGuard("fuzz", f"--resume {path}" if path else None) as guard:
         campaign, code = run_guarded(
             run_fuzz,
             seed=args.seed,
@@ -150,21 +151,16 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
             batch=args.batch,
             shrink_budget=args.shrink_budget,
             artifacts_dir=args.artifacts,
-            checkpoint_path=args.resume or args.checkpoint,
+            checkpoint_path=path,
             resume=args.resume is not None,
-            observers=progress_observers(args),
+            observers=progress_observers(args) + [guard],
             save_corpus_dir=args.save_corpus,
             checkpoint_fsync=args.checkpoint_fsync,
-            shutdown=shutdown,
         )
+    if guard.stopped:
+        return SHUTDOWN_EXIT_CODE
     if code:
         return code
-    if shutdown.requested:
-        path = args.resume or args.checkpoint
-        print_shutdown_notice(
-            shutdown, "fuzz", f"--resume {path}" if path else None
-        )
-        return SHUTDOWN_EXIT_CODE
 
     print("\n".join(campaign.report_lines()))
     print(f"elapsed: {campaign.elapsed_s:.1f}s (jobs={args.jobs})")

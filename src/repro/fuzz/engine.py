@@ -40,7 +40,6 @@ from repro.exec.backends import Backend, ExecutionContext, SerialBackend
 from repro.exec.checkpoint import spec_to_dict
 from repro.exec.durability import (
     FORMAT_VERSION,
-    GracefulShutdown,
     SealedLog,
     load_sealed_log,
     manifest_identity,
@@ -408,7 +407,6 @@ def run_fuzz(
     save_corpus_dir: Optional[str] = None,
     bug: Optional[BugSpec] = None,
     checkpoint_fsync: bool = False,
-    shutdown: Optional[GracefulShutdown] = None,
 ) -> FuzzCampaign:
     """Run one coverage-guided differential fuzzing campaign.
 
@@ -430,13 +428,6 @@ def run_fuzz(
         bug: Optional armed BugSpec applied to every evaluation — exercises
             the oracle/shrinker/artifact loop against a known-bad core.
         checkpoint_fsync: ``os.fsync`` every checkpoint record.
-        shutdown: A :class:`~repro.exec.durability.GracefulShutdown`
-            latch; once requested the backend stops dispatching and the
-            driver stops after the current generation. A generation whose
-            evaluations were only partially collected is *not* absorbed
-            into the corpus — its completed records are already
-            checkpointed, so a resume replays the full generation and the
-            schedule evolves exactly as in an uninterrupted run.
 
     Returns:
         The :class:`FuzzCampaign` (coverage map, corpus, findings), with
@@ -452,6 +443,11 @@ def run_fuzz(
     run had produced no novelty, which keeps resume and fresh runs
     consistent with each other. The default backend runs under
     :data:`~repro.exec.resilience.FAIL_FAST` and raises instead.
+
+    A stop is an exception like any other (the CLI raises
+    :class:`KeyboardInterrupt` on SIGINT and SIGTERM) and saves no corpus;
+    a resume replays the checkpointed part of the stopped generation, so
+    the schedule evolves exactly as in an uninterrupted run.
     """
     campaign = FuzzCampaign(
         seed=seed,
@@ -464,14 +460,11 @@ def run_fuzz(
     )
     backend = backend if backend is not None else SerialBackend()
     context = ExecutionContext(
-        programs={},
-        config=campaign.config,
-        runner=run_fuzz_task,
-        shutdown=shutdown,
+        programs={}, config=campaign.config, runner=run_fuzz_task
     )
     with RunDriver(
         checkpoint_path,
-        _fuzz_manifest(seed, batch, campaign.config, bug),
+        lambda: _fuzz_manifest(seed, batch, campaign.config, bug),
         FuzzCheckpoint,
         load_fuzz_checkpoint_full,
         key=attrgetter("index"),
@@ -495,25 +488,10 @@ def run_fuzz(
                     quarantined[task.index] = outcome
                 else:
                     results[task.index] = outcome
-            interrupted = shutdown is not None and shutdown.requested
-            if interrupted:
-                accounted = sum(
-                    1
-                    for task in tasks
-                    if task.index in results or task.index in quarantined
-                )
-                if accounted < size:
-                    # A partially-collected generation must not feed the
-                    # corpus: its completed records are checkpointed, so a
-                    # resume replays the whole generation and the schedule
-                    # evolves exactly as in an uninterrupted run.
-                    break
             by_index = {task.index: task for task in tasks}
             for i in sorted(results):
                 campaign.absorb(by_index[i], results[i])
             index += size
-            if interrupted:
-                break
 
     if save_corpus_dir is not None:
         campaign.save_corpus(save_corpus_dir)

@@ -31,13 +31,13 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.cli import (
+    StopGuard,
     add_fault_args,
     add_jobs_arg,
     add_seed_arg,
     add_workload_args,
     policy_from_args,
     print_quarantine,
-    print_shutdown_notice,
     run_args_error,
     run_guarded,
 )
@@ -101,8 +101,8 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume cells whose checkpoint file already exists in "
-        "--checkpoint-dir, skipping their completed injections",
+        help="resume cells whose checkpoint file in --checkpoint-dir "
+        "holds a run, skipping their completed injections",
     )
     # Accepted and ignored: a sweep writes nothing to the perf trajectory,
     # and the benchmark's sweep-cells workload still passes it.
@@ -208,10 +208,9 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    programs = {name: WORKLOADS[name](scale=args.scale) for name in names}
 
     from repro.exec.backends import make_backend
-    from repro.exec.durability import SHUTDOWN_EXIT_CODE, GracefulShutdown
+    from repro.exec.durability import SHUTDOWN_EXIT_CODE
     from repro.exec.engine import run_engine
 
     policy = policy_from_args(args)
@@ -225,8 +224,12 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         for recovery in recoveries
     ]
     rows: List[Dict[str, object]] = []
-    started = time.time()
-    with GracefulShutdown() as shutdown:
+    flags = f"--checkpoint-dir {args.checkpoint_dir} --resume"
+    # One guard for the whole cell loop: a stop between two cells unwinds
+    # like one inside a cell, and the interrupted cell gets no table row.
+    with StopGuard("sweep", flags if args.checkpoint_dir else None) as guard:
+        programs = {name: WORKLOADS[name](scale=args.scale) for name in names}
+        started = time.time()
         for number, (width, discipline, recovery) in enumerate(cells, 1):
             config = paper_rrs_config(
                 width=width,
@@ -239,7 +242,13 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 checkpoint_path = cell_checkpoint_path(
                     args.checkpoint_dir, width, discipline, recovery
                 )
-                resume = args.resume and os.path.exists(checkpoint_path)
+                # A cell stopped in set-up leaves its file empty: it
+                # starts afresh.
+                resume = (
+                    args.resume
+                    and os.path.exists(checkpoint_path)
+                    and os.path.getsize(checkpoint_path) > 0
+                )
             print(
                 f"[{number}/{len(cells)}] width={width} "
                 f"discipline={discipline} recovery={recovery} "
@@ -258,25 +267,15 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 backend=make_backend(args.jobs, policy),
                 checkpoint_path=checkpoint_path,
                 resume=resume,
+                observers=[guard],
                 checkpoint_fsync=args.checkpoint_fsync,
-                shutdown=shutdown,
             )
             if code:
                 return code
-            if shutdown.requested:
-                # The interrupted cell is partial: no table row.
-                break
             rows.append(_cell_row(width, discipline, recovery, campaign))
             if campaign.quarantined:
                 print_quarantine(campaign.failures)
-    if shutdown.requested:
-        print_shutdown_notice(
-            shutdown,
-            "sweep",
-            f"--checkpoint-dir {args.checkpoint_dir} --resume"
-            if args.checkpoint_dir
-            else None,
-        )
+    if guard.stopped:
         return SHUTDOWN_EXIT_CODE
 
     print("\n".join(format_sweep_table(rows)))

@@ -1,5 +1,5 @@
 """Artifact-integrity scenarios: checkpoint format v2, verify/repair,
-single-writer locking and graceful shutdown.
+single-writer locking and stopping a run.
 
 The checker mindset applied to our own persistence layer: every scenario
 damages (or contends for) a real checkpoint produced by a real small
@@ -21,13 +21,17 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import pytest
 
+import repro.exec.backends as backends
 from repro.bugs.models import PRIMARY_MODELS
+from repro.bugs.snapshot import SnapshotProvider
+from repro.cli import main as campaign_main
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.checkpoint import (
     CheckpointError,
@@ -38,7 +42,6 @@ from repro.exec.checkpoint import (
 from repro.exec.cli import checkpoint_main
 from repro.exec.durability import (
     CheckpointLockedError,
-    GracefulShutdown,
     SHUTDOWN_EXIT_CODE,
     SealedLog,
     atomic_write_text,
@@ -50,8 +53,8 @@ from repro.exec.durability import (
     seal_record,
 )
 from repro.exec.engine import run_engine
-from repro.exec.tasks import generate_tasks
 from repro.fuzz.engine import load_fuzz_checkpoint_full, run_fuzz
+from repro.sweep import cell_checkpoint_path
 from repro.workloads import WORKLOADS
 
 RUNS = 2  # 2 runs x 3 models x 1 benchmark = 6 tasks
@@ -63,11 +66,6 @@ FUZZ_BATCH = 4
 @pytest.fixture(scope="module")
 def tiny_suite():
     return {"bitcount": WORKLOADS["bitcount"](scale=0.25)}
-
-
-@pytest.fixture(scope="module")
-def tiny_tasks(tiny_suite):
-    return generate_tasks(list(tiny_suite), RUNS, list(PRIMARY_MODELS), SEED, 6)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +102,7 @@ class Log:
     path: str
     records: int  # data records, manifest excluded
     load: Callable[[str], tuple]
-    resume: Callable[[str], object]
+    resume: Callable[..., object]  # (path, seed=SEED)
     other: str  # a finished log of the other engine
 
 
@@ -116,8 +114,8 @@ def sealed(request, tiny_suite):
             path,
             len(campaign.results),
             load_checkpoint_full,
-            lambda p: run_engine(
-                tiny_suite, RUNS, seed=SEED, backend=SerialBackend(),
+            lambda p, seed=SEED: run_engine(
+                tiny_suite, RUNS, seed=seed, backend=SerialBackend(),
                 checkpoint_path=p, resume=True,
             ),
             request.getfixturevalue("fuzz_checkpointed"),
@@ -126,8 +124,8 @@ def sealed(request, tiny_suite):
         request.getfixturevalue("fuzz_checkpointed"),
         FUZZ_BUDGET,
         load_fuzz_checkpoint_full,
-        lambda p: run_fuzz(
-            seed=SEED, budget=FUZZ_BUDGET, batch=FUZZ_BATCH,
+        lambda p, seed=SEED: run_fuzz(
+            seed=seed, budget=FUZZ_BUDGET, batch=FUZZ_BATCH,
             checkpoint_path=p, resume=True,
         ),
         request.getfixturevalue("checkpointed")[0],
@@ -256,6 +254,21 @@ def test_truncate_torn_tail_drops_only_the_partial_line(sealed, tmp_path):
     assert _lines(torn) == intact
     sealed.resume(torn)  # idempotent on a clean file
     assert _lines(torn) == intact
+
+
+def test_a_refused_resume_keeps_the_torn_tail(sealed, tmp_path):
+    """A resume refused as another run's leaves the file byte for byte,
+    torn tail included: the tail is dropped only once the file is found
+    to be this run's."""
+    torn = _copy(sealed.path, tmp_path / "torn.jsonl")
+    with open(torn, "a") as handle:
+        handle.write('{"half')
+    with open(torn, "rb") as handle:
+        before = handle.read()
+    with pytest.raises(CheckpointError, match="seed=7 does not match"):
+        sealed.resume(torn, seed=SEED + 1)
+    with open(torn, "rb") as handle:
+        assert handle.read() == before
 
 
 def test_edited_manifest_is_rejected_by_identity_hash(checkpointed, tmp_path):
@@ -435,6 +448,7 @@ def test_fold_checkpoint_keeps_one_record_per_task(
 _RUN = {
     "type": "manifest", "version": 2, "identity": "x", "crc": 1,
     "seed": 7, "runs_per_model": 2,
+    "limits": {"block_len": 8, "max_blocks": 5},
     "goldens": {"sha": {"cycles": 100, "committed": 80}},
 }
 
@@ -459,6 +473,20 @@ _RUN = {
             "match this run's golden run of sha {'cycles': 100, "
             "'committed': 80}",
         ),
+        (
+            dict(_RUN, limits={"block_len": 8, "max_blocks": 6}),
+            "limits.max_blocks=6 does not match this run's "
+            "limits.max_blocks=5",
+        ),
+        (
+            dict(_RUN, limits={"block_len": 9, "max_blocks": 6}),
+            "limits.block_len=9 does not match this run's "
+            "limits.block_len=8",
+        ),
+        (
+            dict(_RUN, limits={"block_len": 8, "max_blocks": 5, "x": {}}),
+            "limits.x={} does not match this run's limits.x=None",
+        ),
     ],
     ids=[
         "bookkeeping-is-not-identity",
@@ -466,12 +494,16 @@ _RUN = {
         "the-first-field-in-name-order",
         "a-field-on-one-side-only",
         "a-golden-run",
+        "a-dict-field-names-its-key",
+        "the-first-key-in-name-order",
+        "a-key-on-one-side-only",
     ],
 )
 def test_manifest_mismatch_names_the_first_difference(recorded, reason):
     """The one rule behind every resume refusal: the identity fields in
-    name order, then each benchmark's golden run; the hash, CRC, version
-    and type are not compared."""
+    name order, a field that is a dict on both sides down to its first
+    differing key, then each benchmark's golden run; the hash, CRC,
+    version and type are not compared."""
     assert manifest_mismatch(recorded, _RUN) == reason
 
 
@@ -481,11 +513,11 @@ def test_manifest_mismatch_names_the_first_difference(recorded, reason):
 def test_second_writer_is_refused(sealed, tmp_path):
     mine = _copy(sealed.path, tmp_path / "locked.jsonl")
     before = _lines(mine)
-    with SealedLog(mine, {}, resume=True):
+    with SealedLog(mine, resume=True):
         with pytest.raises(CheckpointLockedError, match="another run"):
             sealed.resume(mine)
         with pytest.raises(CheckpointLockedError, match="another run"):
-            SealedLog(mine, {"type": "manifest"})  # a fresh writer too
+            SealedLog(mine)  # a fresh writer too
         assert _lines(mine) == before
     # Released on close: a new writer may take the file, and the lock is
     # the file itself, so nothing is left beside it.
@@ -502,7 +534,7 @@ def test_another_process_is_refused_and_the_file_keeps_its_bytes(
     path = _copy(checkpointed[0], tmp_path / "held.jsonl")
     with open(path, "rb") as handle:
         before = handle.read()
-    with SealedLog(path, {}, resume=True):
+    with SealedLog(path, resume=True):
         for flag in ("--checkpoint", "--resume"):
             child = subprocess.run(
                 [
@@ -533,7 +565,8 @@ def test_a_forked_child_does_not_keep_the_lock(tmp_path):
     it the lock; it drops its share at fork, so once the parent closes the
     log a new writer may take the file while the child still runs."""
     path = str(tmp_path / "forked.jsonl")
-    log = SealedLog(path, {"type": "manifest"})
+    log = SealedLog(path)
+    log.begin({"type": "manifest"})
     fork = multiprocessing.get_context("fork")
     started = fork.Event()
     child = fork.Process(target=_sleep_once_started, args=(started,))
@@ -542,7 +575,7 @@ def test_a_forked_child_does_not_keep_the_lock(tmp_path):
         assert started.wait(60)
         log.close()
         assert child.is_alive()
-        SealedLog(path, {}, resume=True).close()
+        SealedLog(path, resume=True).close()
     finally:
         log.close()
         child.kill()
@@ -560,7 +593,8 @@ def test_a_forked_childs_copy_neither_writes_nor_unlocks_the_log(tmp_path):
     bytes and the parent keeps its lock, since unlocking the shared file
     would release the parent's lock too."""
     path = str(tmp_path / "shared.jsonl")
-    with SealedLog(path, {"type": "manifest"}) as log:
+    with SealedLog(path) as log:
+        log.begin({"type": "manifest"})
         before = _lines(path)
         child = multiprocessing.get_context("fork").Process(
             target=_append_and_close, args=(log,)
@@ -570,7 +604,7 @@ def test_a_forked_childs_copy_neither_writes_nor_unlocks_the_log(tmp_path):
         assert child.exitcode == 0
         assert _lines(path) == before
         with pytest.raises(CheckpointLockedError, match="another run"):
-            SealedLog(path, {}, resume=True)
+            SealedLog(path, resume=True)
         log.append({"type": "result", "key": "from-the-parent"})
     assert [json.loads(line).get("key") for line in _lines(path)] == [
         None, "from-the-parent",
@@ -583,11 +617,37 @@ def test_a_fresh_writer_replaces_a_file_no_one_holds(sealed, tmp_path):
     manifest is left."""
     path = _copy(sealed.path, tmp_path / "stale.jsonl")
     assert len(_lines(path)) == sealed.records + 1
-    with SealedLog(path, {"type": "manifest", "seed": SEED}):
-        pass
+    with SealedLog(path) as log:
+        log.begin({"type": "manifest", "seed": SEED})
     [line] = _lines(path)
     assert json.loads(line)["type"] == "manifest"
     assert json.loads(line)["seed"] == SEED
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_a_refused_writer_builds_no_golden_run(
+    resume, checkpointed, tiny_suite, monkeypatch, tmp_path
+):
+    """The lock is taken before set-up, so a writer that will be refused
+    builds no snapshot provider (no golden run) before it learns so."""
+    path = _copy(checkpointed[0], tmp_path / "held.jsonl")
+    built = []
+
+    class CountedProvider(SnapshotProvider):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0].name)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backends, "SnapshotProvider", CountedProvider)
+    with SealedLog(path, resume=True):
+        with pytest.raises(CheckpointLockedError, match="another run"):
+            run_engine(
+                tiny_suite, RUNS, seed=SEED, checkpoint_path=path,
+                resume=resume,
+            )
+    assert built == []
+    run_engine(tiny_suite, RUNS, seed=SEED, checkpoint_path=path, resume=True)
+    assert len(built) == len(tiny_suite)  # the count counts
 
 
 # -- atomic writes -------------------------------------------------------------
@@ -601,40 +661,41 @@ def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.json"]
 
 
-# -- graceful shutdown ---------------------------------------------------------
+# -- stopping a run -----------------------------------------------------------
 
 
-def test_shutdown_latch_and_drain_deadline():
-    shutdown = GracefulShutdown(drain_s=5.0)
-    assert not shutdown.requested and shutdown.drain_remaining() == 0.0
-    shutdown.request(signal.SIGTERM)
-    assert shutdown.requested
-    assert shutdown.signal_name == "SIGTERM"
-    assert 0.0 < shutdown.drain_remaining() <= 5.0
+def _interrupt_at(count):
+    """A progress observer that raises KeyboardInterrupt, as a SIGINT (or a
+    SIGTERM under a CLI) would, at its ``count``-th event."""
+    events = []
+
+    def observer(event):
+        events.append(event)
+        if len(events) == count:
+            raise KeyboardInterrupt
+
+    return observer
 
 
 def test_engine_stops_dispatch_after_shutdown_and_resume_completes(
-    checkpointed, tiny_suite, tiny_tasks, tmp_path
+    checkpointed, tiny_suite, tmp_path
 ):
+    """An interrupt unwinds a serial run like any error: the checkpoint
+    holds exactly the tasks that completed and verifies, and a resume
+    equals the uninterrupted run."""
     path, campaign = checkpointed
     partial = str(tmp_path / "partial.jsonl")
-    shutdown = GracefulShutdown()
-
-    def stop_after_first(event):
-        if event.benchmark is not None and not shutdown.requested:
-            shutdown.request()  # a second request() would hard-exit
-
-    interrupted = run_engine(
-        tiny_suite,
-        RUNS,
-        seed=SEED,
-        backend=SerialBackend(),
-        checkpoint_path=partial,
-        observers=[stop_after_first],
-        shutdown=shutdown,
-    )
-    assert 0 < len(interrupted.results) < len(tiny_tasks)
-    assert checkpoint_main(["verify", partial]) == 0  # flushed + sealed
+    with pytest.raises(KeyboardInterrupt):
+        run_engine(
+            tiny_suite,
+            RUNS,
+            seed=SEED,
+            backend=SerialBackend(),
+            checkpoint_path=partial,
+            observers=[_interrupt_at(2)],
+        )
+    assert len(_lines(partial)) == 1 + 2  # the manifest and two results
+    assert checkpoint_main(["verify", partial]) == 0
     resumed = run_engine(
         tiny_suite,
         RUNS,
@@ -648,32 +709,37 @@ def test_engine_stops_dispatch_after_shutdown_and_resume_completes(
     ]
 
 
-def test_pool_drains_inflight_tasks_after_shutdown_and_resume_completes(
-    checkpointed, tiny_suite, tiny_tasks, tmp_path
+def test_pool_reaps_its_workers_at_an_interrupt_and_resume_completes(
+    checkpointed, tiny_suite, monkeypatch, tmp_path
 ):
-    """After a shutdown request the pool dispatches nothing new but keeps
-    what its busy workers finish within the drain deadline, quarantining
-    nothing; a resume on a fresh pool completes the campaign."""
+    """An interrupt at the first pool result unwinds the run: every worker
+    the pool started is killed and reaped, the tasks they held are not
+    recorded, and a resume on a fresh pool completes the campaign."""
     path, campaign = checkpointed
     partial = str(tmp_path / "partial.jsonl")
-    shutdown = GracefulShutdown()
+    started = []
 
-    def stop_after_first(event):
-        if event.benchmark is not None and not shutdown.requested:
-            shutdown.request()  # a second request() would hard-exit
+    class RecordingWorker(backends._Worker):
+        def __init__(self, args):
+            super().__init__(args)
+            started.append(self.process.pid)
 
-    interrupted = run_engine(
-        tiny_suite,
-        RUNS,
-        seed=SEED,
-        backend=ProcessPoolBackend(2),
-        checkpoint_path=partial,
-        observers=[stop_after_first],
-        shutdown=shutdown,
-    )
-    assert 1 < len(interrupted.results) < len(tiny_tasks)
-    assert interrupted.failures == []
-    assert checkpoint_main(["verify", partial]) == 0  # flushed + sealed
+    monkeypatch.setattr(backends, "_Worker", RecordingWorker)
+    with pytest.raises(KeyboardInterrupt):
+        run_engine(
+            tiny_suite,
+            RUNS,
+            seed=SEED,
+            backend=ProcessPoolBackend(2),
+            checkpoint_path=partial,
+            observers=[_interrupt_at(1)],
+        )
+    assert len(started) == 2
+    for pid in started:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # already reaped
+    assert len(_lines(partial)) == 1 + 1
+    assert checkpoint_main(["verify", partial]) == 0
     resumed = run_engine(
         tiny_suite,
         RUNS,
@@ -685,6 +751,72 @@ def test_pool_drains_inflight_tasks_after_shutdown_and_resume_completes(
     assert [_comparable(r) for r in resumed.results] == [
         _comparable(r) for r in campaign.results
     ]
+
+
+def _without_executions(lines):
+    return [line for line in lines if not line.startswith("executions:")]
+
+
+def test_an_interrupted_fuzz_run_resumes_to_the_uninterrupted_report(
+    tmp_path
+):
+    """A fuzz run interrupted mid-generation keeps every completed
+    evaluation, and its resume replays them into the report of an
+    uninterrupted run (only the restored count differs)."""
+    full = run_fuzz(seed=1, budget=24, batch=8)
+    path = str(tmp_path / "fuzz.jsonl")
+    with pytest.raises(KeyboardInterrupt):
+        run_fuzz(
+            seed=1, budget=24, batch=8, checkpoint_path=path,
+            observers=[_interrupt_at(11)],
+        )
+    assert checkpoint_main(["verify", path]) == 0
+    _, done, _ = load_fuzz_checkpoint_full(path)
+    assert sorted(done) == list(range(11))  # 3 of the second generation
+    resumed = run_fuzz(
+        seed=1, budget=24, batch=8, checkpoint_path=path, resume=True
+    )
+    assert resumed.restored == 11
+    assert _without_executions(resumed.report_lines()) == (
+        _without_executions(full.report_lines())
+    )
+
+
+def test_a_stop_in_set_up_offers_no_resume(monkeypatch, tmp_path, capsys):
+    """A run stopped before its checkpoint holds its manifest saved
+    nothing: it exits 75 and says to rerun the same command, not to
+    resume; and the SIGTERM handler it installed is gone again."""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(backends, "SnapshotProvider", interrupted)
+    before = signal.getsignal(signal.SIGTERM)
+    path = str(tmp_path / "run.jsonl")
+    code = campaign_main([
+        "--runs", "1", "--benchmarks", "sha", "--scale", "0.25",
+        "--figures", "3", "--no-progress", "--checkpoint", path,
+    ])
+    assert code == SHUTDOWN_EXIT_CODE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "interrupted by SIGINT" in captured.err
+    assert "rerun the same command" in captured.err
+    assert "--resume" not in captured.err
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_csv(tmp_path_factory):
+    """The CSV export of the stop test's campaign, run without a stop."""
+    path = str(tmp_path_factory.mktemp("uninterrupted") / "full.csv")
+    assert campaign_main([
+        "--runs", "40", "--benchmarks", "bitcount,sha", "--scale", "0.5",
+        "--seed", "1", "--no-progress", "--figures", "3",
+        "--export-csv", path,
+    ]) == 0
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 @pytest.mark.parametrize("command", ["campaign", "sweep"])
@@ -693,16 +825,16 @@ def test_pool_drains_inflight_tasks_after_shutdown_and_resume_completes(
     [(signal.SIGTERM, False), (signal.SIGINT, True)],
     ids=["sigterm-parent", "sigint-group"],
 )
-def test_sigterm_drains_flushes_and_prints_resume_hint(
-    command, signum, group, tmp_path
+def test_sigterm_flushes_and_prints_resume_hint(
+    command, signum, group, tmp_path, request
 ):
     """Subprocess-based: a real SIGTERM to a parallel ``repro campaign``
     or ``repro sweep``, or a Ctrl-C's SIGINT to its whole process group
-    (pool workers included), must exit with the shutdown code, leave
-    verifiable checkpoints that a new writer may lock at once and nothing
-    beside them, and print the resume hint
-    (acceptance criterion). Workers leave the signal to the parent's
-    shutdown latch; a sweep stops after the interrupted cell."""
+    (pool workers included, which ignore it), must exit with the shutdown
+    code, leave verifiable checkpoints that a new writer may lock at once
+    and nothing beside them, and print the resume hint (acceptance
+    criterion). A stopped campaign resumes to the CSV of an uninterrupted
+    run, byte for byte."""
     common = [
         "--benchmarks", "bitcount,sha", "--scale", "0.5", "--seed", "1",
         "--jobs", "2",
@@ -754,7 +886,66 @@ def test_sigterm_drains_flushes_and_prints_resume_hint(
     assert written
     for path in written:
         assert checkpoint_main(["verify", path]) == 0
-        SealedLog(path, {}, resume=True).close()  # the lock died with the run
+        SealedLog(path, resume=True).close()  # the lock died with the run
     assert sorted(os.listdir(os.path.dirname(pattern))) == sorted(
         os.path.basename(path) for path in written
     )
+    if command == "campaign":
+        resumed = str(tmp_path / "resumed.csv")
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "--runs", "40",
+             "--resume", target, "--no-progress", "--figures", "3",
+             "--export-csv", resumed, *common],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        with open(resumed, "rb") as handle:
+            assert handle.read() == request.getfixturevalue(
+                "uninterrupted_csv"
+            )
+
+
+_STOP_AT_THE_SECOND_CELL = textwrap.dedent(
+    """
+    import os, signal, sys
+    import repro.sweep as sweep
+
+    configs = []
+    real = sweep.paper_rrs_config
+
+    def second_config_stops(**kwargs):
+        configs.append(kwargs)
+        if len(configs) == 2:  # the first cell is done
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real(**kwargs)
+
+    sweep.paper_rrs_config = second_config_stops
+    sys.exit(sweep.sweep_main(sys.argv[1:]))
+    """
+)
+
+
+def test_sigterm_between_sweep_cells_stops_the_sweep(tmp_path):
+    """A SIGTERM after one cell and before the next is a stop like one
+    inside a cell, since one guard covers the whole cell loop: exit 75
+    with the sweep's resume hint, the finished cell's checkpoint verifies,
+    and no table is printed."""
+    cells = str(tmp_path / "cells")
+    proc = subprocess.run(
+        [sys.executable, "-c", _STOP_AT_THE_SECOND_CELL,
+         "--widths", "1,4", "--disciplines", "fifo",
+         "--recoveries", "checkpoint", "--runs", "1", "--scale", "0.25",
+         "--benchmarks", "crc32", "--jobs", "2", "--checkpoint-dir", cells],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == SHUTDOWN_EXIT_CODE, proc.stderr
+    assert "interrupted by SIGTERM" in proc.stderr
+    assert f"--checkpoint-dir {cells} --resume" in proc.stderr
+    assert proc.stdout == ""
+    first = cell_checkpoint_path(cells, 1, "fifo", "checkpoint")
+    assert os.listdir(cells) == [os.path.basename(first)]
+    assert checkpoint_main(["verify", first]) == 0

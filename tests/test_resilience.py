@@ -47,7 +47,7 @@ from repro.exec.checkpoint import (
     load_checkpoint_full,
     manifest_for,
 )
-from repro.exec.durability import GracefulShutdown
+from repro.cli import StopGuard
 from repro.exec.engine import run_engine
 from repro.exec.resilience import (
     AttemptTracker,
@@ -436,22 +436,20 @@ def started_workers(monkeypatch):
     return pids
 
 
-def _run_probes(tasks, policy=None, context=None):
+def _run_probes(tasks, policy=None):
     backend = ProcessPoolBackend(2, policy=policy or FaultPolicy())
-    context = context or ExecutionContext({}, runner=_probe_runner)
+    context = ExecutionContext({}, runner=_probe_runner)
     return {task.key: outcome for task, outcome in backend.run(tasks, context)}
 
 
 def test_pool_workers_ignore_sigint_and_restore_default_sigterm(tmp_path):
     """A Ctrl-C reaches the whole process group; workers ignore it so the
-    parent's shutdown latch alone decides, and they drop the latch's
-    inherited SIGTERM handler so the parent can always stop them."""
+    parent alone decides what it means, and they drop the SIGTERM handler
+    they inherit from a CLI's stop guard so the parent can always stop
+    them."""
     tasks = [_Probe(f"t{i}", str(tmp_path)) for i in range(4)]
-    with GracefulShutdown() as shutdown:
-        context = ExecutionContext(
-            {}, runner=_probe_runner, shutdown=shutdown
-        )
-        outcomes = _run_probes(tasks, context=context)
+    with StopGuard("campaign", None):
+        outcomes = _run_probes(tasks)
     assert len(outcomes) == len(tasks)
     for pid, on_sigint, on_sigterm in outcomes.values():
         assert pid != os.getpid()
@@ -570,7 +568,8 @@ def test_checkpoint_result_supersedes_failure(tiny_suite, tiny_tasks, tmp_path):
     manifest = manifest_for(
         SEED, RUNS, list(PRIMARY_MODELS), list(tiny_suite), 6, context_goldens
     )
-    writer = CheckpointWriter(path, manifest)
+    writer = CheckpointWriter(path)
+    writer.begin(manifest)
     victim = tiny_tasks[0]
     writer.write_failure(
         victim, TaskFailure(kind="worker-crash", attempts=2, message="boom")
@@ -729,7 +728,8 @@ def test_checkpoint_fsync_mode(tiny_suite, tiny_tasks, tmp_path, monkeypatch):
     for fsync in (True, False):
         synced.clear()
         path = str(tmp_path / f"chk-{fsync}.jsonl")
-        with CheckpointWriter(path, manifest, fsync=fsync) as writer:
+        with CheckpointWriter(path, fsync=fsync) as writer:
+            writer.begin(manifest)
             assert len(synced) == int(fsync)
             writer.write_result(tiny_tasks[0], clean.results[0])
             assert len(synced) == 2 * int(fsync)

@@ -88,8 +88,13 @@ class TestSweepCli:
         ckpt = str(tmp_path / "cells")
         args = SMALL + ["--checkpoint-dir", ckpt]
         assert sweep_main(args) == 0
+        # A cell stopped in set-up leaves its file empty; the
+        # resume runs that cell afresh.
+        emptied = cell_checkpoint_path(ckpt, 1, "stack", "rob-walk")
+        open(emptied, "w").close()
         # Second pass resumes every completed cell.
         assert sweep_main(args + ["--resume"]) == 0
+        assert checkpoint_main(["verify", emptied]) == 0
 
     def test_stdout_identical_across_jobs(self, tmp_path, capsys):
         assert sweep_main(SMALL + ["--jobs", "1"]) == 0
@@ -111,7 +116,8 @@ class TestSweepCli:
         self, tmp_path, capsys
     ):
         """A ``repro campaign`` checkpoint carries no design point; planted
-        as a width-1 cell's file, it must not resume into that cell."""
+        as a width-1 cell's file, it must not resume into that cell. The
+        refusal names the first differing key, not both design points."""
         from repro.cli import main as campaign_main
 
         cells = tmp_path / "cells"
@@ -132,6 +138,8 @@ class TestSweepCli:
         assert code == 2
         named = [line for line in err.splitlines() if "design_point" in line]
         assert len(named) == 1, err
+        key = _first_differing_key(CoreConfig(), paper_rrs_config(width=1))
+        assert f"design_point.{key}=" in named[0] and "{" not in named[0]
 
     def test_cell_checkpoint_path_naming(self):
         assert cell_checkpoint_path("d", 4, "stack", "rob-walk") == (
@@ -200,6 +208,11 @@ class TestDesignPointManifest:
         assert manifest_identity(pointed) != manifest_identity(other)
 
 
+def _first_differing_key(a, b):
+    a, b = a.to_dict(), b.to_dict()
+    return min(key for key in a if a[key] != b[key])
+
+
 class TestDesignPointRefusals:
     @pytest.fixture()
     def programs(self):
@@ -214,12 +227,18 @@ class TestDesignPointRefusals:
             programs, runs_per_model=1, seed=9, config=config,
             checkpoint_path=path,
         )
-        with pytest.raises(CheckpointError, match="design_point"):
+        other = paper_rrs_config(width=2)
+        key = _first_differing_key(config, other)
+        have, want = config.to_dict()[key], other.to_dict()[key]
+        with pytest.raises(CheckpointError) as refusal:
             run_engine(
-                programs, runs_per_model=1, seed=9,
-                config=paper_rrs_config(width=2),
+                programs, runs_per_model=1, seed=9, config=other,
                 checkpoint_path=path, resume=True,
             )
+        assert (
+            f"design_point.{key}={have!r} does not match this run's "
+            f"design_point.{key}={want!r}"
+        ) in str(refusal.value)
 
     def test_resume_accepts_matching_design_point(self, tmp_path, programs):
         path = str(tmp_path / "cell.jsonl")
