@@ -124,7 +124,6 @@ def run_injection(
     spec: BugSpec,
     config: Optional[CoreConfig] = None,
     snapshots: Optional["SnapshotProvider"] = None,
-    deadline: Optional[float] = None,
 ) -> InjectionResult:
     """Execute one buggy run with all detectors attached and classify it.
 
@@ -142,11 +141,6 @@ def run_injection(
     up to identifier relabelling (see :mod:`repro.bugs.differential`).
     The result is bit-identical to the cold run; ``warm_start_cycles_skipped``
     and ``early_terminated_cycle`` record what was skipped.
-
-    ``deadline`` (absolute ``time.monotonic()``) is the harness wall-clock
-    budget; on expiry :class:`~repro.core.errors.DeadlineExceeded`
-    propagates to the execution layer — it is *not* a simulated outcome
-    and is never classified as one.
     """
     started = time.perf_counter_ns()
     fabric = SignalFabric()
@@ -171,10 +165,10 @@ def run_injection(
     error: Optional[Exception] = None
     try:
         if delta is None or not delta.clean:
-            core.run_cycles(budget, deadline=deadline)
+            core.run_cycles(budget)
         else:
             hit = _run_until_converged(
-                snapshots, core, detectors, fabric, budget, deadline
+                snapshots, core, detectors, fabric, budget
             )
     except SimulationError as exc:
         error = exc
@@ -232,7 +226,6 @@ def _run_until_converged(
     detectors,
     fabric: SignalFabric,
     budget: int,
-    deadline: Optional[float],
 ) -> Optional[Reconvergence]:
     """Run ``core`` to ``budget`` in chunks ending at each snapshot cycle.
 
@@ -250,14 +243,11 @@ def _run_until_converged(
     attached = list(detectors)
     skip_deep_until = 0
     stride = 1
-    clock_origin: Optional[float] = None
     while not core.halted and core.cycle < budget:
         target = candidates[pos] if pos < len(candidates) else budget
         if target > budget:
             target = budget
-        clock_origin = core.run_cycles(
-            target, deadline=deadline, started=clock_origin
-        )
+        core.run_cycles(target)
         if core.halted or core.cycle >= budget:
             break
         pos += 1

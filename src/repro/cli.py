@@ -16,6 +16,7 @@ figure/table reports. Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import signal
 import sys
@@ -127,9 +128,10 @@ def add_fault_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         dest="task_timeout",
-        help="per-task wall-clock budget; an overrunning simulation is "
-        "retried then quarantined (a hung worker is killed by the parent "
-        "watchdog after budget + grace) [no limit]",
+        help="per-task wall-clock budget, finite and > 0: the worker that "
+        "holds a task this long is killed, and the task is retried, then "
+        "quarantined as a timeout (so tasks run in worker processes, even "
+        "at --jobs 1) [no limit]",
     )
     group.add_argument(
         "--max-task-retries",
@@ -182,6 +184,9 @@ def run_args_error(args: argparse.Namespace) -> Optional[str]:
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         return f"--jobs must be >= 1, got {jobs}"
+    scale = getattr(args, "scale", 1.0)
+    if not 0 < scale < math.inf:
+        return f"--scale must be a finite number > 0, got {scale}"
     if getattr(args, "checkpoint", None) and getattr(args, "resume", None):
         return (
             "--checkpoint and --resume are mutually exclusive "
@@ -375,6 +380,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
+    try:
+        names = parse_benchmarks(args.benchmarks)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     if "table2" in figures:
         print(table_ii_report())
@@ -408,12 +418,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not campaign_figures and not exporting:
         return 0
-
-    try:
-        names = parse_benchmarks(args.benchmarks)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
 
     from repro.exec.backends import make_backend
     from repro.exec.durability import SHUTDOWN_EXIT_CODE

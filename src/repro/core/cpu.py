@@ -28,12 +28,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.branch import BimodalPredictor, GSharePredictor
 from repro.core.config import CoreConfig
-from repro.core.errors import (
-    DeadlineExceeded,
-    DeadlockError,
-    MemoryFault,
-    SimulatorAssertion,
-)
+from repro.core.errors import DeadlockError, MemoryFault, SimulatorAssertion
 from repro.core.lsq import DataMemory, StoreQueue
 from repro.core.recovery import make_recovery_strategy
 from repro.core.regfile import PhysicalRegisterFile
@@ -407,48 +402,25 @@ class OoOCore:
 
     # -- main loop ----------------------------------------------------------------
 
-    def run(
-        self,
-        max_cycles: int = 2_000_000,
-        deadline: Optional[float] = None,
-    ) -> RunResult:
+    def run(self, max_cycles: int = 2_000_000) -> RunResult:
         """Simulate until HALT commits or ``max_cycles`` elapse.
-
-        Args:
-            max_cycles: Simulated-cycle budget.
-            deadline: Optional absolute ``time.monotonic()`` instant the
-                harness allows this run to occupy; checked cooperatively
-                every 1024 cycles so the per-cycle cost is negligible.
 
         Raises:
             SimulatorAssertion: The *Assert* outcome class.
             MemoryFault: The *Crash* outcome class.
             DeadlockError: Folded into the *Timeout* class by the campaign.
-            DeadlineExceeded: The harness wall-clock budget expired (a
-                resource-policy event, never a simulated-bug outcome).
         """
-        self.run_cycles(max_cycles, deadline=deadline)
+        self.run_cycles(max_cycles)
         return self.result()
 
-    def run_cycles(
-        self,
-        until_cycle: int,
-        deadline: Optional[float] = None,
-        started: Optional[float] = None,
-    ) -> float:
+    def run_cycles(self, until_cycle: int) -> None:
         """Advance until ``self.cycle >= until_cycle`` or HALT commits.
 
-        The stepping loop of :meth:`run` (same deadlock and cooperative
-        deadline checks) without the :meth:`result` construction, so
-        callers that interleave simulation with state inspection — the
-        differential convergence loop — don't pay an O(trace) trace copy
-        per pause. ``started`` threads the wall-clock origin through
-        successive chunks so :class:`DeadlineExceeded` reports the elapsed
-        time of the whole run; the (possibly fresh) origin is returned for
-        the next chunk.
+        The stepping loop of :meth:`run` (same deadlock check) without the
+        :meth:`result` construction, so callers that interleave simulation
+        with state inspection — the differential convergence loop — don't
+        pay an O(trace) trace copy per pause.
         """
-        if started is None:
-            started = time.monotonic()
         ff = self.fast_forward_enabled
         fabric = self.fabric
         deadlock_cycles = self.config.deadlock_cycles
@@ -458,10 +430,6 @@ class OoOCore:
             step()
             if self.cycle - self.last_progress_cycle > deadlock_cycles:
                 raise DeadlockError(self.cycle)
-            if deadline is not None and not self.cycle & 1023:
-                now = time.monotonic()
-                if now > deadline:
-                    raise DeadlineExceeded(self.cycle, now - started)
             # Quiescence-aware fast-forward. The cheap discriminators run
             # inline so a busy core pays one int compare per cycle: a step
             # that made progress can never open a quiescent span, and a
@@ -483,7 +451,6 @@ class OoOCore:
                 and not fabric.any_armed
             ):
                 self._try_fast_forward(until_cycle)
-        return started
 
     def _try_fast_forward(self, until_cycle: int) -> None:
         """Bulk-advance over a span of provably event-free cycles.

@@ -53,21 +53,3 @@ class DeadlockError(SimulationError):
         super().__init__(f"cycle {cycle}: {message}")
         self.cycle = cycle
 
-
-class DeadlineExceeded(Exception):
-    """The simulation ran past its wall-clock budget (harness deadline).
-
-    Deliberately *not* a :class:`SimulationError`: a deadline expiry is a
-    property of the harness (a per-task resource budget), not an outcome
-    of the simulated machine, so it must never be classified as a bug
-    effect. It propagates out of :meth:`OoOCore.run` to the execution
-    layer, which records the task as a structured timeout failure.
-    """
-
-    def __init__(self, cycle: int, budget_s: float) -> None:
-        super().__init__(
-            f"cycle {cycle}: simulation exceeded its {budget_s:.1f}s "
-            "wall-clock budget"
-        )
-        self.cycle = cycle
-        self.budget_s = budget_s

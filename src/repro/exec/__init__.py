@@ -9,12 +9,15 @@ aggregates results in canonical task order, checkpoints them incrementally
 to an append-only JSONL file, and emits progress events.
 
 Fault tolerance lives in :mod:`repro.exec.resilience`: every backend runs
-its tasks under a :class:`~repro.exec.resilience.FaultPolicy` — wall-clock
-deadlines, bounded retries and structured quarantine
+its tasks under a :class:`~repro.exec.resilience.FaultPolicy` — a per-task
+wall-clock budget, bounded retries and structured quarantine
 (:class:`~repro.exec.resilience.TaskFailure`). A pool worker holds one
-task at a time, so a worker that dies costs exactly one attempt of its own
-task, and only that worker is replaced. A backend built without a policy
-uses :data:`~repro.exec.resilience.FAIL_FAST`, which raises at the first
+task at a time, so a worker that dies, or that the pool's watchdog kills
+at the budget (the one task timer, so a budget always runs on the pool),
+costs exactly one attempt of its own task, and only that worker is
+replaced. Workers fork from the run's context, with the golden runs the
+parent built. A backend built without a policy uses
+:data:`~repro.exec.resilience.FAIL_FAST`, which raises at the first
 failing task.
 
 Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log

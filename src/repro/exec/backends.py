@@ -7,20 +7,23 @@ carries its own derived seed, the pair stream is order-independent: the
 engine re-sorts by task index, so all backends produce identical campaigns.
 
 ``ProcessPoolBackend`` runs ``jobs`` worker processes. Each owns one pipe
-to the parent and holds at most one task at a time. A worker receives the
-program table and core config once, when it starts, and lazily computes
-and caches the golden run per benchmark, so a campaign of N injections
-over B benchmarks costs at most B golden runs per worker regardless of N.
+to the parent and holds at most one task at a time. Every worker, a
+replacement included, forks from the run's own :class:`ExecutionContext`,
+so it starts with the snapshot providers (the golden runs) the parent
+already built: a benchmark's golden is built once per run, in the parent,
+whatever the job count.
 
 Fault tolerance: each backend has one run loop, always under a
-:class:`~repro.exec.resilience.FaultPolicy`. A task that raises, exceeds
-its wall-clock budget, or kills its worker process is retried and finally
-*quarantined*: yielded as a :class:`~repro.exec.resilience.TaskFailure` in
-place of a result, or, in ``strict`` mode, raised as a
-:class:`~repro.exec.resilience.FaultToleranceError`. Since a pool worker
-holds one task, a worker that dies, or that the watchdog kills, costs
-exactly one attempt of the task it held; only that worker is replaced and
-no other task is touched. A backend built without a policy runs under
+:class:`~repro.exec.resilience.FaultPolicy`. A task that raises, or kills
+its worker process, is retried and finally *quarantined*: yielded as a
+:class:`~repro.exec.resilience.TaskFailure` in place of a result, or, in
+``strict`` mode, raised as a
+:class:`~repro.exec.resilience.FaultToleranceError`. The one task timer
+is the pool's watchdog: it kills the worker that has held a task for
+``task_timeout_s``. Since a pool worker holds one task, a worker that
+dies, or that the watchdog kills, costs exactly one attempt of the task
+it held; only that worker is replaced and no other task is touched. A
+backend built without a policy runs under
 :data:`~repro.exec.resilience.FAIL_FAST`: no retries, and the first
 failing task raises.
 """
@@ -77,15 +80,13 @@ def run_injection_task(
     task: InjectionTask, context: "ExecutionContext"
 ) -> InjectionResult:
     """The injection runner: ``task`` against the context's cached
-    snapshot provider and its golden run, under the current task's
-    deadline."""
+    snapshot provider and its golden run."""
     return execute_task(
         task,
         context.programs[task.benchmark],
         context.golden(task.benchmark),
         context.config,
         snapshots=context.snapshots(task.benchmark),
-        deadline=context.deadline,
     )
 
 
@@ -98,35 +99,22 @@ class ExecutionContext:
     from golden snapshots; the fuzzer passes
     :func:`repro.fuzz.engine.run_fuzz_task`.
 
-    Each worker lazily builds one
+    The context lazily builds one
     :class:`~repro.bugs.snapshot.SnapshotProvider` per benchmark, at
     :data:`~repro.bugs.snapshot.SNAPSHOT_INTERVAL`: an instrumented golden
     run that captures machine snapshots and the golden delta trace.
     Injections resume from the nearest snapshot instead of power-on and
     stop once they re-converge with the golden run. The provider's golden
-    is the reference run, so a benchmark costs a worker one golden run.
-    The cold run (:func:`~repro.exec.tasks.execute_task` with no provider)
-    is the oracle these results are checked against.
-
-    ``task_timeout_s`` is the cooperative per-task wall-clock budget: at
-    each :meth:`execute` an absolute deadline is computed and threaded into
-    the simulator, which checks it every ~1024 cycles and raises
-    :class:`~repro.core.errors.DeadlineExceeded` on expiry. Custom runners
-    read the current task's deadline from :attr:`deadline`.
+    is the reference run. A campaign's manifest reads every golden before
+    dispatch, so the parent builds them all, once, and pool workers fork
+    with them. The cold run (:func:`~repro.exec.tasks.execute_task` with no
+    provider) is the oracle these results are checked against.
     """
 
     programs: Dict[str, Program]
     config: Optional[CoreConfig] = None
     runner: TaskRunner = run_injection_task
-    task_timeout_s: Optional[float] = None
     _snapshots: Dict[str, SnapshotProvider] = field(default_factory=dict)
-    _deadline: Optional[float] = field(default=None, repr=False)
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """Absolute ``time.monotonic()`` budget of the task being executed
-        (None when timeouts are off or outside :meth:`execute`)."""
-        return self._deadline
 
     def golden(self, benchmark: str) -> RunResult:
         """The bug-free reference run for ``benchmark``: its provider's."""
@@ -141,16 +129,8 @@ class ExecutionContext:
         return self._snapshots[benchmark]
 
     def execute(self, task: object) -> object:
-        """Run one task through ``runner`` under its deadline."""
-        self._deadline = (
-            time.monotonic() + self.task_timeout_s
-            if self.task_timeout_s is not None
-            else None
-        )
-        try:
-            return self.runner(task, self)
-        finally:
-            self._deadline = None
+        """Run one task through ``runner``."""
+        return self.runner(task, self)
 
 
 class Backend(Protocol):
@@ -178,19 +158,24 @@ def _give_up(
 class SerialBackend:
     """In-process execution, one task at a time, in task order.
 
-    Task exceptions and cooperative deadline expiries are retried, then
-    quarantined or (``strict``) raised, as the policy says. A task that
-    kills the process outright cannot be survived in-process; that
-    protection needs :class:`ProcessPoolBackend`.
+    Task exceptions are retried, then quarantined or (``strict``) raised,
+    as the policy says. A task that kills the process outright, or that
+    runs past a wall-clock budget, cannot be stopped in-process: a policy
+    with ``task_timeout_s`` is refused here and runs on
+    :class:`ProcessPoolBackend`.
     """
 
     def __init__(self, policy: FaultPolicy = FAIL_FAST) -> None:
+        if policy.task_timeout_s is not None:
+            raise ValueError(
+                "a task timeout needs a worker to kill: run it on "
+                "ProcessPoolBackend"
+            )
         self.policy = policy
 
     def run(
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
-        context.task_timeout_s = self.policy.task_timeout_s
         tracker = AttemptTracker(self.policy)
         for task in tasks:
             yield task, self._run_one(task, context, tracker)
@@ -211,14 +196,10 @@ class SerialBackend:
 # -- process-pool workers -----------------------------------------------------
 
 
-def _worker_main(
-    conn: Connection,
-    programs: Dict[str, Program],
-    config: Optional[CoreConfig],
-    runner: TaskRunner,
-    task_timeout_s: Optional[float],
-) -> None:
-    """A pool worker: run each task the parent sends, reply on ``conn``.
+def _worker_main(conn: Connection, context: ExecutionContext) -> None:
+    """A pool worker: run each task the parent sends through ``context``,
+    the run's own (forked with the providers the parent built), and reply
+    on ``conn``.
 
     A Ctrl-C reaches the whole process group, workers included; they
     ignore it, so the parent alone decides what it means (the CLIs unwind
@@ -233,12 +214,6 @@ def _worker_main(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    context = ExecutionContext(
-        programs=programs,
-        config=config,
-        runner=runner,
-        task_timeout_s=task_timeout_s,
-    )
     parent = multiprocessing.parent_process().sentinel
     while True:
         if parent in wait([conn, parent]):
@@ -255,19 +230,23 @@ def _worker_main(
 
 
 #: Parent-side verdicts on a busy worker that did not reply: it died, or it
-#: outlived the watchdog deadline.
+#: held its task for the whole ``task_timeout_s``.
 _LOST = object()
 _HUNG = object()
 
+#: The longest single wait of the watchdog, in seconds: ``wait`` overflows
+#: past about 24 days, and a longer budget just takes several waits.
+_MAX_WAIT_S = 3600.0
+
 
 class _Worker:
-    """One worker process, the parent's end of its pipe, and the task it
-    holds (None while idle)."""
+    """One worker process, forked with the run's ``context``, the parent's
+    end of its pipe, and the task it holds (None while idle)."""
 
-    def __init__(self, args: tuple) -> None:
+    def __init__(self, context: ExecutionContext) -> None:
         self.conn, child_end = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_worker_main, args=(child_end,) + args, daemon=True
+            target=_worker_main, args=(child_end, context), daemon=True
         )
         self.process.start()
         child_end.close()  # so the worker's death reads as EOF here
@@ -311,12 +290,14 @@ class ProcessPoolBackend:
     The parent waits on every busy worker's pipe and process sentinel at
     once. A replying worker gets its next task before the reply is yielded
     to the engine, so workers never idle while the engine writes the
-    checkpoint. A worker that dies, or that the watchdog kills after
-    ``policy.hang_timeout_s``, is charged one attempt against the task it
-    held and replaced; the other workers and their tasks are untouched.
-    Results are yielded in completion order; tasks and results are plain
-    picklable dataclasses. However the run ends, by its last result or an
-    exception (a stop), every worker is killed and reaped.
+    checkpoint. A worker that dies, or that the watchdog kills once it has
+    held its task for ``policy.task_timeout_s``, is charged one attempt
+    against the task it held and replaced; the other workers and their
+    tasks are untouched. Workers fork from ``context`` at each run and die
+    with it, so a pool holds no state between runs. Results are yielded in
+    completion order; tasks and results are plain picklable dataclasses.
+    However the run ends, by its last result or an exception (a stop),
+    every worker is killed and reaped.
     """
 
     def __init__(self, jobs: int, policy: FaultPolicy = FAIL_FAST) -> None:
@@ -329,19 +310,13 @@ class ProcessPoolBackend:
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
         policy = self.policy
-        hang = policy.hang_timeout_s
+        hang = policy.task_timeout_s
         tracker = AttemptTracker(policy)
         queue: Deque[object] = deque(tasks)
-        args = (
-            context.programs,
-            context.config,
-            context.runner,
-            policy.task_timeout_s,
-        )
         workers: List[_Worker] = []
         try:
             for _ in range(min(self.jobs, len(queue))):
-                workers.append(_Worker(args))
+                workers.append(_Worker(context))
             for worker in workers:
                 worker.take(queue)
             while True:
@@ -351,7 +326,8 @@ class ProcessPoolBackend:
                 timeout = None
                 if hang is not None:
                     oldest = min(w.started for w in busy)
-                    timeout = max(0.0, oldest + hang - time.monotonic())
+                    left = oldest + hang - time.monotonic()
+                    timeout = min(max(0.0, left), _MAX_WAIT_S)
                 ready = set(
                     wait(
                         [w.conn for w in busy]
@@ -371,7 +347,7 @@ class ProcessPoolBackend:
                     else:
                         continue
                     if outcome is _LOST or outcome is _HUNG:
-                        replacement = _Worker(args)
+                        replacement = _Worker(context)
                         code = worker.stop()
                         workers[slot] = worker = replacement
                         attempts = tracker.record_attempt(task.key)
@@ -400,7 +376,8 @@ class ProcessPoolBackend:
 
 def make_backend(jobs: int, policy: FaultPolicy = FAIL_FAST) -> Backend:
     """A pool of ``jobs`` worker processes, or in-process serial execution
-    for one job (results are identical either way)."""
-    if jobs > 1:
+    for one job without a task timeout (results are identical either way).
+    A timeout needs a worker to kill, so it gets a pool even at one job."""
+    if jobs > 1 or policy.task_timeout_s is not None:
         return ProcessPoolBackend(jobs, policy=policy)
     return SerialBackend(policy=policy)

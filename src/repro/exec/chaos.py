@@ -21,7 +21,8 @@ Behaviors (each variable holds comma-separated task keys):
 - ``REPRO_CHAOS_RAISE``: raise :class:`ChaosError` (a deterministic
   "poison" task that fails every attempt).
 - ``REPRO_CHAOS_HANG``: sleep for ``REPRO_CHAOS_HANG_S`` seconds (default
-  3600) — a non-cooperative hang only the parent watchdog can clear.
+  3600) — a hang only the pool's watchdog can clear (a run with a task
+  timeout runs on the pool, even at one job).
 - ``REPRO_CHAOS_TORN_APPEND`` (honored by
   :class:`~repro.exec.durability.SealedLog` itself, one task key):
   emit half of that task's checkpoint line and hard-exit — a deterministic
@@ -29,8 +30,9 @@ Behaviors (each variable holds comma-separated task keys):
   it).
 
 The scenarios that drive these hooks are tier-1 tests:
-``tests/test_resilience.py`` (worker kill, poison, hang, a pool whose
-every task kills its worker, no-op resume, fail-fast) and
+``tests/test_resilience.py`` (worker kill, poison, hang at two jobs and at
+one, a pool whose every task kills its worker, no-op resume, fail-fast)
+and
 ``tests/test_chaos.py`` (torn append, mid-run kill).
 """
 

@@ -203,9 +203,9 @@ def run_engine(
             >= 1.
         backend: Execution backend (:class:`SerialBackend` when None).
             Its :class:`~repro.exec.resilience.FaultPolicy` decides how
-            failing tasks are handled (retry + quarantine, watchdog, and
-            for the pool, replacing a lost worker); the default,
-            :data:`~repro.exec.resilience.FAIL_FAST`, raises
+            failing tasks are handled (retry + quarantine, and for the
+            pool, the timeout watchdog and replacing a lost worker); the
+            default, :data:`~repro.exec.resilience.FAIL_FAST`, raises
             :class:`~repro.exec.resilience.FaultToleranceError` at the
             first failing task.
         checkpoint_path: Append each completed result to this JSONL file.

@@ -8,9 +8,8 @@ worker exceptions, hung tasks and dead worker processes into structured,
 checkpointable records instead of campaign aborts:
 
 * **exception** — the task raised; the traceback is preserved (truncated).
-* **timeout** — the task exceeded its wall-clock budget, either
-  cooperatively (the core checks its deadline every ~1024 cycles) or via
-  the parent-side watchdog for tasks that stop responding entirely.
+* **timeout** — the task held its pool worker for its whole wall-clock
+  budget, and the parent's watchdog killed that worker.
 * **worker-crash** — the worker process died (OOM kill, ``os._exit``,
   segfault) while it held the task; only that worker is replaced.
 
@@ -27,6 +26,7 @@ every layer (core, bugs, exec, fuzz) can depend on it without cycles.
 
 from __future__ import annotations
 
+import math
 import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -47,15 +47,12 @@ class FaultPolicy:
     """How the execution layer responds to misbehaving tasks and workers.
 
     Attributes:
-        task_timeout_s: Per-task wall-clock budget in seconds. Enforced
-            cooperatively inside the simulator (deadline checked every
-            ~1024 cycles) and, for tasks that stop responding entirely,
-            by the parent-side watchdog at ``task_timeout_s +
-            watchdog_grace_s``. None disables both.
-        watchdog_grace_s: Extra wall-clock slack the parent grants beyond
-            ``task_timeout_s`` before declaring a task hung and killing
-            its worker. Covers per-worker golden/snapshot warm-up, which
-            runs before the cooperative deadline can bite.
+        task_timeout_s: Per-task wall-clock budget in seconds, a finite
+            number > 0, or None for no limit. The pool's watchdog kills
+            the worker that has held a task this long, so a policy with a
+            budget needs a process to kill: it runs on
+            :class:`~repro.exec.backends.ProcessPoolBackend`, at any job
+            count.
         max_task_retries: Retries after the first attempt before a task
             is quarantined (so a task runs at most ``1 + max_task_retries``
             times). A task whose worker died retries on its replacement.
@@ -65,14 +62,14 @@ class FaultPolicy:
     """
 
     task_timeout_s: Optional[float] = None
-    watchdog_grace_s: float = 60.0
     max_task_retries: int = 2
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
+        timeout = self.task_timeout_s
+        if timeout is not None and not 0 < timeout < math.inf:
             raise ValueError(
-                f"task_timeout_s must be > 0, got {self.task_timeout_s}"
+                f"task_timeout_s must be a finite number > 0, got {timeout}"
             )
         if self.max_task_retries < 0:
             raise ValueError(
@@ -82,13 +79,6 @@ class FaultPolicy:
     @property
     def max_attempts_per_task(self) -> int:
         return 1 + self.max_task_retries
-
-    @property
-    def hang_timeout_s(self) -> Optional[float]:
-        """Parent-side watchdog deadline, or None when timeouts are off."""
-        if self.task_timeout_s is None:
-            return None
-        return self.task_timeout_s + self.watchdog_grace_s
 
 
 #: The library default: no retries, and the first failing task raises
@@ -145,22 +135,13 @@ class TaskFailureRecord:
 
 
 def failure_from_exception(exc: BaseException, attempts: int) -> TaskFailure:
-    """Build a :class:`TaskFailure` from a raised exception.
-
-    The kind is ``timeout`` for the cooperative deadline (detected by the
-    exception's class *name*, so a pickled-and-reraised worker exception
-    classifies identically), ``exception`` otherwise.
-    """
-    kind = (
-        "timeout"
-        if type(exc).__name__ == "DeadlineExceeded"
-        else "exception"
-    )
+    """The ``exception`` :class:`TaskFailure` of a task that raised
+    ``exc``, with its (truncated) traceback."""
     tb = "".join(
         _traceback.format_exception(type(exc), exc, exc.__traceback__)
     )
     return TaskFailure(
-        kind=kind,
+        kind="exception",
         attempts=attempts,
         message=f"{type(exc).__name__}: {exc}",
         traceback=tb[-TRACEBACK_LIMIT:],
@@ -168,13 +149,14 @@ def failure_from_exception(exc: BaseException, attempts: int) -> TaskFailure:
 
 
 def timeout_failure(attempts: int, budget_s: float) -> TaskFailure:
-    """A watchdog (parent-side) timeout: the worker never answered."""
+    """A watchdog timeout: the worker held the task for its whole
+    budget and was killed."""
     return TaskFailure(
         kind="timeout",
         attempts=attempts,
         message=(
-            f"task exceeded the {budget_s:.1f}s watchdog budget without "
-            "responding; its worker was killed"
+            f"task exceeded its {budget_s:g}s budget; the watchdog killed "
+            "its worker"
         ),
     )
 

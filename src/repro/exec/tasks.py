@@ -114,7 +114,6 @@ def execute_task(
     golden: "RunResult",
     config: Optional["CoreConfig"] = None,
     snapshots: Optional["SnapshotProvider"] = None,
-    deadline: Optional[float] = None,
 ) -> "InjectionResult":
     """Execute one task: draw from its private stream until activation.
 
@@ -123,10 +122,7 @@ def execute_task(
     benchmark's ``snapshots`` provider; with None each attempt is the cold
     run, from power-on to the end, which is the oracle the
     snapshot-driven results must equal (so the provider never joins the
-    task's identity). ``deadline`` (absolute ``time.monotonic()``) is the
-    whole-task wall-clock budget shared by all redraw attempts; expiry
-    raises :class:`~repro.core.errors.DeadlineExceeded` to the execution
-    layer.
+    task's identity).
     """
     from repro.bugs.campaign import run_injection
     from repro.bugs.injector import draw_attempts
@@ -141,8 +137,7 @@ def execute_task(
         task.max_attempts,
     ):
         result = run_injection(
-            program, golden, spec, config, snapshots=snapshots,
-            deadline=deadline,
+            program, golden, spec, config, snapshots=snapshots
         )
         if result.activated:
             break

@@ -105,12 +105,7 @@ class FuzzTask:
 def run_fuzz_task(task: FuzzTask, context: ExecutionContext) -> OracleReport:
     """Module-level task runner (the backends' pluggable-runner target)."""
     program = build_program(task.genome, name=f"fuzz{task.index}")
-    return evaluate(
-        program,
-        config=context.config,
-        bug=task.bug,
-        deadline=context.deadline,
-    )
+    return evaluate(program, config=context.config, bug=task.bug)
 
 
 @dataclass

@@ -102,7 +102,6 @@ def evaluate(
     config: Optional[CoreConfig] = None,
     bug: Optional[BugSpec] = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    deadline: Optional[float] = None,
 ) -> OracleReport:
     """Run ``program`` through the triple oracle.
 
@@ -112,10 +111,6 @@ def evaluate(
         bug: Optional armed bug — used by tests and failing repro
             artifacts to validate that the oracle (still) catches it.
         max_cycles: Simulation budget.
-        deadline: Harness wall-clock budget (absolute ``time.monotonic()``);
-            expiry raises :class:`~repro.core.errors.DeadlineExceeded`
-            (deliberately *not* caught here — it is a resource-policy
-            event, never an oracle verdict).
 
     Returns:
         The :class:`OracleReport`; ``coverage`` merges the RRS probe's
@@ -137,7 +132,7 @@ def evaluate(
     failures = []
     error: Optional[SimulationError] = None
     try:
-        result = core.run(max_cycles=max_cycles, deadline=deadline)
+        result = core.run(max_cycles=max_cycles)
     except SimulationError as exc:
         error = exc
         result = core.result()

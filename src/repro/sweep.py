@@ -213,7 +213,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     from repro.exec.durability import SHUTDOWN_EXIT_CODE
     from repro.exec.engine import run_engine
 
-    policy = policy_from_args(args)
+    backend = make_backend(args.jobs, policy_from_args(args))
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
 
@@ -261,10 +261,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 runs_per_model=args.runs,
                 seed=args.seed,
                 config=config,
-                # Each cell gets a fresh backend: worker processes cache
-                # per-config golden runs, and a pool must never serve two
-                # design points.
-                backend=make_backend(args.jobs, policy),
+                backend=backend,
                 checkpoint_path=checkpoint_path,
                 resume=resume,
                 observers=[guard],

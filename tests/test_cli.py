@@ -318,15 +318,25 @@ RUN_FLAG_BOUNDS = [
     ("campaign", "--jobs", "0", "1"),
     ("campaign", "--max-task-retries", "-1", "0"),
     ("campaign", "--task-timeout", "0", "0.5"),
+    ("campaign", "--task-timeout", "nan", "600"),
+    ("campaign", "--task-timeout", "inf", "1e7"),
+    ("campaign", "--scale", "0", "0.25"),
+    ("campaign", "--scale", "-1", "4"),
+    ("campaign", "--scale", "nan", "1"),
+    ("campaign", "--scale", "inf", "1"),
     ("campaign", "--export-csv", "missing/out.csv", "out.csv"),
     ("campaign", "--export-json", "missing/out.json", "out.json"),
     ("sweep", "--runs", "-1", "0"),
     ("sweep", "--jobs", "0", "1"),
     ("sweep", "--max-task-retries", "-1", "0"),
     ("sweep", "--task-timeout", "0", "0.5"),
+    ("sweep", "--task-timeout", "nan", "600"),
+    ("sweep", "--scale", "0", "0.25"),
+    ("sweep", "--scale", "nan", "1"),
     ("fuzz", "--jobs", "0", "1"),
     ("fuzz", "--max-task-retries", "-1", "0"),
     ("fuzz", "--task-timeout", "0", "0.5"),
+    ("fuzz", "--task-timeout", "inf", "600"),
 ]
 
 
@@ -348,12 +358,23 @@ def test_run_flag_bound_accepts_the_legal_side(
 REFUSED_RUN_FLAGS = [
     ("campaign", ["--max-task-retries", "-1"]),
     ("campaign", ["--task-timeout", "0"]),
+    ("campaign", ["--task-timeout", "nan"]),
+    ("campaign", ["--task-timeout", "inf", "--jobs", "2"]),
+    ("campaign", ["--task-timeout", "inf"]),
+    ("campaign", ["--scale", "nan"]),
+    ("campaign", ["--scale", "inf"]),
+    ("campaign", ["--scale", "0"]),
+    ("campaign", ["--scale", "-1"]),
+    ("campaign", ["--benchmarks", "nosuch"]),
     ("sweep", ["--jobs", "0"]),
     ("sweep", ["--max-task-retries", "-1"]),
     ("sweep", ["--task-timeout", "0"]),
+    ("sweep", ["--task-timeout", "nan"]),
+    ("sweep", ["--scale", "inf"]),
     ("fuzz", ["--jobs", "0"]),
     ("fuzz", ["--max-task-retries", "-1"]),
     ("fuzz", ["--task-timeout", "0"]),
+    ("fuzz", ["--task-timeout", "nan"]),
     ("fuzz", ["--budget", "0"]),
     ("fuzz", ["--batch", "0"]),
     ("fuzz", ["--checkpoint", "a.jsonl", "--resume", "b.jsonl"]),

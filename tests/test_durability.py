@@ -720,8 +720,8 @@ def test_pool_reaps_its_workers_at_an_interrupt_and_resume_completes(
     started = []
 
     class RecordingWorker(backends._Worker):
-        def __init__(self, args):
-            super().__init__(args)
+        def __init__(self, context):
+            super().__init__(context)
             started.append(self.process.pid)
 
     monkeypatch.setattr(backends, "_Worker", RecordingWorker)

@@ -7,7 +7,8 @@ the sabotaged tasks are quarantined with the right failure kind, every
 surviving result is bit-identical to a clean run, and a resume skips
 quarantined tasks. The pool's worker contract (a lost worker costs one
 attempt of its own task and only it is replaced; workers ignore SIGINT;
-every worker is reaped) is checked task by task with a probe runner.
+every worker is reaped; workers fork with the goldens the parent built)
+is checked task by task with a probe runner.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ import pytest
 
 from repro.analysis.export import campaign_from_checkpoint
 from repro.bugs.models import PRIMARY_MODELS
-from repro.core.cpu import OoOCore
-from repro.core.errors import DeadlineExceeded, SimulationError
+from repro.bugs.snapshot import SnapshotProvider
 import repro.exec.backends as backends
 from repro.exec.backends import (
     ExecutionContext,
     ProcessPoolBackend,
     SerialBackend,
+    make_backend,
 )
 from repro.exec.chaos import (
     ALL_ENV_VARS,
@@ -220,45 +221,62 @@ def test_fail_fast_pool_names_a_worker_crash(
     assert "[worker-crash]" in str(excinfo.value)
 
 
-# -- a hung task is killed by the parent watchdog -----------------------------
+# -- a hung task is killed by the pool's watchdog -----------------------------
 
 
-def test_hung_task_hits_watchdog_timeout(
-    tiny_suite, tiny_tasks, clean_campaign, monkeypatch
-):
+def _hang_campaign(tiny_suite, tiny_tasks, monkeypatch, backend):
+    """The tiny campaign on ``backend(policy)`` with its third task hung for
+    20 s, under a 2 s task timeout and no retries. Asserts that the watchdog
+    quarantined exactly that task, as a timeout after its one attempt, and
+    returns the campaign and the key."""
     hang_key = tiny_tasks[2].key
-    _set_env(monkeypatch, hang_keys=[hang_key], hang_s=120.0)
-    policy = FaultPolicy(
-        task_timeout_s=3.0,
-        watchdog_grace_s=1.0,
-        max_task_retries=0,
-    )
+    _set_env(monkeypatch, hang_keys=[hang_key], hang_s=20.0)
     campaign = run_engine(
         tiny_suite,
         RUNS,
         seed=SEED,
-        backend=ProcessPoolBackend(2, policy=policy),
+        backend=backend(FaultPolicy(task_timeout_s=2.0, max_task_retries=0)),
         task_runner=chaos_runner,
     )
     assert [r.key for r in campaign.failures] == [hang_key]
     failure = campaign.failures[0].failure
     assert failure.kind == "timeout"
     assert failure.attempts == 1
+    assert "2s budget" in failure.message
+    return campaign, hang_key
+
+
+def test_hung_task_hits_watchdog_timeout(
+    tiny_suite, tiny_tasks, clean_campaign, monkeypatch
+):
+    """The watchdog kills the worker at the task's budget, with no grace."""
+    campaign, hang_key = _hang_campaign(
+        tiny_suite, tiny_tasks, monkeypatch,
+        lambda policy: ProcessPoolBackend(2, policy=policy),
+    )
     _assert_survivors_match(campaign, clean_campaign, tiny_tasks, {hang_key})
 
 
-# -- the cooperative deadline inside the simulator ----------------------------
+def test_a_timeout_holds_at_one_job(
+    tiny_suite, tiny_tasks, clean_campaign, monkeypatch
+):
+    """A budget needs a worker to kill, so ``make_backend`` gives one job
+    with a budget a one-worker pool: the 20 s hang ends at 2 s."""
+    campaign, hang_key = _hang_campaign(
+        tiny_suite, tiny_tasks, monkeypatch,
+        lambda policy: make_backend(1, policy),
+    )
+    _assert_survivors_match(campaign, clean_campaign, tiny_tasks, {hang_key})
 
 
-def test_cooperative_deadline_raises_and_is_not_a_sim_error():
-    # Needs a program that runs past cycle 1024, where the first of the
-    # periodic deadline checks happens (tiny bitcount halts before that).
-    core = OoOCore(WORKLOADS["dijkstra"]())
-    with pytest.raises(DeadlineExceeded) as excinfo:
-        core.run(deadline=0.0)  # long expired; trips at the first check
-    assert not isinstance(excinfo.value, SimulationError)
-    assert excinfo.value.cycle > 0
-    assert failure_from_exception(excinfo.value, 1).kind == "timeout"
+def test_a_task_timeout_always_runs_on_a_pool():
+    """An in-process backend cannot stop a task, so it refuses a budget,
+    and one job gets a pool exactly when the policy has one."""
+    with pytest.raises(ValueError, match="ProcessPoolBackend"):
+        SerialBackend(FaultPolicy(task_timeout_s=1))
+    assert isinstance(make_backend(1, FaultPolicy()), SerialBackend)
+    pool = make_backend(1, FaultPolicy(task_timeout_s=1))
+    assert isinstance(pool, ProcessPoolBackend) and pool.jobs == 1
 
 
 # -- a lost worker costs exactly its own task ----------------------------------
@@ -428,8 +446,8 @@ def started_workers(monkeypatch):
     pids = []
 
     class RecordingWorker(backends._Worker):
-        def __init__(self, args):
-            super().__init__(args)
+        def __init__(self, context):
+            super().__init__(context)
             pids.append(self.process.pid)
 
     monkeypatch.setattr(backends, "_Worker", RecordingWorker)
@@ -514,6 +532,51 @@ def test_pool_reaps_every_worker_it_started(taken, tmp_path, started_workers):
     for pid in started_workers:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # already reaped
+
+
+def test_a_budget_longer_than_one_wait_still_runs(tmp_path):
+    """The watchdog waits at most an hour at a time (``wait`` overflows
+    past about 24 days), so a longer finite budget runs the pool."""
+    tasks = [_Probe(f"t{i}", str(tmp_path)) for i in range(3)]
+    outcomes = _run_probes(tasks, policy=FaultPolicy(task_timeout_s=1e7))
+    assert len(outcomes) == len(tasks)
+    assert not any(isinstance(o, TaskFailure) for o in outcomes.values())
+
+
+def test_each_golden_is_built_once_in_the_parent(
+    tmp_path, monkeypatch, started_workers
+):
+    """Every pool worker forks with the snapshot providers the parent built
+    for the manifest, the replacement of a worker that chaos kills
+    included: over all ten benchmarks on two workers, each benchmark's
+    golden is built once per run, and only in the parent."""
+    log = tmp_path / "builds"
+    build = SnapshotProvider.__init__
+
+    def counted(provider, program, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {program.name}\n")
+        build(provider, program, *args, **kwargs)
+
+    monkeypatch.setattr(SnapshotProvider, "__init__", counted)
+    suite = {name: make(scale=0.25) for name, make in WORKLOADS.items()}
+    runs = 4
+    tasks = generate_tasks(list(suite), runs, list(PRIMARY_MODELS), SEED, 6)
+    kill_key = tasks[0].key
+    _set_env(monkeypatch, exit_keys=[kill_key])
+    campaign = run_engine(
+        suite,
+        runs,
+        seed=SEED,
+        backend=ProcessPoolBackend(2, policy=FaultPolicy(max_task_retries=0)),
+        task_runner=chaos_runner,
+    )
+    assert [r.key for r in campaign.failures] == [kill_key]
+    assert len(campaign.results) == len(tasks) - 1
+    assert len(started_workers) == 3  # two, and the killed one's replacement
+    builds = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for _, name in builds) == sorted(suite)
+    assert {int(pid) for pid, _ in builds} == {os.getpid()}
 
 
 # -- resume skips quarantined tasks -------------------------------------------
@@ -672,20 +735,23 @@ def test_chaos_runner_without_a_plan_is_the_injection_runner(
 
 
 def test_fault_policy_validation():
-    with pytest.raises(ValueError):
-        FaultPolicy(task_timeout_s=0)
+    """A budget is a finite number > 0: nan would never time anything out,
+    and inf overflows the watchdog's wait."""
+    for timeout in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            FaultPolicy(task_timeout_s=timeout)
     with pytest.raises(ValueError):
         FaultPolicy(max_task_retries=-1)
-    assert FaultPolicy(task_timeout_s=2.0, watchdog_grace_s=1.0).hang_timeout_s == 3.0
-    assert FaultPolicy().hang_timeout_s is None
+    assert FaultPolicy(task_timeout_s=0.5).task_timeout_s == 0.5
 
 
-def test_fault_policy_has_only_the_four_tuning_fields():
+def test_fault_policy_has_only_the_three_tuning_fields():
     """A lost pool worker costs only its own task, so there is no respawn
-    budget, backoff schedule or serial fallback left to tune."""
+    budget, backoff schedule or serial fallback left to tune, and the
+    watchdog is the one task timer, so there is no grace on top of the
+    budget."""
     assert [f.name for f in dataclasses.fields(FaultPolicy)] == [
         "task_timeout_s",
-        "watchdog_grace_s",
         "max_task_retries",
         "strict",
     ]
