@@ -23,21 +23,18 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.classify import classify_run, timeout_budget
-from repro.bugs.differential import Reconvergence, converged, relabelled
+from repro.bugs.differential import Reconvergence, converged
 from repro.bugs.injector import arm
 from repro.bugs.models import BugModel, BugSpec
+from repro.bugs.snapshot import SnapshotProvider, make_detectors
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore, RunResult
 from repro.core.errors import SimulationError
 from repro.core.rrs.signals import SignalFabric
-from repro.idld.bitvector import BitVectorScheme
-from repro.idld.checker import IDLDChecker
-from repro.idld.counter import CounterScheme
 from repro.idld.endoftest import end_of_test_check
 from repro.isa.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.bugs.snapshot import SnapshotProvider
     from repro.exec.resilience import TaskFailureRecord
 
 
@@ -123,7 +120,7 @@ def run_injection(
     golden: RunResult,
     spec: BugSpec,
     config: Optional[CoreConfig] = None,
-    snapshots: Optional["SnapshotProvider"] = None,
+    snapshots: Optional[SnapshotProvider] = None,
 ) -> InjectionResult:
     """Execute one buggy run with all detectors attached and classify it.
 
@@ -137,18 +134,16 @@ def run_injection(
     fire during cycle c itself, so the restore point must satisfy
     ``snapshot.cycle <= inject_cycle - 1``. The suffix is then simulated
     in chunks up to each snapshot cycle and terminates the moment the
-    variant provably re-converges with the golden trajectory, exactly or
-    up to identifier relabelling (see :mod:`repro.bugs.differential`).
+    variant provably re-converges with the golden trajectory up to
+    identifier relabelling (see :mod:`repro.bugs.differential`).
     The result is bit-identical to the cold run; ``warm_start_cycles_skipped``
     and ``early_terminated_cycle`` record what was skipped.
     """
     started = time.perf_counter_ns()
     fabric = SignalFabric()
     armed = arm(spec, fabric)
-    idld = IDLDChecker()
-    bv = BitVectorScheme()
-    counter = CounterScheme()
-    detectors = (idld, bv, counter)
+    detectors = make_detectors()
+    idld, bv, counter = detectors
     core = OoOCore(
         program, config=config, observers=list(detectors), fabric=fabric
     )
@@ -182,7 +177,7 @@ def run_injection(
         outcome = OutcomeClass.BENIGN
         manifestation_cycle = None
         final_cycle = golden.cycles
-        persists: Optional[bool] = delta.golden_persists or hit.missing > 0
+        persists: Optional[bool] = hit.missing > 0
         bv_cycle, counter_cycle = hit.bv_cycle, hit.counter_cycle
     else:
         result = core.result()
@@ -221,7 +216,7 @@ _MAX_DEEP_STRIDE = 32
 
 
 def _run_until_converged(
-    snapshots: "SnapshotProvider",
+    snapshots: SnapshotProvider,
     core: OoOCore,
     detectors,
     fabric: SignalFabric,
@@ -230,16 +225,18 @@ def _run_until_converged(
     """Run ``core`` to ``budget`` in chunks ending at each snapshot cycle.
 
     At each chunk boundary, every detector whose first detection is
-    recorded is detached: results read only that cycle. Returns where the
-    variant provably re-converged with the golden run, exactly
-    (:func:`converged`) or up to identifier relabelling
-    (:func:`relabelled`), or None when it halted or reached ``budget``
-    first.
+    recorded is detached: results read only that cycle. Once nothing is
+    armed and IDLD has latched, a snapshot cycle whose fingerprint
+    matches the golden's in all but the free-list count, with no more
+    free identifiers than the golden holds, goes to the convergence
+    predicate (:func:`converged`). Returns where the variant provably
+    re-converged with the golden run, or None when it halted or reached
+    ``budget`` first.
     """
     fingerprints = snapshots.delta.fingerprints
     candidates = snapshots.candidate_cycles
     pos = bisect_right(candidates, core.cycle)
-    idld, bv, counter = detectors
+    idld = detectors[0]
     attached = list(detectors)
     skip_deep_until = 0
     stride = 1
@@ -261,29 +258,23 @@ def _run_until_converged(
         if (
             fabric.any_armed
             or fabric.undefined_pdst is not None
+            or idld.first_detection_cycle is None
             or cycle < skip_deep_until
         ):
             continue
         reference = fingerprints.get(cycle)
         if reference is None:
             continue
+        # The free-list count is the fingerprint's last component.
         fingerprint = core.fingerprint()
-        if fingerprint == reference:
-            if converged(snapshots, core, detectors, fabric, cycle):
-                return Reconvergence(
-                    cycle, 0, bv.first_detection_cycle,
-                    counter.first_detection_cycle,
-                )
-        elif not (
-            idld.first_detection_cycle is not None
-            and fingerprint[:-1] == reference[:-1]
-            and fingerprint[-1] <= reference[-1]
+        if (
+            fingerprint[:-1] != reference[:-1]
+            or fingerprint[-1] > reference[-1]
         ):
             continue
-        if idld.first_detection_cycle is not None:
-            hit = relabelled(snapshots, core, detectors, fabric, cycle)
-            if hit is not None:
-                return hit
+        hit = converged(snapshots, core, detectors, fabric, cycle)
+        if hit is not None:
+            return hit
         skip_deep_until = cycle + stride * snapshots.interval
         if stride < _MAX_DEEP_STRIDE:
             stride <<= 1

@@ -23,58 +23,49 @@ too, DejaVuzz-style, by running every snapshot-driven injection
    while recording the consults would cost about 40% of every provider
    build (see EXPERIMENTS.md).
 
-3. **Convergence-terminated suffixes.** After the fault fires, the variant
-   is compared against the golden trace at every snapshot cycle: first a
-   cheap :meth:`~repro.core.cpu.OoOCore.fingerprint` probe, then — only on
-   a fingerprint hit — full structural state equality (:func:`converged`).
-   The moment the machine state, the commit/output traces, and the
-   detectors' *tracking* state are all back on the golden trajectory with
-   no perturbation still pending, every future cycle is determined to be
-   golden, so the run is classified immediately (Benign, golden final
-   cycle, golden persistence) without simulating the rest.
+3. **Convergence-terminated suffixes.** Once the fault has fired and
+   IDLD has latched, the variant is checked against the golden trace at
+   every snapshot cycle: first a cheap
+   :meth:`~repro.core.cpu.OoOCore.fingerprint` prefilter, then the one
+   convergence predicate, :func:`converged`. It asks whether the variant
+   is the golden state under a renaming of identifiers, with ``k >= 0``
+   identifiers missing from its free list; exact convergence is the
+   identity map with ``k = 0``. The core never looks at an identifier's
+   value, only at which structures hold it, so from such a state every
+   future cycle replays the golden run's, and the run is classified
+   there: Benign at the golden final cycle, persisting iff ``k >= 1``,
+   with any pending BV or counter detection placed at the golden's next
+   pipeline-empty cycle.
 
-4. **Convergence up to identifier relabelling.** A leak leaves the machine
-   short of identifiers, so the exact predicate never holds and such runs
-   used to simulate to HALT. The core never looks at an identifier's
-   value, only at which structures hold it, so where the exact check fails
-   :func:`relabelled` asks whether the variant is the golden state under a
-   renaming of identifiers, with ``k`` identifiers missing from its free
-   list. If so the run ends Benign at the golden final cycle, persisting
-   iff ``k >= 1``, with any pending BV or counter detection placed at the
-   golden's next pipeline-empty cycle.
+Soundness is argued in EXPERIMENTS.md ("Injections stop paying once their
+result is fixed"). In short:
 
-Soundness of the exact predicate (see EXPERIMENTS.md):
+* Nothing may be armed: an unfired bug can still perturb any future
+  cycle, so a spec whose signal is never consulted again simulates to the
+  end.
+* Every core operation either ignores identifier values or uses them as
+  opaque keys (equality, array index), except the shared zero register,
+  which the map fixes. Every other field of
+  :meth:`~repro.core.cpu.OoOCore.save_state` (minus ``stats``, monotonic
+  counters that influence neither future behaviour nor the
+  classification) and the output/commit trace contents must equal the
+  golden's. Dormant divergence, such as an at-rest free-list upset that
+  is consumed hundreds of cycles later, lives in the compared state, so a
+  dormant run never converges.
+* The free list is the one place the variant may hold fewer identifiers.
+  With ``k >= 1``, no rename gate sees the difference while the golden
+  free list keeps ``k + width`` or more; with ``k = 0`` both lists hold
+  equally many, so no gate can tell them apart.
+* IDLD must have latched, because its XOR code does depend on identifier
+  values. Results record first detections only, so a latched detector's
+  future cannot change them, and the injection loop detaches each
+  detector once it has latched (:meth:`OoOCore.detach`). BV and the
+  counter must have latched too, or mirror the variant's free list.
 
-* ``fabric.any_armed`` must be False: an unfired bug can still perturb any
-  future cycle, so no early exit while anything is pending. A spec whose
-  signal is never consulted again therefore simulates to the end.
-* Core state equality is *structural* over the complete
-  :meth:`~repro.core.cpu.OoOCore.save_state` dict (minus ``stats``, which
-  holds monotonic counters that do not influence future behavior or the
-  classification), plus content equality of the output/commit traces
-  against the golden prefixes (light-trace snapshots store lengths only).
-  Dormant divergence — e.g. an at-rest free-list upset that will only be
-  consumed hundreds of cycles later — lives in the compared state, so a
-  dormant run can never be declared converged.
-* Detector state is compared on its *tracking* projection only
-  (``tracking_of``): XOR codes, bit vectors, counters, mirrors — not the
-  recorded detections. A run whose detector fired and then recovered can
-  converge; its detections are already recorded and are carried into the
-  result unchanged. For the same reason the injection loop detaches a
-  detector from the core once it has latched (:meth:`OoOCore.detach`).
-
-Soundness of the relabelling predicate is argued in EXPERIMENTS.md
-("Injections stop paying once their result is fixed"). In short: every
-core operation either ignores identifier values or uses them as opaque
-keys (equality, array index), except the shared zero register, which the
-map fixes; the free list is the one place the variant may hold fewer
-identifiers, and while the golden free list keeps ``k + width`` or more,
-no rename gate sees the difference. IDLD must have latched, because its
-XOR code does depend on identifier values.
-
-The deep compares are the expensive path, so a failed one backs off
-exponentially (the fingerprint probe keeps running every candidate cycle);
-this only delays termination and never affects the classification.
+The predicate is the expensive path, so a refusal backs off
+exponentially (the fingerprint prefilter keeps running every candidate
+cycle); this only delays termination and never affects the
+classification.
 """
 
 from __future__ import annotations
@@ -102,8 +93,10 @@ class DeltaTrace:
             (``not census_is_clean()`` at HALT) — what any run that follows
             the golden trajectory to completion would measure.
         clean: True when the golden run halted with every detector silent;
-            convergence is only checked for clean goldens (in practice
-            goldens are always clean — this is a guard, not a policy).
+            convergence is only checked for clean goldens. Not every
+            golden is: with zero-idiom elimination on, BV and the counter,
+            which do not model the shared zero register, fire at HALT on
+            every scale-1 golden, so no such injection ends early.
         free_floor: Snapshot cycle -> the fewest identifiers the golden
             free list holds from that cycle to HALT.
         next_empty: Snapshot cycle -> the first later cycle that delivers a
@@ -139,64 +132,6 @@ class DeltaTrace:
         return spec.inject_cycle
 
 
-#: Per-detector tracking projections, in canonical attach order. Each maps
-#: a detector ``save_state()`` tuple onto the components that influence
-#: *future* observations — excluding the already-recorded detections, which
-#: are results, not state the machine evolves on.
-_TRACKING = (
-    IDLDChecker.tracking_of,
-    BitVectorScheme.tracking_of,
-    CounterScheme.tracking_of,
-)
-
-
-def converged(
-    provider: "SnapshotProvider",
-    core: "OoOCore",
-    detectors: Tuple[IDLDChecker, BitVectorScheme, CounterScheme],
-    fabric: SignalFabric,
-    cycle: int,
-) -> bool:
-    """The convergence predicate: may this variant terminate at ``cycle``?
-
-    True only when *every* future cycle of the variant is provably the
-    golden run's: nothing armed is still pending, and the variant's
-    complete machine state — core structural state, output/commit trace
-    contents, and detector tracking state — equals the golden run's
-    snapshot at the same cycle. ``cycle`` must be a snapshot cycle of the
-    provider; any other cycle is simply not a candidate.
-    """
-    if fabric.any_armed:
-        return False
-    reference = provider.delta.fingerprints.get(cycle)
-    if reference is None or core.fingerprint() != reference:
-        return False
-    snapshot = provider.at(cycle)
-    if snapshot is None:
-        return False
-    state = core.save_state(light_trace=True)
-    golden_state = snapshot.core_state
-    for key, value in state.items():
-        if key != "stats" and value != golden_state[key]:
-            return False
-    if not _same_traces(core, provider.golden, state["trace"]):
-        return False
-    for detector, reference_state, tracking in zip(
-        detectors, snapshot.detector_states, _TRACKING
-    ):
-        # A detector whose tracking state desynced permanently (e.g. a
-        # leaked ID stuck in the IDLD XOR code while the machine itself
-        # recovered) only matters while its first detection is still
-        # pending: detectors are pure observers, and the result records
-        # first-detection cycles only. Once it has detected, its future
-        # cannot change the classification (and it may be detached).
-        if detector.first_detection_cycle is None and tracking(
-            detector.save_state()
-        ) != tracking(reference_state):
-            return False
-    return True
-
-
 def _same_traces(core: "OoOCore", golden, trace: tuple) -> bool:
     """Light-trace states carry prefix *lengths*; equal lengths do not imply
     equal contents (an SDC-in-progress can have committed the same number
@@ -215,35 +150,36 @@ class Reconvergence(NamedTuple):
 
     cycle: int
     #: Identifiers the variant's free list lacks against the golden's
-    #: (``k``; 0 for exact convergence).
+    #: (``k``; 0 when both hold equally many).
     missing: int
     #: BV and counter first detections: recorded, or predicted by
-    #: :func:`relabelled`.
+    #: :func:`converged`.
     bv_cycle: Optional[int]
     counter_cycle: Optional[int]
 
 
-#: ``save_state`` keys that hold identifiers; :func:`relabelled` maps them,
+#: ``save_state`` keys that hold identifiers; :func:`converged` maps them,
 #: and every other key except ``stats`` must equal the golden's.
 _RELABELLED = frozenset(
     ("uops", "rat", "rob", "rht", "ckpt", "recovery", "free_list", "prf")
 )
 
 
-def relabelled(
+def converged(
     provider: "SnapshotProvider",
     core: "OoOCore",
     detectors: Tuple[IDLDChecker, BitVectorScheme, CounterScheme],
     fabric: SignalFabric,
     cycle: int,
 ) -> Optional[Reconvergence]:
-    """Convergence up to identifier relabelling at snapshot ``cycle``.
+    """The convergence predicate: may this variant end at snapshot ``cycle``?
 
     Returns the fixed result facts when the variant is the golden state
     under one injective identifier map, with ``k`` identifiers missing
     from its free list, and nothing can tell the two apart for the rest
-    of the run; otherwise None. Every condition is listed in
-    EXPERIMENTS.md with its reason:
+    of the run; otherwise None. Exact convergence is the identity map
+    with ``k = 0``. Every condition is listed in EXPERIMENTS.md with its
+    reason:
 
     * nothing is armed, IDLD has latched, and the golden run is clean and
       does not persist;
@@ -258,8 +194,8 @@ def relabelled(
     * the variant's free list maps, in delivery order, onto the golden's
       with ``k >= 0`` entries missing;
     * BV and the counter have latched, or mirror the variant's free list;
-    * the golden free list holds at least ``k + width`` identifiers from
-      ``cycle`` to HALT.
+    * with ``k >= 1``, the golden free list holds at least ``k + width``
+      identifiers from ``cycle`` to HALT.
     """
     delta = provider.delta
     idld, bv, counter = detectors
@@ -280,7 +216,7 @@ def relabelled(
     if (
         missing < 0
         or fingerprint[:-1] != reference[:-1]
-        or delta.free_floor[cycle] < missing + core.config.width
+        or (missing and delta.free_floor[cycle] < missing + core.config.width)
     ):
         return None
     golden_state = provider.at(cycle).core_state
@@ -313,7 +249,7 @@ def _maps_onto_golden(
     core: "OoOCore", state: dict, golden: dict, free: List[int]
 ) -> bool:
     """True when one injective identifier map sends the identifier fields
-    of ``state`` onto ``golden``'s (see :func:`relabelled`)."""
+    of ``state`` onto ``golden``'s (see :func:`converged`)."""
     zero = core.zero_pdst
     limit = core.config.num_physical_regs
     forward: Dict[int, int] = {}

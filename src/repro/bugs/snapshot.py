@@ -65,11 +65,12 @@ class CoreSnapshot:
 class _SuffixRecorder(RRSObserver):
     """Golden facts about the rest of the run, per snapshot cycle.
 
-    The relabelling check (:func:`repro.bugs.differential.relabelled`)
-    reads two: the fewest identifiers the free list holds from a snapshot
-    to HALT, and the first cycle after a snapshot that delivers a
-    ``pipeline_empty`` event. A pure observer that also replays skipped
-    spans, so the golden run and its fast-forwarding are unchanged.
+    The convergence predicate (:func:`repro.bugs.differential.converged`)
+    reads two when the variant lacks ``k >= 1`` identifiers: the fewest
+    identifiers the golden free list holds from a snapshot to HALT, and
+    the first cycle after a snapshot that delivers a ``pipeline_empty``
+    event. A pure observer that also replays skipped spans, so the golden
+    run and its fast-forwarding are unchanged.
     """
 
     def __init__(self) -> None:

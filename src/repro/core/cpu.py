@@ -1265,13 +1265,14 @@ class OoOCore:
         """A cheap structural digest used as a convergence pre-filter.
 
         Every component is a function of :meth:`save_state`-visible state
-        (never of ``stats``, which the differential deep compare excludes):
-        if two states are structurally equal their fingerprints are equal,
-        so a fingerprint mismatch cheaply rules out the expensive deep
-        compare without ever ruling out a true convergence. The free-list
-        count comes last: the relabelling check
-        (:func:`repro.bugs.differential.relabelled`) compares the rest and
-        reads how many identifiers the variant lacks from it.
+        (never of ``stats``, which the convergence predicate excludes) and
+        none holds an identifier, so two states equal up to a renaming of
+        identifiers agree in all but the free-list count. That count comes
+        last: the convergence predicate
+        (:func:`repro.bugs.differential.converged`) compares the rest and
+        reads how many identifiers the variant lacks from it, so a
+        mismatch cheaply rules out the expensive compare without ever
+        ruling out a true convergence.
         """
         return (
             self.halted,

@@ -244,46 +244,6 @@ class SignalFabric:
         """True while at least one injection has not fired yet."""
         return bool(self._live_suppressions or self._live_corruptions)
 
-    # -- warm-start snapshot/restore -----------------------------------------
-
-    def save_state(self) -> tuple:
-        """Snapshot the fabric (cycle + armed/fired bookkeeping) as plain
-        tuples for the warm-start layer (see DESIGN.md)."""
-        return (
-            self.cycle,
-            tuple(
-                (s.array, s.kind, s.from_cycle, s.fired, s.fired_cycle)
-                for s in self._suppressions
-            ),
-            tuple(
-                (c.from_cycle, c.xor_mask, c.fired, c.fired_cycle,
-                 c.original, c.corrupted)
-                for c in self._corruptions
-            ),
-        )
-
-    def load_state(self, state: tuple) -> None:
-        """Restore a :meth:`save_state` snapshot."""
-        cycle, suppressions, corruptions = state
-        self.cycle = cycle
-        self.undefined_pdst = None
-        self._suppressions = [
-            ArmedSuppression(array, kind, from_cycle, fired, fired_cycle)
-            for array, kind, from_cycle, fired, fired_cycle in suppressions
-        ]
-        self._corruptions = [
-            ArmedCorruption(
-                from_cycle, xor_mask, fired, fired_cycle, original, corrupted
-            )
-            for from_cycle, xor_mask, fired, fired_cycle, original, corrupted
-            in corruptions
-        ]
-        self._live_suppressions = [
-            s for s in self._suppressions if not s.fired
-        ]
-        self._live_corruptions = [c for c in self._corruptions if not c.fired]
-        self._refresh_hot()
-
     @property
     def activations(self) -> List[int]:
         """Cycles at which injections actually fired (activation cycles)."""

@@ -143,8 +143,8 @@ class Uop:
         identifier and its PdstIDs (sources, then ``pdst`` and
         ``evicted_pdst`` where set). Two states agree up to a renaming of
         identifiers when the first parts are equal and one injective map
-        sends the second onto each other
-        (:func:`repro.bugs.differential.relabelled`)."""
+        sends the second onto each other (the convergence predicate,
+        :func:`repro.bugs.differential.converged`)."""
         sources, pdst, evicted = data[5:8]
         absent = (len(sources), pdst is None, evicted is None)
         ids = [*sources, *(p for p in (pdst, evicted) if p is not None)]

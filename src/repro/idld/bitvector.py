@@ -149,11 +149,3 @@ class BitVectorScheme(RRSObserver):
         self._expected_free = expected_free
         self.detections = [BVDetection(*d) for d in detections]
         self._cycle = cycle
-
-    @staticmethod
-    def tracking_of(state: tuple) -> tuple:
-        """The tracking projection of a :meth:`save_state` tuple (bits,
-        expected-free count, clock) without the recorded detections; see
-        the differential convergence predicate in
-        :mod:`repro.bugs.differential`."""
-        return (state[0], state[1], state[2], state[4])

@@ -278,14 +278,3 @@ class IDLDChecker(RRSObserver):
             for slot, pos, rat_xor, rob_xor, valid in mirrors
         }
         self.violations = [Violation(*v) for v in violations]
-
-    @staticmethod
-    def tracking_of(state: tuple) -> tuple:
-        """The *tracking* projection of a :meth:`save_state` tuple: the XOR
-        codes, recovery flag, and checkpoint mirrors that determine every
-        future observation — excluding the recorded violations, which are
-        results rather than evolving state. Mirrors are normalized by slot
-        so two states touching checkpoints in a different order still
-        compare equal. Used by the differential-execution convergence
-        predicate (:mod:`repro.bugs.differential`)."""
-        return state[:7] + (tuple(sorted(state[7])),)

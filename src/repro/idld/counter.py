@@ -104,10 +104,3 @@ class CounterScheme(RRSObserver):
         self._free = free
         self._expected_free = expected_free
         self.detections = [CounterDetection(*d) for d in detections]
-
-    @staticmethod
-    def tracking_of(state: tuple) -> tuple:
-        """The tracking projection of a :meth:`save_state` tuple (the free
-        counters) without the recorded detections; see the differential
-        convergence predicate in :mod:`repro.bugs.differential`."""
-        return state[:3]

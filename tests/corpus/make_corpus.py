@@ -72,9 +72,9 @@ def _categorize(full, diff, interval):
       are >= 3 snapshot intervals apart: a long apparently-healthy window
       in which early termination would be wrong.
     * ``detected-then-converged`` — a detector fired *and* the run still
-      terminated early: pins the relaxed tracking-state comparison (a
-      desynced detector only blocks convergence while its first detection
-      is pending).
+      terminated early: pins that a latched detector's state is never
+      compared (its first detection is already recorded, and the run
+      detaches it).
     """
     if full.activated and full.persists:
         return "dormant-persists"
@@ -136,10 +136,9 @@ def make_differential_seeds() -> None:
             "interval": DIFF_INTERVAL,
             "spec": spec_to_dict(spec),
             "recorded": recorded,
-            # Informational only: the convergence point observed when the
-            # seed was mined. Replays do not assert it (the deep-compare
-            # backoff stride may legally shift it) — only the recorded
-            # classification above is load-bearing.
+            # Where the differential run ends (None: simulated to the
+            # end). Replays assert it; a change that moves it updates the
+            # seed and says why.
             "early_terminated_cycle": diff.early_terminated_cycle,
         }
         payload = json.dumps(

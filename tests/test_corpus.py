@@ -67,7 +67,9 @@ def test_artifact_replays_to_recorded_verdict(path):
 # the state that otherwise matches). A seed may carry its CoreConfig. The
 # recorded verdict is the *full-suffix* classification; the replay asserts
 # the differential engine reproduces it bit-for-bit, pinning the
-# convergence predicates against silent misclassification.
+# convergence predicate against silent misclassification, and that the run
+# ends where the seed records (``early_terminated_cycle``, None for a run
+# simulated to the end), so a change that ends fewer runs early fails here.
 
 #: Execution-strategy bookkeeping excluded from the recorded verdict.
 _DIFF_BOOKKEEPING = (
@@ -112,8 +114,10 @@ def test_differential_seed_replays_to_recorded_verdict(path):
     # simulation-outcome field (InjectionResult equality excludes only
     # the throughput bookkeeping)...
     assert diff == full, f"{os.path.basename(path)} ({seed['category']})"
-    if seed["category"] == "relabelled":
-        assert diff.early_terminated_cycle is not None
+    assert diff.early_terminated_cycle == seed["early_terminated_cycle"], (
+        f"{os.path.basename(path)}: ends at {diff.early_terminated_cycle}, "
+        f"not the recorded {seed['early_terminated_cycle']}"
+    )
 
     # ...and both must still match the verdict recorded at mining time.
     replayed = result_to_dict(full)

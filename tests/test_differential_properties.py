@@ -13,8 +13,10 @@ halves, and hypothesis probes both from randomized angles:
   corrupted identifier is only consumed many cycles later).
 
 The base case rides along: a genuinely clean restored state *does*
-converge at its own snapshot cycle, so the predicate is not vacuously
-conservative.
+converge at its own snapshot cycle once IDLD has latched, so the predicate
+is not vacuously conservative; with IDLD silent it does not. The refusal
+properties latch IDLD first, so they reach the state compare instead of
+stopping at that gate.
 """
 
 import random
@@ -23,13 +25,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bugs.campaign import run_injection
-from repro.bugs.differential import converged
+from repro.bugs.differential import Reconvergence, converged
 from repro.bugs.injector import draw_spec
 from repro.bugs.models import PRIMARY_MODELS
 from repro.bugs.snapshot import SnapshotProvider, make_detectors
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore
 from repro.core.rrs.signals import SignalFabric
+from repro.idld.checker import Violation
 from repro.workloads import WORKLOADS
 
 INTERVAL = 20
@@ -56,14 +59,17 @@ def _env():
     return _ENV["prog"], _ENV["provider"]
 
 
-def _restored(prog, provider, cycle):
-    """A fresh core + detector set restored to the snapshot at ``cycle``."""
+def _restored(prog, provider, cycle, latched=True):
+    """A fresh core + detector set restored to the snapshot at ``cycle``,
+    with IDLD latched there unless ``latched`` is False."""
     fabric = SignalFabric()
     detectors = make_detectors()
     core = OoOCore(
         prog, config=CoreConfig(), observers=list(detectors), fabric=fabric
     )
     provider.restore_into(provider.at(cycle), core, detectors)
+    if latched:
+        detectors[0].violations.append(Violation(cycle, 0, 0, 0, 1))
     return core, detectors, fabric
 
 
@@ -94,12 +100,26 @@ def test_differential_classifies_like_forced_full_run(model, seed):
 @settings(**_SETTINGS)
 @given(pick=st.integers(min_value=0, max_value=2**30))
 def test_clean_restored_state_converges(pick):
-    """Base case: the golden state at a snapshot cycle converges there."""
+    """Base case: the golden state at a snapshot cycle, with IDLD latched,
+    converges there exactly: no identifier missing, nothing predicted."""
     prog, provider = _env()
     cycles = provider.candidate_cycles
     cycle = cycles[pick % len(cycles)]
     core, detectors, fabric = _restored(prog, provider, cycle)
-    assert converged(provider, core, detectors, fabric, cycle)
+    assert converged(provider, core, detectors, fabric, cycle) == (
+        Reconvergence(cycle, 0, None, None)
+    )
+
+
+@settings(**_SETTINGS)
+@given(pick=st.integers(min_value=0, max_value=2**30))
+def test_clean_restored_state_never_converges_with_idld_silent(pick):
+    """The same state with IDLD silent: no run ends before IDLD latches."""
+    prog, provider = _env()
+    cycles = provider.candidate_cycles
+    cycle = cycles[pick % len(cycles)]
+    core, detectors, fabric = _restored(prog, provider, cycle, latched=False)
+    assert converged(provider, core, detectors, fabric, cycle) is None
 
 
 @settings(**_SETTINGS)
@@ -117,7 +137,7 @@ def test_armed_injection_never_converges(pick, mask):
         cycle + 1, mask % ((1 << core.config.pdst_bits) - 1) + 1
     )
     assert fabric.any_armed
-    assert not converged(provider, core, detectors, fabric, cycle)
+    assert converged(provider, core, detectors, fabric, cycle) is None
 
 
 @settings(**_SETTINGS)
@@ -138,4 +158,19 @@ def test_dormant_at_rest_upset_never_converges(pick, offset, mask):
     core.free_list.corrupt_stored(
         offset % live, mask % ((1 << core.config.pdst_bits) - 1) + 1
     )
-    assert not converged(provider, core, detectors, fabric, cycle)
+    assert converged(provider, core, detectors, fabric, cycle) is None
+
+
+def test_refuses_a_golden_that_persists():
+    """An early end reports ``persists`` as ``k >= 1``. Were the golden run
+    itself to persist, a ``k = 0`` end would report False where the full
+    run measures True, so the predicate refuses such a golden."""
+    prog, provider = _env()
+    cycle = provider.candidate_cycles[0]
+    core, detectors, fabric = _restored(prog, provider, cycle)
+    assert converged(provider, core, detectors, fabric, cycle) is not None
+    provider.delta.golden_persists = True
+    try:
+        assert converged(provider, core, detectors, fabric, cycle) is None
+    finally:
+        provider.delta.golden_persists = False

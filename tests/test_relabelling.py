@@ -1,11 +1,12 @@
-"""Convergence up to identifier relabelling (``differential.relabelled``).
+"""Convergence up to identifier relabelling (``differential.converged``).
 
-The check ends a leaked-but-benign run at a snapshot cycle when the
+The one convergence predicate ends a run at a snapshot cycle when the
 variant is the golden state under a renaming of identifiers, ``k`` of them
-short in its free list. Each refusal test below starts from a state the
-check accepts, breaks one of its conditions, asserts the check refuses,
-and then simulates the broken state to the end: the result differs from
-what acceptance would have reported, so the condition is load-bearing.
+short in its free list (``k = 0`` for exact convergence). Each refusal
+test below starts from a state the check accepts, breaks one of its
+conditions, asserts the check refuses, and then simulates the broken state
+to the end: the result differs from what acceptance would have reported,
+so the condition is load-bearing.
 """
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import repro.bugs.campaign as campaign
 from repro.bugs.campaign import run_injection
 from repro.bugs.classify import classify_run, timeout_budget
-from repro.bugs.differential import relabelled
+from repro.bugs.differential import Reconvergence, converged
 from repro.bugs.injector import arm
 from repro.bugs.models import BugModel, BugSpec, PRIMARY_MODELS
 from repro.bugs.snapshot import SnapshotProvider, make_detectors
@@ -23,6 +24,7 @@ from repro.core.errors import SimulationError
 from repro.core.rrs.signals import ArrayName, SignalFabric, SignalKind
 from repro.core.uop import Uop
 from repro.exec.tasks import execute_task, generate_tasks
+from repro.idld.checker import Violation
 from repro.workloads import WORKLOADS
 
 INTERVAL = 250
@@ -93,7 +95,7 @@ def _reported(golden, hit, detectors):
 def accepted(basicmath):
     program, provider = basicmath
     core, detectors, fabric = _variant_at(program, provider, LEAK, HIT)
-    hit = relabelled(provider, core, detectors, fabric, HIT)
+    hit = converged(provider, core, detectors, fabric, HIT)
     assert hit is not None and hit.missing == 1
     return _reported(provider.golden, hit, detectors)
 
@@ -147,6 +149,11 @@ def _live_register_value_differs(core, detectors):
     core.prf._values[core.rat.read(1)] ^= 1
 
 
+def _commit_trace_differs(core, detectors):
+    # Same trace lengths (the fingerprint), different contents.
+    core.commit_cycles[0] -= 1
+
+
 @pytest.mark.parametrize(
     "break_state",
     [
@@ -156,6 +163,7 @@ def _live_register_value_differs(core, detectors):
         _bv_marks_a_live_register_free,
         _idld_not_latched,
         _live_register_value_differs,
+        _commit_trace_differs,
     ],
     ids=lambda fn: fn.__name__.lstrip("_"),
 )
@@ -163,7 +171,7 @@ def test_refuses_a_broken_condition(basicmath, accepted, break_state):
     program, provider = basicmath
     core, detectors, fabric = _variant_at(program, provider, LEAK, HIT)
     break_state(core, detectors)
-    assert relabelled(provider, core, detectors, fabric, HIT) is None
+    assert converged(provider, core, detectors, fabric, HIT) is None
     assert _finish(program, provider.golden, core, detectors) != accepted
 
 
@@ -187,16 +195,28 @@ def test_injection_detaches_each_detector_once_it_latches(
     assert detached == ["IDLDChecker"]
 
 
-def test_refuses_a_golden_free_list_that_falls_below_k_plus_width():
+#: A 64-register core whose golden free lists empty: every snapshot of
+#: ``susan`` has a free floor below ``width``.
+SMALL = CoreConfig(
+    num_physical_regs=64, rob_entries=40, checkpoint_interval=16
+)
+
+
+@pytest.fixture(scope="module")
+def susan_small():
+    program = WORKLOADS["susan"](scale=1)
+    return program, SnapshotProvider(program, INTERVAL, config=SMALL)
+
+
+def test_refuses_a_golden_free_list_that_falls_below_k_plus_width(
+    susan_small,
+):
     """``susan/Leakage/0`` of ``--seed 1000`` on a 64-register core: the
     leak's variant matches the golden at cycle 500 up to relabelling, but
     the golden free list later empties, where the variant, one register
     short, stalls rename first (a Performance outcome)."""
-    config = CoreConfig(
-        num_physical_regs=64, rob_entries=40, checkpoint_interval=16
-    )
-    program = WORKLOADS["susan"](scale=1)
-    provider = SnapshotProvider(program, INTERVAL, config=config)
+    config = SMALL
+    program, provider = susan_small
     golden = provider.golden
     spec = BugSpec(
         model=BugModel.LEAKAGE,
@@ -209,11 +229,11 @@ def test_refuses_a_golden_free_list_that_falls_below_k_plus_width():
         program, provider, spec, cycle, config
     )
     assert provider.delta.free_floor[cycle] < 1 + config.width
-    assert relabelled(provider, core, detectors, fabric, cycle) is None
+    assert converged(provider, core, detectors, fabric, cycle) is None
     floor = provider.delta.free_floor
     provider.delta.free_floor = dict.fromkeys(floor, config.num_physical_regs)
     try:
-        hit = relabelled(provider, core, detectors, fabric, cycle)
+        hit = converged(provider, core, detectors, fabric, cycle)
     finally:
         provider.delta.free_floor = floor
     assert hit is not None and hit.missing == 1
@@ -226,19 +246,41 @@ def test_refuses_a_golden_free_list_that_falls_below_k_plus_width():
     ) == cold
 
 
+def test_accepts_k_zero_where_the_golden_free_list_falls_below_width(
+    susan_small,
+):
+    """With no identifier missing, both free lists hold equally many, so
+    no rename gate can tell them apart however low the golden's falls: the
+    golden state itself converges, IDLD latched, at a snapshot cycle whose
+    free floor is below ``width``."""
+    program, provider = susan_small
+    cycle = 500
+    assert provider.delta.free_floor[cycle] < SMALL.width
+    fabric = SignalFabric()
+    detectors = make_detectors()
+    core = OoOCore(
+        program, config=SMALL, observers=list(detectors), fabric=fabric
+    )
+    provider.restore_into(provider.at(cycle), core, detectors)
+    detectors[0].violations.append(Violation(cycle, 0, 0, 0, 1))
+    assert converged(provider, core, detectors, fabric, cycle) == (
+        Reconvergence(cycle, 0, None, None)
+    )
+
+
 def test_predicted_bv_and_counter_cycles_equal_the_cold_runs(monkeypatch):
-    """Every relabelling hit of a small campaign slice predicts the cold
+    """Every convergence hit of a small campaign slice predicts the cold
     run's BV and counter cycles, including detections still pending at the
     hit."""
     hits = []
 
     def recording(*args):
-        hit = relabelled(*args)
+        hit = converged(*args)
         if hit is not None:
             hits.append(hit)
         return hit
 
-    monkeypatch.setattr(campaign, "relabelled", recording)
+    monkeypatch.setattr(campaign, "converged", recording)
     names = ["basicmath", "sha", "stringsearch"]
     programs = {name: WORKLOADS[name](scale=1) for name in names}
     providers = {
