@@ -9,12 +9,12 @@ latency; insertion suppression does not violate the closed-loop invariant
 
 import random
 
+from repro.idld.flow import FlowSignalFabric
 from repro.mdp import (
     CheckpointedMDPChecker,
     MDPIDLDChecker,
     MDPPipeline,
     MDPSignal,
-    MDPSignalFabric,
     StoreSetsPredictor,
     make_stream,
 )
@@ -26,7 +26,7 @@ TRIALS = 25
 
 def run_one(seed, suppress=None, at_cycle=60):
     stream = make_stream(400, seed=seed)
-    fabric = MDPSignalFabric()
+    fabric = FlowSignalFabric()
     armed = fabric.arm(suppress, at_cycle) if suppress else None
     quiescent = MDPIDLDChecker()
     checkpointed = CheckpointedMDPChecker(interval=8)

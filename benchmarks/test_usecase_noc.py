@@ -10,11 +10,11 @@ end-to-end payload check -- the end-of-test analog).
 
 import random
 
+from repro.idld.flow import FlowSignalFabric
 from repro.noc import (
     CreditLink,
     LinkAssertion,
     NocSignal,
-    NocSignalFabric,
     run_traffic,
 )
 
@@ -24,7 +24,7 @@ TRIALS = 20
 
 
 def run_one(seed, signal=None, at_cycle=40):
-    fabric = NocSignalFabric()
+    fabric = FlowSignalFabric()
     armed = fabric.arm(signal, at_cycle) if signal else None
     link = CreditLink(fabric=fabric)
     error = None

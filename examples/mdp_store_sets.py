@@ -8,12 +8,12 @@ insertion/removal XOR mismatch; the checkpointed variant detects it even
 when the store queue never drains.
 """
 
+from repro.idld.flow import FlowSignalFabric
 from repro.mdp import (
     CheckpointedMDPChecker,
     MDPIDLDChecker,
     MDPPipeline,
     MDPSignal,
-    MDPSignalFabric,
     StoreSetsPredictor,
     make_stream,
 )
@@ -21,7 +21,7 @@ from repro.mdp import (
 
 def run(suppress=None, at_cycle=100, seed=5):
     stream = make_stream(600, seed=seed)
-    fabric = MDPSignalFabric()
+    fabric = FlowSignalFabric()
     armed = fabric.arm(suppress, at_cycle) if suppress else None
     quiescent = MDPIDLDChecker()
     checkpointed = CheckpointedMDPChecker(interval=8)

@@ -7,7 +7,8 @@ dropped flits and leaked credits, including the classic silent failure
 where data still flows perfectly while the credit loop bleeds capacity.
 """
 
-from repro.noc import CreditLink, NocSignal, NocSignalFabric, run_traffic
+from repro.idld.flow import FlowSignalFabric
+from repro.noc import CreditLink, NocSignal, run_traffic
 
 
 def report(title, link, stats, armed=None):
@@ -31,13 +32,13 @@ def main() -> None:
     stats = run_traffic(link, 300, seed=9)
     report("bug-free traffic", link, stats)
 
-    fabric = NocSignalFabric()
+    fabric = FlowSignalFabric()
     armed = fabric.arm(NocSignal.FLIT_DELIVER, 50)
     link = CreditLink(fabric=fabric)
     stats = run_traffic(link, 300, seed=9)
     report("one flit dropped on the wire", link, stats, armed)
 
-    fabric = NocSignalFabric()
+    fabric = FlowSignalFabric()
     armed = fabric.arm(NocSignal.CREDIT_RETURN, 50)
     link = CreditLink(fabric=fabric)
     stats = run_traffic(link, 300, seed=9)

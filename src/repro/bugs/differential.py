@@ -21,7 +21,7 @@ too, DejaVuzz-style, by running every snapshot-driven injection
    cycles after the inject cycle (at most 50), far inside one snapshot
    interval, so a forecast would almost never move the restore point,
    while recording the consults would cost about 40% of every provider
-   build (see EXPERIMENTS.md).
+   build (see ENGINEERING.md, "Golden provider builds").
 
 3. **Convergence-terminated suffixes.** Once the fault has fired and
    IDLD has latched, the variant is checked against the golden trace at
@@ -37,7 +37,7 @@ too, DejaVuzz-style, by running every snapshot-driven injection
    with any pending BV or counter detection placed at the golden's next
    pipeline-empty cycle.
 
-Soundness is argued in EXPERIMENTS.md ("Injections stop paying once their
+Soundness is argued in ENGINEERING.md ("Injections stop paying once their
 result is fixed"). In short:
 
 * Nothing may be armed: an unfired bug can still perturb any future
@@ -178,7 +178,7 @@ def converged(
     under one injective identifier map, with ``k`` identifiers missing
     from its free list, and nothing can tell the two apart for the rest
     of the run; otherwise None. Exact convergence is the identity map
-    with ``k = 0``. Every condition is listed in EXPERIMENTS.md with its
+    with ``k = 0``. Every condition is listed in ENGINEERING.md with its
     reason:
 
     * nothing is armed, IDLD has latched, and the golden run is clean and

@@ -70,17 +70,20 @@ def run_with_at_rest_fault(
     rng: random.Random,
     max_cycles: int = 100_000,
 ):
-    """Run ``core``, injecting one at-rest fault at ``at_cycle``.
+    """Run ``core`` to ``max_cycles`` through :meth:`OoOCore.run_cycles`,
+    so its deadlock watchdog applies, injecting one at-rest fault at
+    ``at_cycle``.
 
-    Returns ``(fault, result_or_none, error_or_none)``.
+    Returns ``(fault, result, error_or_none)``; a run the fault wedges
+    returns its :class:`~repro.core.errors.DeadlockError`.
     """
     fault = None
     error = None
     try:
-        while not core.halted and core.cycle < max_cycles:
-            if fault is None and core.cycle >= at_cycle:
-                fault = inject_at_rest_fault(core, rng)
-            core.step()
+        core.run_cycles(min(at_cycle, max_cycles))
+        if not core.halted and at_cycle <= core.cycle < max_cycles:
+            fault = inject_at_rest_fault(core, rng)
+        core.run_cycles(max_cycles)
     except SimulationError as exc:
         error = exc
     return fault, core.result(), error

@@ -468,7 +468,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     ``idld-campaign`` script), ``sweep`` (the campaign across a design-space
     matrix of width x free-list discipline x recovery strategy), ``fuzz``
     (coverage-guided differential fuzzing) and ``checkpoint``
-    (inspect/verify/repair the JSONL artifacts the engines write).
+    (verify/repair the JSONL artifacts the engines write).
     Performance is measured end to end by ``perfbench/run.py``, not by a
     subcommand. Also reachable without installation as ``python -m repro``.
     """

@@ -23,9 +23,10 @@ failing task.
 Artifact integrity lives in :mod:`repro.exec.durability`: one sealed log
 (:class:`~repro.exec.durability.SealedLog`: CRC-sealed records, format v2,
 under an exclusive ``flock`` on the file that dies with its writer) that
-campaign and fuzz checkpoints share, with its strict loader, the rule a
-resume applies and the streaming scan/repair primitives behind the
-``repro checkpoint`` CLI, plus atomic exports. A run stops the way it
+campaign and fuzz checkpoints share, with its one reader (each record
+decoded once by its engine's codec, for resume and the ``repro
+checkpoint`` CLI alike), its strict loader and the rule a resume
+applies, plus atomic exports. A run stops the way it
 fails, by an exception (the CLIs raise :class:`KeyboardInterrupt` on
 SIGINT and SIGTERM), and resumes from its flushed checkpoint.
 """
@@ -40,7 +41,6 @@ from repro.exec.durability import (
     CheckpointLockedError,
     SHUTDOWN_EXIT_CODE,
     atomic_write_text,
-    scan_checkpoint,
     truncate_torn_tail,
 )
 from repro.exec.engine import run_engine
@@ -79,6 +79,5 @@ __all__ = [
     "generate_tasks",
     "load_checkpoint_full",
     "run_engine",
-    "scan_checkpoint",
     "truncate_torn_tail",
 ]

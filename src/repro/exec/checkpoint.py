@@ -12,11 +12,12 @@ resume skips quarantined tasks instead of re-crashing on them.
 Format v2, the only one read: every record additionally carries a ``crc``
 (CRC32 of its canonical JSON payload) and the manifest an ``identity``
 content hash of the campaign-identity fields, so interior corruption is
-detected at read time with line numbers (``repro checkpoint verify`` /
-``repair`` operate on exactly this). A record without a CRC is damage,
-and a manifest without an identity is refused.
+detected at read time with line numbers. A record without a CRC is damage,
+and a manifest without an identity is refused; so is a record whose fields
+do not decode (:func:`decode_record`), by every reader alike: resume,
+``--from-checkpoint`` and ``repro checkpoint verify``/``repair``.
 
-Writing, locking, torn-tail handling, the strict load, the format version
+Writing, locking, torn-tail handling, the one reader, the format version
 and the rule for whether a file belongs to a run are
 :mod:`repro.exec.durability`'s, shared with fuzz checkpoints; this module
 is only the campaign record codec.
@@ -25,7 +26,7 @@ is only the campaign record codec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.campaign import InjectionResult
@@ -202,6 +203,24 @@ class CheckpointWriter(SealedLog):
         )
 
 
+def decode_record(
+    record: Dict[str, object]
+) -> Union[Tuple[int, InjectionResult], TaskFailureRecord]:
+    """One campaign data record, decoded: a ``result`` record as
+    ``(index, InjectionResult)``, a ``failure`` record as its
+    :class:`TaskFailureRecord`. Raises when a field does not decode, which
+    every reader counts as a damaged line."""
+    key, index = record["key"], record["index"]
+    if record["type"] == "result":
+        return index, result_from_dict(record["result"])
+    return TaskFailureRecord(
+        key=key,
+        index=index,
+        benchmark=record.get("benchmark"),
+        failure=TaskFailure.from_record(record["failure"]),
+    )
+
+
 def load_checkpoint_full(
     path: str,
 ) -> Tuple[
@@ -211,30 +230,24 @@ def load_checkpoint_full(
 ]:
     """Load a checkpoint: manifest, completed results, quarantined tasks.
 
-    Returns ``(manifest, key -> (index, result), key -> failure record)``.
-    Integrity checks and deduplication are
+    Returns ``(manifest, key -> (index, result), key -> failure record)``,
+    each record decoded once by :func:`decode_record`. Integrity checks
+    and deduplication are
     :func:`~repro.exec.durability.load_sealed_log`'s: a torn final line is
-    dropped, any other damage raises :class:`CheckpointError` with its
-    line number, and a later result for a quarantined key (a retry that
-    eventually succeeded) supersedes the failure.
+    dropped, any other damage (a record that does not decode included)
+    raises :class:`CheckpointError` with its line number, as does a
+    manifest that does not decode (line 1), and a later result for a
+    quarantined key (a retry that eventually succeeded) supersedes the
+    failure.
     """
-    manifest, done, failures = load_sealed_log(path, "manifest")
-    return (
-        Manifest.from_record(manifest),
-        {
-            key: (record["index"], result_from_dict(record["result"]))
-            for key, record in done.items()
-        },
-        {
-            key: TaskFailureRecord(
-                key=key,
-                index=record["index"],
-                benchmark=record.get("benchmark"),
-                failure=TaskFailure.from_record(record["failure"]),
-            )
-            for key, record in failures.items()
-        },
-    )
+    manifest, done, failures = load_sealed_log(path, "manifest", decode_record)
+    try:
+        return Manifest.from_record(manifest), done, failures
+    except Exception as exc:
+        raise CheckpointError(
+            f"{path}:1: corrupt record (undecodable manifest record "
+            f"({type(exc).__name__}))"
+        ) from None
 
 
 def manifest_for(

@@ -1,10 +1,14 @@
-"""``repro checkpoint`` — operate on durable campaign/fuzz artifacts.
+"""``repro checkpoint`` — verify and repair durable campaign/fuzz artifacts.
 
-Subcommands over the JSONL checkpoint files both engines write:
+Subcommands over the JSONL checkpoint files both engines write. Each reads
+its file as a resume does, through
+:func:`~repro.exec.durability.fold_checkpoint` with the engine's
+``decode_record``, so a record that a resume refuses is a damaged line
+here too:
 
-* ``inspect PATH``    — manifest identity + done/quarantined/remaining counts.
-* ``verify PATH``     — full CRC + structure scan; nonzero exit on damage,
-  every damaged line reported with its line number.
+* ``verify PATH``     — manifest identity, seed and done/quarantined/
+  remaining counts, then the full CRC + structure scan; nonzero exit on
+  damage, every damaged line reported with its line number.
 * ``repair PATH``     — salvage every intact record into a fresh file
   (atomically), emitting a dropped-record report so the EXPERIMENTS.md
   exclusion rules can be applied before any figure is trusted.
@@ -16,58 +20,49 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exec.durability import (
+    RECORD_TYPES,
     ScanReport,
     fold_checkpoint,
     manifest_problem,
-    scan_checkpoint,
     write_sealed_checkpoint,
 )
 
 
-# -- structure decoding -------------------------------------------------------
+def _decoder(keep: bool) -> Callable[[Dict[str, object]], object]:
+    """Decode each data record with its engine's ``decode_record`` (the
+    fold has refused a record outside its manifest's family already) and
+    keep the raw record (``repair``) or nothing (``verify``)."""
+    from repro.exec.checkpoint import decode_record as campaign
+    from repro.fuzz.engine import decode_record as fuzz
+
+    def decode(record: Dict[str, object]) -> object:
+        in_campaign = record["type"] in RECORD_TYPES["manifest"]
+        (campaign if in_campaign else fuzz)(record)
+        return record if keep else None
+
+    return decode
 
 
-def _decode_record(record: Dict[str, object]) -> None:
-    """Raise when an intact-JSON, intact-CRC record is structurally wrong
-    (damage sealed in by a faulty writer or a re-sealed hand edit). Record
-    types are disjoint between the campaign and fuzz families, so one
-    decoder serves both file kinds."""
-    from repro.exec.resilience import TaskFailure
-
-    kind = record.get("type")
-    if kind == "result":
-        from repro.exec.checkpoint import result_from_dict
-
-        record["key"], record["index"]
-        result_from_dict(record["result"])
-    elif kind == "failure":
-        record["key"], record["index"]
-        TaskFailure.from_record(record["failure"])
-    elif kind == "eval":
-        from repro.fuzz.engine import _result_from_record
-
-        _result_from_record(record)
-    elif kind == "eval-failure":
-        record["index"]
-        TaskFailure.from_record(record["failure"])
-
-
-def _manifest_problem(manifest: Dict[str, object]) -> Optional[str]:
-    """Structural verdict on an intact manifest record: the loaders'
-    :func:`~repro.exec.durability.manifest_problem` and, for a campaign
-    manifest, full field decoding."""
+def _check_manifest(
+    manifest: Dict[str, object]
+) -> Tuple[Optional[str], Optional[int]]:
+    """``(problem, tasks)`` for an intact manifest record: why no loader
+    takes it (:func:`~repro.exec.durability.manifest_problem`, or a
+    campaign manifest that does not decode), or None; and a campaign's
+    task count (None for a fuzz manifest, which names no budget)."""
     from repro.exec.checkpoint import Manifest
 
     problem = manifest_problem(manifest)
-    if problem is None and manifest["type"] == "manifest":
-        try:
-            Manifest.from_record(manifest)
-        except (KeyError, TypeError, ValueError) as exc:
-            return str(exc) or type(exc).__name__
-    return problem
+    if problem is not None or manifest["type"] != "manifest":
+        return problem, None
+    try:
+        m = Manifest.from_record(manifest)
+        return None, m.runs_per_model * len(m.models) * len(m.benchmarks)
+    except Exception as exc:
+        return f"undecodable manifest record ({type(exc).__name__})", None
 
 
 def _print_issues(report: ScanReport, verb: str = "corrupt") -> None:
@@ -87,78 +82,36 @@ def _type_summary(report: ScanReport) -> str:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        report, done, failures = fold_checkpoint(
-            args.path, _decode_record, keep_records=False
-        )
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
-    manifest = report.manifest
-    if manifest is None:
-        print(
-            f"{args.path}: no readable manifest (not a checkpoint, or its "
-            "first line is damaged — try `repro checkpoint verify`)",
-            file=sys.stderr,
-        )
-        return 2
-    kind = manifest.get("type")
-    print(f"{args.path}: {kind} v{manifest.get('version')}")
-    if manifest.get("identity") is not None:
-        print(f"  identity     {manifest['identity']}")
-    print(f"  seed         {manifest.get('seed')}")
-    if kind == "manifest":
-        models = list(manifest.get("models", []))
-        benchmarks = list(manifest.get("benchmarks", []))
-        total = manifest.get("runs_per_model", 0) * len(models) * len(benchmarks)
-        print(f"  models       {', '.join(models)}")
-        print(f"  benchmarks   {', '.join(benchmarks)}")
-        print(
-            f"  runs/model   {manifest.get('runs_per_model')}"
-            f"  ({total} tasks)"
-        )
-    else:
-        print(f"  batch        {manifest.get('batch')}")
-        print(f"  config       {manifest.get('config_digest')}")
-        bug = manifest.get("bug")
-        print(f"  armed bug    {bug if bug is not None else 'none'}")
-    print(f"  done         {len(done)}")
-    print(f"  quarantined  {len(failures)}")
-    if kind == "manifest":
-        print(f"  remaining    {max(0, total - len(done) - len(failures))}")
-    print(
-        f"  records      {report.records} "
-        f"({_type_summary(report)}; {report.sealed} crc-sealed)"
-    )
-    if report.issues:
-        _print_issues(report, verb="damaged")
-        print(
-            f"  damage       {len(report.issues)} line(s) — run "
-            f"`repro checkpoint verify {args.path}` / `repair`"
-        )
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        report = scan_checkpoint(args.path, _decode_record)
+        report, done, failures = fold_checkpoint(
+            args.path, _decoder(keep=False)
+        )
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
     damaged = len(report.issues)
-    if report.manifest is None:
+    manifest = report.manifest
+    if manifest is None:
         print(f"{args.path}:1: corrupt: no readable manifest record")
         damaged = max(damaged, 1)
     else:
-        problem = _manifest_problem(report.manifest)
+        problem, tasks = _check_manifest(manifest)
+        print(f"{args.path}: {manifest['type']} v{manifest.get('version')}")
+        print(f"  identity     {manifest['identity']}")
+        print(f"  seed         {manifest.get('seed')}")
+        print(f"  done         {len(done)}")
+        print(f"  quarantined  {len(failures)}")
+        if tasks is not None:
+            remaining = max(0, tasks - len(done) - len(failures))
+            print(f"  remaining    {remaining}")
         if problem is not None:
             print(f"{args.path}:1: corrupt: {problem}")
             damaged += 1
     _print_issues(report)
     print(
         f"{args.path}: {report.records} records ({_type_summary(report)}), "
-        f"{report.sealed} crc-sealed, {damaged} damaged line(s)"
+        f"{damaged} damaged line(s)"
     )
     if damaged:
         print(
@@ -174,7 +127,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     out = args.output or args.path + ".repaired"
     try:
-        report, done, failures = fold_checkpoint(args.path, _decode_record)
+        report, done, failures = fold_checkpoint(
+            args.path, _decoder(keep=True)
+        )
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -185,11 +140,11 @@ def _cmd_repair(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    problem = _manifest_problem(report.manifest)
+    problem, _ = _check_manifest(report.manifest)
     if problem is not None:
         print(f"{args.path}: manifest unusable: {problem}", file=sys.stderr)
         return 2
-    records = [r for r in done.values()] + [r for r in failures.values()]
+    records = list(done.values()) + list(failures.values())
     try:
         write_sealed_checkpoint(out, report.manifest, records)
     except OSError as exc:
@@ -215,17 +170,13 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def checkpoint_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro checkpoint",
-        description="Inspect, verify and repair JSONL checkpoints.",
+        description="Verify and repair JSONL checkpoints.",
     )
     sub = parser.add_subparsers(dest="command")
-    inspect = sub.add_parser(
-        "inspect", help="manifest + done/quarantined/remaining counts"
-    )
-    inspect.add_argument("path", help="checkpoint file")
-    inspect.set_defaults(func=_cmd_inspect)
     verify = sub.add_parser(
         "verify",
-        help="full CRC + structure scan; exit 1 when any line is damaged",
+        help="manifest + done/quarantined/remaining counts, then a full "
+        "CRC + structure scan; exit 1 when any line is damaged",
     )
     verify.add_argument("path", help="checkpoint file")
     verify.set_defaults(func=_cmd_verify)

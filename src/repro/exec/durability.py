@@ -12,12 +12,15 @@ here, dependency-free so every layer can use it without cycles:
 * **One sealed log** — :class:`SealedLog` writes campaign and fuzz
   checkpoints alike (manifest first, sealed lines, flush/fsync) under its
   writer lock; the engines keep only their record codecs.
-* **Streaming scan** — :func:`scan_checkpoint` classifies every line of a
-  checkpoint (intact / torn tail / interior corruption) in O(1) memory;
-  :func:`fold_checkpoint` also deduplicates, and :func:`load_sealed_log`
-  is the strict loader built on it (tolerates exactly a torn final line,
-  raises on anything else). :func:`manifest_mismatch` decides whether a
-  file belongs to the run that resumes it.
+* **One reader** — :func:`fold_checkpoint` classifies every line of a
+  checkpoint (intact / torn tail / interior corruption), decodes each
+  intact data record once with its engine's ``decode_record`` (a record
+  that does not decode is a damaged line, as a stale CRC is) and
+  deduplicates; resume, ``--from-checkpoint`` and ``repro checkpoint
+  verify``/``repair`` all read through it. :func:`load_sealed_log` is the
+  strict loader built on it (tolerates exactly a torn final line, raises
+  on anything else). :func:`manifest_mismatch` decides whether a file
+  belongs to the run that resumes it.
 * **Torn-tail truncation** — :func:`truncate_torn_tail` drops a partial
   final line without reading the whole file into memory.
 * **Atomic writes** — :func:`atomic_write_text` writes via a temp file in
@@ -85,7 +88,7 @@ def seal_record(record: Dict[str, object]) -> Dict[str, object]:
     return sealed
 
 
-# -- streaming scan / strict iteration ----------------------------------------
+# -- the one reader -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,6 @@ class ScanReport:
     manifest: Optional[Dict[str, object]] = None
     records: int = 0  # intact data records (manifest excluded)
     by_type: Dict[str, int] = field(default_factory=dict)
-    sealed: int = 0  # intact records, manifest included: each is CRC-sealed
     issues: List[LineIssue] = field(default_factory=list)
 
     @property
@@ -136,9 +138,7 @@ def _walk_lines(path: str) -> Iterator[Tuple[int, bool, str]]:
 
 
 def _check_line(
-    line: str,
-    manifest_seen: bool,
-    decode: Optional[Callable[[Dict[str, object]], None]],
+    line: str, manifest_seen: bool
 ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
     """Parse + verify one checkpoint line: ``(record, None)`` when intact,
     ``(None, reason)`` when damaged."""
@@ -163,11 +163,6 @@ def _check_line(
         return record, None
     if not isinstance(kind, str):
         return None, f"record has no type (got {kind!r})"
-    if decode is not None:
-        try:
-            decode(record)
-        except Exception as exc:
-            return None, f"undecodable {kind} record ({type(exc).__name__})"
     return record, None
 
 
@@ -260,94 +255,75 @@ RECORD_TYPES = {
 
 def record_key(record: Dict[str, object]) -> object:
     """The dedup key of a data record: campaign records use ``key``, fuzz
-    records use ``index`` (both families always carry ``index``)."""
-    return record.get("key", record.get("index"))
-
-
-def scan_checkpoint(
-    path: str,
-    decode: Optional[Callable[[Dict[str, object]], None]] = None,
-) -> ScanReport:
-    """Full integrity scan: every line classified, nothing raised.
-
-    ``decode`` (optional) is handed each intact non-manifest record and
-    should raise if the record's *structure* is wrong even though its JSON
-    and CRC are fine — damage that was sealed in, by a faulty writer or a
-    hand edit that recomputed the CRC.
-    """
-    report, _, _ = fold_checkpoint(path, decode, keep_records=False)
-    return report
+    records use ``index``; a record with neither raises ``KeyError``."""
+    return record["key"] if "key" in record else record["index"]
 
 
 def fold_checkpoint(
     path: str,
-    decode: Optional[Callable[[Dict[str, object]], None]] = None,
-    keep_records: bool = True,
-) -> Tuple[
-    ScanReport, Dict[object, Dict[str, object]], Dict[object, Dict[str, object]]
-]:
-    """Scan *and* dedup: ``(report, done, failures)`` with later-record-wins
-    semantics (a result record supersedes a failure record for the same
-    key; a later record for a key replaces an earlier one). Damaged lines
-    land in the report, never raise; so does any record outside the
-    manifest's family (:data:`RECORD_TYPES`).
+    decode: Callable[[Dict[str, object]], object] = lambda record: record,
+) -> Tuple[ScanReport, Dict[object, object], Dict[object, object]]:
+    """The one reader of a sealed log: ``(report, done, failures)``.
 
-    With ``keep_records=False`` the dicts map each key to ``None`` instead
-    of the record, so a pure integrity scan of a multi-GB file stays O(keys)
-    rather than O(file) in memory.
+    Every line is checked (JSON, CRC, the manifest's identity, the record
+    family of :data:`RECORD_TYPES`), and every intact data record is handed
+    to ``decode`` once; ``done`` and ``failures`` map each key to what
+    ``decode`` returned (by default the record itself), later-record-wins:
+    a result record supersedes a failure record for the same key, and a
+    later record for a key replaces an earlier one. A record whose key or
+    fields do not decode — damage sealed in by a faulty writer or by a
+    hand edit that recomputed the CRC — is a damaged line, as a CRC
+    mismatch is. Damaged lines land in the report, never raise.
     """
     report = ScanReport(path=path)
-    done: Dict[object, Dict[str, object]] = {}
-    failures: Dict[object, Dict[str, object]] = {}
+    done: Dict[object, object] = {}
+    failures: Dict[object, object] = {}
     family: Tuple[str, ...] = ()
     for lineno, is_last, line in _walk_lines(path):
-        record, reason = _check_line(line, report.manifest is not None, decode)
+        record, reason = _check_line(line, report.manifest is not None)
         if reason is None and report.manifest is not None:
             kind = record["type"]
             if kind not in family:
-                record, reason = None, f"unexpected record type {kind!r}"
+                reason = f"unexpected record type {kind!r}"
+            else:
+                try:
+                    key, value = record_key(record), decode(record)
+                except Exception as exc:
+                    reason = f"undecodable {kind} record ({type(exc).__name__})"
         if reason is not None:
             torn = is_last and reason == "unparsable JSON"
             report.issues.append(LineIssue(lineno, reason, torn_tail=torn))
-            continue
-        if report.manifest is None:
+        elif report.manifest is None:
             report.manifest = record
             family = RECORD_TYPES.get(record["type"], ())
         else:
             report.records += 1
-            kind = record["type"]
             report.by_type[kind] = report.by_type.get(kind, 0) + 1
-            key = record_key(record)
-            kept = record if keep_records else None
             if kind == family[0]:
-                done[key] = kept
+                done[key] = value
                 failures.pop(key, None)
             elif key not in done:
-                failures[key] = kept
-        report.sealed += 1
+                failures[key] = value
     return report, done, failures
 
 
 def load_sealed_log(
-    path: str, kind: str
-) -> Tuple[
-    Dict[str, object],
-    Dict[object, Dict[str, object]],
-    Dict[object, Dict[str, object]],
-]:
-    """Strict load of a ``kind`` checkpoint: ``(manifest, done, failures)``
-    as raw records, deduplicated by :func:`fold_checkpoint`; the engines
-    decode them.
+    path: str, kind: str, decode: Callable[[Dict[str, object]], object]
+) -> Tuple[Dict[str, object], Dict[object, object], Dict[object, object]]:
+    """Strict load of a ``kind`` checkpoint: ``(manifest, done, failures)``,
+    each data record decoded once by ``decode`` (its engine's
+    ``decode_record``) and deduplicated by :func:`fold_checkpoint`.
 
     Tolerates (and drops) exactly an unparsable *final* line — the
     signature of a killed writer — and raises :class:`CheckpointError`
     naming the line of the first interior issue (CRC missing or stale,
-    damaged JSON, unexpected record type), when the file is empty or
-    holds no complete record, or when :func:`manifest_problem` refuses it.
+    damaged JSON, unexpected record type, a record ``decode`` refuses),
+    when the file is empty or holds no complete record, or when
+    :func:`manifest_problem` refuses it.
     """
     if os.path.getsize(path) == 0:
         raise CheckpointError(f"{path}: empty checkpoint file")
-    report, done, failures = fold_checkpoint(path)
+    report, done, failures = fold_checkpoint(path, decode)
     if report.interior_issues:
         issue = report.interior_issues[0]
         raise CheckpointError(

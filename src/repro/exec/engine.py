@@ -68,8 +68,9 @@ class RunDriver:
     The engine brings its codec: ``log_class``, a
     :class:`~repro.exec.durability.SealedLog` with ``write_result`` and
     ``write_failure``; ``load``, which reads a checkpoint into
-    ``(manifest, done, failures)`` with records keyed as ``key`` keys a
-    task (a resume keeps ``done`` and ``failures`` for the engine); and
+    ``(manifest, done, failures)``, each record decoded once by the
+    codec's ``decode_record`` and keyed as ``key`` keys a task (a resume
+    keeps ``done`` and ``failures`` for the engine); and
     ``view``, which maps a manifest to the record the rule compares.
     ``groups`` names each task's benchmark, when the run has benchmarks.
     """

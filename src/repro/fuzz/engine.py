@@ -32,7 +32,7 @@ import random
 import time
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bugs.models import BugSpec
 from repro.core.config import CoreConfig
@@ -140,10 +140,6 @@ def failure_signature(report: OracleReport) -> str:
 # -- checkpointing -----------------------------------------------------------
 
 
-def _result_from_record(record: Dict[str, object]) -> OracleReport:
-    return OracleReport.from_record(record)
-
-
 class FuzzCheckpoint(SealedLog):
     """The fuzz codec over a :class:`~repro.exec.durability.SealedLog`:
     one ``eval`` record per evaluation and one ``eval-failure`` record per
@@ -181,26 +177,31 @@ def _fuzz_manifest(
     return record
 
 
+def decode_record(
+    record: Dict[str, object]
+) -> Union[OracleReport, TaskFailure]:
+    """One fuzz data record, decoded: an ``eval`` record as its
+    :class:`OracleReport`, an ``eval-failure`` record as its
+    :class:`TaskFailure`. Raises when a field does not decode, which every
+    reader counts as a damaged line."""
+    if record["type"] == "eval":
+        return OracleReport.from_record(record)
+    return TaskFailure.from_record(record["failure"])
+
+
 def load_fuzz_checkpoint_full(
     path: str,
 ) -> Tuple[
     Dict[str, object], Dict[int, OracleReport], Dict[int, TaskFailure]
 ]:
-    """Load manifest, recorded results and quarantined evaluations.
+    """Load manifest, recorded results and quarantined evaluations, each
+    record decoded once by :func:`decode_record`.
 
     Integrity checks and deduplication are
-    :func:`~repro.exec.durability.load_sealed_log`'s (a later ``eval``
-    record for an index supersedes its ``eval-failure`` record: a retry
-    eventually succeeded)."""
-    manifest, done, failures = load_sealed_log(path, "fuzz-manifest")
-    return (
-        manifest,
-        {index: _result_from_record(record) for index, record in done.items()},
-        {
-            index: TaskFailure.from_record(record["failure"])
-            for index, record in failures.items()
-        },
-    )
+    :func:`~repro.exec.durability.load_sealed_log`'s (a record that does
+    not decode is damage; a later ``eval`` record for an index supersedes
+    its ``eval-failure`` record: a retry eventually succeeded)."""
+    return load_sealed_log(path, "fuzz-manifest", decode_record)
 
 
 # -- the campaign ------------------------------------------------------------

@@ -13,16 +13,23 @@ from repro.idld.checker import IDLDChecker, Violation
 from repro.idld.codes import expected_constant, extend, extension_bit, xor_fold
 from repro.idld.counter import CounterDetection, CounterScheme
 from repro.idld.endoftest import EndOfTestVerdict, end_of_test_check
-from repro.idld.flow import FlowInvariantChecker, FlowViolation
+from repro.idld.flow import (
+    ArmedFlowSuppression,
+    FlowInvariantChecker,
+    FlowSignalFabric,
+    FlowViolation,
+)
 from repro.idld.parity import ParityAlarm, ParityStore, parity
 
 __all__ = [
+    "ArmedFlowSuppression",
     "BVDetection",
     "BitVectorScheme",
     "CounterDetection",
     "CounterScheme",
     "EndOfTestVerdict",
     "FlowInvariantChecker",
+    "FlowSignalFabric",
     "FlowViolation",
     "IDLDChecker",
     "ParityAlarm",

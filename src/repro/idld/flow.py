@@ -13,10 +13,16 @@ tokens, and compare the two codes at explicit quiescent points and/or
 whenever the outstanding counter returns to zero. The RRS and MDP checkers
 are hand-specialized instances of the same idea; this class is the one
 downstream users attach to their own channels.
+
+:class:`FlowSignalFabric` is the bug-injection side of such a flow: the
+MDP tables and the NoC link consult it for each of their control signals
+(:class:`repro.mdp.signals.MDPSignal`, :class:`repro.noc.signals.NocSignal`),
+and an armed suppression silently de-asserts one of them once.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -128,3 +134,41 @@ class FlowInvariantChecker:
     @property
     def first_detection_cycle(self) -> Optional[int]:
         return self.violations[0].cycle if self.violations else None
+
+
+# -- bug injection ----------------------------------------------------------------
+
+
+@dataclass
+class ArmedFlowSuppression:
+    """One-shot de-assertion of one control signal."""
+
+    signal: enum.Enum
+    from_cycle: int
+    fired: bool = False
+    fired_cycle: Optional[int] = None
+
+
+class FlowSignalFabric:
+    """Consultation point for a flow's control signals."""
+
+    def __init__(self) -> None:
+        self.cycle = 0
+        self._suppressions: List[ArmedFlowSuppression] = []
+
+    def arm(self, signal: enum.Enum, from_cycle: int) -> ArmedFlowSuppression:
+        armed = ArmedFlowSuppression(signal, from_cycle)
+        self._suppressions.append(armed)
+        return armed
+
+    def asserted(self, signal: enum.Enum) -> bool:
+        for armed in self._suppressions:
+            if (
+                not armed.fired
+                and armed.signal is signal
+                and self.cycle >= armed.from_cycle
+            ):
+                armed.fired = True
+                armed.fired_cycle = self.cycle
+                return False
+        return True

@@ -6,7 +6,7 @@ from repro.mdp.idld import (
     MDPViolation,
 )
 from repro.mdp.pipeline import MDPPipeline, MDPRunResult, MemOp, make_stream
-from repro.mdp.signals import ArmedMDPSuppression, MDPSignal, MDPSignalFabric
+from repro.mdp.signals import MDPSignal
 from repro.mdp.store_sets import (
     LFSTEntry,
     MDPObserver,
@@ -15,7 +15,6 @@ from repro.mdp.store_sets import (
 )
 
 __all__ = [
-    "ArmedMDPSuppression",
     "CheckpointedMDPChecker",
     "LFSTEntry",
     "MDPIDLDChecker",
@@ -23,7 +22,6 @@ __all__ = [
     "MDPPipeline",
     "MDPRunResult",
     "MDPSignal",
-    "MDPSignalFabric",
     "MDPViolation",
     "MemOp",
     "SSITEntry",

@@ -56,7 +56,6 @@ class MDPIDLDChecker(MDPObserver):
         self.out_xor = 0
         self.counter = 0
         self.violations: List[MDPViolation] = []
-        self._cycle = 1
 
     # -- taps ------------------------------------------------------------------
 
@@ -81,7 +80,6 @@ class MDPIDLDChecker(MDPObserver):
             self._check(cycle, "sq_empty")
 
     def cycle_end(self, cycle: int) -> None:
-        self._cycle = cycle + 1
         if self.check_on_counter_zero and self.counter == 0:
             self._check(cycle, "counter_zero")
 
@@ -125,7 +123,6 @@ class CheckpointedMDPChecker(MDPObserver):
         self._window_end: Optional[int] = None
         self._inserts_since_ckpt = 0
         self.violations: List[MDPViolation] = []
-        self._cycle = 1
 
     @property
     def window_open(self) -> bool:
@@ -149,9 +146,6 @@ class CheckpointedMDPChecker(MDPObserver):
             self._window_out ^= code
         else:
             self._future_out ^= code
-
-    def cycle_end(self, cycle: int) -> None:
-        self._cycle = cycle + 1
 
     def commit_watermark(self, committed_seq: int, cycle: int) -> None:
         """In-order commit progress; checks when the window store commits."""

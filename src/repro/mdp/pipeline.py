@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.mdp.signals import MDPSignalFabric
+from repro.idld.flow import FlowSignalFabric
 from repro.mdp.store_sets import MDPObserver, StoreSetsPredictor
 
 
@@ -103,13 +103,13 @@ class MDPPipeline:
         self,
         stream: Sequence[MemOp],
         predictor: Optional[StoreSetsPredictor] = None,
-        fabric: Optional[MDPSignalFabric] = None,
+        fabric: Optional[FlowSignalFabric] = None,
         observers: Sequence[MDPObserver] = (),
         map_width: int = 2,
         store_queue_entries: int = 16,
     ) -> None:
         self.stream = list(stream)
-        self.fabric = fabric or MDPSignalFabric()
+        self.fabric = fabric or FlowSignalFabric()
         self.observers = list(observers)
         self.predictor = predictor or StoreSetsPredictor(
             fabric=self.fabric, observers=self.observers

@@ -4,14 +4,13 @@ The MDP use case (Section V.F) has its own small signal surface: LFST
 insertions at the map stage, LFST removals (at store address computation,
 or implicitly when another store displaces the entry), and SSIT training
 updates. As in the RRS fabric, a suppressed signal means the action -- and
-the IDLD XOR update gated by it -- silently does not happen.
+the IDLD XOR update gated by it -- silently does not happen; the tables
+consult :class:`repro.idld.flow.FlowSignalFabric`, as the NoC link does.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
 
 
 class MDPSignal(enum.Enum):
@@ -21,38 +20,3 @@ class MDPSignal(enum.Enum):
     LFST_REMOVE_EXEC = "lfst_remove_exec"
     LFST_REMOVE_DISPLACE = "lfst_remove_displace"
     SSIT_TRAIN = "ssit_train"
-
-
-@dataclass
-class ArmedMDPSuppression:
-    """One-shot de-assertion of one MDP control signal."""
-
-    signal: MDPSignal
-    from_cycle: int
-    fired: bool = False
-    fired_cycle: Optional[int] = None
-
-
-class MDPSignalFabric:
-    """Consultation point for the MDP control signals."""
-
-    def __init__(self) -> None:
-        self.cycle = 0
-        self._suppressions: List[ArmedMDPSuppression] = []
-
-    def arm(self, signal: MDPSignal, from_cycle: int) -> ArmedMDPSuppression:
-        armed = ArmedMDPSuppression(signal, from_cycle)
-        self._suppressions.append(armed)
-        return armed
-
-    def asserted(self, signal: MDPSignal) -> bool:
-        for armed in self._suppressions:
-            if (
-                not armed.fired
-                and armed.signal is signal
-                and self.cycle >= armed.from_cycle
-            ):
-                armed.fired = True
-                armed.fired_cycle = self.cycle
-                return False
-        return True

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.mdp.signals import MDPSignal, MDPSignalFabric
+from repro.idld.flow import FlowSignalFabric
+from repro.mdp.signals import MDPSignal
 
 
 class MDPObserver:
@@ -77,12 +78,12 @@ class StoreSetsPredictor:
         self,
         ssit_entries: int = 256,
         lfst_entries: int = 64,
-        fabric: Optional[MDPSignalFabric] = None,
+        fabric: Optional[FlowSignalFabric] = None,
         observers: Sequence[MDPObserver] = (),
     ) -> None:
         self.ssit_entries = ssit_entries
         self.lfst_entries = lfst_entries
-        self.fabric = fabric or MDPSignalFabric()
+        self.fabric = fabric or FlowSignalFabric()
         self.observers = list(observers)
         self._ssit: List[SSITEntry] = [SSITEntry() for _ in range(ssit_entries)]
         self._lfst: List[Optional[LFSTEntry]] = [None] * lfst_entries

@@ -7,15 +7,13 @@ from repro.noc.link import (
     LinkStats,
     run_traffic,
 )
-from repro.noc.signals import ArmedNocSuppression, NocSignal, NocSignalFabric
+from repro.noc.signals import NocSignal
 
 __all__ = [
-    "ArmedNocSuppression",
     "CreditLink",
     "Flit",
     "LinkAssertion",
     "LinkStats",
     "NocSignal",
-    "NocSignalFabric",
     "run_traffic",
 ]

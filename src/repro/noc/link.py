@@ -13,7 +13,7 @@ of tokens. A credit-managed link has two such loops at once:
 
 Two :class:`repro.idld.flow.FlowInvariantChecker` instances guard the two
 loops; the link's control signals (deliver, credit-return, credit-consume)
-are injectable through :class:`repro.noc.signals.NocSignalFabric`.
+are injectable through :class:`repro.idld.flow.FlowSignalFabric`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.idld.flow import FlowInvariantChecker
-from repro.noc.signals import NocSignal, NocSignalFabric
+from repro.idld.flow import FlowInvariantChecker, FlowSignalFabric
+from repro.noc.signals import NocSignal
 
 
 class LinkAssertion(Exception):
@@ -74,7 +74,7 @@ class CreditLink:
         wire_latency: int = 3,
         drain_rate: int = 1,
         id_space: int = 64,
-        fabric: Optional[NocSignalFabric] = None,
+        fabric: Optional[FlowSignalFabric] = None,
     ) -> None:
         if buffer_depth < 1 or num_vcs < 1:
             raise ValueError("need at least one VC and one buffer slot")
@@ -83,7 +83,7 @@ class CreditLink:
         self.wire_latency = wire_latency
         self.drain_rate = drain_rate
         self.id_space = id_space
-        self.fabric = fabric or NocSignalFabric()
+        self.fabric = fabric or FlowSignalFabric()
 
         self.cycle = 0
         self.credits: List[int] = [buffer_depth] * num_vcs

@@ -1,10 +1,10 @@
-"""Control signals of the NoC credit link, with bug injection."""
+"""Control signals of the NoC credit link; the link consults
+:class:`repro.idld.flow.FlowSignalFabric` for each, so each can be
+injected."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
 
 
 class NocSignal(enum.Enum):
@@ -16,38 +16,3 @@ class NocSignal(enum.Enum):
     CREDIT_RETURN = "credit_return"
     #: Decrement the sender's credit counter on injection.
     CREDIT_CONSUME = "credit_consume"
-
-
-@dataclass
-class ArmedNocSuppression:
-    """One-shot de-assertion of one link control signal."""
-
-    signal: NocSignal
-    from_cycle: int
-    fired: bool = False
-    fired_cycle: Optional[int] = None
-
-
-class NocSignalFabric:
-    """Consultation point for the link's control signals."""
-
-    def __init__(self) -> None:
-        self.cycle = 0
-        self._suppressions: List[ArmedNocSuppression] = []
-
-    def arm(self, signal: NocSignal, from_cycle: int) -> ArmedNocSuppression:
-        armed = ArmedNocSuppression(signal, from_cycle)
-        self._suppressions.append(armed)
-        return armed
-
-    def asserted(self, signal: NocSignal) -> bool:
-        for armed in self._suppressions:
-            if (
-                not armed.fired
-                and armed.signal is signal
-                and self.cycle >= armed.from_cycle
-            ):
-                armed.fired = True
-                armed.fired_cycle = self.cycle
-                return False
-        return True

@@ -44,7 +44,7 @@ from repro.exec.cli import checkpoint_main
 from repro.exec.durability import (
     ENV_TORN_APPEND,
     TORN_APPEND_EXIT_STATUS,
-    scan_checkpoint,
+    fold_checkpoint,
 )
 from repro.exec.engine import run_engine
 from repro.exec.tasks import generate_tasks
@@ -139,7 +139,7 @@ def test_torn_append_is_flagged_repaired_and_resumed(
     assert child.returncode == TORN_APPEND_EXIT_STATUS, child.stderr
     assert os.listdir(tmp_path) == ["torn.jsonl"]
 
-    report = scan_checkpoint(path)
+    report = fold_checkpoint(path)[0]
     assert report.torn_tail and not report.interior_issues, report.issues
     assert report.records == 2
     assert checkpoint_main(["verify", path]) == 1

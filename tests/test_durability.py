@@ -35,6 +35,7 @@ from repro.cli import main as campaign_main
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.checkpoint import (
     CheckpointError,
+    decode_record,
     load_checkpoint_full,
     manifest_for,
     result_to_dict,
@@ -49,10 +50,10 @@ from repro.exec.durability import (
     fold_checkpoint,
     manifest_identity,
     manifest_mismatch,
-    scan_checkpoint,
     seal_record,
 )
 from repro.exec.engine import run_engine
+from repro.fuzz import engine as fuzz_engine
 from repro.fuzz.engine import load_fuzz_checkpoint_full, run_fuzz
 from repro.sweep import cell_checkpoint_path
 from repro.workloads import WORKLOADS
@@ -102,6 +103,7 @@ class Log:
     path: str
     records: int  # data records, manifest excluded
     load: Callable[[str], tuple]
+    decode: Callable[[dict], object]  # the engine's decode_record
     resume: Callable[..., object]  # (path, seed=SEED)
     other: str  # a finished log of the other engine
 
@@ -114,6 +116,7 @@ def sealed(request, tiny_suite):
             path,
             len(campaign.results),
             load_checkpoint_full,
+            decode_record,
             lambda p, seed=SEED: run_engine(
                 tiny_suite, RUNS, seed=seed, backend=SerialBackend(),
                 checkpoint_path=p, resume=True,
@@ -124,6 +127,7 @@ def sealed(request, tiny_suite):
         request.getfixturevalue("fuzz_checkpointed"),
         FUZZ_BUDGET,
         load_fuzz_checkpoint_full,
+        fuzz_engine.decode_record,
         lambda p, seed=SEED: run_fuzz(
             seed=seed, budget=FUZZ_BUDGET, batch=FUZZ_BATCH,
             checkpoint_path=p, resume=True,
@@ -176,10 +180,9 @@ def test_every_record_is_crc_sealed_and_manifest_carries_identity(checkpointed):
 
 def test_scan_is_clean_on_an_untouched_checkpoint(checkpointed):
     path, _ = checkpointed
-    report = scan_checkpoint(path)
+    report = fold_checkpoint(path)[0]
     assert report.clean
     assert report.records == RUNS * len(PRIMARY_MODELS)
-    assert report.sealed == report.records + 1  # + the manifest
 
 
 # -- corruption detection ------------------------------------------------------
@@ -206,12 +209,29 @@ def _other_family(line: str, other: str) -> tuple:
     return foreign, f"unexpected record type {json.loads(foreign)['type']!r}"
 
 
+def _sealed_in(line: str, other: str) -> tuple:
+    """A record whose fields do not decode, resealed: what a faulty
+    writer, or a hand edit that recomputed the CRC, leaves behind (a
+    ``result`` without its outcome, an ``eval`` without its verdict)."""
+    record = json.loads(line)
+    if record["type"] == "result":
+        del record["result"]["outcome"]
+    else:
+        del record["ok"]
+    sealed = json.dumps(seal_record(record), sort_keys=True)
+    return sealed, f"undecodable {record['type']} record (KeyError)"
+
+
 @pytest.mark.parametrize(
     "damage",
-    [_stale_crc, _unsealed, _other_family],
-    ids=["stale-crc", "unsealed", "other-family"],
+    [_stale_crc, _unsealed, _other_family, _sealed_in],
+    ids=["stale-crc", "unsealed", "other-family", "sealed-in"],
 )
-def test_interior_corruption_raises_with_line_number(sealed, damage, tmp_path):
+def test_interior_corruption_raises_with_line_number(
+    sealed, damage, tmp_path, capsys
+):
+    """Every reader names the damaged line alike: the loader refuses it,
+    ``verify`` reports it and ``repair`` drops it."""
     bad = _copy(sealed.path, tmp_path / "bad.jsonl")
     lines = _lines(bad)
     # line 3: an interior data record
@@ -220,9 +240,16 @@ def test_interior_corruption_raises_with_line_number(sealed, damage, tmp_path):
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=rf":3: .*{re.escape(reason)}"):
         sealed.load(bad)
-    report = scan_checkpoint(bad)
+    report = fold_checkpoint(bad, sealed.decode)[0]
     assert not report.torn_tail
     assert [(i.lineno, i.reason) for i in report.issues] == [(3, reason)]
+    assert checkpoint_main(["verify", bad]) == 1
+    assert f"{bad}:3: corrupt: {reason}\n" in capsys.readouterr().out
+    repaired = str(tmp_path / "repaired.jsonl")
+    assert checkpoint_main(["repair", bad, "-o", repaired]) == 0
+    assert f"{bad}:3: dropped: {reason}\n" in capsys.readouterr().out
+    _, done, _ = sealed.load(repaired)
+    assert len(done) == sealed.records - 1
 
 
 def test_unparsable_interior_line_raises_but_torn_tail_is_tolerated(
@@ -233,7 +260,7 @@ def test_unparsable_interior_line_raises_but_torn_tail_is_tolerated(
         handle.write('{"type": "result", "ind')  # killed mid-append
     _, done, _ = sealed.load(torn)
     assert len(done) == sealed.records
-    report = scan_checkpoint(torn)
+    report = fold_checkpoint(torn)[0]
     assert report.torn_tail and not report.interior_issues
 
     interior = _copy(sealed.path, tmp_path / "interior.jsonl")
@@ -282,6 +309,65 @@ def test_edited_manifest_is_rejected_by_identity_hash(checkpointed, tmp_path):
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match="identity"):
         load_checkpoint_full(edited)
+
+
+def test_a_campaign_manifest_that_does_not_decode_is_refused_at_line_1(
+    checkpointed, tmp_path, capsys
+):
+    """A manifest without ``runs_per_model``, its identity and CRC
+    resealed, is intact bytes that do not decode: the loader refuses it
+    naming line 1, and ``verify`` flags that line alone."""
+    bad = _copy(checkpointed[0], tmp_path / "bad.jsonl")
+    lines = _lines(bad)
+    manifest = json.loads(lines[0])
+    del manifest["runs_per_model"]
+    manifest["identity"] = manifest_identity(manifest)
+    lines[0] = json.dumps(seal_record(manifest), sort_keys=True)
+    _write_lines(bad, lines)
+    reason = "undecodable manifest record (KeyError)"
+    with pytest.raises(
+        CheckpointError, match=rf":1: corrupt record \({re.escape(reason)}\)"
+    ):
+        load_checkpoint_full(bad)
+    assert checkpoint_main(["verify", bad]) == 1
+    out = capsys.readouterr().out
+    assert f"{bad}:1: corrupt: {reason}" in out
+    assert out.count(": corrupt: ") == 1
+
+
+@pytest.mark.parametrize(
+    "reader", ["from-checkpoint", "campaign-resume", "fuzz-resume"]
+)
+def test_the_clis_refuse_a_sealed_in_record_naming_its_line(
+    reader, checkpointed, fuzz_checkpointed, tmp_path, capsys
+):
+    """``--from-checkpoint``, campaign ``--resume`` and fuzz ``--resume``
+    read through the one reader, so a record whose fields do not decode
+    ends each with exit 2 and one stderr line naming ``PATH:LINE``."""
+    from repro.fuzz.cli import fuzz_main
+
+    fuzz = reader == "fuzz-resume"
+    bad = _copy(fuzz_checkpointed if fuzz else checkpointed[0],
+                tmp_path / "bad.jsonl")
+    lines = _lines(bad)
+    lines[2], reason = _sealed_in(lines[2], "")
+    _write_lines(bad, lines)
+    common = ["--seed", str(SEED), "--no-progress"]
+    if fuzz:
+        code = fuzz_main(common + [
+            "--budget", str(FUZZ_BUDGET), "--batch", str(FUZZ_BATCH),
+            "--resume", bad,
+        ])
+    elif reader == "from-checkpoint":
+        code = campaign_main(["--from-checkpoint", bad, "--figures", "3"])
+    else:
+        code = campaign_main(common + [
+            "--runs", str(RUNS), "--benchmarks", "bitcount", "--scale",
+            "0.25", "--figures", "3", "--resume", bad,
+        ])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert f"{bad}:3: corrupt record ({reason})" in line
 
 
 # -- the repro checkpoint CLI --------------------------------------------------
@@ -334,14 +420,16 @@ def test_unwritable_output_exits_2(checkpointed, tmp_path, capsys):
     assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
 
 
-def test_inspect_reports_counts(sealed, capsys):
-    assert checkpoint_main(["inspect", sealed.path]) == 0
+def test_verify_reports_counts(sealed, capsys):
+    assert checkpoint_main(["verify", sealed.path]) == 0
     out = capsys.readouterr().out
+    manifest = json.loads(_lines(sealed.path)[0])
+    assert f"identity     {manifest['identity']}" in out
+    assert f"seed         {SEED}" in out
     assert f"done         {sealed.records}" in out
     assert "quarantined  0" in out
     # Only a campaign manifest names its whole task list.
-    campaign = json.loads(_lines(sealed.path)[0])["type"] == "manifest"
-    assert ("remaining    0" in out) == campaign
+    assert ("remaining    0" in out) == (manifest["type"] == "manifest")
 
 
 def test_repair_then_resume_matches_uninterrupted_run(
@@ -375,7 +463,7 @@ def test_repair_then_resume_matches_uninterrupted_run(
     assert checkpoint_main(["verify", repaired]) == 0
 
 
-@pytest.mark.parametrize("command", ["inspect", "repair"])
+@pytest.mark.parametrize("command", ["verify", "repair"])
 def test_missing_input_exits_2(command, tmp_path, capsys):
     missing = str(tmp_path / "missing.jsonl")
     assert checkpoint_main([command, missing]) == 2
@@ -389,14 +477,16 @@ def test_checkpoint_without_a_subcommand_prints_help_and_exits_2(capsys):
     assert capsys.readouterr().out.startswith("usage: repro checkpoint")
 
 
-def test_merge_is_not_a_checkpoint_subcommand(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["merge", "inspect"])
+def test_merge_is_not_a_checkpoint_subcommand(command, tmp_path, capsys):
     """No command writes part of a run, so there is nothing to merge: a
-    resume completes a partial file in place."""
+    resume completes a partial file in place. Nor is there a second
+    reader beside ``verify``, which prints what ``inspect`` did."""
     out = str(tmp_path / "merged.jsonl")
     with pytest.raises(SystemExit) as exit_info:
-        checkpoint_main(["merge", "-o", out, str(tmp_path / "a.jsonl")])
+        checkpoint_main([command, "-o", out, str(tmp_path / "a.jsonl")])
     assert exit_info.value.code == 2
-    assert "invalid choice: 'merge'" in capsys.readouterr().err
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

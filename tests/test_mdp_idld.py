@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.idld.flow import FlowSignalFabric
 from repro.mdp import (
     CheckpointedMDPChecker,
     MDPIDLDChecker,
     MDPPipeline,
     MDPSignal,
-    MDPSignalFabric,
     StoreSetsPredictor,
     make_stream,
 )
@@ -15,7 +15,7 @@ from repro.mdp import (
 
 def run_pipeline(seed=3, suppress=None, at_cycle=60, interval=8, num_ops=400):
     stream = make_stream(num_ops, seed=seed)
-    fabric = MDPSignalFabric()
+    fabric = FlowSignalFabric()
     armed = fabric.arm(suppress, at_cycle) if suppress else None
     quiescent = MDPIDLDChecker()
     checkpointed = CheckpointedMDPChecker(interval=interval)
@@ -73,7 +73,7 @@ class TestDetection:
 
     def test_chicken_bit(self):
         stream = make_stream(300, seed=3)
-        fabric = MDPSignalFabric()
+        fabric = FlowSignalFabric()
         fabric.arm(MDPSignal.LFST_REMOVE_DISPLACE, 40)
         checker = MDPIDLDChecker(enabled=False)
         predictor = StoreSetsPredictor(fabric=fabric, observers=[checker])

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.idld.flow import FlowSignalFabric
 from repro.mdp import (
     MDPIDLDChecker,
     MDPPipeline,
     MDPSignal,
-    MDPSignalFabric,
     MemOp,
     StoreSetsPredictor,
     make_stream,
@@ -14,7 +14,7 @@ from repro.mdp import (
 
 
 def build(stream, fabric=None, observers=()):
-    fabric = fabric or MDPSignalFabric()
+    fabric = fabric or FlowSignalFabric()
     predictor = StoreSetsPredictor(fabric=fabric, observers=list(observers))
     return MDPPipeline(
         stream, predictor=predictor, fabric=fabric, observers=list(observers)
@@ -75,7 +75,7 @@ class TestHangScenario:
             MemOp(True, pc=1, address=5, exec_latency=2),   # inserts LFST
             MemOp(False, pc=2, address=9, exec_latency=1),  # dependent load
         ]
-        fabric = MDPSignalFabric()
+        fabric = FlowSignalFabric()
         fabric.arm(MDPSignal.LFST_REMOVE_EXEC, 0)
         pipeline = build(ops, fabric=fabric)
         # Force the violation ordering: run and observe.
@@ -88,7 +88,7 @@ class TestHangScenario:
     def test_sq_slot_reuse_resolves_stale_dependency(self):
         """With enough traffic, inner-id reuse lets stale-dependent loads
         proceed -- the masked variant of the hang."""
-        fabric = MDPSignalFabric()
+        fabric = FlowSignalFabric()
         fabric.arm(MDPSignal.LFST_REMOVE_EXEC, 50)
         pipeline = build(make_stream(400, seed=6), fabric=fabric)
         result = pipeline.run(max_cycles=20_000)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mdp.signals import MDPSignal, MDPSignalFabric
+from repro.idld.flow import FlowSignalFabric
+from repro.mdp.signals import MDPSignal
 from repro.mdp.store_sets import MDPObserver, StoreSetsPredictor
 
 
@@ -20,7 +21,7 @@ class Recorder(MDPObserver):
 
 @pytest.fixture()
 def setup():
-    fabric = MDPSignalFabric()
+    fabric = FlowSignalFabric()
     recorder = Recorder()
     predictor = StoreSetsPredictor(
         ssit_entries=32, lfst_entries=8, fabric=fabric, observers=[recorder]

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.idld.flow import FlowSignalFabric
 from repro.noc import (
     CreditLink,
     LinkAssertion,
     NocSignal,
-    NocSignalFabric,
     run_traffic,
 )
 
@@ -59,7 +59,7 @@ class TestGoldenTraffic:
 
 class TestInjections:
     def test_dropped_flit_detected_at_quiescence(self):
-        fabric = NocSignalFabric()
+        fabric = FlowSignalFabric()
         armed = fabric.arm(NocSignal.FLIT_DELIVER, 30)
         link = CreditLink(fabric=fabric)
         stats = run_traffic(link, 150, seed=1)
@@ -69,7 +69,7 @@ class TestInjections:
         assert not link.credit_census_clean()
 
     def test_leaked_credit_detected(self):
-        fabric = NocSignalFabric()
+        fabric = FlowSignalFabric()
         armed = fabric.arm(NocSignal.CREDIT_RETURN, 30)
         link = CreditLink(fabric=fabric)
         stats = run_traffic(link, 150, seed=1)
@@ -81,7 +81,7 @@ class TestInjections:
 
     def test_leaked_credit_starves_tight_link(self):
         """With one credit per VC, a leaked credit deadlocks that VC."""
-        fabric = NocSignalFabric()
+        fabric = FlowSignalFabric()
         armed = fabric.arm(NocSignal.CREDIT_RETURN, 5)
         link = CreditLink(
             num_vcs=1, buffer_depth=1, wire_latency=1, fabric=fabric
@@ -93,14 +93,14 @@ class TestInjections:
     def test_unconsumed_credit_overflows_counter(self):
         """A suppressed credit-consume is a duplication: the returned
         credit overruns the counter -- hardware-assertion territory."""
-        fabric = NocSignalFabric()
+        fabric = FlowSignalFabric()
         fabric.arm(NocSignal.CREDIT_CONSUME, 10)
         link = CreditLink(fabric=fabric)
         with pytest.raises(LinkAssertion):
             run_traffic(link, 150, seed=1)
 
     def test_detection_happens_after_activation(self):
-        fabric = NocSignalFabric()
+        fabric = FlowSignalFabric()
         armed = fabric.arm(NocSignal.FLIT_DELIVER, 40)
         link = CreditLink(fabric=fabric)
         run_traffic(link, 150, seed=3)

@@ -10,6 +10,8 @@ from repro.bugs.faults import (
     run_with_at_rest_fault,
 )
 from repro.core import OoOCore
+from repro.core.config import CoreConfig
+from repro.core.errors import DeadlockError
 from repro.idld import IDLDChecker
 from repro.idld.parity import ParityStore, parity
 from repro.workloads import WORKLOADS
@@ -147,3 +149,20 @@ class TestAtRestFaults:
         alarm = core.parity["FL"].alarms[0]
         assert alarm.array == "FL"
         assert alarm.value == value
+
+    def test_an_upset_that_wedges_the_core_ends_in_a_deadlock(self):
+        """The runner steps through ``run_cycles``, whose watchdog ends a
+        run that makes no progress: this upset wedges bitcount, which
+        would otherwise idle to its cycle budget and return no error."""
+        rng = random.Random(28)
+        core = OoOCore(
+            WORKLOADS["bitcount"](scale=0.5),
+            config=CoreConfig(deadlock_cycles=300),
+            parity_protect=True,
+        )
+        fault, result, error = run_with_at_rest_fault(
+            core, rng.randint(10, 600), rng, max_cycles=5_000
+        )
+        assert fault is not None
+        assert isinstance(error, DeadlockError) and error.cycle == 714
+        assert not result.halted
