@@ -386,12 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    if "table2" in figures:
-        print(table_ii_report())
-        print()
     campaign_figures = figures - {"table2"}
-    exporting = bool(args.export_csv or args.export_json)
-
+    campaign = None
     if args.from_checkpoint:
         from repro.analysis.export import campaign_from_checkpoint
         from repro.exec.checkpoint import CheckpointError
@@ -401,64 +397,62 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (CheckpointError, OSError) as exc:
             print(f"cannot load checkpoint: {exc}", file=sys.stderr)
             return 2
-        quarantined = (
-            f", {campaign.quarantined} quarantined"
-            if campaign.quarantined
-            else ""
-        )
-        print(
+        summary = (
             f"checkpoint: {len(campaign.results)} injections over "
-            f"{len(campaign.benchmarks)} benchmarks "
-            f"({campaign.never_activated} never activated{quarantined})\n"
+            f"{len(campaign.benchmarks)} benchmarks ("
         )
-        _report(campaign, campaign_figures, args)
-        if campaign.quarantined:
-            print_quarantine(campaign.failures)
-        return 0
+    elif campaign_figures or args.export_csv or args.export_json:
+        from repro.exec.backends import make_backend
+        from repro.exec.durability import SHUTDOWN_EXIT_CODE
+        from repro.exec.engine import run_engine
 
-    if not campaign_figures and not exporting:
-        return 0
-
-    from repro.exec.backends import make_backend
-    from repro.exec.durability import SHUTDOWN_EXIT_CODE
-    from repro.exec.engine import run_engine
-
-    path = args.resume or args.checkpoint
-    with StopGuard("campaign", f"--resume {path}" if path else None) as guard:
-        programs: Dict[str, object] = {
-            name: WORKLOADS[name](scale=args.scale) for name in names
-        }
-        started = time.time()
-        campaign, code = run_guarded(
-            run_engine,
-            programs,
-            runs_per_model=args.runs,
-            seed=args.seed,
-            backend=make_backend(args.jobs, policy_from_args(args)),
-            checkpoint_path=path,
-            resume=args.resume is not None,
-            observers=progress_observers(args) + [guard],
-            checkpoint_fsync=args.checkpoint_fsync,
+        path = args.resume or args.checkpoint
+        resume_flags = f"--resume {path}" if path else None
+        with StopGuard("campaign", resume_flags) as guard:
+            programs: Dict[str, object] = {
+                name: WORKLOADS[name](scale=args.scale) for name in names
+            }
+            started = time.time()
+            campaign, code = run_guarded(
+                run_engine,
+                programs,
+                runs_per_model=args.runs,
+                seed=args.seed,
+                backend=make_backend(args.jobs, policy_from_args(args)),
+                checkpoint_path=path,
+                resume=args.resume is not None,
+                observers=progress_observers(args) + [guard],
+                checkpoint_fsync=args.checkpoint_fsync,
+            )
+        if guard.stopped:
+            return SHUTDOWN_EXIT_CODE
+        if code:
+            return code
+        summary = (
+            f"campaign: {len(campaign.results)} injections over "
+            f"{len(programs)} benchmarks in {time.time() - started:.1f}s "
+            f"(jobs={args.jobs}, "
         )
-    if guard.stopped:
-        return SHUTDOWN_EXIT_CODE
-    if code:
-        return code
-    elapsed = time.time() - started
+
+    # Table II needs no campaign, but it waits for one: a run that is
+    # refused or stopped prints nothing on stdout.
+    if "table2" in figures:
+        print(table_ii_report())
+        print()
+    if campaign is None:
+        return 0
     quarantined = (
         f", {campaign.quarantined} quarantined" if campaign.quarantined else ""
     )
     print(
-        f"campaign: {len(campaign.results)} injections over "
-        f"{len(programs)} benchmarks in {elapsed:.1f}s "
-        f"(jobs={args.jobs}, {campaign.never_activated} never activated"
-        f"{quarantined})\n"
+        f"{summary}{campaign.never_activated} never activated{quarantined})\n"
     )
     _report(campaign, campaign_figures, args)
-    if campaign.quarantined:
-        print_quarantine(campaign.failures)
-        return 1
-    return 0
+    if not campaign.quarantined:
+        return 0
+    print_quarantine(campaign.failures)
+    # A report read from a checkpoint ran nothing, so nothing failed.
+    return 0 if args.from_checkpoint else 1
 
 
 def repro_main(argv: Optional[List[str]] = None) -> int:

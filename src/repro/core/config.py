@@ -234,15 +234,12 @@ def paper_rrs_config(
 ) -> CoreConfig:
     """The exact RRS geometry of the paper's Section VI.A at a given width.
 
-    The two policy axes default to the paper's design (FIFO free list,
-    checkpoint-restore recovery); the sweep CLI varies them per cell.
+    The geometry is :class:`CoreConfig`'s default. The two policy axes
+    default to the paper's design (FIFO free list, checkpoint-restore
+    recovery); the sweep CLI varies them per cell.
     """
     return CoreConfig(
         width=width,
-        num_physical_regs=128,
-        rob_entries=96,
-        num_checkpoints=4,
-        checkpoint_interval=24,
         free_list_discipline=free_list_discipline,
         recovery_strategy=recovery_strategy,
     )

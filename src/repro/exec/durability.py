@@ -274,13 +274,18 @@ def fold_checkpoint(
     fields do not decode — damage sealed in by a faulty writer or by a
     hand edit that recomputed the CRC — is a damaged line, as a CRC
     mismatch is. Damaged lines land in the report, never raise.
+
+    Only the first line is a manifest candidate. When it is damaged, each
+    later line is checked as a data line (JSON, CRC, a type) and counted,
+    but neither family-checked nor decoded: one damaged line reads as one.
     """
     report = ScanReport(path=path)
     done: Dict[object, object] = {}
     failures: Dict[object, object] = {}
     family: Tuple[str, ...] = ()
+    first = True
     for lineno, is_last, line in _walk_lines(path):
-        record, reason = _check_line(line, report.manifest is not None)
+        record, reason = _check_line(line, manifest_seen=not first)
         if reason is None and report.manifest is not None:
             kind = record["type"]
             if kind not in family:
@@ -293,17 +298,21 @@ def fold_checkpoint(
         if reason is not None:
             torn = is_last and reason == "unparsable JSON"
             report.issues.append(LineIssue(lineno, reason, torn_tail=torn))
-        elif report.manifest is None:
+        elif first:
             report.manifest = record
             family = RECORD_TYPES.get(record["type"], ())
         else:
+            kind = record["type"]
             report.records += 1
             report.by_type[kind] = report.by_type.get(kind, 0) + 1
-            if kind == family[0]:
+            if report.manifest is None:
+                pass  # a damaged manifest names no family to decode by
+            elif kind == family[0]:
                 done[key] = value
                 failures.pop(key, None)
             elif key not in done:
                 failures[key] = value
+        first = False
     return report, done, failures
 
 

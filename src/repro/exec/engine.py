@@ -57,9 +57,10 @@ from repro.isa.program import Program
 class RunDriver:
     """One run of an engine over its optional checkpoint at ``path``.
 
-    Locks the run's sealed log before any set-up, so a refused writer
-    learns it at once; then builds the manifest with ``manifest()`` (the
-    campaign's golden runs), refuses a resumed file by
+    Locks the run's sealed log and loads a resumed file before any
+    set-up, so a refused writer or an unreadable file is refused at once;
+    then builds the manifest with ``manifest()`` (the campaign's golden
+    runs), refuses a resumed file by
     :func:`~repro.exec.durability.manifest_mismatch` and only then begins
     the log. It runs the tasks the file does not hold, appends each
     outcome as the backend yields it and turns the counts into progress
@@ -97,9 +98,10 @@ class RunDriver:
         self.done: Dict = {}
         self.failures: Dict = {}
         try:
-            expected = manifest()
             if resume:
                 recorded, self.done, self.failures = load(path)
+            expected = manifest()
+            if resume:
                 why = manifest_mismatch(view(recorded), view(expected))
                 if why is not None:
                     raise CheckpointError(

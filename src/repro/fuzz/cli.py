@@ -136,6 +136,12 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     if args.batch < 1:
         print(f"--batch must be >= 1, got {args.batch}", file=sys.stderr)
         return 2
+    if args.shrink_budget < 0:
+        print(
+            f"--shrink-budget must be >= 0, got {args.shrink_budget}",
+            file=sys.stderr,
+        )
+        return 2
 
     from repro.exec.backends import make_backend
     from repro.exec.durability import SHUTDOWN_EXIT_CODE

@@ -27,14 +27,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.bugs.injector import arm
 from repro.bugs.models import BugSpec
+from repro.bugs.snapshot import make_detectors
 from repro.core.config import CoreConfig
 from repro.core.cpu import OoOCore
 from repro.core.errors import SimulationError
 from repro.core.rrs.signals import SignalFabric
 from repro.fuzz.coverage import CoverageProbe, log_bucket
-from repro.idld.bitvector import BitVectorScheme
-from repro.idld.checker import IDLDChecker
-from repro.idld.counter import CounterScheme
 from repro.isa.program import Program
 from repro.isa.semantics import reference_run
 
@@ -120,9 +118,7 @@ def evaluate(
     fabric = SignalFabric()
     armed = arm(bug, fabric) if bug is not None else None
     probe = CoverageProbe()
-    idld = IDLDChecker()
-    bv = BitVectorScheme()
-    counter = CounterScheme()
+    idld, bv, counter = make_detectors()
     core = OoOCore(
         program,
         config=config,

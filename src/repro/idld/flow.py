@@ -9,10 +9,10 @@ NoC links, FIFOs etc.)."
 :class:`FlowInvariantChecker` packages the recipe's four requirements as a
 reusable component: fold every token leaving the source into one XOR
 register and every token reaching the sink into another, count outstanding
-tokens, and compare the two codes at explicit quiescent points and/or
-whenever the outstanding counter returns to zero. The RRS and MDP checkers
-are hand-specialized instances of the same idea; this class is the one
-downstream users attach to their own channels.
+tokens, and compare the two codes whenever the outstanding counter returns
+to zero and at explicit quiescent points, where the counter must be zero
+too. Figure 7's Store-Sets checker (:class:`repro.mdp.idld.MDPIDLDChecker`)
+and both NoC link loops (:mod:`repro.noc.link`) are instances of it.
 
 :class:`FlowSignalFabric` is the bug-injection side of such a flow: the
 MDP tables and the NoC link consult it for each of their control signals
@@ -46,8 +46,6 @@ class FlowInvariantChecker:
     Args:
         id_space: Number of distinct token identifiers; sizes the
             extension bit so token 0 is visible to the code.
-        check_on_counter_zero: Evaluate whenever the outstanding counter
-            returns to zero at a tick (the cheapest frequent check).
         enabled: The chicken bit.
 
     Usage::
@@ -60,16 +58,10 @@ class FlowInvariantChecker:
         guard.quiescent(cycle)    # at known-empty points
     """
 
-    def __init__(
-        self,
-        id_space: int,
-        check_on_counter_zero: bool = True,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, id_space: int, enabled: bool = True) -> None:
         if id_space < 1:
             raise ValueError("id_space must be positive")
         self.enabled = enabled
-        self.check_on_counter_zero = check_on_counter_zero
         self._ext_bit = extension_bit(id_space)
         self.source_xor = 0
         self.sink_xor = 0
@@ -95,7 +87,8 @@ class FlowInvariantChecker:
         return self.source_xor ^ self.sink_xor
 
     def _check(self, cycle: int, policy: str) -> None:
-        if self.enabled and self.syndrome != 0:
+        """Alarm unless the two codes match and no token is outstanding."""
+        if self.enabled and (self.syndrome or self.outstanding):
             self.violations.append(
                 FlowViolation(
                     cycle, policy, self.source_xor, self.sink_xor,
@@ -105,7 +98,7 @@ class FlowInvariantChecker:
 
     def tick(self, cycle: int) -> None:
         """Per-cycle hook: checks when no tokens are outstanding."""
-        if self.check_on_counter_zero and self.outstanding == 0:
+        if self.outstanding == 0:
             self._check(cycle, "counter_zero")
 
     def quiescent(self, cycle: int) -> None:
@@ -115,14 +108,6 @@ class FlowInvariantChecker:
         outstanding: the counter catches even-multiplicity losses that the
         XOR projection cancels (two leaked tokens with the same id).
         """
-        if self.enabled and self.outstanding != 0 and self.syndrome == 0:
-            self.violations.append(
-                FlowViolation(
-                    cycle, "quiescent", self.source_xor, self.sink_xor,
-                    self.outstanding,
-                )
-            )
-            return
         self._check(cycle, "quiescent")
 
     # -- results --------------------------------------------------------------------

@@ -67,10 +67,6 @@ class ParityStore:
                 ParityAlarm(cycle, self.array_name, location, value)
             )
 
-    def forget(self, location: Hashable) -> None:
-        """The location was invalidated (e.g. FIFO slot freed)."""
-        self._bits.pop(location, None)
-
     @property
     def detected(self) -> bool:
         return bool(self.alarms)

@@ -15,6 +15,15 @@ Three checking policies from the paper, strongest first:
   commits", with a second removal XOR restricted to the checkpoint range
   to tolerate out-of-order removals.
 
+The first two are the generic flow checker's two checks, so
+:class:`MDPIDLDChecker` is a :class:`~repro.idld.flow.FlowInvariantChecker`
+on the LFST ports: insertions are its source and removals its sink, each
+cycle end is its counter-zero ``tick`` and an empty store queue its
+``quiescent`` check, which also flags tokens still outstanding (two lost
+removals of one inner ID cancel in the XORs, not in the count). The
+checkpointed variant, :class:`CheckpointedMDPChecker`, ranges over insert
+sequence numbers instead and is its own algorithm.
+
 Inner IDs are extended with a constant-1 bit exactly as in the RRS checker
 so ID 0 is visible to the code.
 """
@@ -25,12 +34,14 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.idld.codes import extend, extension_bit
+from repro.idld.flow import FlowInvariantChecker
 from repro.mdp.store_sets import MDPObserver
 
 
 @dataclass
 class MDPViolation:
-    """One MDP-IDLD alarm."""
+    """One alarm of the checkpointed check (:class:`CheckpointedMDPChecker`);
+    :class:`MDPIDLDChecker` raises :class:`~repro.idld.flow.FlowViolation`s."""
 
     cycle: int
     policy: str
@@ -38,60 +49,24 @@ class MDPViolation:
     out_xor: int
 
 
-class MDPIDLDChecker(MDPObserver):
-    """Insertion/removal XOR pair with counter-zero and SQ-empty checks."""
+class MDPIDLDChecker(FlowInvariantChecker, MDPObserver):
+    """The flow checker on the LFST's insert and remove ports, checked at
+    counter zero and whenever the store queue is empty."""
 
-    def __init__(
-        self,
-        id_space: int = 64,
-        check_on_counter_zero: bool = True,
-        check_on_sq_empty: bool = True,
-        enabled: bool = True,
-    ) -> None:
-        self.enabled = enabled
-        self.check_on_counter_zero = check_on_counter_zero
-        self.check_on_sq_empty = check_on_sq_empty
-        self._ext_bit = extension_bit(id_space)
-        self.in_xor = 0
-        self.out_xor = 0
-        self.counter = 0
-        self.violations: List[MDPViolation] = []
-
-    # -- taps ------------------------------------------------------------------
+    def __init__(self, id_space: int = 64, enabled: bool = True) -> None:
+        super().__init__(id_space, enabled)
 
     def lfst_insert(self, inner_id: int, seq: int) -> None:
-        self.in_xor ^= extend(inner_id, self._ext_bit)
-        self.counter += 1
+        self.source(inner_id)
 
     def lfst_remove(self, inner_id: int, seq: int) -> None:
-        self.out_xor ^= extend(inner_id, self._ext_bit)
-        self.counter -= 1
-
-    # -- checks -----------------------------------------------------------------
-
-    def _check(self, cycle: int, policy: str) -> None:
-        if self.enabled and self.in_xor != self.out_xor:
-            self.violations.append(
-                MDPViolation(cycle, policy, self.in_xor, self.out_xor)
-            )
+        self.sink(inner_id)
 
     def sq_empty(self, cycle: int) -> None:
-        if self.check_on_sq_empty:
-            self._check(cycle, "sq_empty")
+        self.quiescent(cycle)
 
     def cycle_end(self, cycle: int) -> None:
-        if self.check_on_counter_zero and self.counter == 0:
-            self._check(cycle, "counter_zero")
-
-    # -- results ------------------------------------------------------------------
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.violations)
-
-    @property
-    def first_detection_cycle(self) -> Optional[int]:
-        return self.violations[0].cycle if self.violations else None
+        self.tick(cycle)
 
 
 class CheckpointedMDPChecker(MDPObserver):

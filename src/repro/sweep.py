@@ -196,6 +196,19 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         print(f"--widths must be positive integers, got {args.widths!r}",
               file=sys.stderr)
         return 2
+    cells = [
+        (width, discipline, recovery)
+        for width in widths
+        for discipline in disciplines
+        for recovery in recoveries
+    ]
+    configs = []
+    for width, discipline, recovery in cells:
+        try:
+            configs.append(paper_rrs_config(width, discipline, recovery))
+        except ValueError as exc:
+            print(f"--widths: width {width}: {exc}", file=sys.stderr)
+            return 2
     error = run_args_error(args)
     if error is not None:
         print(error, file=sys.stderr)
@@ -217,12 +230,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
 
-    cells = [
-        (width, discipline, recovery)
-        for width in widths
-        for discipline in disciplines
-        for recovery in recoveries
-    ]
     rows: List[Dict[str, object]] = []
     flags = f"--checkpoint-dir {args.checkpoint_dir} --resume"
     # One guard for the whole cell loop: a stop between two cells unwinds
@@ -230,12 +237,8 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     with StopGuard("sweep", flags if args.checkpoint_dir else None) as guard:
         programs = {name: WORKLOADS[name](scale=args.scale) for name in names}
         started = time.time()
-        for number, (width, discipline, recovery) in enumerate(cells, 1):
-            config = paper_rrs_config(
-                width=width,
-                free_list_discipline=discipline,
-                recovery_strategy=recovery,
-            )
+        for number, (cell, config) in enumerate(zip(cells, configs), 1):
+            width, discipline, recovery = cell
             checkpoint_path = None
             resume = False
             if args.checkpoint_dir:

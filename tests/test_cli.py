@@ -371,12 +371,14 @@ REFUSED_RUN_FLAGS = [
     ("sweep", ["--task-timeout", "0"]),
     ("sweep", ["--task-timeout", "nan"]),
     ("sweep", ["--scale", "inf"]),
+    ("sweep", ["--widths", "100"]),
     ("fuzz", ["--jobs", "0"]),
     ("fuzz", ["--max-task-retries", "-1"]),
     ("fuzz", ["--task-timeout", "0"]),
     ("fuzz", ["--task-timeout", "nan"]),
     ("fuzz", ["--budget", "0"]),
     ("fuzz", ["--batch", "0"]),
+    ("fuzz", ["--shrink-budget", "-1"]),
     ("fuzz", ["--checkpoint", "a.jsonl", "--resume", "b.jsonl"]),
 ]
 

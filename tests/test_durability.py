@@ -399,6 +399,24 @@ def _another_version(path: str, dst) -> str:
     return _write_lines(old, lines)
 
 
+def test_verify_counts_a_damaged_manifest_line_once(sealed, tmp_path, capsys):
+    """Only the first line is a manifest candidate: with it cut in half,
+    the intact data lines are counted, not each reported as damage, and
+    no reader takes the file."""
+    bad = _copy(sealed.path, tmp_path / "bad.jsonl")
+    lines = _lines(bad)
+    lines[0] = lines[0][: len(lines[0]) // 2]
+    _write_lines(bad, lines)
+    assert checkpoint_main(["verify", bad]) == 1
+    out = capsys.readouterr().out
+    kind = json.loads(lines[1])["type"]
+    assert f"{sealed.records} records ({sealed.records} {kind}), " in out
+    assert "1 damaged line(s)" in out
+    assert checkpoint_main(["repair", bad]) == 2
+    with pytest.raises(CheckpointError, match=":1: corrupt record"):
+        sealed.load(bad)
+
+
 def test_verify_flags_only_the_manifest_of_another_version(
     sealed, tmp_path, capsys
 ):
@@ -714,21 +732,27 @@ def test_a_fresh_writer_replaces_a_file_no_one_holds(sealed, tmp_path):
     assert json.loads(line)["seed"] == SEED
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The benchmarks whose snapshot provider (golden run) is built."""
+    names = []
+
+    class CountedProvider(SnapshotProvider):
+        def __init__(self, *args, **kwargs):
+            names.append(args[0].name)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backends, "SnapshotProvider", CountedProvider)
+    return names
+
+
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
 def test_a_refused_writer_builds_no_golden_run(
-    resume, checkpointed, tiny_suite, monkeypatch, tmp_path
+    resume, checkpointed, tiny_suite, built, tmp_path
 ):
     """The lock is taken before set-up, so a writer that will be refused
     builds no snapshot provider (no golden run) before it learns so."""
     path = _copy(checkpointed[0], tmp_path / "held.jsonl")
-    built = []
-
-    class CountedProvider(SnapshotProvider):
-        def __init__(self, *args, **kwargs):
-            built.append(args[0].name)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(backends, "SnapshotProvider", CountedProvider)
     with SealedLog(path, resume=True):
         with pytest.raises(CheckpointLockedError, match="another run"):
             run_engine(
@@ -738,6 +762,32 @@ def test_a_refused_writer_builds_no_golden_run(
     assert built == []
     run_engine(tiny_suite, RUNS, seed=SEED, checkpoint_path=path, resume=True)
     assert len(built) == len(tiny_suite)  # the count counts
+
+
+@pytest.mark.parametrize("reader", ["resume", "from-checkpoint"])
+def test_a_damaged_checkpoint_is_refused_before_any_set_up_or_output(
+    reader, checkpointed, built, tmp_path, capsys
+):
+    """A resume loads its file before it builds the goldens, and
+    ``--from-checkpoint`` before it prints Table II, so a file neither can
+    read ends the run with one stderr line, no golden run and no stdout."""
+    bad = _copy(checkpointed[0], tmp_path / "bad.jsonl")
+    lines = _lines(bad)
+    lines[1], reason = _sealed_in(lines[1], "")
+    _write_lines(bad, lines)
+    if reader == "resume":
+        argv = [
+            "--runs", str(RUNS), "--benchmarks", "bitcount", "--scale",
+            "0.25", "--seed", str(SEED), "--no-progress", "--resume", bad,
+        ]
+    else:
+        argv = ["--from-checkpoint", bad]
+    assert campaign_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert f"{bad}:2: corrupt record ({reason})" in line
+    assert built == []
 
 
 # -- atomic writes -------------------------------------------------------------
@@ -1000,18 +1050,19 @@ def test_sigterm_flushes_and_prints_resume_hint(
 _STOP_AT_THE_SECOND_CELL = textwrap.dedent(
     """
     import os, signal, sys
+    import repro.exec.engine as engine
     import repro.sweep as sweep
 
-    configs = []
-    real = sweep.paper_rrs_config
+    cells = []
+    real = engine.run_engine
 
-    def second_config_stops(**kwargs):
-        configs.append(kwargs)
-        if len(configs) == 2:  # the first cell is done
+    def second_cell_stops(*args, **kwargs):
+        cells.append(kwargs)
+        if len(cells) == 2:  # the first cell is done
             os.kill(os.getpid(), signal.SIGTERM)
-        return real(**kwargs)
+        return real(*args, **kwargs)
 
-    sweep.paper_rrs_config = second_config_stops
+    engine.run_engine = second_cell_stops
     sys.exit(sweep.sweep_main(sys.argv[1:]))
     """
 )

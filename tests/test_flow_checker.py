@@ -65,13 +65,6 @@ class TestBasics:
         guard.tick(1)
         assert not guard.detected
 
-    def test_counter_zero_policy_can_be_disabled(self):
-        guard = FlowInvariantChecker(16, check_on_counter_zero=False)
-        guard.source(1)
-        guard.sink(2)
-        guard.tick(1)
-        assert not guard.detected
-
     def test_id_space_validated(self):
         with pytest.raises(ValueError):
             FlowInvariantChecker(0)

@@ -37,8 +37,8 @@ class TestGoldenCleanness:
 
     def test_xors_balanced_at_end(self):
         _, quiescent, _, _ = run_pipeline()
-        assert quiescent.in_xor == quiescent.out_xor
-        assert quiescent.counter == 0
+        assert quiescent.source_xor == quiescent.sink_xor
+        assert quiescent.outstanding == 0
 
 
 class TestDetection:
@@ -69,7 +69,7 @@ class TestDetection:
             suppress=MDPSignal.LFST_REMOVE_DISPLACE
         )
         assert armed.fired and quiescent.detected
-        assert quiescent.violations[0].policy in ("sq_empty", "counter_zero")
+        assert quiescent.violations[0].policy in ("quiescent", "counter_zero")
 
     def test_chicken_bit(self):
         stream = make_stream(300, seed=3)
@@ -87,14 +87,14 @@ class TestCheckerAlgebra:
         checker = MDPIDLDChecker(id_space=16)
         checker.lfst_insert(3, 0)
         checker.lfst_remove(3, 0)
-        assert checker.in_xor == checker.out_xor
-        assert checker.counter == 0
+        assert checker.source_xor == checker.sink_xor
+        assert checker.outstanding == 0
 
     def test_zero_id_visible(self):
         """Inner ID 0 must be visible to the code (the extension bit)."""
         checker = MDPIDLDChecker(id_space=16)
         checker.lfst_insert(0, 0)
-        assert checker.in_xor != 0
+        assert checker.source_xor != 0
 
     def test_counter_zero_check_fires_on_swap(self):
         """A removal of the WRONG id at counter-zero is caught even though
@@ -106,11 +106,16 @@ class TestCheckerAlgebra:
         assert checker.detected
         assert checker.violations[0].policy == "counter_zero"
 
-    def test_sq_empty_check_can_be_disabled(self):
-        checker = MDPIDLDChecker(id_space=16, check_on_sq_empty=False)
+    def test_sq_empty_check_counts_outstanding_insertions(self):
+        """Two insertions of one inner ID cancel in the XORs; an empty
+        store queue with both still in the LFST alarms on the count."""
+        checker = MDPIDLDChecker(id_space=16)
         checker.lfst_insert(3, 0)
+        checker.lfst_insert(3, 1)
         checker.sq_empty(9)
-        assert not checker.detected
+        assert checker.detected
+        assert checker.violations[0].policy == "quiescent"
+        assert checker.violations[0].outstanding == 2
 
 
 class TestCheckpointedWindows:

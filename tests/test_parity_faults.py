@@ -50,13 +50,6 @@ class TestParityPrimitive:
         store.on_read(9, 42, cycle=5)
         assert not store.detected
 
-    def test_forget(self):
-        store = ParityStore("X")
-        store.on_write(3, 42)
-        store.forget(3)
-        store.on_read(3, 43, cycle=5)
-        assert not store.detected
-
     def test_chicken_bit(self):
         store = ParityStore("X", enabled=False)
         store.on_write(3, 42)
